@@ -97,10 +97,10 @@ class BenchConfig:
     #: persistent AnalysisCache directory (None = caching disabled)
     cache_dir: Optional[str] = None
     #: embed a per-model critical-path attribution section (one extra
-    #: provenance pass per cell; see docs/observability.md)
+    #: journaled pass per cell; see docs/observability.md)
     critpath: bool = False
     #: embed a per-model telemetry summary section (occupancy, overlap,
-    #: idle bubbles; one extra sampler pass per cell)
+    #: idle bubbles; derived from the same journaled pass)
     telemetry: bool = False
 
     def as_dict(self):
@@ -237,48 +237,32 @@ def _run_once(spec, model_name, cache=None):
     return stats, phases, total_s, metrics
 
 
-def _critpath_entry(spec, model_name, cache=None):
-    """One provenance pass -> the per-model ``critpath`` bench section.
+def _observed_sections(spec, model_name, critpath, telemetry, cache=None):
+    """One journaled pass -> the per-model ``critpath``/``telemetry``
+    bench sections.
 
-    Deliberately a separate (untimed) pass so the attribution never
+    Deliberately a separate (untimed) pass so observation never
     contaminates the wall-clock samples; the simulation is
-    deterministic, so the recorded path matches the measured repeats.
+    deterministic, so the sections describe the measured repeats.
     """
-    from repro.obs.critpath import ProvenanceRecorder, build_report
+    from repro.obs.journal import record_run
 
-    prov = ProvenanceRecorder()
-    spec_app = spec.build()
-    reorder, window = _model_plan_params(model_name)
-    runtime = BlockMaestroRuntime(cache=cache)
-    plan = runtime.plan(spec_app, reorder=reorder, window=window)
-    model = _make_model(model_name, runtime.config)
-    stats = model.run(plan, provenance=prov)
-    report = build_report(stats, plan, prov, model.gpu_config)
-    return {
-        "attribution_ns": report["attribution_ns"],
-        "attribution_fraction": report["attribution_fraction"],
-        "num_segments": report["critical_path"]["num_segments"],
-    }
+    journal, stats = record_run(spec.name, model_name, cache=cache)
+    sections = {}
+    if critpath:
+        from repro.obs.critpath import build_report
 
+        report = build_report(stats, journal)
+        sections["critpath"] = {
+            "attribution_ns": report["attribution_ns"],
+            "attribution_fraction": report["attribution_fraction"],
+            "num_segments": report["critical_path"]["num_segments"],
+        }
+    if telemetry:
+        from repro.obs.telemetry import bench_summary, build_report
 
-def _telemetry_entry(spec, model_name, cache=None):
-    """One sampler pass -> the per-model ``telemetry`` bench section.
-
-    Like :func:`_critpath_entry`, a separate untimed pass: the sampler
-    is observation-only (the simulation is deterministic either way),
-    but keeping it out of the measured repeats keeps wall samples
-    comparable with and without ``--telemetry``.
-    """
-    from repro.obs.telemetry import TelemetrySampler, bench_summary, build_report
-
-    sampler = TelemetrySampler()
-    spec_app = spec.build()
-    reorder, window = _model_plan_params(model_name)
-    runtime = BlockMaestroRuntime(cache=cache)
-    plan = runtime.plan(spec_app, reorder=reorder, window=window)
-    model = _make_model(model_name, runtime.config)
-    stats = model.run(plan, telemetry=sampler)
-    return bench_summary(build_report(stats, sampler))
+        sections["telemetry"] = bench_summary(build_report(stats, journal))
+    return sections
 
 
 def _percentile_block(samples):
@@ -377,10 +361,10 @@ def _run_cell(cell):
     }
     if profile:
         entry["profile"] = _profile_pass(spec, mname, profile_top, cache=cache)
-    if critpath:
-        entry["critpath"] = _critpath_entry(spec, mname, cache=cache)
-    if telemetry:
-        entry["telemetry"] = _telemetry_entry(spec, mname, cache=cache)
+    if critpath or telemetry:
+        entry.update(_observed_sections(
+            spec, mname, critpath, telemetry, cache=cache
+        ))
     return entry, cell_metrics.snapshot()
 
 

@@ -128,6 +128,16 @@ ENGINE_CHOICES = (
 )
 
 
+def non_negative_int(text):
+    """argparse type for ``--limit``: a row count, never negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "must be >= 0 (got {})".format(value)
+        )
+    return value
+
+
 def cmd_list(args):
     if getattr(args, "json", None):
         payload = []
@@ -320,12 +330,12 @@ def cmd_compare(args):
         print(compare_timelines(runs[:1] + runs[2:], width=args.width))
 
 
-def _traced_run(workload, model_name, per_sm=False, provenance=None,
-                telemetry=None):
+def _traced_run(workload, model_name, per_sm=False, journal=None):
     """Build, plan, and simulate one workload under full observation.
 
-    Returns ``(app, stats, tracer, metrics, plan, model)`` — shared by
-    ``trace``, ``blame``, and ``critpath``.
+    Returns ``(app, stats, tracer, metrics)`` — shared by ``trace`` and
+    ``blame``; ``journal`` optionally records the run for the
+    critical-path and telemetry overlays.
     """
     tracer = Tracer(per_sm_counters=per_sm)
     metrics = MetricsRegistry()
@@ -337,33 +347,27 @@ def _traced_run(workload, model_name, per_sm=False, provenance=None,
     runtime = BlockMaestroRuntime(tracer=tracer, metrics=metrics)
     plan = runtime.plan(app, reorder=reorder, window=window)
     model = _make_model(model_name, runtime.config)
-    stats = model.run(
-        plan, tracer=tracer, metrics=metrics, provenance=provenance,
-        telemetry=telemetry,
-    )
-    return app, stats, tracer, metrics, plan, model
+    stats = model.run(plan, tracer=tracer, metrics=metrics, journal=journal)
+    return app, stats, tracer, metrics
 
 
 def cmd_trace(args):
-    from repro.obs import critpath as cp
+    journal = None
+    if args.critpath or args.telemetry:
+        from repro.obs.journal import JournalRecorder
 
-    prov = cp.ProvenanceRecorder() if args.critpath else None
-    sampler = None
+        journal = JournalRecorder()
+    app, stats, tracer, metrics = _traced_run(
+        args.workload, args.model, per_sm=args.per_sm, journal=journal
+    )
+    if args.critpath:
+        from repro.obs import critpath as cp
+
+        cp.emit_critpath_flow(tracer, cp.extract_critical_path(stats, journal))
     if args.telemetry:
         from repro.obs import telemetry as tm
 
-        sampler = tm.TelemetrySampler()
-    app, stats, tracer, metrics, plan, _model = _traced_run(
-        args.workload, args.model, per_sm=args.per_sm, provenance=prov,
-        telemetry=sampler,
-    )
-    if prov is not None:
-        segments = cp.extract_critical_path(stats, plan, prov)
-        cp.emit_critpath_flow(tracer, segments)
-    if sampler is not None:
-        from repro.obs import telemetry as tm
-
-        tm.emit_telemetry_counters(tracer, tm.build_report(stats, sampler))
+        tm.emit_telemetry_counters(tracer, tm.build_report(stats, journal))
     out = args.output or "{}-trace.json".format(app.name)
     tracer.write(out)
     sidecar = args.metrics_out or (
@@ -389,9 +393,7 @@ def cmd_trace(args):
 
 
 def cmd_blame(args):
-    _app, stats, tracer, _metrics, _plan, _model = _traced_run(
-        args.workload, args.model
-    )
+    _app, stats, tracer, _metrics = _traced_run(args.workload, args.model)
     if args.json:
         from repro.obs.report import blame_payload
 
@@ -403,19 +405,14 @@ def cmd_blame(args):
 
 def cmd_critpath(args):
     from repro.obs import critpath as cp
+    from repro.obs.journal import record_run
 
-    # provenance attaches an observer, so a non-reference --engine pin
+    # the journal attaches an observer, so a non-reference --engine pin
     # falls back to the scalar oracle (counted, documented behavior);
     # the pin is still honored so users can see exactly that.
     _pin_engine_mode(args.engine)
-    prov = cp.ProvenanceRecorder()
-    _app, stats, tracer, _metrics, plan, model = _traced_run(
-        args.workload, args.model, provenance=prov
-    )
-    report = cp.build_report(
-        stats, plan, prov, model.gpu_config,
-        options=model.options(), whatif=args.whatif,
-    )
+    journal, stats = record_run(args.workload, args.model)
+    report = cp.build_report(stats, journal, whatif=args.whatif)
     errors = cp.validate_critpath_report(report)
     if errors:  # a profiler bug, not a user error — fail loudly
         raise AssertionError(
@@ -451,11 +448,12 @@ def cmd_journal(args):
 
 def cmd_telemetry(args):
     from repro.obs import telemetry as tm
+    from repro.obs.journal import record_run
 
-    sampler, stats = tm.record_telemetry(args.workload, args.model)
-    report = tm.build_report(stats, sampler)
+    journal, stats = record_run(args.workload, args.model)
+    report = tm.build_report(stats, journal)
     errors = tm.validate_telemetry_report(report)
-    if errors:  # a sampler bug, not a user error — fail loudly
+    if errors:  # an analyzer bug, not a user error — fail loudly
         raise AssertionError(
             "generated telemetry report is invalid: {}".format(errors[:3])
         )
@@ -1137,7 +1135,7 @@ def build_parser():
     p_blame.add_argument("workload")
     p_blame.add_argument("--model", choices=MODEL_CHOICES, default="consumer3")
     p_blame.add_argument(
-        "--limit", type=int, default=None,
+        "--limit", type=non_negative_int, default=None,
         help="show only the N most expensive kernels",
     )
     p_blame.add_argument(
@@ -1165,7 +1163,7 @@ def build_parser():
              "dependencies dropped and report speedup bounds",
     )
     p_cp.add_argument(
-        "--limit", type=int, default=12,
+        "--limit", type=non_negative_int, default=12,
         help="path segments to show in text mode (default: 12)",
     )
     p_cp.add_argument(
@@ -1178,8 +1176,9 @@ def build_parser():
     )
     p_cp.add_argument(
         "--engine", choices=ENGINE_CHOICES, default=None,
-        help="pin the simulation-engine tier (provenance recording "
-             "forces the reference oracle; the fallback is counted)",
+        help="pin the simulation-engine tier (critpath records a "
+             "journal, which forces the reference oracle; the fallback "
+             "is counted)",
     )
 
     p_journal = sub.add_parser(
@@ -1205,7 +1204,7 @@ def build_parser():
         "--model", choices=MODEL_CHOICES, default="consumer3"
     )
     p_telemetry.add_argument(
-        "--limit", type=int, default=10,
+        "--limit", type=non_negative_int, default=10,
         help="kernel pairs / bubbles to show in text mode (default: 10)",
     )
     p_telemetry.add_argument(
@@ -1399,13 +1398,13 @@ def build_parser():
         "--critpath",
         action="store_true",
         help="embed per-model critical-path attribution (one extra "
-             "untimed provenance pass per cell; see bench diff)",
+             "untimed journaled pass per cell; see bench diff)",
     )
     b_run.add_argument(
         "--telemetry",
         action="store_true",
         help="embed per-cell telemetry summaries (occupancy, overlap, "
-             "idle bubbles; one extra untimed pass per cell)",
+             "idle bubbles; derived from the same journaled pass)",
     )
     b_run.add_argument("--profile-top", type=int, default=15, metavar="K")
     b_run.add_argument(

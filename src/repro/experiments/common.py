@@ -93,8 +93,7 @@ class ExperimentContext:
     _apps: Dict[str, object] = field(default_factory=dict)
     _plans: Dict[Tuple[str, bool, int], RuntimePlan] = field(default_factory=dict)
     _runs: Dict[Tuple[str, str], object] = field(default_factory=dict)
-    _critpaths: Dict[Tuple[str, str], Dict[str, float]] = field(default_factory=dict)
-    _telemetry: Dict[Tuple[str, str], Dict[str, object]] = field(default_factory=dict)
+    _observed: Dict[Tuple[str, str], tuple] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.runtime is None:
@@ -137,53 +136,41 @@ class ExperimentContext:
         return self._runs[key]
 
     def critpath_attribution(self, app, model_name):
-        """Critical-path makespan fractions per component, memoized.
-
-        Runs a separate provenance-recording pass (the memoized
-        :meth:`run_model` result stays recording-free), so experiment
-        signatures are untouched.
-        """
-        model_name = canonical_model_name(model_name)
-        key = (app.name, model_name)
-        if key not in self._critpaths:
-            # Imported lazily: critpath imports models.base for what-if
-            # replay, so a module-level import here would be a cycle.
-            from repro.obs.critpath import ProvenanceRecorder, build_report
-
-            reorder, window = _model_plan_params(model_name)
-            plan = self.plan_for(app, reorder, window)
-            model = _make_model(model_name, self.gpu_config)
-            prov = ProvenanceRecorder()
-            stats = model.run(plan, provenance=prov)
-            report = build_report(stats, plan, prov, self.gpu_config)
-            self._critpaths[key] = dict(report["attribution_fraction"])
-        return self._critpaths[key]
+        """Critical-path makespan fractions per component, memoized."""
+        return self._observe(app, model_name)[0]
 
     def telemetry_summary(self, app, model_name):
-        """Flat telemetry summary (occupancy/overlap/bubbles), memoized.
+        """Flat telemetry summary (occupancy/overlap/bubbles), memoized."""
+        return self._observe(app, model_name)[1]
 
-        Like :meth:`critpath_attribution`, a separate sampler-carrying
-        pass so the memoized :meth:`run_model` result stays
-        observation-free and experiment signatures are untouched.
+    def _observe(self, app, model_name):
+        """One journaled pass per cell -> both observer summaries.
+
+        A separate pass, so the memoized :meth:`run_model` result stays
+        observation-free and experiment signatures are untouched; only
+        the two small summaries are kept, never the journal.
         """
         model_name = canonical_model_name(model_name)
         key = (app.name, model_name)
-        if key not in self._telemetry:
-            # Lazy for the same reason as critpath: telemetry must not
-            # be imported from repro.obs.__init__ (engine import cycle).
-            from repro.obs.telemetry import (
-                TelemetrySampler,
-                bench_summary,
-                build_report,
-            )
+        if key not in self._observed:
+            # Imported lazily: critpath imports models.base for what-if
+            # replay, so a module-level import here would be a cycle.
+            from repro.obs import critpath, telemetry
+            from repro.obs.journal import JournalRecorder
 
             reorder, window = _model_plan_params(model_name)
             plan = self.plan_for(app, reorder, window)
             model = _make_model(model_name, self.gpu_config)
-            sampler = TelemetrySampler()
-            stats = model.run(plan, telemetry=sampler)
-            self._telemetry[key] = bench_summary(build_report(stats, sampler))
-        return self._telemetry[key]
+            journal = JournalRecorder()
+            stats = model.run(plan, journal=journal)
+            self._observed[key] = (
+                dict(critpath.build_report(stats, journal)
+                     ["attribution_fraction"]),
+                telemetry.bench_summary(
+                    telemetry.build_report(stats, journal)
+                ),
+            )
+        return self._observed[key]
 
     def run_all(self, app, model_names=None):
         names = model_names or [m[0] for m in STANDARD_MODELS]

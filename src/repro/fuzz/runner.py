@@ -16,8 +16,9 @@ scalar ``reference`` oracle and once under every candidate
   event and its blame edge into the divergence record;
 * **oracle self-checks** — the critpath report must validate
   (attribution sums to the makespan) and the telemetry report's
-  consistency errors must stay within tolerance, both observation-only
-  (neither pass may perturb the signature).
+  consistency errors must stay within tolerance; both are derived from
+  the oracle run's journal, and that journal-carrying run must match a
+  bare reference run's signature (observation only).
 
 Alongside the ``REPRO_FASTPATH`` sweep, every candidate
 ``REPRO_ENGINE`` tier (:mod:`repro.models.fastengine`) is swept on the
@@ -182,6 +183,9 @@ def check_case(spec, modes=DEFAULT_MODES, model=DEFAULT_MODEL,
         return plan, stats, recorder, engine
 
     ref_plan, ref_stats, ref_recorder, ref_engine = run_mode(ORACLE_MODE)
+    # the one observer-free oracle run: the observation-only contract's
+    # reference and the engine sweep's oracle for the case model
+    bare = ref_engine.run(ref_plan, engine=ORACLE_MODE)
     ref_graphs = _graph_fingerprint(ref_plan)
     ref_signature = ref_stats.simulated_signature()
     ref_digest = ref_recorder.digest()
@@ -242,11 +246,11 @@ def check_case(spec, modes=DEFAULT_MODES, model=DEFAULT_MODEL,
                 ),
             ))
 
+    divergences.extend(_engine_sweep(
+        ref_plan, model_name, ref_engine.gpu_config, engines, bare
+    ))
     divergences.extend(
-        _engine_sweep(ref_plan, model_name, ref_engine.gpu_config, engines)
-    )
-    divergences.extend(
-        _oracle_self_checks(ref_plan, ref_signature, model_name, ref_engine)
+        _oracle_self_checks(ref_recorder, ref_stats, bare)
     )
 
     return {
@@ -272,15 +276,16 @@ def _tb_tuple(stats):
     )
 
 
-def _engine_sweep(ref_plan, model_name, gpu_config, engines):
+def _engine_sweep(ref_plan, model_name, gpu_config, engines, bare):
     """Check every engine tier against the scalar oracle on one plan.
 
-    Observer-free on purpose: journal/provenance/telemetry hooks make
-    the fast engine fall back to the reference path, which would turn
-    the sweep into reference-vs-reference.  The case's model is swept
-    plus — when it differs — ``baseline``, whose coarse dependency
-    options keep every plan fast-engine eligible, so the tiers engage
-    even when the case model's fine-grain plan declines.
+    Observer-free on purpose: a journal makes the fast engine fall back
+    to the reference path, which would turn the sweep into
+    reference-vs-reference.  The case's model is swept (``bare`` is its
+    observer-free oracle run) plus — when it differs — ``baseline``,
+    whose coarse dependency options keep every plan fast-engine
+    eligible, so the tiers engage even when the case model's
+    fine-grain plan declines.
     """
     from repro.experiments.common import _make_model
 
@@ -292,7 +297,10 @@ def _engine_sweep(ref_plan, model_name, gpu_config, engines):
         sweep_models.append("baseline")
     for sweep_model in sweep_models:
         engine_model = _make_model(sweep_model, gpu_config)
-        oracle = engine_model.run(ref_plan, engine=ORACLE_MODE)
+        oracle = (
+            bare if sweep_model == model_name
+            else engine_model.run(ref_plan, engine=ORACLE_MODE)
+        )
         oracle_signature = oracle.simulated_signature()
         oracle_tbs = _tb_tuple(oracle)
         for tier in engines:
@@ -318,44 +326,28 @@ def _engine_sweep(ref_plan, model_name, gpu_config, engines):
     return divergences
 
 
-def _oracle_self_checks(ref_plan, ref_signature, model_name, ref_engine):
-    """Critpath sum-to-makespan + telemetry consistency on the oracle run."""
-    from repro.experiments.common import _make_model
+def _oracle_self_checks(journal, stats, bare):
+    """Critpath sum-to-makespan + telemetry consistency, derived from the
+    oracle run's journal without re-simulating, and the journal's
+    observation-only contract against the bare oracle run."""
     from repro.obs import critpath as cp
     from repro.obs import telemetry as tm
 
     divergences = []
-    prov = cp.ProvenanceRecorder()
-    engine = _make_model(model_name, ref_engine.gpu_config)
-    prov_stats = engine.run(ref_plan, provenance=prov)
-    report = cp.build_report(
-        prov_stats, ref_plan, prov, engine.gpu_config,
-        options=engine.options(),
-    )
-    errors = cp.validate_critpath_report(report)
+    errors = cp.validate_critpath_report(cp.build_report(stats, journal))
     if errors:
         divergences.append(_divergence(
             "critpath", ORACLE_MODE, detail="; ".join(errors[:3]),
         ))
-    if prov_stats.simulated_signature() != ref_signature:
-        divergences.append(_divergence(
-            "critpath", ORACLE_MODE,
-            detail="provenance pass perturbed the simulated signature",
-        ))
-
-    sampler = tm.TelemetrySampler()
-    engine = _make_model(model_name, ref_engine.gpu_config)
-    tel_stats = engine.run(ref_plan, telemetry=sampler)
-    tel_report = tm.build_report(tel_stats, sampler)
-    tel_errors = tm.validate_telemetry_report(tel_report)
+    tel_errors = tm.validate_telemetry_report(tm.build_report(stats, journal))
     if tel_errors:
         divergences.append(_divergence(
             "telemetry", ORACLE_MODE, detail="; ".join(tel_errors[:3]),
         ))
-    if tel_stats.simulated_signature() != ref_signature:
+    if stats.simulated_signature() != bare.simulated_signature():
         divergences.append(_divergence(
-            "telemetry", ORACLE_MODE,
-            detail="telemetry pass perturbed the simulated signature",
+            "journal", ORACLE_MODE,
+            detail="the journal perturbed the simulated signature",
         ))
     return divergences
 

@@ -97,8 +97,9 @@ def shrink_case(spec, target, modes=(), engines=(), model="consumer3",
     say = log or (lambda *_args, **_kwargs: None)
     # graph/signature/journal divergences only need the offending
     # fastpath mode, engine divergences only the offending engine tier;
-    # critpath/telemetry divergences come from the oracle self-checks,
-    # which run even with no candidate modes at all
+    # critpath/telemetry (and reference-mode journal) divergences come
+    # from the oracle self-checks, which run even with no candidate
+    # modes at all
     is_engine = target["check"] == "engine"
     mode_subset = (
         (target["mode"],) if not is_engine and target["mode"] in modes

@@ -73,7 +73,7 @@ from repro.obs import (
     resolve_metrics,
     resolve_tracer,
 )
-from repro.obs.journal import edge_fields as _edge_fields
+from repro.obs.journal import EDGE_KINDS, edge_fields as _edge_fields
 from repro.sim.config import GPUConfig
 from repro.sim.device import Device
 from repro.sim.events import EventQueue
@@ -123,30 +123,24 @@ class ExecutionModel:
         raise NotImplementedError
 
     def run(
-        self, plan: RuntimePlan, tracer=None, metrics=None, provenance=None,
-        journal=None, telemetry=None, engine=None,
+        self, plan: RuntimePlan, tracer=None, metrics=None, journal=None,
+        engine=None,
     ) -> RunStats:
         """Simulate ``plan``; pass a tracer/metrics registry to observe.
 
-        ``provenance`` may be a
-        :class:`repro.obs.critpath.ProvenanceRecorder`; the engine then
-        records per-TB start reasons and kernel launch triggers for
-        critical-path extraction.  ``journal`` may be a
-        :class:`repro.obs.journal.JournalRecorder`; the engine then
-        emits every scheduling event into the flight recorder.
-        ``telemetry`` may be a
-        :class:`repro.obs.telemetry.TelemetrySampler`; the engine then
-        feeds it the same event stream for occupancy/overlap analysis.
-        Instrumentation is observation only — results are identical
-        whether or not a tracer or recorder is attached.
+        ``journal`` may be a :class:`repro.obs.journal.JournalRecorder`;
+        the engine then emits every scheduling event, with its release
+        edge, into the flight recorder — the one stream critical-path
+        and telemetry analysis are derived from.  Instrumentation is
+        observation only — results are identical whether or not a
+        tracer or journal is attached.
 
         ``engine`` selects the simulation tier
         (:func:`repro.models.fastengine.resolve_engine_mode`; ``None``
         reads ``REPRO_ENGINE``, default ``auto``).  Fast tiers produce
-        bit-identical :class:`RunStats`; any run carrying a
-        provenance/journal/telemetry observer silently uses the scalar
-        reference engine, since observers hook per-event injection
-        points the batched tiers skip.
+        bit-identical :class:`RunStats`; a journal-carrying run silently
+        uses the scalar reference engine, since the journal hooks
+        per-event injection points the batched tiers skip.
         """
         # imported lazily: repro.models.fastengine builds on this module
         from repro.models import fastengine
@@ -162,11 +156,7 @@ class ExecutionModel:
             args={"application": plan.application},
         ):
             if mode != "reference":
-                if (
-                    provenance is not None
-                    or journal is not None
-                    or telemetry is not None
-                ):
+                if journal is not None:
                     metrics.inc("engine.fallback.observers")
                 else:
                     stats = fastengine.run_fast(
@@ -182,9 +172,7 @@ class ExecutionModel:
                 options,
                 tracer=tracer,
                 metrics=metrics,
-                provenance=provenance,
                 journal=journal,
-                telemetry=telemetry,
             )
             return reference.run()
 
@@ -242,9 +230,7 @@ class ExecutionEngine:
         options: EngineOptions,
         tracer=None,
         metrics=None,
-        provenance=None,
         journal=None,
-        telemetry=None,
         device=None,
     ):
         self.plan = plan
@@ -252,14 +238,11 @@ class ExecutionEngine:
         self.opts = options
         self.tracer = resolve_tracer(tracer)
         self.metrics = resolve_metrics(metrics)
-        #: observation-only recorder of scheduling decisions (critpath)
-        self.prov = provenance
         #: observation-only flight recorder of every engine event
         self.journal = journal
-        #: observation-only time-series sampler (occupancy, queues, DLB)
-        self.telemetry = telemetry
         #: the event context: what kind of event is currently executing
-        #: (provenance annotation only — never consulted for scheduling)
+        #: (the journal's release edges only — never consulted for
+        #: scheduling)
         self._ctx = ("host",)
         self.events = EventQueue()
         self.device = device if device is not None else Device(
@@ -355,12 +338,8 @@ class ExecutionEngine:
     # main entry
     # ------------------------------------------------------------------
     def run(self) -> RunStats:
-        if self.prov is not None:
-            self.prov.begin(self)
         if self.journal is not None:
             self.journal.begin(self)
-        if self.telemetry is not None:
-            self.telemetry.begin(self)
         self._init_fine_grain()
         self.events.schedule(0.0, self._host_resume)
         makespan = self.events.run()
@@ -385,12 +364,8 @@ class ExecutionEngine:
         )
         self._check_all_complete()
         stats.validate_invariants()
-        if self.prov is not None:
-            self.prov.finalize(self)
         if self.journal is not None:
             self.journal.finalize(self)
-        if self.telemetry is not None:
-            self.telemetry.finalize(self)
         self._emit_trace(stats)
         self._record_metrics(stats)
         return stats
@@ -398,14 +373,16 @@ class ExecutionEngine:
     def _journal_emit(self, kind, **fields):
         """Emit one flight-recorder event at the current engine time.
 
-        Observation only: neither the journal nor the telemetry sampler
-        feeds back into scheduling, so simulated signatures are
-        byte-identical with them on or off.
+        Release edges (:data:`~repro.obs.journal.EDGE_KINDS`) are built
+        here from the event context, so an unobserved run builds none.
+        Observation only: the journal never feeds back into scheduling,
+        so simulated signatures are byte-identical with it on or off.
         """
-        if self.journal is not None:
-            self.journal.emit(kind, self.events.now, **fields)
-        if self.telemetry is not None:
-            self.telemetry.observe(kind, self.events.now, **fields)
+        if self.journal is None:
+            return
+        if kind in EDGE_KINDS:
+            fields["edge"] = _edge_fields(self._ctx)
+        self.journal.emit(kind, self.events.now, **fields)
 
     # ------------------------------------------------------------------
     # observability (pure observation: derived from the finished run's
@@ -621,8 +598,6 @@ class ExecutionEngine:
 
     def _start_command(self, position, call):
         now = self.events.now
-        if self.prov is not None:
-            self.prov.note_call_start(position, now)
         self._journal_emit(
             "call_start",
             position=position,
@@ -696,16 +671,9 @@ class ExecutionEngine:
                 ks.launched = True
                 ks.launch_begin_ns = self.events.now
                 ks.input_ready_ns = self._input_ready_ns(position)
-                if self.prov is not None:
-                    self.prov.note_launch_trigger(
-                        ki, self.events.now, self._ctx
-                    )
                 self._journal_emit(
-                    "kernel_launch",
-                    kernel=ki,
-                    name=ks.plan.name,
+                    "kernel_launch", kernel=ki, name=ks.plan.name,
                     stream=stream,
-                    edge=_edge_fields(self._ctx),
                 )
                 self.call_started[position] = True
                 self._stream_launch_cursor[stream] = cursor + 1
@@ -832,16 +800,8 @@ class ExecutionEngine:
             return
         ks.ready.append(tb)
         ks.queued_ready += 1
-        if self.prov is not None:
-            self.prov.note_ready(
-                ks.plan.kernel_index, tb, self.events.now, self._ctx
-            )
-        self._journal_emit(
-            "tb_ready",
-            kernel=ks.plan.kernel_index,
-            tb=tb,
-            edge=_edge_fields(self._ctx),
-        )
+        if self.journal is not None:
+            self._journal_emit("tb_ready", kernel=ks.plan.kernel_index, tb=tb)
 
     def _drain_deferred(self, ks):
         capacity = self.opts.ready_capacity
@@ -851,16 +811,10 @@ class ExecutionEngine:
             tb = ks.deferred_ready.popleft()
             ks.ready.append(tb)
             ks.queued_ready += 1
-            if self.prov is not None:
-                self.prov.note_ready(
-                    ks.plan.kernel_index, tb, self.events.now, self._ctx
+            if self.journal is not None:
+                self._journal_emit(
+                    "tb_ready", kernel=ks.plan.kernel_index, tb=tb
                 )
-            self._journal_emit(
-                "tb_ready",
-                kernel=ks.plan.kernel_index,
-                tb=tb,
-                edge=_edge_fields(self._ctx),
-            )
 
     # ------------------------------------------------------------------
     # dispatch
@@ -901,17 +855,11 @@ class ExecutionEngine:
                 if sm is None:
                     break  # saturated for this block size; try others
                 tb = ks.ready.popleft()
-                if self.prov is not None:
-                    self.prov.note_start(
-                        ks.plan.kernel_index, tb, now, self._ctx
+                if self.journal is not None:
+                    self._journal_emit(
+                        "tb_dispatch", kernel=ks.plan.kernel_index, tb=tb,
+                        sm=sm,
                     )
-                self._journal_emit(
-                    "tb_dispatch",
-                    kernel=ks.plan.kernel_index,
-                    tb=tb,
-                    sm=sm,
-                    edge=_edge_fields(self._ctx),
-                )
                 self._drain_deferred(ks)
                 ks.dispatched += 1
                 if ks.first_tb_start_ns is None:
@@ -965,7 +913,8 @@ class ExecutionEngine:
         now = self.events.now
         ki = ks.plan.kernel_index
         self._ctx = ("tb_finish", ki, tb)
-        self._journal_emit("tb_finish", kernel=ki, tb=tb, sm=sm)
+        if self.journal is not None:
+            self._journal_emit("tb_finish", kernel=ki, tb=tb, sm=sm)
         self.device.release(sm, threads, now)
         ks.finished += 1
         ks.tb_finish_ns[tb] = now

@@ -53,9 +53,10 @@ drain, so they are device-serial for *any* graph shape.
 Tier selection is per-run via ``REPRO_ENGINE`` (see
 :func:`resolve_engine_mode`) and reported through ``engine.tier.*``
 metrics counters and the BENCH report's ``engine`` section.  Whenever a
-journal/provenance/telemetry observer is attached the dispatch seam in
+journal is attached the dispatch seam in
 :meth:`repro.models.base.ExecutionModel.run` keeps the scalar engine,
-since observers hook per-event injection points the batched tiers skip.
+since the journal hooks per-event injection points the batched tiers
+skip.
 """
 
 import heapq

@@ -1,9 +1,12 @@
 """Critical-path profiling: per-TB provenance, makespan attribution,
 and what-if speedup bounds.
 
-The discrete-event engine can carry a :class:`ProvenanceRecorder`
-(``model.run(plan, provenance=...)``).  Recording is observation only:
-for every thread block the engine notes *which edge released it* —
+Everything here is derived from one run's journal
+(:class:`~repro.obs.journal.JournalRecorder`, attached with
+``model.run(plan, journal=...)``).  Its ``tb_ready``, ``tb_dispatch``
+and ``kernel_launch`` events carry the release edge that caused them,
+and :func:`derive_provenance` folds them into, for every thread block,
+*which edge released it* —
 
 * **dependency** — the last-finishing parent thread block resolved its
   parent counter (Dependency List Buffer behaviour);
@@ -66,7 +69,7 @@ _EPS = 1e-3
 
 
 # ----------------------------------------------------------------------
-# provenance records
+# provenance records, derived from the journal
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EdgeRef:
@@ -98,85 +101,44 @@ class TBStart:
     release_edge: EdgeRef  # ready_edge, or an occupancy edge if it waited
 
 
-def _edge_from_ctx(ctx, waited=False):
-    """Map an engine event context tuple to an :class:`EdgeRef`.
+#: journal release-edge kind (:func:`repro.obs.journal.edge_fields`) ->
+#: the edge kind of a block that started without waiting for a slot
+_RELEASE_KIND = {
+    "tb_finish": "dependency",
+    "launch": "launch",
+    "completion": "barrier",
+    "call": "input",
+    "enqueue": "host",
+}
+
+
+def _edge_ref(edge, waited=False):
+    """Map a journal release edge to an :class:`EdgeRef`.
 
     ``waited=True`` marks a dispatch that happened strictly after the
     ready push — the releasing resource is an SM slot, so the edge kind
     becomes ``occupancy`` (annotated with whatever freed the slot).
     """
-    kind, rest = (ctx[0], ctx[1:]) if ctx else ("host", ())
     if waited:
-        if kind == "tb_finish":
-            return EdgeRef("occupancy", kernel=rest[0], tb=rest[1])
-        if kind in ("launch", "completion"):
-            return EdgeRef("occupancy", kernel=rest[0])
-        return EdgeRef("occupancy")
-    if kind == "tb_finish":
-        return EdgeRef("dependency", kernel=rest[0], tb=rest[1])
-    if kind == "launch":
-        return EdgeRef("launch", kernel=rest[0])
-    if kind == "completion":
-        return EdgeRef("barrier", kernel=rest[0])
-    if kind == "call":
-        return EdgeRef("input", position=rest[0])
-    if kind == "enqueue":
-        return EdgeRef("host", position=rest[0])
-    return EdgeRef("host")
+        return EdgeRef("occupancy", kernel=edge.get("kernel"),
+                       tb=edge.get("tb"))
+    return EdgeRef(
+        _RELEASE_KIND.get(edge["kind"], "host"), kernel=edge.get("kernel"),
+        tb=edge.get("tb"), position=edge.get("position"),
+    )
 
 
-class ProvenanceRecorder:
-    """Observation-only capture of the engine's scheduling decisions.
+@dataclass
+class Provenance:
+    """Why every thread block started and every kernel launched, plus
+    the command-queue times the walk anchors on (one observed run)."""
 
-    The engine calls the ``note_*`` hooks while it runs and
-    :meth:`finalize` when the run completes; nothing here feeds back
-    into the simulation (``RunStats.simulated_signature()`` is
-    byte-identical with recording on or off — tests assert it).
-    """
+    tb_starts: Dict[Tuple[int, int], TBStart]
+    kernel_launch_trigger: Dict[int, EdgeRef]
+    call_start_ns: Dict[int, float]
+    call_enqueued_ns: List[float]
+    call_done_ns: List[float]
 
-    def __init__(self):
-        self.tb_starts: Dict[Tuple[int, int], TBStart] = {}
-        self.kernel_launch_trigger: Dict[int, Tuple[float, EdgeRef]] = {}
-        self.call_enqueued_ns: List[float] = []
-        self.call_done_ns: List[float] = []
-        self.call_start_ns: Dict[int, float] = {}
-        self.options = None
-        self._ready: Dict[Tuple[int, int], Tuple[float, EdgeRef]] = {}
-
-    # -- engine-facing hooks -------------------------------------------
-    def begin(self, engine):
-        self.options = engine.opts
-
-    def note_call_start(self, position, now):
-        self.call_start_ns[position] = now
-
-    def note_launch_trigger(self, kernel_index, now, ctx):
-        self.kernel_launch_trigger[kernel_index] = (now, _edge_from_ctx(ctx))
-
-    def note_ready(self, kernel_index, tb, now, ctx):
-        self._ready[(kernel_index, tb)] = (now, _edge_from_ctx(ctx))
-
-    def note_start(self, kernel_index, tb, now, ctx):
-        ready = self._ready.pop((kernel_index, tb), None)
-        if ready is None:
-            ready = (now, _edge_from_ctx(ctx))
-        ready_ns, ready_edge = ready
-        if now - ready_ns <= _EPS:
-            release = ready_edge
-        else:
-            release = _edge_from_ctx(ctx, waited=True)
-        self.tb_starts[(kernel_index, tb)] = TBStart(
-            ready_push_ns=ready_ns,
-            ready_edge=ready_edge,
-            start_ns=now,
-            release_edge=release,
-        )
-
-    def finalize(self, engine):
-        self.call_enqueued_ns = list(engine.call_enqueued_ns)
-        self.call_done_ns = list(engine.call_done_ns)
-
-    # -- summaries ------------------------------------------------------
     def release_edge_counts(self):
         """How many thread blocks each edge kind released (whole run)."""
         counts = {}
@@ -184,6 +146,43 @@ class ProvenanceRecorder:
             kind = start.release_edge.kind
             counts[kind] = counts.get(kind, 0) + 1
         return counts
+
+
+def derive_provenance(journal):
+    """Fold a finished run's journal events into :class:`Provenance`."""
+    num_calls = len(journal.plan.order)
+    prov = Provenance(
+        tb_starts={}, kernel_launch_trigger={}, call_start_ns={},
+        call_enqueued_ns=[0.0] * num_calls, call_done_ns=[0.0] * num_calls,
+    )
+    ready = {}
+    for event in journal.events:
+        kind, now = event["kind"], event["t_ns"]
+        if kind == "tb_ready":
+            ready[(event["kernel"], event["tb"])] = (
+                now, _edge_ref(event["edge"])
+            )
+        elif kind == "tb_dispatch":
+            key = (event["kernel"], event["tb"])
+            ready_ns, ready_edge = ready.pop(key, None) or (
+                now, _edge_ref(event["edge"])
+            )
+            if now - ready_ns <= _EPS:
+                release = ready_edge
+            else:
+                release = _edge_ref(event["edge"], waited=True)
+            prov.tb_starts[key] = TBStart(ready_ns, ready_edge, now, release)
+        elif kind == "kernel_launch":
+            prov.kernel_launch_trigger[event["kernel"]] = _edge_ref(
+                event["edge"]
+            )
+        elif kind == "call_start":
+            prov.call_start_ns[event["position"]] = now
+        elif kind == "call_enqueue":
+            prov.call_enqueued_ns[event["position"]] = now
+        elif kind == "call_complete":
+            prov.call_done_ns[event["position"]] = now
+    return prov
 
 
 # ----------------------------------------------------------------------
@@ -199,10 +198,10 @@ class _Walker:
     interval it consumed, so the emitted segments tile ``[0, makespan]``.
     """
 
-    def __init__(self, stats, plan, prov):
+    def __init__(self, stats, journal, records):
         self.stats = stats
-        self.plan = plan
-        self.prov = prov
+        self.plan = journal.plan
+        self.records = records
         self.segments = []
         self.visited = set()
         self.kr_by_index = {kr.index: kr for kr in stats.kernel_records}
@@ -216,12 +215,8 @@ class _Walker:
                 cur.finish_ns, cur.tb_id
             ):
                 self.last_tb[rec.kernel_index] = rec
-        self.api_call_ns = (
-            prov.options.api_call_ns if prov.options is not None else 0.0
-        )
-        self.strict_order = (
-            prov.options.strict_order if prov.options is not None else True
-        )
+        self.api_call_ns = journal.options.api_call_ns
+        self.strict_order = journal.options.strict_order
         self._anchors = self._build_anchors()
         self._anchor_times = [a[0] for a in self._anchors]
 
@@ -229,9 +224,10 @@ class _Walker:
     def _build_anchors(self):
         """Every known event time, for defensive gap recovery."""
         anchors = []
-        for p in range(len(self.prov.call_done_ns)):
-            anchors.append((self.prov.call_enqueued_ns[p], 0, ("host_issue", p)))
-            anchors.append((self.prov.call_done_ns[p], 2, ("call", p)))
+        records = self.records
+        for p in range(len(records.call_done_ns)):
+            anchors.append((records.call_enqueued_ns[p], 0, ("host_issue", p)))
+            anchors.append((records.call_done_ns[p], 2, ("call", p)))
         for kr in self.stats.kernel_records:
             anchors.append((kr.resident_ns, 1, ("kernel_launch", kr.index)))
             anchors.append((kr.completed_ns, 1, ("kernel_complete", kr.index)))
@@ -254,9 +250,9 @@ class _Walker:
     def _node_time(self, node):
         kind = node[0]
         if kind == "call":
-            return self.prov.call_done_ns[node[1]]
+            return self.records.call_done_ns[node[1]]
         if kind == "host_issue":
-            return self.prov.call_enqueued_ns[node[1]]
+            return self.records.call_enqueued_ns[node[1]]
         if kind == "kernel_launch":
             return self.kr_by_index[node[1]].resident_ns
         if kind == "kernel_complete":
@@ -303,7 +299,7 @@ class _Walker:
         return ki
 
     def _handle_call(self, p):
-        done = self.prov.call_done_ns[p]
+        done = self.records.call_done_ns[p]
         if done < self.cursor - _EPS:
             self._emit(done, self.cursor, "other", "gap before call {}".format(p))
         self.cursor = min(self.cursor, done)
@@ -312,7 +308,7 @@ class _Walker:
             # a kernel call's completion IS the kernel's in-order
             # completion point — hand off to the kernel-side walk
             return ("kernel_complete", self._call_of_kernel(p))
-        start = self.prov.call_start_ns.get(p, done)
+        start = self.records.call_start_ns.get(p, done)
         via = getattr(call, "trace_name", type(call).__name__)
         if isinstance(call, (MemcpyH2D, MemcpyD2H)):
             self._emit(start, self.cursor, "copy", via,
@@ -327,15 +323,15 @@ class _Walker:
     def _pred_of_call_start(self, p):
         """What gated the start of command ``p``: its own enqueue, a data
         prerequisite, or (strict mode) the same-stream prefix."""
-        candidates = [(self.prov.call_enqueued_ns[p], 0, ("host_issue", p))]
+        candidates = [(self.records.call_enqueued_ns[p], 0, ("host_issue", p))]
         for q in self.plan.deps[p]:
-            candidates.append((self.prov.call_done_ns[q], 1, ("call", q)))
+            candidates.append((self.records.call_done_ns[q], 1, ("call", q)))
         if self.strict_order:
             stream = self.plan.order[p].stream_id
             for q in range(p):
                 if self.plan.order[q].stream_id == stream:
                     candidates.append(
-                        (self.prov.call_done_ns[q], 1, ("call", q))
+                        (self.records.call_done_ns[q], 1, ("call", q))
                     )
         return self._best_candidate(candidates)
 
@@ -351,7 +347,7 @@ class _Walker:
         return self._hop(best[2])
 
     def _handle_host_issue(self, p):
-        enq = self.prov.call_enqueued_ns[p]
+        enq = self.records.call_enqueued_ns[p]
         self.cursor = min(self.cursor, enq)
         issue = max(0.0, enq - self.api_call_ns)
         call = self.plan.order[p]
@@ -366,10 +362,10 @@ class _Walker:
         # enqueued[p-1]; a host-blocking call that completed exactly at
         # our issue time explains a longer wait, so it wins ties
         candidates = [
-            (self.prov.call_enqueued_ns[p - 1], 0, ("host_issue", p - 1))
+            (self.records.call_enqueued_ns[p - 1], 0, ("host_issue", p - 1))
         ]
         for q in range(p):
-            candidates.append((self.prov.call_done_ns[q], 1, ("call", q)))
+            candidates.append((self.records.call_done_ns[q], 1, ("call", q)))
         return self._best_candidate(candidates)
 
     def _handle_kernel_launch(self, ki):
@@ -381,10 +377,9 @@ class _Walker:
         self._emit(kr.launch_begin_ns, self.cursor, "launch",
                    "k{:02d} {} launch".format(ki, kr.name),
                    node_kind="kernel_launch", kernel=ki)
-        trigger = self.prov.kernel_launch_trigger.get(ki)
-        if trigger is None:
+        edge = self.records.kernel_launch_trigger.get(ki)
+        if edge is None:
             return self._fallback() if self.cursor > _EPS else None
-        _ns, edge = trigger
         return self._hop(self._node_of_edge(edge))
 
     def _node_of_edge(self, edge):
@@ -433,7 +428,7 @@ class _Walker:
         self._emit(rec.start_ns, self.cursor, "exec",
                    "k{:02d}/{} tb{}".format(ki, name, tb),
                    node_kind="tb", kernel=ki, tb=tb, sm=rec.sm)
-        start = self.prov.tb_starts.get((ki, tb))
+        start = self.records.tb_starts.get((ki, tb))
         if start is None:
             return self._fallback() if self.cursor > _EPS else None
         if start.release_edge.kind == "occupancy":
@@ -452,7 +447,7 @@ class _Walker:
         """The makespan-determining node: the latest call completion,
         else the latest kernel completion, else the latest TB finish."""
         best = None
-        for p, done in enumerate(self.prov.call_done_ns):
+        for p, done in enumerate(self.records.call_done_ns):
             if done >= makespan - _EPS and (best is None or p > best[1]):
                 best = (done, p)
         if best is not None:
@@ -477,7 +472,7 @@ class _Walker:
             "tb": self._handle_tb,
         }
         max_steps = (
-            4 * (len(self.stats.tb_records) + len(self.prov.call_done_ns)
+            4 * (len(self.stats.tb_records) + len(self.records.call_done_ns)
                  + 2 * len(self.stats.kernel_records)) + 64
         )
         steps = 0
@@ -507,13 +502,12 @@ def _describe_edge(edge):
     return edge.kind
 
 
-def extract_critical_path(stats, plan, prov):
+def extract_critical_path(stats, journal):
     """Chronological critical-path segments tiling ``[0, makespan]``.
 
-    ``prov`` must be the :class:`ProvenanceRecorder` that observed the
-    run that produced ``stats`` on ``plan``.
+    ``journal`` must be the journal of the run that produced ``stats``.
     """
-    return _Walker(stats, plan, prov).walk()
+    return _Walker(stats, journal, derive_provenance(journal)).walk()
 
 
 def attribution_from_segments(segments, makespan_ns):
@@ -581,10 +575,15 @@ def what_if_bounds(plan, gpu_config, options, achieved_makespan_ns,
 # ----------------------------------------------------------------------
 # report construction / validation / rendering
 # ----------------------------------------------------------------------
-def build_report(stats, plan, prov, gpu_config, options=None, whatif=False,
-                 whatif_knobs=None, max_path_segments=512):
-    """The schema-versioned critpath report for one observed run."""
-    segments = extract_critical_path(stats, plan, prov)
+def build_report(stats, journal, whatif=False, whatif_knobs=None,
+                 max_path_segments=512):
+    """The schema-versioned critpath report for one journaled run.
+
+    What-if replays reuse the journal's plan, GPU configuration and
+    engine options.
+    """
+    prov = derive_provenance(journal)
+    segments = _Walker(stats, journal, prov).walk()
     makespan = stats.makespan_ns
     attribution = attribution_from_segments(segments, makespan)
     path_counts = {}
@@ -611,10 +610,9 @@ def build_report(stats, plan, prov, gpu_config, options=None, whatif=False,
         },
     }
     if whatif:
-        if options is None:
-            raise ValueError("what-if analysis needs the model's options")
         report["whatif"] = what_if_bounds(
-            plan, gpu_config, options, makespan, knobs=whatif_knobs
+            journal.plan, journal.gpu_config, journal.options, makespan,
+            knobs=whatif_knobs,
         )
     return report
 
@@ -734,7 +732,7 @@ def format_critpath(report, limit=12):
             min(limit, len(segments)),
         )
     )
-    for seg in segments[-limit:]:
+    for seg in segments[len(segments) - min(limit, len(segments)):]:
         lines.append(
             "    {:>12.3f}..{:<12.3f}us  {:10s} {}".format(
                 seg["t0_ns"] / 1e3, seg["t1_ns"] / 1e3, seg["kind"],

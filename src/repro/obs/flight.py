@@ -1,9 +1,8 @@
 """The unified flight report: one self-contained HTML artifact per run.
 
-``repro report <workload>`` performs a *single* engine run carrying all
-three observation-only recorders at once — critical-path provenance,
-the journal flight recorder, and the telemetry sampler — then stitches
-their outputs into one shareable HTML page: telemetry timelines
+``repro report <workload>`` performs a *single* journaled engine run,
+derives the critical-path and telemetry reports from that one event
+stream, and stitches them into one shareable HTML page: telemetry timelines
 (occupancy, queues, DLB/PCB) as inline SVG, per-kernel execution spans,
 the critpath attribution bar, the achieved-overlap table, the idle-
 bubble blame table, the journal digest, and (optionally) the latest
@@ -15,8 +14,8 @@ rendered anywhere.  It is written through the shared
 :func:`repro.obs.report.write_text` serializer like every other
 ``--out`` artifact.
 
-Import note: like the other recorders, this module must not be
-imported from ``repro.obs.__init__`` — it imports the engine.
+Import note: like the journal, this module must not be imported from
+``repro.obs.__init__`` — it imports the engine.
 """
 
 import html
@@ -24,7 +23,6 @@ import json
 
 from repro.obs.telemetry import (
     BUBBLE_BLAME_KINDS,
-    TelemetrySampler,
     build_report as build_telemetry_report,
 )
 
@@ -43,45 +41,26 @@ FLIGHT_SECTIONS = (
 
 def build_flight_data(workload, model="consumer3", build_small=False,
                       bench_dir=None):
-    """Run once with every recorder attached; return the stitched data.
+    """Run once with the journal attached; return the stitched data.
 
     Returns a dict with ``stats``, ``telemetry`` (validated report),
     ``critpath`` (validated report), ``journal_header``, ``blame_rows``
     and optionally ``bench_delta``.
     """
     # Imported lazily: the engine imports repro.obs at module load.
-    from repro.core.runtime import BlockMaestroRuntime
-    from repro.experiments.common import (
-        _make_model,
-        _model_plan_params,
-        canonical_model_name,
-    )
-    from repro.obs.critpath import ProvenanceRecorder
+    from repro.experiments.common import canonical_model_name
     from repro.obs.critpath import build_report as build_critpath_report
-    from repro.obs.journal import JournalRecorder
+    from repro.obs.journal import record_run
     from repro.obs.report import kernel_blame_rows
     from repro.workloads import get_workload
 
-    spec = get_workload(workload)
-    app = spec.build_small() if build_small else spec.build()
-    model_name = canonical_model_name(model)
-    reorder, window = _model_plan_params(model_name)
-    plan = BlockMaestroRuntime().plan(app, reorder=reorder, window=window)
-    engine_model = _make_model(model_name, None)
-    prov = ProvenanceRecorder()
-    journal = JournalRecorder()
-    sampler = TelemetrySampler()
-    stats = engine_model.run(
-        plan, provenance=prov, journal=journal, telemetry=sampler
-    )
+    journal, stats = record_run(workload, model, build_small=build_small)
     data = {
-        "workload": spec.name,
-        "model": model_name,
+        "workload": get_workload(workload).name,
+        "model": canonical_model_name(model),
         "stats": stats,
-        "telemetry": build_telemetry_report(stats, sampler),
-        "critpath": build_critpath_report(
-            stats, plan, prov, engine_model.gpu_config
-        ),
+        "telemetry": build_telemetry_report(stats, journal),
+        "critpath": build_critpath_report(stats, journal),
         "journal_header": journal.header(),
         "blame_rows": kernel_blame_rows(stats),
         "bench_delta": None,

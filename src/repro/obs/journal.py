@@ -8,7 +8,13 @@ residency, thread-block ready/dispatch/finish with the *release edge*
 that caused it, kernel drain, and the in-order completion barrier.
 Nothing feeds back into the simulation, so simulated signatures are
 byte-identical with journaling on or off (tests and CI machine-check
-this, like tracing and provenance before it).
+this, like tracing before it).
+
+The journal is the engine's only observer: the critical-path profiler
+(:mod:`repro.obs.critpath`), the telemetry analyzer
+(:mod:`repro.obs.telemetry`), the first-divergence differ
+(:mod:`repro.obs.jdiff`) and the flight report (:mod:`repro.obs.flight`)
+are all pure functions over one recorded event stream.
 
 The engine's event loop is single-threaded and deterministic, so the
 emission order *is* the simulation order: each event carries a
@@ -120,6 +126,10 @@ class JournalRecorder:
         self.application = None
         self.model = None
         self.options = None
+        #: the plan and GPU configuration the events were recorded on —
+        #: what the analyzers need to interpret kernel/TB indices
+        self.plan = None
+        self.gpu_config = None
         self.finalized = False
 
     # -- engine-facing hooks -------------------------------------------
@@ -127,6 +137,8 @@ class JournalRecorder:
         self.application = engine.plan.application
         self.model = engine.opts.name
         self.options = engine.opts
+        self.plan = engine.plan
+        self.gpu_config = engine.config
 
     def emit(self, kind, t_ns, **fields):
         event = {"seq": len(self.events), "t_ns": t_ns, "kind": kind}
@@ -309,13 +321,16 @@ def validate_journal(header, events):
 # ----------------------------------------------------------------------
 # recording a run
 # ----------------------------------------------------------------------
-def record_run(workload, model="consumer3", build_small=False):
+def record_run(workload, model="consumer3", build_small=False, cache=None):
     """Build, plan, and simulate one registry workload with a journal.
 
-    Returns ``(recorder, stats)``.  This is the one code path behind
-    ``repro journal``, the forensics re-recorder, and the determinism
-    tests, so every journal of a given (workload, model) is produced
-    identically.
+    Returns ``(recorder, stats)``.  This is the one observed-run code
+    path behind ``repro journal``/``critpath``/``telemetry``/``report``,
+    the bench critpath/telemetry sections, the daemon's observer
+    endpoints, the forensics re-recorder, and the determinism tests, so
+    every journal of a given (workload, model) is produced identically.
+    ``cache`` is an optional :class:`~repro.analysis.cache.AnalysisCache`
+    for the planning step.
     """
     # Imported lazily: the engine imports repro.obs at module load, so a
     # module-level import here would be a cycle.
@@ -331,8 +346,9 @@ def record_run(workload, model="consumer3", build_small=False):
     app = spec.build_small() if build_small else spec.build()
     model_name = canonical_model_name(model)
     reorder, window = _model_plan_params(model_name)
-    plan = BlockMaestroRuntime().plan(app, reorder=reorder, window=window)
-    engine_model = _make_model(model_name, None)
+    runtime = BlockMaestroRuntime(cache=cache)
+    plan = runtime.plan(app, reorder=reorder, window=window)
+    engine_model = _make_model(model_name, runtime.config)
     recorder = JournalRecorder()
     stats = engine_model.run(plan, journal=recorder)
     return recorder, stats

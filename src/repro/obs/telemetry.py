@@ -1,16 +1,14 @@
 """Hardware telemetry: time-series sampling + overlap/utilization analysis.
 
-:class:`TelemetrySampler` is an observation-only recorder attached to
-one engine run (``model.run(plan, telemetry=...)``).  It rides the same
-injection seam as the critical-path provenance recorder and the journal
-flight recorder — every ``_journal_emit`` event also reaches
-:meth:`TelemetrySampler.observe` — and, like them, never feeds back
-into scheduling: simulated signatures are byte-identical with sampling
+Telemetry is derived from one run's journal
+(:class:`~repro.obs.journal.JournalRecorder`, attached with
+``model.run(plan, journal=...)``), so it never feeds back into
+scheduling: simulated signatures are byte-identical with the journal
 on or off (tests and CI machine-check this).
 
-From the event stream the sampler maintains O(1) incremental counters
-and appends one sample per simulated timestamp at which device state
-changed:
+One fold over the journal's events (:func:`sample_journal`) maintains
+O(1) incremental counters and appends one sample per simulated
+timestamp at which device state changed:
 
 * ``running_tbs`` — thread blocks currently executing (SM occupancy);
 * ``busy_sms`` — SMs holding at least one resident block;
@@ -41,13 +39,12 @@ The report is schema-versioned (``repro-telemetry-report``) with a
 dependency-free validator, renders as text (:func:`format_telemetry`),
 as Perfetto counter tracks merged into ``repro trace`` output
 (:func:`emit_telemetry_counters`), and as a Prometheus text exposition
-(:func:`write_prometheus`) — the metrics surface a future ``repro
-serve`` will mount.
+(:func:`write_prometheus`).
 
 Import note: like :mod:`repro.obs.critpath` and
-:mod:`repro.obs.journal`, this module must not be imported from
-``repro.obs.__init__`` — the engine imports ``repro.obs`` at module
-load, and :func:`record_telemetry` imports the engine.
+:mod:`repro.obs.journal`, this module is not imported from
+``repro.obs.__init__``; the CLI loads it only for the commands that
+render telemetry.
 """
 
 import math
@@ -95,157 +92,113 @@ UTILIZATION_KEYS = (
 _EPS = 1e-3
 
 
-class TelemetrySampler:
-    """Observation-only occupancy/queue sampler for one engine run.
+def _dependency_costs(plan, options):
+    """Static DLB/PCB entry costs under the paper's hardware model.
 
-    The engine calls :meth:`begin` before the first event,
-    :meth:`observe` at every scheduling decision (the same stream the
-    journal records), and :meth:`finalize` when the run completes.
-    ``samples`` is the deterministically ordered raw series; derived
-    metrics live in :func:`build_report`.
+    Returns ``(dlb_cost, pcb_child, pcb_on_resident)``: per parent
+    kernel, the list entries each parent block holds while it runs; per
+    child kernel, its parent counters and how many it allocates at
+    residency.  Empty unless the run resolved fine-grain dependencies.
     """
+    from repro.core.hardware import HardwareConfig
 
-    def __init__(self):
-        self.application = None
-        self.model = None
-        self.options = None
-        self.num_sms = 0
-        self.kernels = []  # (index, name, stream, num_tbs)
-        #: one row per distinct event timestamp:
-        #: [t_ns, running, busy_sms, ready, dlb, pcb, (per-kernel...)]
-        self.samples = []
-        self.bubbles = []  # (start_ns, end_ns, blame)
-        self.makespan_ns = 0.0
-        self.busy_ns = 0.0
-        self.concurrency_integral = 0.0
-        self.finalized = False
-        # incremental state
-        self._running = 0
-        self._ready = 0
-        self._dlb = 0
-        self._pcb = 0
-        self._sm_tbs = {}
-        self._busy_sms = 0
-        self._per_kernel = []
-        self._idle_start = 0.0
-        # static cost tables (filled in begin)
-        self._dlb_cost = {}
-        self._pcb_child = {}
-        self._pcb_on_resident = {}
+    dlb_cost, pcb_child, pcb_on_resident = {}, {}, {}
+    if not options.fine_grain or options.ignore_dependencies:
+        return dlb_cost, pcb_child, pcb_on_resident
+    per_entry = HardwareConfig().children_per_entry
+    by_index = {kp.kernel_index: kp for kp in plan.kernels}
+    for kp in plan.kernels:
+        child = by_index.get(kp.chain_next)
+        graph = child.graph if child is not None else None
+        if (
+            graph is not None
+            and not graph.is_fully_connected
+            and not graph.is_independent
+        ):
+            costs = {}
+            for tb, children in enumerate(graph.children_of):
+                if children:
+                    costs[tb] = math.ceil(len(children) / per_entry)
+            if costs:
+                dlb_cost[kp.kernel_index] = costs
+        own = kp.graph
+        if (
+            own is not None
+            and not own.is_fully_connected
+            and not own.is_independent
+        ):
+            counted = sum(1 for c in own.parent_counts if c > 0)
+            if counted:
+                pcb_on_resident[kp.kernel_index] = counted
+                pcb_child[kp.kernel_index] = own.parent_counts
+    return dlb_cost, pcb_child, pcb_on_resident
 
-    # -- engine-facing hooks -------------------------------------------
-    def begin(self, engine):
-        from repro.core.hardware import HardwareConfig
 
-        self.application = engine.plan.application
-        self.model = engine.opts.name
-        self.options = engine.opts
-        self.num_sms = engine.config.num_sms
-        plans = [ks.plan for ks in engine.kernels]
-        self.kernels = [
-            (kp.kernel_index, kp.name, kp.stream, kp.num_tbs) for kp in plans
-        ]
-        self._per_kernel = [0] * len(plans)
-        fine = engine.opts.fine_grain and not engine.opts.ignore_dependencies
-        if not fine:
-            return
-        per_entry = HardwareConfig().children_per_entry
-        by_index = {kp.kernel_index: kp for kp in plans}
-        for kp in plans:
-            child = by_index.get(kp.chain_next)
-            graph = child.graph if child is not None else None
-            if (
-                graph is not None
-                and not graph.is_fully_connected
-                and not graph.is_independent
-            ):
-                costs = {}
-                for tb, children in enumerate(graph.children_of):
-                    if children:
-                        costs[tb] = math.ceil(len(children) / per_entry)
-                if costs:
-                    self._dlb_cost[kp.kernel_index] = costs
-            own = kp.graph
-            if (
-                own is not None
-                and not own.is_fully_connected
-                and not own.is_independent
-            ):
-                counted = sum(1 for c in own.parent_counts if c > 0)
-                if counted:
-                    self._pcb_on_resident[kp.kernel_index] = counted
-                    self._pcb_child[kp.kernel_index] = own.parent_counts
+def sample_journal(journal, makespan_ns):
+    """Fold a finished run's journal into ``(samples, bubbles)``.
 
-    def observe(self, kind, t_ns, **fields):
-        """Fold one engine event into the counters and take a sample."""
+    ``samples`` holds one row per distinct event timestamp at which
+    device state changed — ``[t_ns, running, busy_sms, ready, dlb, pcb,
+    (per-kernel running...)]``; ``bubbles`` holds the all-idle spans as
+    ``(start_ns, end_ns, blame)``.
+    """
+    dlb_cost, pcb_child, pcb_on_resident = _dependency_costs(
+        journal.plan, journal.options
+    )
+    running = ready = dlb = pcb = busy_sms = 0
+    sm_tbs = {}
+    per_kernel = [0] * len(journal.plan.kernels)
+    idle_start = 0.0
+    samples, bubbles = [], []
+    for event in journal.events:
+        kind, t_ns = event["kind"], event["t_ns"]
         if kind == "tb_ready":
-            self._ready += 1
-            counts = self._pcb_child.get(fields["kernel"])
-            if counts is not None and counts[fields["tb"]] > 0:
-                self._pcb -= 1
+            ready += 1
+            counts = pcb_child.get(event["kernel"])
+            if counts is not None and counts[event["tb"]] > 0:
+                pcb -= 1
         elif kind == "tb_dispatch":
-            self._ready -= 1
-            if self._running == 0 and t_ns > self._idle_start:
-                edge = fields.get("edge") or {}
-                self.bubbles.append(
-                    (
-                        self._idle_start,
-                        t_ns,
-                        EDGE_BLAME.get(edge.get("kind"), "other"),
-                    )
-                )
-            self._running += 1
-            self._per_kernel[fields["kernel"]] += 1
-            sm = fields["sm"]
-            held = self._sm_tbs.get(sm, 0)
+            ready -= 1
+            if running == 0 and t_ns > idle_start:
+                edge = event.get("edge") or {}
+                bubbles.append((
+                    idle_start, t_ns,
+                    EDGE_BLAME.get(edge.get("kind"), "other"),
+                ))
+            running += 1
+            per_kernel[event["kernel"]] += 1
+            held = sm_tbs.get(event["sm"], 0)
             if held == 0:
-                self._busy_sms += 1
-            self._sm_tbs[sm] = held + 1
-            cost = self._dlb_cost.get(fields["kernel"])
+                busy_sms += 1
+            sm_tbs[event["sm"]] = held + 1
+            cost = dlb_cost.get(event["kernel"])
             if cost is not None:
-                self._dlb += cost.get(fields["tb"], 0)
+                dlb += cost.get(event["tb"], 0)
         elif kind == "tb_finish":
-            self._running -= 1
-            self._per_kernel[fields["kernel"]] -= 1
-            sm = fields["sm"]
-            held = self._sm_tbs.get(sm, 1) - 1
-            self._sm_tbs[sm] = held
+            running -= 1
+            per_kernel[event["kernel"]] -= 1
+            held = sm_tbs.get(event["sm"], 1) - 1
+            sm_tbs[event["sm"]] = held
             if held == 0:
-                self._busy_sms -= 1
-            cost = self._dlb_cost.get(fields["kernel"])
+                busy_sms -= 1
+            cost = dlb_cost.get(event["kernel"])
             if cost is not None:
-                self._dlb -= cost.get(fields["tb"], 0)
-            if self._running == 0:
-                self._idle_start = t_ns
-        elif kind == "kernel_resident":
-            gained = self._pcb_on_resident.get(fields["kernel"], 0)
-            if not gained:
-                return
-            self._pcb += gained
+                dlb -= cost.get(event["tb"], 0)
+            if running == 0:
+                idle_start = t_ns
+        elif kind == "kernel_resident" and event["kernel"] in pcb_on_resident:
+            pcb += pcb_on_resident[event["kernel"]]
         else:
-            return  # host/queue bookkeeping: no device-state change
-        row = [
-            t_ns,
-            self._running,
-            self._busy_sms,
-            self._ready,
-            self._dlb,
-            self._pcb,
-            tuple(self._per_kernel),
-        ]
-        if self.samples and self.samples[-1][0] == t_ns:
-            self.samples[-1] = row  # coalesce same-instant transitions
+            continue  # host/queue bookkeeping: no device-state change
+        row = [t_ns, running, busy_sms, ready, dlb, pcb, tuple(per_kernel)]
+        if samples and samples[-1][0] == t_ns:
+            samples[-1] = row  # coalesce same-instant transitions
         else:
-            self.samples.append(row)
-
-    def finalize(self, engine):
-        self.makespan_ns = engine.events.now
-        self.busy_ns = engine.device.busy_ns
-        self.concurrency_integral = engine.device.concurrency_integral
-        if self._running == 0 and self.makespan_ns > self._idle_start:
-            # the drain/teardown tail has no dispatch to blame
-            self.bubbles.append((self._idle_start, self.makespan_ns, "other"))
-        self.finalized = True
+            samples.append(row)
+    if running == 0 and makespan_ns > idle_start:
+        # the drain/teardown tail has no dispatch to blame
+        bubbles.append((idle_start, makespan_ns, "other"))
+    return samples, bubbles
 
 
 # ----------------------------------------------------------------------
@@ -331,23 +284,23 @@ def _downsample(samples, max_samples):
 # ----------------------------------------------------------------------
 # derived-metrics report
 # ----------------------------------------------------------------------
-def _kernel_rows(stats, sampler):
+def _kernel_rows(stats, plan):
     """Per-kernel execution spans from the run's TB records."""
-    intervals = {index: [] for index, _, _, _ in sampler.kernels}
+    intervals = {}
     for tb in stats.tb_records:
         intervals.setdefault(tb.kernel_index, []).append(
             (tb.start_ns, tb.finish_ns)
         )
     rows, merged = [], {}
-    for index, name, stream, num_tbs in sampler.kernels:
-        union = _merge_intervals(intervals.get(index, []))
-        merged[index] = union
+    for kp in plan.kernels:
+        union = _merge_intervals(intervals.get(kp.kernel_index, []))
+        merged[kp.kernel_index] = union
         rows.append(
             {
-                "index": index,
-                "name": name,
-                "stream": stream,
-                "num_tbs": num_tbs,
+                "index": kp.kernel_index,
+                "name": kp.name,
+                "stream": kp.stream,
+                "num_tbs": kp.num_tbs,
                 "first_start_ns": union[0][0] if union else 0.0,
                 "last_finish_ns": union[-1][1] if union else 0.0,
                 "span_ns": sum(end - start for start, end in union),
@@ -356,7 +309,7 @@ def _kernel_rows(stats, sampler):
     return rows, merged
 
 
-def _overlap_section(stats, sampler, kernel_rows, merged):
+def _overlap_section(stats, kernel_rows, merged):
     """Per-kernel-pair achieved overlap (the paper's Fig. 1 effect)."""
     starts = {}
     for tb in stats.tb_records:
@@ -402,10 +355,10 @@ def _overlap_section(stats, sampler, kernel_rows, merged):
     }
 
 
-def _bubble_section(sampler):
+def _bubble_section(bubbles):
     spans = [
         {"start_ns": start, "end_ns": end, "blame": blame}
-        for start, end, blame in sampler.bubbles
+        for start, end, blame in bubbles
     ]
     blame_ns = {kind: 0.0 for kind in BUBBLE_BLAME_KINDS}
     for span in spans:
@@ -418,19 +371,21 @@ def _bubble_section(sampler):
     }
 
 
-def build_report(stats, sampler, max_samples=512):
-    """Assemble the schema-versioned telemetry report for one run."""
-    if not sampler.finalized:
-        raise ValueError("sampler was not finalized by an engine run")
-    makespan = sampler.makespan_ns
-    samples = sampler.samples
+def build_report(stats, journal, max_samples=512):
+    """Assemble the schema-versioned telemetry report for one run from
+    its ``stats`` and its finished journal."""
+    if not journal.finalized:
+        raise ValueError("journal was not finalized by an engine run")
+    makespan = stats.makespan_ns
+    num_sms = journal.gpu_config.num_sms
+    samples, raw_bubbles = sample_journal(journal, makespan)
     running = _segments(samples, makespan, 1)
     busy_sms = _segments(samples, makespan, 2)
     busy_from_series = sum(dt for v, dt in running if v > 0)
     partial_idle = sum(
         dt
         for (tbs, dt), (sms, _) in zip(running, busy_sms)
-        if tbs > 0 and sms < sampler.num_sms
+        if tbs > 0 and sms < num_sms
     )
     peak = max((row[1] for row in samples), default=0)
     utilization = {
@@ -440,20 +395,18 @@ def build_report(stats, sampler, max_samples=512):
         "mean_busy_sms": _weighted_mean(busy_sms),
         "p95_busy_sms": _weighted_percentile(busy_sms, 0.95),
         "wavefront_efficiency": (
-            sampler.concurrency_integral / (sampler.busy_ns * peak)
-            if sampler.busy_ns > 0 and peak > 0
+            stats.concurrency_integral / (stats.busy_ns * peak)
+            if stats.busy_ns > 0 and peak > 0
             else 0.0
         ),
         "busy_fraction": busy_from_series / makespan if makespan > 0 else 0.0,
         "sm_busy_fraction": (
-            _weighted_mean(busy_sms) / sampler.num_sms
-            if sampler.num_sms > 0
-            else 0.0
+            _weighted_mean(busy_sms) / num_sms if num_sms > 0 else 0.0
         ),
         "partial_idle_ns": partial_idle,
     }
-    kernel_rows, merged = _kernel_rows(stats, sampler)
-    bubbles = _bubble_section(sampler)
+    kernel_rows, merged = _kernel_rows(stats, journal.plan)
+    bubbles = _bubble_section(raw_bubbles)
     thinned = _downsample(samples, max_samples)
     series = {
         "t_ns": [row[0] for row in thinned],
@@ -463,26 +416,26 @@ def build_report(stats, sampler, max_samples=512):
         "dlb_entries": [row[4] for row in thinned],
         "pcb_entries": [row[5] for row in thinned],
         "resident_tbs": {
-            str(index): [row[6][slot] for row in thinned]
-            for slot, (index, _, _, _) in enumerate(sampler.kernels)
+            str(kp.kernel_index): [row[6][slot] for row in thinned]
+            for slot, kp in enumerate(journal.plan.kernels)
         },
     }
     return {
         "kind": TELEMETRY_KIND,
         "schema_version": TELEMETRY_SCHEMA_VERSION,
-        "workload": sampler.application,
-        "model": sampler.model,
+        "workload": journal.application,
+        "model": journal.model,
         "makespan_ns": makespan,
-        "busy_ns": sampler.busy_ns,
-        "num_sms": sampler.num_sms,
+        "busy_ns": stats.busy_ns,
+        "num_sms": num_sms,
         "num_raw_samples": len(samples),
         "series": series,
         "kernels": kernel_rows,
-        "overlap": _overlap_section(stats, sampler, kernel_rows, merged),
+        "overlap": _overlap_section(stats, kernel_rows, merged),
         "bubbles": bubbles,
         "utilization": utilization,
         "consistency": {
-            "busy_ns_error": abs(busy_from_series - sampler.busy_ns),
+            "busy_ns_error": abs(busy_from_series - stats.busy_ns),
             "tiling_error_ns": abs(
                 bubbles["total_ns"] + busy_from_series - makespan
             ),
@@ -777,14 +730,6 @@ def emit_telemetry_counters(tracer, report):
         )
 
 
-def _prom_escape(value):
-    # kept as an alias: the escaping now lives in repro.obs.prom, the
-    # exposition module shared with the serve daemon's /metrics endpoint
-    from repro.obs.prom import escape_label_value
-
-    return escape_label_value(value)
-
-
 def write_prometheus(report):
     """Render the report as a Prometheus text exposition (version 0.0.4).
 
@@ -794,10 +739,11 @@ def write_prometheus(report):
     dependency-free), and this function's output is byte-identical to
     the pre-extraction telemetry writer.
     """
-    from repro.obs.prom import PromWriter
+    from repro.obs.prom import PromWriter, escape_label_value
 
     base = 'workload="{}",model="{}"'.format(
-        _prom_escape(report["workload"]), _prom_escape(report["model"])
+        escape_label_value(report["workload"]),
+        escape_label_value(report["model"]),
     )
     utilization = report["utilization"]
     overlap = report["overlap"]
@@ -869,34 +815,3 @@ def write_prometheus(report):
             extra_labels='blame="{}"'.format(blame),
         )
     return writer.render()
-
-
-# ----------------------------------------------------------------------
-# recording a run
-# ----------------------------------------------------------------------
-def record_telemetry(workload, model="consumer3", build_small=False):
-    """Build, plan, and simulate one registry workload with telemetry.
-
-    Returns ``(sampler, stats)`` — the one code path behind ``repro
-    telemetry``, the flight report, and the bench integration, so every
-    report of a given (workload, model) is produced identically.
-    """
-    # Imported lazily: the engine imports repro.obs at module load, so a
-    # module-level import here would be a cycle.
-    from repro.core.runtime import BlockMaestroRuntime
-    from repro.experiments.common import (
-        _make_model,
-        _model_plan_params,
-        canonical_model_name,
-    )
-    from repro.workloads import get_workload
-
-    spec = get_workload(workload)
-    app = spec.build_small() if build_small else spec.build()
-    model_name = canonical_model_name(model)
-    reorder, window = _model_plan_params(model_name)
-    plan = BlockMaestroRuntime().plan(app, reorder=reorder, window=window)
-    engine_model = _make_model(model_name, None)
-    sampler = TelemetrySampler()
-    stats = engine_model.run(plan, telemetry=sampler)
-    return sampler, stats

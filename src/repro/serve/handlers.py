@@ -184,7 +184,8 @@ def run_result(state, params):
             from repro.obs import journal as jr
 
             recorder, _stats = jr.record_run(
-                params["workload"], params["model"]
+                params["workload"], params["model"],
+                cache=state.analysis_cache,
             )
             result["journal"] = {
                 "digest": recorder.digest(),
@@ -223,24 +224,15 @@ def compare_result(state, params):
 
 def critpath_result(state, params):
     """``/v1/critpath`` — the schema-validated critpath report."""
-    from repro.core.runtime import BlockMaestroRuntime
-    from repro.experiments.common import _make_model, _model_plan_params
     from repro.obs import critpath as cp
+    from repro.obs.journal import record_run
 
     with state.sim_lock:
         state.metrics.inc("serve.sim.critpath")
-        prov = cp.ProvenanceRecorder()
-        spec = get_workload(params["workload"])
-        app = spec.build()
-        reorder, window = _model_plan_params(params["model"])
-        runtime = BlockMaestroRuntime(cache=state.analysis_cache)
-        plan = runtime.plan(app, reorder=reorder, window=window)
-        model = _make_model(params["model"], runtime.config)
-        stats = model.run(plan, provenance=prov)
-        report = cp.build_report(
-            stats, plan, prov, model.gpu_config,
-            options=model.options(), whatif=params["whatif"],
+        journal, stats = record_run(
+            params["workload"], params["model"], cache=state.analysis_cache
         )
+        report = cp.build_report(stats, journal, whatif=params["whatif"])
     errors = cp.validate_critpath_report(report)
     if errors:  # a profiler bug, not a user error — fail loudly
         raise AssertionError(
@@ -252,15 +244,16 @@ def critpath_result(state, params):
 def telemetry_result(state, params):
     """``/v1/telemetry`` — the schema-validated telemetry report."""
     from repro.obs import telemetry as tm
+    from repro.obs.journal import record_run
 
     with state.sim_lock:
         state.metrics.inc("serve.sim.telemetry")
-        sampler, stats = tm.record_telemetry(
-            params["workload"], params["model"]
+        journal, stats = record_run(
+            params["workload"], params["model"], cache=state.analysis_cache
         )
-        report = tm.build_report(stats, sampler)
+        report = tm.build_report(stats, journal)
     errors = tm.validate_telemetry_report(report)
-    if errors:  # a sampler bug, not a user error — fail loudly
+    if errors:  # an analyzer bug, not a user error — fail loudly
         raise AssertionError(
             "generated telemetry report is invalid: {}".format(errors[:3])
         )

@@ -33,6 +33,20 @@ class TestCritpathCommand:
         assert "makespan attribution" in out
         assert "exec" in out and "launch" in out
 
+    def test_negative_limit_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["critpath", "mvt", "--limit", "-1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--limit: must be >= 0" in captured.err
+        assert captured.out == ""
+
+    def test_zero_limit_shows_no_segments(self, capsys):
+        assert main(["critpath", "mvt", "--limit", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "the 0 closest to the makespan:" in out
+        assert out.rstrip().endswith("the 0 closest to the makespan:")
+
     def test_whatif_bounds_reported_and_valid(self, capsys):
         main(["critpath", "mvt", "--whatif", "--json"])
         report = json.loads(capsys.readouterr().out)
@@ -59,7 +73,7 @@ class TestCritpathCommand:
             _make_model,
             _model_plan_params,
         )
-        from repro.obs.critpath import ProvenanceRecorder
+        from repro.obs.journal import JournalRecorder
         from repro.workloads import get_workload
 
         spec = get_workload("lud")
@@ -69,7 +83,7 @@ class TestCritpathCommand:
         plain = _make_model(model, None)
         stats_plain = plain.run(plan)
         recorded = _make_model(model, None)
-        stats_rec = recorded.run(plan, provenance=ProvenanceRecorder())
+        stats_rec = recorded.run(plan, journal=JournalRecorder())
         assert (
             stats_rec.simulated_signature()
             == stats_plain.simulated_signature()

@@ -64,6 +64,14 @@ class TestBlameCommand:
         out = capsys.readouterr().out
         assert "more kernels" in out
 
+    def test_blame_negative_limit_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["blame", "mvt", "--limit", "-1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--limit: must be >= 0" in captured.err
+        assert captured.out == ""
+
 
 class TestJsonFlags:
     def test_run_json_to_stdout(self, capsys):

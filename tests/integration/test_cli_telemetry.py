@@ -43,6 +43,14 @@ class TestTelemetryCommand:
         assert main(["telemetry", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_limit_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["telemetry", "mvt", "--limit", "-2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--limit: must be >= 0" in captured.err
+        assert captured.out == ""
+
 
 class TestReportCommand:
     @pytest.fixture(scope="class")

@@ -1,11 +1,12 @@
-"""Differential gate: the telemetry sampler must change nothing.
+"""Differential gate: the journal — the engine's only observer — must
+change nothing.
 
-The :class:`~repro.obs.telemetry.TelemetrySampler` rides the same
-engine injection points as the journal and provenance recorders, and
-the same contract applies: attaching it may not perturb a single
-simulated nanosecond.  For every registry workload (small variants) and
-every roster model, a run with the sampler attached must produce a
-byte-identical :meth:`RunStats.simulated_signature` to a bare run.
+Critical-path and telemetry analysis are derived from the
+:class:`~repro.obs.journal.JournalRecorder` event stream, so attaching
+it may not perturb a single simulated nanosecond.  For every registry
+workload (small variants) and every roster model, a journal-carrying
+run must produce a byte-identical :meth:`RunStats.simulated_signature`
+to a bare run, and the telemetry derived from it must be consistent.
 """
 
 import json
@@ -18,11 +19,8 @@ from repro.experiments.common import (
     _make_model,
     _model_plan_params,
 )
-from repro.obs.telemetry import (
-    TelemetrySampler,
-    build_report,
-    validate_telemetry_report,
-)
+from repro.obs.journal import JournalRecorder
+from repro.obs.telemetry import build_report, validate_telemetry_report
 from repro.workloads import all_workloads
 
 MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
@@ -37,9 +35,9 @@ def test_sampler_is_observation_only(wname):
         runtime = BlockMaestroRuntime()
         plan = runtime.plan(app, reorder=reorder, window=window)
         bare = _make_model(model_name, runtime.config).run(plan)
-        sampler = TelemetrySampler()
+        journal = JournalRecorder()
         observed = _make_model(model_name, runtime.config).run(
-            plan, telemetry=sampler
+            plan, journal=journal
         )
         assert json.dumps(
             bare.simulated_signature(), sort_keys=True
@@ -47,5 +45,5 @@ def test_sampler_is_observation_only(wname):
             wname, model_name
         )
         # and the recorded series must itself be internally consistent
-        report = build_report(observed, sampler)
+        report = build_report(observed, journal)
         assert validate_telemetry_report(report) == [], (wname, model_name)

@@ -8,7 +8,7 @@ engine configurations:
   the fold absorbs into ``other``);
 * the unexplained ``other`` bucket stays negligible;
 * every what-if bound is at least as fast as the achieved makespan;
-* attaching a recorder never changes the simulated signature.
+* attaching the journal never changes the simulated signature.
 """
 
 import pytest
@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from repro.core.runtime import BlockMaestroRuntime
 from repro.models import BlockMaestroModel, SerializedBaseline
 from repro.obs.critpath import (
-    ProvenanceRecorder,
     attribution_from_segments,
     extract_critical_path,
     what_if_bounds,
 )
+from repro.obs.journal import JournalRecorder
 from repro.sim.config import GPUConfig
 
 from tests.conftest import make_chain_app
@@ -58,9 +58,9 @@ def build(params, name):
 def _observed(app, model, reorder, window):
     runtime = BlockMaestroRuntime(model.gpu_config)
     plan = runtime.plan(app, reorder=reorder, window=window)
-    prov = ProvenanceRecorder()
-    stats = model.run(plan, provenance=prov)
-    return plan, stats, prov
+    journal = JournalRecorder()
+    stats = model.run(plan, journal=journal)
+    return plan, stats, journal
 
 
 @given(app_params, configs, st.integers(2, 3))
@@ -71,8 +71,8 @@ def test_attribution_sums_to_makespan(params, config, window):
         (SerializedBaseline(config), False, 1),
         (BlockMaestroModel(config, window=window), True, window),
     ):
-        plan, stats, prov = _observed(app, model, reorder, win)
-        segments = extract_critical_path(stats, plan, prov)
+        _plan, stats, journal = _observed(app, model, reorder, win)
+        segments = extract_critical_path(stats, journal)
         attribution = attribution_from_segments(segments, stats.makespan_ns)
         assert sum(attribution.values()) == pytest.approx(
             stats.makespan_ns, abs=1e-3
@@ -88,7 +88,7 @@ def test_attribution_sums_to_makespan(params, config, window):
 def test_whatif_bounds_dominate_achieved(params, window):
     app = build(params, "prop-cp-whatif")
     model = BlockMaestroModel(window=window)
-    plan, stats, _prov = _observed(app, model, True, window)
+    plan, stats, _journal = _observed(app, model, True, window)
     bounds = what_if_bounds(
         plan, model.gpu_config, model.options(), stats.makespan_ns
     )
@@ -105,5 +105,5 @@ def test_recording_preserves_signature(params, window):
     runtime = BlockMaestroRuntime(model.gpu_config)
     plan = runtime.plan(app, reorder=True, window=window)
     plain = model.run(plan)
-    recorded = model.run(plan, provenance=ProvenanceRecorder())
+    recorded = model.run(plan, journal=JournalRecorder())
     assert recorded.simulated_signature() == plain.simulated_signature()

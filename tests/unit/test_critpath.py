@@ -11,14 +11,15 @@ from repro.models import (
 from repro.models.base import ExecutionEngine
 from repro.obs.critpath import (
     COMPONENT_KEYS,
-    ProvenanceRecorder,
     attribution_from_segments,
     build_report,
+    derive_provenance,
     extract_critical_path,
     format_critpath,
     validate_critpath_report,
     what_if_bounds,
 )
+from repro.obs.journal import JournalRecorder
 from repro.obs.tracer import NullTracer, Tracer
 from repro.sim.config import GPUConfig
 from repro.sim.device import Device, UnboundedDevice
@@ -28,16 +29,16 @@ from tests.conftest import make_chain_app
 
 
 def _observed_run(app, model, reorder=True, window=2):
-    """Plan + run one model with a recorder attached."""
+    """Plan + run one model with a journal attached."""
     runtime = BlockMaestroRuntime(model.gpu_config)
     plan = runtime.plan(app, reorder=reorder, window=window)
-    prov = ProvenanceRecorder()
-    stats = model.run(plan, provenance=prov)
-    return plan, stats, prov
+    journal = JournalRecorder()
+    stats = model.run(plan, journal=journal)
+    return plan, stats, journal
 
 
-def _assert_attribution_sums(stats, plan, prov):
-    segments = extract_critical_path(stats, plan, prov)
+def _assert_attribution_sums(stats, journal):
+    segments = extract_critical_path(stats, journal)
     attribution = attribution_from_segments(segments, stats.makespan_ns)
     total = sum(attribution.values())
     assert total == pytest.approx(stats.makespan_ns, abs=1e-3)
@@ -47,10 +48,13 @@ def _assert_attribution_sums(stats, plan, prov):
 
 
 class TestProvenanceRecorder:
+    """Per-TB start records and launch triggers, derived from the journal."""
+
     def test_every_tb_has_a_start_record(self):
         app = make_chain_app(num_pairs=2, tbs=8, block=64, name="cp-chain")
         model = BlockMaestroModel(window=2)
-        _plan, stats, prov = _observed_run(app, model)
+        _plan, stats, journal = _observed_run(app, model)
+        prov = derive_provenance(journal)
         assert set(prov.tb_starts) == {
             (tb.kernel_index, tb.tb_id) for tb in stats.tb_records
         }
@@ -64,16 +68,16 @@ class TestProvenanceRecorder:
     def test_launch_trigger_recorded_per_kernel(self):
         app = make_chain_app(num_pairs=2, tbs=8, block=64, name="cp-trig")
         model = BlockMaestroModel(window=2)
-        _plan, stats, prov = _observed_run(app, model)
-        assert set(prov.kernel_launch_trigger) == {
+        _plan, stats, journal = _observed_run(app, model)
+        assert set(derive_provenance(journal).kernel_launch_trigger) == {
             kr.index for kr in stats.kernel_records
         }
 
     def test_release_edge_counts_total_tbs(self):
         app = make_chain_app(num_pairs=2, tbs=8, block=64, name="cp-edges")
         model = BlockMaestroModel(window=2)
-        _plan, stats, prov = _observed_run(app, model)
-        counts = prov.release_edge_counts()
+        _plan, stats, journal = _observed_run(app, model)
+        counts = derive_provenance(journal).release_edge_counts()
         assert sum(counts.values()) == len(stats.tb_records)
 
 
@@ -83,8 +87,8 @@ class TestAttribution:
     def test_serial_chain(self):
         app = make_chain_app(num_pairs=3, tbs=8, block=64, name="cp-serial")
         for model in (SerializedBaseline(), BlockMaestroModel(window=2)):
-            plan, stats, prov = _observed_run(app, model)
-            segments, attribution = _assert_attribution_sums(stats, plan, prov)
+            _plan, stats, journal = _observed_run(app, model)
+            segments, attribution = _assert_attribution_sums(stats, journal)
             assert attribution["exec"] > 0
             # chronological, contiguous coverage of [0, makespan]
             assert segments[0]["t0_ns"] == pytest.approx(0.0, abs=1e-3)
@@ -99,24 +103,25 @@ class TestAttribution:
         app = spec.build_small()
         for window in (2, 3):
             model = BlockMaestroModel(window=window)
-            plan, stats, prov = _observed_run(app, model, window=window)
-            _assert_attribution_sums(stats, plan, prov)
+            _plan, stats, journal = _observed_run(app, model, window=window)
+            _assert_attribution_sums(stats, journal)
 
     def test_fan_out_fan_in(self):
         spec = get_workload("lud")
         app = spec.build_small()
         model = BlockMaestroModel(window=3)
-        plan, stats, prov = _observed_run(app, model, window=3)
-        _assert_attribution_sums(stats, plan, prov)
+        _plan, stats, journal = _observed_run(app, model, window=3)
+        _assert_attribution_sums(stats, journal)
 
     def test_occupancy_bound_chain(self):
         """1 SM x 1 slot: blocks queue for the device, not for parents."""
         config = GPUConfig(num_sms=1, max_tbs_per_sm=1, duration_jitter=0.0)
         app = make_chain_app(num_pairs=1, tbs=6, block=32, name="cp-occ")
         model = BlockMaestroModel(config, window=2)
-        plan, stats, prov = _observed_run(app, model)
-        segments, attribution = _assert_attribution_sums(stats, plan, prov)
-        assert prov.release_edge_counts().get("occupancy", 0) > 0
+        _plan, stats, journal = _observed_run(app, model)
+        segments, attribution = _assert_attribution_sums(stats, journal)
+        counts = derive_provenance(journal).release_edge_counts()
+        assert counts.get("occupancy", 0) > 0
         assert attribution["occupancy"] > 0
         occ = [s for s in segments if s["kind"] == "occupancy"]
         assert occ and all("freed_by" in s for s in occ)
@@ -129,14 +134,14 @@ class TestSignatureIdentity:
     def test_signature_identical_with_recorder(self, workload):
         spec = get_workload(workload)
 
-        def simulate(prov):
+        def simulate(journal):
             app = spec.build_small()
             runtime = BlockMaestroRuntime()
             plan = runtime.plan(app, reorder=True, window=3)
-            return BlockMaestroModel(window=3).run(plan, provenance=prov)
+            return BlockMaestroModel(window=3).run(plan, journal=journal)
 
         plain = simulate(None)
-        recorded = simulate(ProvenanceRecorder())
+        recorded = simulate(JournalRecorder())
         assert recorded.simulated_signature() == plain.simulated_signature()
 
 
@@ -144,7 +149,7 @@ class TestWhatIf:
     def test_bounds_never_exceed_achieved(self):
         app = make_chain_app(num_pairs=2, tbs=8, block=64, name="cp-whatif")
         model = BlockMaestroModel(window=2)
-        plan, stats, _prov = _observed_run(app, model)
+        plan, stats, _journal = _observed_run(app, model)
         bounds = what_if_bounds(
             plan, model.gpu_config, model.options(), stats.makespan_ns
         )
@@ -155,7 +160,7 @@ class TestWhatIf:
     def test_zero_launch_strictly_helps_launch_heavy_runs(self):
         app = make_chain_app(num_pairs=3, tbs=4, block=32, name="cp-launchy")
         model = SerializedBaseline()
-        plan, stats, _prov = _observed_run(
+        plan, stats, _journal = _observed_run(
             app, model, reorder=False, window=1
         )
         assert model.options().launch_overhead_ns > 0
@@ -169,7 +174,7 @@ class TestWhatIf:
         spec = get_workload("mvt")
         app = spec.build_small()
         model = BlockMaestroModel(window=3)
-        plan, stats, _prov = _observed_run(app, model, window=3)
+        plan, stats, _journal = _observed_run(app, model, window=3)
         bounds = what_if_bounds(
             plan, model.gpu_config, model.options(), stats.makespan_ns
         )
@@ -200,11 +205,8 @@ class TestReportAndValidation:
     def report(self):
         app = make_chain_app(num_pairs=2, tbs=8, block=64, name="cp-report")
         model = BlockMaestroModel(window=2)
-        plan, stats, prov = _observed_run(app, model)
-        return build_report(
-            stats, plan, prov, model.gpu_config,
-            options=model.options(), whatif=True,
-        )
+        _plan, stats, journal = _observed_run(app, model)
+        return build_report(stats, journal, whatif=True)
 
     def test_valid_report_passes(self, report):
         assert validate_critpath_report(report) == []
@@ -273,8 +275,8 @@ class TestFlowEvents:
 
         app = make_chain_app(num_pairs=2, tbs=8, block=64, name="cp-flow")
         model = BlockMaestroModel(window=2)
-        plan, stats, prov = _observed_run(app, model)
-        segments = extract_critical_path(stats, plan, prov)
+        _plan, stats, journal = _observed_run(app, model)
+        segments = extract_critical_path(stats, journal)
         tracer = Tracer(clock=lambda: 0.0)
         emitted = emit_critpath_flow(tracer, segments)
         assert emitted > 0

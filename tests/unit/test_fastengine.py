@@ -166,25 +166,34 @@ class TestObserverFallback:
         assert "engine.tier.vectorized" not in counters
 
     def test_provenance_forces_reference(self, planned):
-        from repro.obs.critpath import ProvenanceRecorder
+        # critpath provenance is derived from one journaled run, so an
+        # auto-tier critpath pass is exactly one counted fallback
+        from repro.obs.critpath import build_report, validate_critpath_report
+        from repro.obs.journal import JournalRecorder
 
         plan, config = planned
         metrics = MetricsRegistry()
-        model = _make_model("baseline", config)
-        model.run(plan, metrics=metrics, provenance=ProvenanceRecorder(),
-                  engine="auto")
+        journal = JournalRecorder()
+        stats = _make_model("baseline", config).run(
+            plan, metrics=metrics, journal=journal, engine="auto"
+        )
+        assert validate_critpath_report(build_report(stats, journal)) == []
         counters = _counters(metrics)
         assert counters.get("engine.fallback.observers") == 1
         assert counters.get("engine.tier.reference") == 1
 
     def test_telemetry_forces_reference(self, planned):
-        from repro.obs.telemetry import TelemetrySampler
+        # likewise telemetry: one journaled run, one counted fallback
+        from repro.obs.journal import JournalRecorder
+        from repro.obs.telemetry import build_report, validate_telemetry_report
 
         plan, config = planned
         metrics = MetricsRegistry()
-        model = _make_model("baseline", config)
-        model.run(plan, metrics=metrics, telemetry=TelemetrySampler(),
-                  engine="auto")
+        journal = JournalRecorder()
+        stats = _make_model("baseline", config).run(
+            plan, metrics=metrics, journal=journal, engine="auto"
+        )
+        assert validate_telemetry_report(build_report(stats, journal)) == []
         counters = _counters(metrics)
         assert counters.get("engine.fallback.observers") == 1
         assert counters.get("engine.tier.reference") == 1

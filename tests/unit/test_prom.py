@@ -159,10 +159,11 @@ class TestTelemetryIntegration:
 
     @pytest.fixture(scope="class")
     def report(self):
-        from repro.obs.telemetry import build_report, record_telemetry
+        from repro.obs.journal import record_run
+        from repro.obs.telemetry import build_report
 
-        sampler, stats = record_telemetry("mvt", "consumer3")
-        return build_report(stats, sampler)
+        journal, stats = record_run("mvt", "consumer3")
+        return build_report(stats, journal)
 
     def test_write_prometheus_validates(self, report):
         from repro.obs.telemetry import write_prometheus
