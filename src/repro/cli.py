@@ -1697,6 +1697,27 @@ COMMANDS = {
 }
 
 
+def _check_env_modes():
+    """A bad ``REPRO_FASTPATH``/``REPRO_ENGINE`` value, as an error line.
+
+    Checked once at entry, before any work, so a misspelt mode ends in
+    one line and exit 2 instead of a traceback from deep inside a run.
+    Returns ``None`` when both are valid.
+    """
+    from repro.analysis.fastpath import FASTPATH_ENV, resolve_fastpath_mode
+    from repro.models.fastengine import ENGINE_ENV, resolve_engine_mode
+
+    for env, resolve in (
+        (FASTPATH_ENV, resolve_fastpath_mode),
+        (ENGINE_ENV, resolve_engine_mode),
+    ):
+        try:
+            resolve()
+        except ValueError as exc:
+            return "{}: {}".format(env, exc)
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.log is not None or args.log_json:
@@ -1706,6 +1727,10 @@ def main(argv=None):
             spec=args.log,
             json_lines=True if args.log_json else None,
         )
+    env_error = _check_env_modes()
+    if env_error is not None:
+        print("error: {}".format(env_error), file=sys.stderr)
+        return 2
     try:
         return COMMANDS[args.command](args) or 0
     except (UnknownWorkloadError, UnknownModelError) as exc:

@@ -40,6 +40,7 @@ Semantics implemented here:
   all its TBs finished and its predecessor completed (Section III-B.1).
 """
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -181,11 +182,14 @@ class ExecutionModel:
 @dataclass
 class _KernelState:
     plan: object  # KernelPlan
+    #: copied from the plan, whose properties derive them from its
+    #: launch call; the TB scheduler reads them on every event
+    num_tbs: int = 0
+    threads_per_tb: int = 0
     enqueued_ns: Optional[float] = None
     launch_begin_ns: Optional[float] = None
     resident_ns: Optional[float] = None
     input_ready_ns: float = 0.0
-    launched: bool = False
     resident: bool = False
     all_tbs_done: bool = False
     all_tbs_done_ns: Optional[float] = None
@@ -249,12 +253,16 @@ class ExecutionEngine:
             gpu_config, tracer=self.tracer, metrics=self.metrics
         )
         self.timing = gpu_config.timing
-        self.kernels = [_KernelState(plan=kp) for kp in plan.kernels]
+        self.kernels = [
+            _KernelState(
+                plan=kp, num_tbs=kp.num_tbs, threads_per_tb=kp.threads_per_tb
+            )
+            for kp in plan.kernels
+        ]
         self.call_done = [False] * len(plan.order)
         self.call_done_ns = [0.0] * len(plan.order)
         self.call_enqueued = [False] * len(plan.order)
         self.call_enqueued_ns = [0.0] * len(plan.order)
-        self.call_started = [False] * len(plan.order)
         self.tb_records: List[TBRecord] = []
         self.counters: Dict[str, float] = {
             "dispatch_passes": 0.0,
@@ -277,13 +285,42 @@ class ExecutionEngine:
             s: 0 for s in self._stream_positions
         }
         self._stream_kernels: Dict[int, List[int]] = {}
+        #: each kernel's index in its stream's chain
+        self._chain_index: List[int] = []
         for kp in plan.kernels:
-            self._stream_kernels.setdefault(kp.stream, []).append(
-                kp.kernel_index
-            )
+            chain = self._stream_kernels.setdefault(kp.stream, [])
+            self._chain_index.append(len(chain))
+            chain.append(kp.kernel_index)
         self._stream_launch_cursor: Dict[int, int] = {
             s: 0 for s in self._stream_kernels
         }
+        #: launched, not yet completed kernels per stream (the pre-launch
+        #: window's occupancy)
+        self._stream_in_flight: Dict[int, int] = {
+            s: 0 for s in self._stream_kernels
+        }
+        #: per stream, the chain index of the oldest kernel with
+        #: undispatched TBs (the producer-priority gate)
+        self._stream_undispatched: Dict[int, int] = {
+            s: 0 for s in self._stream_kernels
+        }
+        for stream in self._stream_kernels:
+            self._advance_undispatched(stream)
+        #: kernel -> the kernels (ascending) with a cross-stream data
+        #: dependency on it
+        self._cross_stream_dependents: Dict[int, List[int]] = {}
+        for kp in plan.kernels:
+            for dep in dict.fromkeys(kp.cross_stream_deps):
+                self._cross_stream_dependents.setdefault(dep, []).append(
+                    kp.kernel_index
+                )
+        #: enqueued, not yet started non-kernel commands in queue order:
+        #: the only commands ``_pump`` can start
+        self._waiting_calls: List[int] = []
+        #: resident kernels with undispatched TBs, ascending: the TB
+        #: scheduler's candidates on every dispatch pass
+        self._active: List[int] = []
+        self._consumer_first = options.policy.prefers_consumer
 
     # ------------------------------------------------------------------
     def _build_parents_of(self):
@@ -305,6 +342,16 @@ class ExecutionEngine:
         while cursor < len(positions) and self.call_done[positions[cursor]]:
             cursor += 1
         self._stream_done_prefix[stream] = cursor
+
+    def _advance_undispatched(self, stream):
+        chain = self._stream_kernels[stream]
+        cursor = self._stream_undispatched[stream]
+        while cursor < len(chain):
+            ks = self.kernels[chain[cursor]]
+            if ks.dispatched < ks.num_tbs:
+                break
+            cursor += 1
+        self._stream_undispatched[stream] = cursor
 
     def _stream_prefix_done(self, position):
         """All earlier commands of the same stream are complete."""
@@ -572,27 +619,27 @@ class ExecutionEngine:
             stream=call.stream_id,
         )
         if isinstance(call, KernelLaunchCall):
+            # kernels go through the launch engine
             ki = self.plan.kernel_at_position[position]
             self.kernels[ki].enqueued_ns = self.events.now
+        else:
+            insort(self._waiting_calls, position)
         self._pump()
 
     def _pump(self):
-        """Start every startable command; called on all state changes."""
-        progress = True
-        while progress:
-            progress = False
-            for position, call in enumerate(self.plan.order):
-                if (
-                    self.call_started[position]
-                    or not self.call_enqueued[position]
-                    or not self._prereqs_done(position)
-                ):
-                    continue
-                if isinstance(call, KernelLaunchCall):
-                    continue  # kernels go through the launch engine
-                self.call_started[position] = True
-                progress = True
-                self._start_command(position, call)
+        """Start every startable command; called on all state changes.
+
+        Starting a command only schedules its completion, so it cannot
+        make another command startable: one visit of the waiting
+        commands, in queue order, starts them all.
+        """
+        waiting = []
+        for position in self._waiting_calls:
+            if self._prereqs_done(position):
+                self._start_command(position, self.plan.order[position])
+            else:
+                waiting.append(position)
+        self._waiting_calls = waiting
         self._try_launch()
         self._dispatch()
 
@@ -638,13 +685,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # launch engine
     # ------------------------------------------------------------------
-    def _kernels_in_flight(self, stream):
-        return sum(
-            1
-            for ki in self._stream_kernels.get(stream, ())
-            if self.kernels[ki].launched and not self.kernels[ki].completed
-        )
-
     def _try_launch(self):
         """Launch every queued kernel the pre-launch windows allow.
 
@@ -666,16 +706,15 @@ class ExecutionEngine:
                     break
                 if not self._prereqs_done_for_kernel(position):
                     break
-                if self._kernels_in_flight(stream) >= self.opts.window:
+                if self._stream_in_flight[stream] >= self.opts.window:
                     break
-                ks.launched = True
+                self._stream_in_flight[stream] += 1
                 ks.launch_begin_ns = self.events.now
                 ks.input_ready_ns = self._input_ready_ns(position)
                 self._journal_emit(
                     "kernel_launch", kernel=ki, name=ks.plan.name,
                     stream=stream,
                 )
-                self.call_started[position] = True
                 self._stream_launch_cursor[stream] = cursor + 1
                 self.events.schedule(
                     self.events.now + self.opts.launch_overhead_ns,
@@ -725,6 +764,8 @@ class ExecutionEngine:
         ks = self.kernels[ki]
         ks.resident = True
         ks.resident_ns = self.events.now
+        if ks.dispatched < ks.num_tbs:
+            insort(self._active, ki)
         self._journal_emit("kernel_resident", kernel=ki, name=ks.plan.name)
         self._refresh_ready(ki)
         self._pump()
@@ -775,7 +816,7 @@ class ExecutionEngine:
                 elif graph.is_independent:
                     self._push_all_tbs(ks)
                 else:
-                    for tb in range(ks.plan.num_tbs):
+                    for tb in range(ks.num_tbs):
                         if ks.pending_counters[tb] == 0:
                             self._push_ready(ks, tb)
             else:
@@ -783,7 +824,7 @@ class ExecutionEngine:
         self._drain_deferred(ks)
 
     def _push_all_tbs(self, ks):
-        for tb in range(ks.plan.num_tbs):
+        for tb in range(ks.num_tbs):
             self._push_ready(ks, tb)
 
     def _tracked_tasks(self, ks):
@@ -819,37 +860,29 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _kernel_dispatch_order(self):
-        active = [
-            ks
-            for ks in self.kernels
-            if ks.resident and ks.dispatched < ks.plan.num_tbs
-        ]
-        if self.opts.policy.prefers_consumer:
-            return list(reversed(active))
-        return active
-
-    def _producer_gate_ok(self, ks):
+    def _producer_gate_ok(self, ki):
         """Producer priority: a kernel's TBs may dispatch only once every
-        older resident kernel *of its stream* has scheduled all of its
-        TBs (streams contend for slots but do not gate each other)."""
-        if self.opts.policy.prefers_consumer:
+        older kernel *of its stream* has scheduled all of its TBs
+        (streams contend for slots but do not gate each other).  Streams
+        launch in chain order, so those older kernels are all launched."""
+        if self._consumer_first:
             return True
-        prev = ks.plan.chain_prev
-        while prev is not None:
-            other = self.kernels[prev]
-            if other.launched and other.dispatched < other.plan.num_tbs:
-                return False
-            prev = other.plan.chain_prev
-        return True
+        stream = self.kernels[ki].plan.stream
+        return self._stream_undispatched[stream] >= self._chain_index[ki]
 
     def _dispatch(self):
         self.counters["dispatch_passes"] += 1
         now = self.events.now
-        for ks in self._kernel_dispatch_order():
-            if not ks.ready or not self._producer_gate_ok(ks):
+        # a snapshot: kernels leave ``_active`` at their last dispatch
+        if self._consumer_first:
+            order = self._active[::-1]
+        else:
+            order = self._active[:]
+        for ki in order:
+            ks = self.kernels[ki]
+            if not ks.ready or not self._producer_gate_ok(ki):
                 continue
-            threads = ks.plan.threads_per_tb
+            threads = ks.threads_per_tb
             while ks.ready:
                 sm = self.device.try_place(threads, now)
                 if sm is None:
@@ -862,6 +895,9 @@ class ExecutionEngine:
                     )
                 self._drain_deferred(ks)
                 ks.dispatched += 1
+                if ks.dispatched == ks.num_tbs:
+                    self._active.remove(ki)
+                    self._advance_undispatched(ks.plan.stream)
                 if ks.first_tb_start_ns is None:
                     ks.first_tb_start_ns = now
                 duration = ks.plan.tb_duration_ns(tb)
@@ -929,7 +965,7 @@ class ExecutionEngine:
                     child.pending_counters[c] -= 1
                     if child.pending_counters[c] == 0 and child.made_eligible:
                         self._push_ready(child, c)
-        if ks.finished == ks.plan.num_tbs:
+        if ks.finished == ks.num_tbs:
             ks.all_tbs_done = True
             ks.all_tbs_done_ns = now
             self._journal_emit("kernel_drain", kernel=ki, name=ks.plan.name)
@@ -951,6 +987,7 @@ class ExecutionEngine:
                 break
             ks.completed = True
             ks.completed_ns = self.events.now
+            self._stream_in_flight[ks.plan.stream] -= 1
             self._ctx = ("completion", idx)
             self._journal_emit(
                 "kernel_complete", kernel=idx, name=ks.plan.name
@@ -965,9 +1002,8 @@ class ExecutionEngine:
                 self._refresh_ready(child)
                 child = self.kernels[child].plan.chain_next
                 hops += 1
-            for other in self.kernels:
-                if idx in other.plan.cross_stream_deps:
-                    self._refresh_ready(other.plan.kernel_index)
+            for dependent in self._cross_stream_dependents.get(idx, ()):
+                self._refresh_ready(dependent)
             idx = ks.plan.chain_next
         self._pump()
 

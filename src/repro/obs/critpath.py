@@ -526,6 +526,21 @@ def attribution_from_segments(segments, makespan_ns):
 # ----------------------------------------------------------------------
 # what-if analysis
 # ----------------------------------------------------------------------
+def whatif_engine(plan, gpu_config, options, knob):
+    """The scalar engine that replays ``plan`` under one what-if knob."""
+    from repro.models.base import ExecutionEngine
+    from repro.sim.device import UnboundedDevice
+
+    device = None
+    if knob in ("zero_launch", "ideal"):
+        options = replace(options, launch_overhead_ns=0.0)
+    if knob in ("no_dependencies", "ideal"):
+        options = replace(options, ignore_dependencies=True)
+    if knob in ("infinite_sms", "ideal"):
+        device = UnboundedDevice(gpu_config)
+    return ExecutionEngine(plan, gpu_config, options, device=device)
+
+
 def what_if_bounds(plan, gpu_config, options, achieved_makespan_ns,
                    knobs=None):
     """Optimistic speedup bounds from replaying the recorded DAG.
@@ -544,21 +559,9 @@ def what_if_bounds(plan, gpu_config, options, achieved_makespan_ns,
     cases finish *later* than the achieved run; bounds are clamped to
     the achieved makespan and flagged ``clamped`` when that happens.
     """
-    from repro.models.base import ExecutionEngine
-    from repro.sim.device import UnboundedDevice
-
     results = {}
     for knob in knobs or WHATIF_KNOBS:
-        opts = options
-        device = None
-        if knob in ("zero_launch", "ideal"):
-            opts = replace(opts, launch_overhead_ns=0.0)
-        if knob in ("no_dependencies", "ideal"):
-            opts = replace(opts, ignore_dependencies=True)
-        if knob in ("infinite_sms", "ideal"):
-            device = UnboundedDevice(gpu_config)
-        engine = ExecutionEngine(plan, gpu_config, opts, device=device)
-        bound = engine.run().makespan_ns
+        bound = whatif_engine(plan, gpu_config, options, knob).run().makespan_ns
         clamped = bound > achieved_makespan_ns
         if clamped:
             bound = achieved_makespan_ns

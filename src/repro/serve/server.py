@@ -433,15 +433,15 @@ class ReproServer:
             status, payload, content_type, source = await self._route(
                 method, path, headers, body, request_id
             )
-            self._send(writer, status, payload, content_type)
+            response = self._response_bytes(status, payload, content_type)
         except ServeRequestError as exc:
             status = exc.status
-            self._send_error(writer, exc.status, str(exc), request_id)
+            response = self._error_bytes(exc.status, str(exc), request_id)
         except Exception as exc:  # noqa: BLE001 - daemon must not die
             status = 500
             self.metrics.inc("serve.errors.internal")
-            self._send_error(
-                writer, 500,
+            response = self._error_bytes(
+                500,
                 "internal error: {}: {}".format(type(exc).__name__, exc),
                 request_id,
             )
@@ -449,10 +449,14 @@ class ReproServer:
             elapsed_ms = (time.perf_counter() - started) * 1e3
             self._inflight -= 1
             self._requests_finished += 1
+            # observed (metrics, access-log line) before the response is
+            # written: a client holding its answer never races the
+            # daemon's bookkeeping for that request
             self._observe_request(
                 endpoint, method, path, status, elapsed_ms, request_id,
                 source,
             )
+        writer.write(response)
 
     def _observe_request(self, endpoint, method, path, status, elapsed_ms,
                          request_id, source):
@@ -623,7 +627,8 @@ class ReproServer:
     # ------------------------------------------------------------------
     # response writing
     # ------------------------------------------------------------------
-    def _send(self, writer, status, payload, content_type):
+    @staticmethod
+    def _response_bytes(status, payload, content_type):
         if isinstance(payload, str):
             body = payload.encode("utf-8")
         else:
@@ -639,11 +644,11 @@ class ReproServer:
         ).format(
             status, _STATUS_TEXT.get(status, "OK"), content_type, len(body)
         )
-        writer.write(head.encode("latin-1") + body)
+        return head.encode("latin-1") + body
 
-    def _send_error(self, writer, status, message, request_id):
-        self._send(
-            writer, status,
+    def _error_bytes(self, status, message, request_id):
+        return self._response_bytes(
+            status,
             {
                 "kind": "repro-serve-error",
                 "status": status,

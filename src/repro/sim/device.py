@@ -10,11 +10,13 @@ baseline hardware).
 
 Placement policy: least-loaded SM first (by resident thread count, then
 block count, then index), which spreads blocks evenly and is
-deterministic.
+deterministic.  The device keeps the SMs that can take another block
+ordered by that key, so placing or releasing a block costs O(log SMs)
+plus a short list shift.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, insort
+from dataclasses import dataclass
 
 from repro.obs import PID_DEVICE, resolve_metrics, resolve_tracer
 from repro.sim.config import GPUConfig
@@ -26,10 +28,10 @@ class SMState:
     resident_tbs: int = 0
     resident_threads: int = 0
 
-    def fits(self, threads_per_tb, config):
-        if self.resident_tbs >= config.max_tbs_per_sm:
-            return False
-        return self.resident_threads + threads_per_tb <= config.max_threads_per_sm
+    @property
+    def load(self):
+        """Placement order key: least-loaded first, ties by index."""
+        return (self.resident_threads, self.resident_tbs, self.index)
 
 
 def empty_device_slots(config: GPUConfig, threads_per_tb: int) -> int:
@@ -63,6 +65,12 @@ class Device:
         self.tracer = resolve_tracer(tracer)
         self.metrics = resolve_metrics(metrics)
         self.sms = [SMState(i) for i in range(config.num_sms)]
+        #: ``load`` keys of the SMs below their block cap, ascending.  A
+        #: block fits such an SM iff its thread budget allows, so the
+        #: first entry is the least-loaded SM that fits, if any does.
+        self._open = (
+            [sm.load for sm in self.sms] if config.max_tbs_per_sm > 0 else []
+        )
         self.running = 0
         self._last_event_ns = 0.0
         self.concurrency_integral = 0.0
@@ -108,35 +116,42 @@ class Device:
         return total
 
     def try_place(self, threads_per_tb, now_ns):
-        """Place one block on the least-loaded SM; returns the SM index
-        or ``None`` when nothing fits."""
-        best: Optional[SMState] = None
-        for sm in self.sms:
-            if not sm.fits(threads_per_tb, self.config):
-                continue
-            if best is None or (sm.resident_threads, sm.resident_tbs, sm.index) < (
-                best.resident_threads,
-                best.resident_tbs,
-                best.index,
-            ):
-                best = sm
-        if best is None:
+        """Place one block on the least-loaded SM it fits; returns the SM
+        index or ``None`` when nothing fits."""
+        if not self._open:
             return None
+        load = self._open[0]
+        if load[0] + threads_per_tb > self.config.max_threads_per_sm:
+            return None  # the least-threaded open SM has the most room
+        del self._open[0]
+        sm = self.sms[load[2]]
+        self._occupy(sm, threads_per_tb, now_ns)
+        if sm.resident_tbs < self.config.max_tbs_per_sm:
+            insort(self._open, sm.load)
+        return sm.index
+
+    def release(self, sm_index, threads_per_tb, now_ns):
+        sm = self.sms[sm_index]
+        load = sm.load
+        self._vacate(sm, threads_per_tb, now_ns)
+        if load[1] < self.config.max_tbs_per_sm:
+            del self._open[bisect_left(self._open, load)]
+        insort(self._open, sm.load)
+
+    def _occupy(self, sm, threads_per_tb, now_ns):
         self._advance(now_ns)
-        best.resident_tbs += 1
-        best.resident_threads += threads_per_tb
+        sm.resident_tbs += 1
+        sm.resident_threads += threads_per_tb
         self.running += 1
         self.placements += 1
         self.peak_concurrency = max(self.peak_concurrency, self.running)
         if self.tracer.enabled:
-            self._sample_occupancy(now_ns, sm=best)
-        return best.index
+            self._sample_occupancy(now_ns, sm=sm)
 
-    def release(self, sm_index, threads_per_tb, now_ns):
-        self._advance(now_ns)
-        sm = self.sms[sm_index]
+    def _vacate(self, sm, threads_per_tb, now_ns):
         if sm.resident_tbs <= 0 or sm.resident_threads < threads_per_tb:
             raise RuntimeError("release without matching placement")
+        self._advance(now_ns)
         sm.resident_tbs -= 1
         sm.resident_threads -= threads_per_tb
         self.running -= 1
@@ -158,8 +173,8 @@ class UnboundedDevice(Device):
     """A device with no occupancy limits — every placement succeeds.
 
     Used by the what-if analyzer's ``infinite_sms`` replay: placement is
-    O(1) (everything lands on SM 0) so the replay does not pay the
-    least-loaded scan over an artificially huge SM array.  Accounting
+    O(1) (everything lands on SM 0), so the replay needs no artificially
+    huge SM array and no placement order.  Accounting
     (concurrency integral, busy time, counters) matches :class:`Device`.
     """
 
@@ -171,13 +186,8 @@ class UnboundedDevice(Device):
         return 1 << 30
 
     def try_place(self, threads_per_tb, now_ns):
-        self._advance(now_ns)
-        sm = self.sms[0]
-        sm.resident_tbs += 1
-        sm.resident_threads += threads_per_tb
-        self.running += 1
-        self.placements += 1
-        self.peak_concurrency = max(self.peak_concurrency, self.running)
-        if self.tracer.enabled:
-            self._sample_occupancy(now_ns, sm=sm)
+        self._occupy(self.sms[0], threads_per_tb, now_ns)
         return 0
+
+    def release(self, sm_index, threads_per_tb, now_ns):
+        self._vacate(self.sms[sm_index], threads_per_tb, now_ns)

@@ -210,3 +210,15 @@ class TestErrorExits:
         assert main(["bench", "run", "--models", "warpdrive"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown model" in err
+
+    @pytest.mark.parametrize(
+        "env, kind",
+        [("REPRO_ENGINE", "engine"), ("REPRO_FASTPATH", "fastpath")],
+    )
+    def test_bad_mode_env_var_exits_2(self, env, kind, monkeypatch, capsys):
+        monkeypatch.setenv(env, "bogus")
+        assert main(["run", "mvt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: {}: unknown {} mode 'bogus'".format(
+            env, kind))
+        assert err.count("\n") == 1
