@@ -12,8 +12,10 @@ PTX→SASS JIT), the analyzer:
 2. abstractly interprets the kernel forward over the affine/interval
    value domain, producing an :class:`~repro.analysis.access.AccessRecord`
    per global load/store.  Loops are handled by discovering induction
-   registers, computing trip counts by concrete corner simulation, and
-   binding inductions to fresh loop symbols with known ranges;
+   registers, computing trip counts at every corner of the live symbol
+   ranges (in closed form for canonical counted loops, by concrete
+   simulation otherwise), and binding inductions to fresh loop symbols
+   with known ranges;
 3. packages the result as a :class:`KernelSummary` exposing per-thread-
    block read/write interval sets.
 
@@ -23,6 +25,7 @@ pre-launched kernels therefore never start a thread block early.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.access import (
@@ -46,6 +49,7 @@ from repro.analysis.values import (
     is_unknown,
     taint_of,
 )
+from repro.obs.metrics import NULL_METRICS
 from repro.ptx.isa import (
     Immediate,
     Label,
@@ -203,9 +207,14 @@ def analyze_kernel(
     launch,
     max_intervals=DEFAULT_MAX_INTERVALS,
     run_algorithm1=True,
+    metrics=NULL_METRICS,
 ):
     """Analyze one kernel launch; never raises for analysis limitations —
-    those surface as ``summary.fallback``."""
+    those surface as ``summary.fallback``.
+
+    ``metrics`` counts how each loop's trip count was found:
+    ``analysis.tripcount.closed_form`` or ``analysis.tripcount.simulated``.
+    """
     if run_algorithm1:
         for index, _inst in kernel.global_accesses():
             try:
@@ -227,7 +236,7 @@ def analyze_kernel(
                     % (result.unresolved,),
                     dynamic_mix=_static_mix(kernel),
                 )
-    interp = _Interpreter(kernel, launch, max_intervals)
+    interp = _Interpreter(kernel, launch, max_intervals, metrics)
     try:
         records, dynamic_mix = interp.run()
     except _Fallback as exc:
@@ -258,10 +267,11 @@ def _static_mix(kernel):
 # forward abstract interpreter
 # ----------------------------------------------------------------------
 class _Interpreter:
-    def __init__(self, kernel, launch, max_intervals):
+    def __init__(self, kernel, launch, max_intervals, metrics=NULL_METRICS):
         self.kernel = kernel
         self.launch = launch
         self.max_intervals = max_intervals
+        self.metrics = metrics
         tx, ty, tz = launch.block
         ranges = {
             TID("x"): (0, tx - 1),
@@ -415,10 +425,11 @@ class _Interpreter:
     def _trip_count(self, loop, state0):
         """Maximum trip count over corner bindings of the live symbols.
 
-        Concretely simulates the loop (including nested control flow)
-        for each corner of the symbol ranges; returns ``None`` when the
-        loop cannot be bounded (unknown values in the exit condition or
-        iteration cap exceeded).
+        A canonical counted loop (:class:`_CountedLoop`) is solved in
+        closed form at each corner; any other loop is simulated
+        concretely (including nested control flow).  Both give the same
+        answer, ``None`` when the loop cannot be bounded (unknown values
+        in the exit condition or iteration cap exceeded).
         """
         symbols = set()
         for value in state0.values():
@@ -435,9 +446,16 @@ class _Interpreter:
                     extended[sym] = bound
                     new.append(extended)
             corners = new
+        counted = _CountedLoop.match(self.kernel, loop)
+        if counted is not None:
+            self.metrics.inc("analysis.tripcount.closed_form")
+            solve = partial(counted.trips, self.launch, state0)
+        else:
+            self.metrics.inc("analysis.tripcount.simulated")
+            solve = partial(self._simulate_loop, loop, state0)
         best = 0
         for corner in corners:
-            trips = self._simulate_loop(loop, state0, corner)
+            trips = solve(corner)
             if trips is None:
                 return None
             best = max(best, trips)
@@ -873,3 +891,185 @@ def _concrete_op(op, srcs, inst):
     if op is Opcode.SELP:
         return None
     return None
+
+
+# ----------------------------------------------------------------------
+# closed-form trip counts (canonical counted loops)
+# ----------------------------------------------------------------------
+#: ``setp.<cmp> p, a, b`` holds iff ``a - b`` lies in the set
+#: ``(kind, m)``: ``le`` is ``<= m``, ``ge`` is ``>= m``, and ``eq`` /
+#: ``ne`` are ``== 0`` / ``!= 0`` — the same relations as :func:`_compare`
+_SETP_HOLDS = {
+    "lt": ("le", -1),
+    "lo": ("le", -1),
+    "le": ("le", 0),
+    "ls": ("le", 0),
+    "gt": ("ge", 1),
+    "hi": ("ge", 1),
+    "ge": ("ge", 0),
+    "hs": ("ge", 0),
+    "eq": ("eq", 0),
+    "ne": ("ne", 0),
+}
+#: integer complement of each set: kind -> (kind, shift of ``m``)
+_COMPLEMENT = {"le": ("ge", 1), "ge": ("le", -1), "eq": ("ne", 0), "ne": ("eq", 0)}
+
+
+class _CountedLoop:
+    """A canonical innermost counted loop, solved in closed form.
+
+    The body ``[header, latch)`` has no branch and no terminator, and
+    the latch is a guarded ``bra`` back to the header.  The guard ``p``
+    has one writer in the body, an unguarded integer
+    ``setp.<cmp> p, a, b``.  One of ``a``/``b`` is a register ``k``
+    whose one writer in the body is an unguarded integer
+    ``add k, k, s``.  ``s`` and the other ``setp`` operand are each an
+    integer immediate, ``%ntid``/``%nctaid``, or a register the body
+    never writes.  :meth:`match` declines every other loop.
+
+    Nothing else in such a body can reach ``k``, ``s``, the bound or
+    ``p``, so the latch of iteration ``t`` tests ``k0 + t*s`` (``setp``
+    after the ``add``) or ``k0 + (t-1)*s`` (before it) against a
+    constant.  :meth:`trips` returns exactly what
+    :meth:`_ConcreteSimulator.run_loop` would.
+    """
+
+    def __init__(self, loop, setp, negated, counter_first, counter, step,
+                 bound, pre_increment):
+        self.body_len = loop.latch - loop.header + 1
+        self.compare = setp.compare
+        self.negated = negated
+        self.counter_first = counter_first
+        self.counter = counter
+        self.step = step
+        self.bound = bound
+        self.pre_increment = pre_increment
+        # the latch falls through once ``a - b`` enters this set
+        kind, m = _SETP_HOLDS[setp.compare]
+        if not negated:
+            kind, shift = _COMPLEMENT[kind]
+            m += shift
+        self.exit_set = (kind, m)
+
+    @classmethod
+    def match(cls, kernel, loop):
+        """The loop in canonical form, or ``None`` to decline."""
+        insts = kernel.instructions
+        latch = insts[loop.latch]
+        if latch.guard is None:
+            return None
+        writers = {}
+        for index in range(loop.header, loop.latch):
+            inst = insts[index]
+            if inst.is_branch or inst.is_terminator:
+                return None
+            for reg in inst.written_registers():
+                writers.setdefault(reg, []).append(index)
+
+        def sole_writer(reg, opcode):
+            indices = writers.get(reg, ())
+            if len(indices) != 1:
+                return None
+            inst = insts[indices[0]]
+            if (
+                inst.opcode is not opcode
+                or inst.guard is not None
+                or _is_float_type(inst.dtype)
+                or inst.written_registers() != (reg,)
+                or len(inst.srcs) != 2
+            ):
+                return None
+            return indices[0]
+
+        def invariant(op):
+            if isinstance(op, Immediate):
+                return isinstance(op.value, int)
+            if isinstance(op, SpecialRegister):
+                return op.family in ("ntid", "nctaid")
+            return isinstance(op, Register) and op not in writers
+
+        setp_index = sole_writer(latch.guard, Opcode.SETP)
+        if setp_index is None or insts[setp_index].compare not in _SETP_HOLDS:
+            return None
+        setp = insts[setp_index]
+        for side in (0, 1):
+            counter, bound = setp.srcs[side], setp.srcs[1 - side]
+            add_index = sole_writer(counter, Opcode.ADD)
+            if add_index is None:
+                continue
+            add = insts[add_index]
+            if add.srcs[0] == counter and invariant(add.srcs[1]) and invariant(bound):
+                return cls(
+                    loop,
+                    setp,
+                    negated=latch.guard_negated,
+                    counter_first=side == 0,
+                    counter=counter,
+                    step=add.srcs[1],
+                    bound=bound,
+                    pre_increment=setp_index < add_index,
+                )
+        return None
+
+    def trips(self, launch, state0, binding):
+        """Trip count at one corner ``binding`` of the entry state."""
+        operands = (self.counter, self.step, self.bound)
+        # the simulator's own concretization of the three operands
+        sim = _ConcreteSimulator(
+            None,
+            launch,
+            binding,
+            {
+                op: _concretize(state0.get(op), binding)
+                for op in operands
+                if isinstance(op, Register)
+            },
+        )
+        k0, step, bound = (sim._value(op) for op in operands)
+        if self.pre_increment:
+            first = k0
+        else:
+            first = None if k0 is None or step is None else k0 + step
+        taken = self._taken(first, bound)
+        if taken is None:
+            return None
+        if not taken:
+            trips = 1
+        elif step is None:
+            return None  # the second iteration tests an unknown counter
+        else:
+            # iteration t tests (first - step) + t*step, i.e. a - b is
+            # e + t*slope
+            base = first - step
+            if self.counter_first:
+                e, slope = base - bound, step
+            else:
+                e, slope = bound - base, -step
+            trips = _first_in(self.exit_set, e, slope)
+        # the simulator gives up once it has run TRIP_COUNT_CAP
+        # iterations or STEP_CAP instructions
+        if trips is None or trips > min(TRIP_COUNT_CAP, STEP_CAP // self.body_len):
+            return None
+        return trips
+
+    def _taken(self, value, bound):
+        a, b = (value, bound) if self.counter_first else (bound, value)
+        holds = _compare(self.compare, a, b)
+        return None if holds is None else holds != self.negated
+
+
+def _first_in(exit_set, e, slope):
+    """Smallest ``t`` with ``e + t*slope`` in ``exit_set`` (a ``(kind, m)``
+    pair as in :data:`_SETP_HOLDS`), or ``None``, given that ``t = 1``
+    is not in it: the first latch was taken."""
+    kind, m = exit_set
+    if kind == "ge":  # x >= m  <=>  -x <= -m
+        kind, m, e, slope = "le", -m, -e, -slope
+    if kind == "le":  # monotone in t: reached only while decreasing
+        return -((m - e) // -slope) if slope < 0 else None  # ceil((e-m)/-slope)
+    if kind == "eq":  # at most one t, none when slope == 0
+        if slope == 0 or e % slope or -e // slope < 1:
+            return None
+        return -e // slope
+    # "ne": e + slope == 0, so the next iteration leaves zero unless slope == 0
+    return 2 if slope != 0 else None

@@ -106,6 +106,7 @@ class SpawnedDaemon:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait(timeout=10.0)
+        self.process.stdout.close()
         self.process = None
 
     def __enter__(self):

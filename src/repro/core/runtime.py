@@ -333,7 +333,10 @@ class BlockMaestroRuntime:
                 self._summary_cache[key] = summary
                 return summary
         summary = analyze_kernel(
-            call.kernel, launch, max_intervals=self.max_intervals
+            call.kernel,
+            launch,
+            max_intervals=self.max_intervals,
+            metrics=self.metrics,
         )
         self._summary_cache[key] = summary
         if disk_key is not None:

@@ -427,7 +427,12 @@ class ReproServer:
             if path == "/events" and method == "GET":
                 status = 200
                 self.metrics.inc("serve.requests.events")
-                await self._serve_events(writer, request_id)
+                try:
+                    await self._serve_events(writer, request_id)
+                except OSError:
+                    # ConnectionError included: a subscriber that went
+                    # away ends its stream normally, not with a 500
+                    pass
                 return
             body = await self._read_body(reader, headers)
             status, payload, content_type, source = await self._route(

@@ -7,7 +7,10 @@ one real subprocess daemon spawn (the ``repro bench serve`` path) to
 prove the announce-line protocol end to end.
 """
 
+import gc
 import json
+import sys
+import warnings
 
 import pytest
 
@@ -193,3 +196,24 @@ class TestBenchServe:
             assert client.health()["status"] == "ok"
             assert client.version()["schemas"]["serve"] == \
                 SERVE_SCHEMA_VERSION
+
+    def test_spawned_daemon_stop_closes_its_pipe(self):
+        """With ResourceWarning raised as an error, starting and stopping
+        a spawned daemon leaves no unclosed file behind."""
+        from repro.bench.serve import SpawnedDaemon
+
+        raised = []
+        hook = sys.unraisablehook   # where errors in __del__ surface
+        sys.unraisablehook = raised.append
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                spawned = SpawnedDaemon().start()
+                process = spawned.process
+                spawned.stop()
+                assert process.stdout.closed
+                del spawned, process
+                gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert [str(entry.exc_value) for entry in raised] == []

@@ -15,7 +15,9 @@ thread, ephemeral port) serves a module's worth of tests:
 """
 
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -111,6 +113,31 @@ class TestObservabilityPlane:
         done = next(e for e in events if e["kind"] == "sim.done")
         assert done["endpoint"] == "run"
         assert done["request_id"].startswith("r")
+
+    def test_events_subscriber_disconnect_is_a_normal_end(self, capsys):
+        """A subscriber that closes its socket makes a later heartbeat
+        write fail; that ends the stream, it is not an internal error."""
+        with ServeDaemon(heartbeat_s=0.05) as running:
+            server = running.server
+            with socket.create_connection(
+                ("127.0.0.1", running.port), timeout=10.0
+            ) as sock:
+                sock.sendall(b"GET /events HTTP/1.1\r\nHost: test\r\n\r\n")
+                received = b""
+                while b"event: hello" not in received:
+                    chunk = sock.recv(4096)
+                    assert chunk, "stream closed before the hello frame"
+                    received += chunk
+            # at least two heartbeats, then until the stream has ended
+            threading.Event().wait(0.1)
+            deadline = time.monotonic() + 10.0
+            while server._requests_finished < 1 and time.monotonic() < deadline:
+                threading.Event().wait(0.05)
+            counters = server.metrics.snapshot()["counters"]
+        assert server._requests_finished == 1
+        assert counters.get("serve.errors.internal", 0) == 0
+        assert counters.get("serve.errors.get_events", 0) == 0
+        assert '"GET /events" 200' in capsys.readouterr().err
 
 
 class TestCachingAndCoalescing:

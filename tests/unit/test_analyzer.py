@@ -8,6 +8,7 @@ from repro.analysis.analyzer import (
     analyze_kernel,
 )
 from repro.analysis.intervals import Interval, IntervalSet
+from repro.obs import MetricsRegistry
 from repro.ptx.parser import parse_kernel
 from repro.workloads import ptxgen
 
@@ -138,10 +139,16 @@ class TestLoops:
         launch = LaunchConfig.create(
             grid=1, block=1, args={"A": 0, "Y": 1 << 20, "M": 3, "N": 5}
         )
-        summary = analyze_kernel(kernel, launch)
+        metrics = MetricsRegistry()
+        summary = analyze_kernel(kernel, launch, metrics=metrics)
         assert summary.fallback is None
         # reads i*5 + j for i in [0,3), j in [0,5): elements 0..14
         assert summary.tb_reads(0) == IntervalSet([Interval(0, 15 * 4)])
+        # the outer body holds the inner latch, so the outer loop declines
+        # to the simulator; the inner loop is solved in closed form
+        counters = metrics.snapshot()["counters"]
+        assert counters["analysis.tripcount.simulated"] == 1
+        assert counters["analysis.tripcount.closed_form"] >= 1
 
 
 class TestFallbacks:
