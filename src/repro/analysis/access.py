@@ -163,7 +163,10 @@ class TBAccessSets:
     grid: Tuple[int, int, int]
     records: Tuple[AccessRecord, ...]
     max_intervals: int = DEFAULT_MAX_INTERVALS
-    _cache: Dict[Tuple[str, int], IntervalSet] = field(default_factory=dict)
+    #: ``(kind, tb_id)`` -> lowered set; ``tb_id`` None is the kernel set
+    _cache: Dict[Tuple[str, Optional[int]], IntervalSet] = field(
+        default_factory=dict
+    )
 
     @property
     def num_tbs(self):
@@ -203,13 +206,17 @@ class TBAccessSets:
 
     def kernel_reads(self):
         """Union of read footprints across the whole grid (cheap: uses
-        the per-record bounding box over ``ctaid``)."""
+        the per-record bounding box over ``ctaid``), computed once."""
         return self._kernel_set("read")
 
     def kernel_writes(self):
         return self._kernel_set("write")
 
     def _kernel_set(self, kind):
+        key = (kind, None)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
         gx, gy, gz = self.grid
         intervals = []
         for record in self.records:
@@ -223,4 +230,6 @@ class TBAccessSets:
             ]
             lo, hi = min(bases), max(bases) + record.span_bytes()
             intervals.append(Interval(lo, hi))
-        return IntervalSet(intervals)
+        result = IntervalSet(intervals)
+        self._cache[key] = result
+        return result

@@ -126,12 +126,14 @@ def run_fastpath_bench(out_dir, repeats=3, warmup=1, jobs=1, log=None):
 
 
 def registry_tier_census(hazards=("raw",)):
-    """Which fast-path tier served each Table-II registry workload?
+    """Which fast-path tier built each Table-II registry workload's graphs?
 
     Plans every registry workload's *small* variant under ``auto`` mode
     with a fresh runtime and collects the ``analysis.fastpath.*``
-    counters.  Returns ``{workload: {tier: count}}``; the CI fastpath
-    job fails if no workload hits the closed-form tier.
+    counters, which count graphs constructed: a kernel pair whose
+    summary pair already has a graph reuses it and is not counted.
+    Returns ``{workload: {tier: count}}``; the CI fastpath job fails if
+    no workload hits the closed-form tier.
     """
     census = {}
     for spec in all_workloads():

@@ -31,11 +31,12 @@ in suite order, so simulated metrics are identical to a serial run.
 are folded into the report's ``cache`` section
 (see ``docs/parallelism.md``).
 
-Graph-construction tier counters (``analysis.fastpath.*`` — which of
-the closed-form / vectorized / reference builders served each kernel
-pair, see ``docs/analysis.md``) are folded into the report's
-``fastpath`` section whenever any fired, alongside the effective
-``REPRO_FASTPATH`` mode.
+Graph-construction tier counters (``analysis.fastpath.*`` — how many
+kernel-pair graphs each of the closed-form / vectorized / reference
+builders constructed; a pair the runtime serves from its in-memory
+graph memo counts as ``plan.graph_cache_hits`` instead, see
+``docs/analysis.md``) are folded into the report's ``fastpath`` section
+whenever any fired, alongside the effective ``REPRO_FASTPATH`` mode.
 
 Simulation-engine tier counters (``engine.tier.*`` / ``engine.fallback.*``
 — which fast-engine tier served each model run and why the rest fell
@@ -477,7 +478,7 @@ def run_suite(config, log=None, executor=None, status_file=None):
         if name.startswith("analysis.fastpath.")
     }
     if fastpath_counters:
-        # which graph-construction tier served each kernel pair, summed
+        # how many pair graphs each construction tier built, summed
         # over every cell (warmup included — tier choice is wall-clock,
         # not simulated, so warm passes exercise the same code path)
         payload["fastpath"] = {

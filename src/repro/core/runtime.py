@@ -193,6 +193,9 @@ class BlockMaestroRuntime:
 
         self.fastpath = resolve_fastpath_mode(fastpath)
         self._summary_cache = {}
+        #: (id(parent summary), id(child summary)) -> (parent summary,
+        #: child summary, EncodedGraph); see _encoded_graph_for
+        self._graph_cache = {}
 
     # ------------------------------------------------------------------
     def plan(self, application, reorder=True, window=None) -> RuntimePlan:
@@ -347,43 +350,50 @@ class BlockMaestroRuntime:
         return summary
 
     def _encoded_graph_for(self, parent_plan, child_plan):
-        """Build (or load from the persistent cache) the child's encoded
-        dependency graph against its same-stream predecessor.
+        """The child's encoded dependency graph against its same-stream
+        predecessor: from memory, from the persistent cache, or built.
 
-        Launches with an explicit ``dependency_override`` bypass the
-        cache: the override is an arbitrary callable whose content the
-        cache cannot address.
+        An encoded graph is a pure function of the two summaries, the
+        hazards and the degree threshold; the last two are fixed per
+        runtime and identical launches share one summary object, so
+        one in-memory entry per summary pair serves every plan of this
+        runtime.  The entry pins both summaries, so their ids stay
+        theirs.  Launches with an explicit ``dependency_override``
+        bypass both caches: the override is an arbitrary callable whose
+        content neither can address.
         """
-        use_cache = (
-            self.cache is not None
-            and child_plan.call.dependency_override is None
-        )
-        graph_key = None
-        if use_cache:
+        if child_plan.call.dependency_override is not None:
+            return self._encode(self._graph_for(parent_plan, child_plan))
+        parent, child = parent_plan.summary, child_plan.summary
+        key = (id(parent), id(child))
+        entry = self._graph_cache.get(key)
+        if entry is not None:
+            self.metrics.inc("plan.graph_cache_hits")
+            return entry[2]
+        encoded = graph_key = None
+        if self.cache is not None:
             graph_key = self.cache.graph_key(
                 self.cache.summary_key(
-                    parent_plan.call.kernel,
-                    parent_plan.summary.launch,
-                    self.max_intervals,
+                    parent_plan.call.kernel, parent.launch, self.max_intervals
                 ),
                 self.cache.summary_key(
-                    child_plan.call.kernel,
-                    child_plan.summary.launch,
-                    self.max_intervals,
+                    child_plan.call.kernel, child.launch, self.max_intervals
                 ),
                 self.hazards,
                 self.hardware_config.degree_threshold,
             )
             encoded = self.cache.get_graph(graph_key)
-            if encoded is not None:
-                return encoded
-        graph = self._graph_for(parent_plan, child_plan)
-        encoded = encode_graph(
+        if encoded is None:
+            encoded = self._encode(self._graph_for(parent_plan, child_plan))
+            if graph_key is not None:
+                self.cache.put_graph(graph_key, encoded)
+        self._graph_cache[key] = (parent, child, encoded)
+        return encoded
+
+    def _encode(self, graph):
+        return encode_graph(
             graph, degree_threshold=self.hardware_config.degree_threshold
         )
-        if graph_key is not None:
-            self.cache.put_graph(graph_key, encoded)
-        return encoded
 
     def _graph_for(self, parent_plan, child_plan):
         """The child's dependency graph vs. its same-stream predecessor:

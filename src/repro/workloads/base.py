@@ -71,6 +71,8 @@ class AppBuilder:
         self.allocator = Allocator()
         self.kernels: Dict[str, Kernel] = {}
         self.metadata: Dict[str, object] = {}
+        #: source text -> the registered kernel it parsed to
+        self._parsed: Dict[str, Kernel] = {}
 
     # ------------------------------------------------------------------
     def alloc(self, name, size_bytes) -> Buffer:
@@ -110,17 +112,31 @@ class AppBuilder:
         self.trace.append(StreamWaitEvent(event_id=event, stream_id=stream))
 
     def register_kernel(self, kernel_or_source) -> Kernel:
-        """Register a kernel body (object or mini-PTX source text)."""
-        kernel = (
-            kernel_or_source
-            if isinstance(kernel_or_source, Kernel)
-            else parse_kernel(kernel_or_source)
-        )
-        existing = self.kernels.get(kernel.name)
-        if existing is not None:
-            return existing
-        self.kernels[kernel.name] = kernel
+        """Register a kernel body (object or mini-PTX source text).
+
+        Returns the kernel registered under the body's name.  Each
+        distinct source text is parsed once per builder.  A body that
+        differs from the one already registered under its name raises
+        ``ValueError``: launches of that name would otherwise silently
+        run the first body.
+        """
+        if isinstance(kernel_or_source, Kernel):
+            return self._register(kernel_or_source)
+        kernel = self._parsed.get(kernel_or_source)
+        if kernel is None:
+            kernel = self._register(parse_kernel(kernel_or_source))
+            self._parsed[kernel_or_source] = kernel
         return kernel
+
+    def _register(self, kernel):
+        existing = self.kernels.setdefault(kernel.name, kernel)
+        # canonical text: the body identity the analysis cache keys on
+        if existing is not kernel and existing.to_text() != kernel.to_text():
+            raise ValueError(
+                "kernel {!r} is already registered with a different "
+                "body".format(kernel.name)
+            )
+        return existing
 
     def launch(
         self,

@@ -120,3 +120,14 @@ class TestTBAccessSets:
     def test_kernel_writes_exclude_reads(self):
         sets = self._sets()
         assert not sets.kernel_writes().overlaps_interval(Interval(0, 256))
+
+    def test_kernel_sets_computed_once(self):
+        sets = self._sets()
+        reads, writes = sets.kernel_reads(), sets.kernel_writes()
+        assert sets.kernel_reads() is reads
+        assert sets.kernel_writes() is writes
+        # the per-TB entries share the dict and stay apart
+        assert sets.reads(0) is not reads
+        fresh = self._sets()
+        assert reads == fresh.kernel_reads()
+        assert writes == fresh.kernel_writes()

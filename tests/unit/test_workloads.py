@@ -2,12 +2,27 @@
 
 import pytest
 
+from repro.ptx.parser import parse_kernel
 from repro.workloads import all_workloads, get_workload, workload_names
 from repro.workloads.base import AppBuilder, Application, _dims
 from repro.workloads.microbench import build_vecadd_pair
 from repro.workloads.wavefront import WAVEFRONT_APPS, build_wavefront
 
 from tests.conftest import PRODUCE_SRC
+
+
+def _count_parses(monkeypatch):
+    """Record every source text the builder hands to the parser."""
+    from repro.workloads import base
+
+    parses = []
+
+    def counting(source):
+        parses.append(source)
+        return parse_kernel(source)
+
+    monkeypatch.setattr(base, "parse_kernel", counting)
+    return parses
 
 
 class TestAppBuilder:
@@ -30,6 +45,61 @@ class TestAppBuilder:
         c2 = b.launch(PRODUCE_SRC, grid=1, block=32, args={"IN0": out, "OUT": a})
         assert c1.kernel is c2.kernel
         assert len(b.kernels) == 1
+
+    def test_source_parsed_once(self, monkeypatch):
+        parses = _count_parses(monkeypatch)
+        b = AppBuilder("app")
+        a = b.alloc("A", 1024)
+        out = b.alloc("O", 1024)
+        calls = [
+            b.launch(PRODUCE_SRC, grid=1, block=32, args={"IN0": a, "OUT": out})
+            for _ in range(5)
+        ]
+        assert parses == [PRODUCE_SRC]
+        assert all(call.kernel is calls[0].kernel for call in calls)
+
+    def test_kernel_object_passes_through_unparsed(self, monkeypatch):
+        kernel = parse_kernel(PRODUCE_SRC)
+        parses = _count_parses(monkeypatch)
+        b = AppBuilder("app")
+        assert b.register_kernel(kernel) is kernel
+        assert b.register_kernel(kernel) is kernel
+        assert parses == []
+
+    def test_same_body_returns_registered_kernel(self):
+        b = AppBuilder("app")
+        first = b.register_kernel(PRODUCE_SRC)
+        # other text and line numbers, same body
+        assert b.register_kernel("\n\n" + PRODUCE_SRC.replace("    ", "\t")) is first
+        assert b.register_kernel(parse_kernel(PRODUCE_SRC)) is first
+        assert b.kernels == {"produce": first}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("mul.f32 %f2, %f1, %f1;", "add.f32 %f2, %f1, %f1;"),  # instructions
+            (".param .u64 OUT)", ".param .u64 OUT, .param .u32 N)"),  # params
+            ("    ret;", "DONE:\n    ret;"),  # labels
+        ],
+        ids=["instructions", "params", "labels"],
+    )
+    def test_different_body_under_one_name_raises(self, edit):
+        b = AppBuilder("app")
+        first = b.register_kernel(PRODUCE_SRC)
+        other = PRODUCE_SRC.replace(*edit)
+        assert other != PRODUCE_SRC
+        with pytest.raises(ValueError, match="'produce'"):
+            b.register_kernel(other)
+        with pytest.raises(ValueError, match="'produce'"):
+            b.register_kernel(parse_kernel(other))
+        assert b.kernels == {"produce": first}
+
+    def test_registry_parses_each_body_once(self, monkeypatch):
+        parses = _count_parses(monkeypatch)
+        for spec in all_workloads():
+            spec.build()
+        assert len(parses) == 26
+        assert len(set(parses)) == 26
 
     def test_build_validates(self):
         b = AppBuilder("bad")
