@@ -118,6 +118,17 @@ class KernelPlan:
             duration *= jitter_factor(self.kernel_index, tb_id, self._jitter)
         return duration
 
+    def tb_durations_ns(self):
+        """:meth:`tb_duration_ns` of every TB, in TB order."""
+        n = self.num_tbs
+        if self._duration_fn is not None or self._duration_scale_fn is not None:
+            return [self.tb_duration_ns(tb) for tb in range(n)]
+        base = self._base_duration_ns
+        if not self._jitter:
+            return [base] * n
+        index, jitter = self.kernel_index, self._jitter
+        return [base * jitter_factor(index, tb, jitter) for tb in range(n)]
+
 
 @dataclass
 class RuntimePlan:

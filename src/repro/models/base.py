@@ -80,6 +80,23 @@ from repro.sim.device import Device
 from repro.sim.events import EventQueue
 from repro.sim.stats import KernelRecord, RunStats, TBRecord
 
+_INF = float("inf")
+
+
+def first_bad_duration(durations):
+    """Index of the first NaN, infinite or negative duration, else None.
+
+    The event queue cannot schedule a finish at such a time.  ``min``
+    misses a NaN after the first element and ``sum`` does not; a sum
+    that overflows on finite durations rescans and finds none.
+    """
+    if not durations or (min(durations) >= 0.0 and sum(durations) < _INF):
+        return None
+    for index, duration in enumerate(durations):
+        if not 0.0 <= duration < _INF:
+            return index
+    return None
+
 
 @dataclass(frozen=True)
 class EngineOptions:
@@ -183,9 +200,14 @@ class ExecutionModel:
 class _KernelState:
     plan: object  # KernelPlan
     #: copied from the plan, whose properties derive them from its
-    #: launch call; the TB scheduler reads them on every event
+    #: launch call and encoding; the TB scheduler reads them on every
+    #: event
+    index: int = 0
     num_tbs: int = 0
     threads_per_tb: int = 0
+    graph: object = None  # the plan's effective BipartiteGraph
+    #: every TB's duration, evaluated once when the kernel turns resident
+    durations: Optional[List[float]] = None
     enqueued_ns: Optional[float] = None
     launch_begin_ns: Optional[float] = None
     resident_ns: Optional[float] = None
@@ -199,12 +221,18 @@ class _KernelState:
     finished: int = 0
     ready: deque = field(default_factory=deque)
     pending_counters: Optional[List[int]] = None
+    #: per TB of an explicit graph, the finish time of its latest
+    #: parent so far: each parent stamps its children as it finishes,
+    #: and events run in time order
+    parents_done_ns: Optional[List[float]] = None
     #: TBs whose counters resolved while the ready queue was at capacity
     deferred_ready: deque = field(default_factory=deque)
-    tb_finish_ns: Dict[int, float] = field(default_factory=dict)
     first_tb_start_ns: Optional[float] = None
     queued_ready: int = 0  # TBs pushed to ready (incl. dispatched)
     made_eligible: bool = False
+    #: fine-grain, fully connected: no TB is ready before the parent
+    #: kernel drains
+    awaits_parent_drain: bool = False
 
 
 class EngineDrainError(RuntimeError):
@@ -255,7 +283,8 @@ class ExecutionEngine:
         self.timing = gpu_config.timing
         self.kernels = [
             _KernelState(
-                plan=kp, num_tbs=kp.num_tbs, threads_per_tb=kp.threads_per_tb
+                plan=kp, index=kp.kernel_index, num_tbs=kp.num_tbs,
+                threads_per_tb=kp.threads_per_tb, graph=kp.graph,
             )
             for kp in plan.kernels
         ]
@@ -268,11 +297,11 @@ class ExecutionEngine:
             "dispatch_passes": 0.0,
             "host_blocks": 0.0,
         }
+        #: added to ``counters["dispatch_passes"]`` when the run ends
+        self._dispatch_passes = 0
         self._host_cursor = 0
         self._host_time = 0.0
         self._call_waiters: Dict[int, list] = {}
-        #: inverse adjacency of explicit graphs, for stall statistics
-        self._parents_of = self._build_parents_of()
         # per-stream structures: command positions, kernel chains and
         # launch cursors (streams are independent command queues)
         self._stream_positions: Dict[int, List[int]] = {}
@@ -323,19 +352,6 @@ class ExecutionEngine:
         self._consumer_first = options.policy.prefers_consumer
 
     # ------------------------------------------------------------------
-    def _build_parents_of(self):
-        parents_of = {}
-        for ki, kp in enumerate(self.plan.kernels):
-            graph = kp.graph
-            if graph is None or graph.is_fully_connected or graph.is_independent:
-                continue
-            inverse = [[] for _ in range(graph.num_children)]
-            for p, children in enumerate(graph.children_of):
-                for c in children:
-                    inverse[c].append(p)
-            parents_of[ki] = inverse
-        return parents_of
-
     def _advance_done_prefix(self, stream):
         positions = self._stream_positions[stream]
         cursor = self._stream_done_prefix[stream]
@@ -390,6 +406,7 @@ class ExecutionEngine:
         self._init_fine_grain()
         self.events.schedule(0.0, self._host_resume)
         makespan = self.events.run()
+        self.counters["dispatch_passes"] += self._dispatch_passes
         self.device.finalize(makespan)
         stats = RunStats(
             model=self.opts.name,
@@ -459,22 +476,25 @@ class ExecutionEngine:
     def _drain_error(self, pending_calls, stuck_kernels):
         """Structured diagnosis of a drained-but-incomplete run: name
         the stuck thread blocks and their unmet parents."""
+        # the queue drained, so every dispatched TB has finished
+        finished = {}
+        for record in self.tb_records:
+            finished.setdefault(record.kernel_index, set()).add(record.tb_id)
         kernel_rows = []
         for ks in stuck_kernels:
             ki = ks.plan.kernel_index
+            done = finished.get(ki, ())
             unreleased = [
-                tb for tb in range(ks.plan.num_tbs)
-                if tb not in ks.tb_finish_ns
+                tb for tb in range(ks.plan.num_tbs) if tb not in done
             ]
+            prev = ks.plan.chain_prev
+            parents_done = finished.get(prev, ()) if prev is not None else None
             stuck_tbs = []
             for tb in unreleased[:8]:
                 if ks.pending_counters is not None:
-                    prev = ks.plan.chain_prev
-                    parent = self.kernels[prev] if prev is not None else None
-                    parents = self._parents_of.get(ki, [[]] * ks.plan.num_tbs)
                     unmet = [
-                        p for p in parents[tb]
-                        if parent is None or p not in parent.tb_finish_ns
+                        p for p in ks.graph.parents_of(tb)
+                        if parents_done is None or p not in parents_done
                     ]
                     stuck_tbs.append({
                         "tb": tb,
@@ -554,13 +574,16 @@ class ExecutionEngine:
         if self.opts.ignore_dependencies:
             return  # what-if replay: no parent counters, no gating
         for ks in self.kernels:
-            graph = ks.plan.graph
-            if (
-                self.opts.fine_grain
-                and graph is not None
-                and not graph.is_fully_connected
-                and not graph.is_independent
-            ):
+            graph = ks.graph
+            if graph is None or graph.is_independent:
+                continue
+            if graph.is_fully_connected:
+                ks.awaits_parent_drain = self.opts.fine_grain
+                continue
+            # times are non-negative, so a TB without parents keeps its
+            # input-ready time
+            ks.parents_done_ns = [0.0] * graph.num_children
+            if self.opts.fine_grain:
                 ks.pending_counters = list(graph.parent_counts)
 
     # ------------------------------------------------------------------
@@ -582,7 +605,7 @@ class ExecutionEngine:
                 issue_ns=issue_at,
                 blocking=self._host_blocks_on(call),
             )
-            self.events.schedule(enqueue_at, lambda p=position: self._enqueue(p))
+            self.events.schedule(enqueue_at, self._enqueue, position)
             if self._host_blocks_on(call):
                 self.counters["host_blocks"] += 1
                 # suspend: resume when this call completes
@@ -658,7 +681,7 @@ class ExecutionEngine:
         else:  # synchronizes, events, waits: bookkeeping only
             duration = 0.0
         self.events.schedule(
-            now + duration, lambda: self._scheduled_complete(position)
+            now + duration, self._scheduled_complete, position
         )
 
     def _scheduled_complete(self, position):
@@ -718,7 +741,7 @@ class ExecutionEngine:
                 self._stream_launch_cursor[stream] = cursor + 1
                 self.events.schedule(
                     self.events.now + self.opts.launch_overhead_ns,
-                    lambda k=ki: self._launch_done(k),
+                    self._launch_done, ki,
                 )
 
     def _prereqs_done_for_kernel(self, position):
@@ -762,6 +785,7 @@ class ExecutionEngine:
     def _launch_done(self, ki):
         self._ctx = ("launch", ki)
         ks = self.kernels[ki]
+        ks.durations = self._tb_durations(ks)
         ks.resident = True
         ks.resident_ns = self.events.now
         if ks.dispatched < ks.num_tbs:
@@ -769,6 +793,19 @@ class ExecutionEngine:
         self._journal_emit("kernel_resident", kernel=ki, name=ks.plan.name)
         self._refresh_ready(ki)
         self._pump()
+
+    def _tb_durations(self, ks):
+        """Every TB duration of a kernel; a bad one is an input error."""
+        durations = ks.plan.tb_durations_ns()
+        tb = first_bad_duration(durations)
+        if tb is not None:
+            raise ValueError(
+                "kernel {} ({}) TB {}: duration {!r} ns is not a finite "
+                "non-negative number".format(
+                    ks.index, ks.plan.name, tb, durations[tb]
+                )
+            )
+        return durations
 
     # ------------------------------------------------------------------
     # TB readiness
@@ -801,7 +838,7 @@ class ExecutionEngine:
         ks = self.kernels[ki]
         if not self._tb_eligible(ki):
             return
-        graph = ks.plan.graph
+        graph = ks.graph
         if not ks.made_eligible:
             ks.made_eligible = True
             if self.opts.ignore_dependencies:
@@ -871,7 +908,7 @@ class ExecutionEngine:
         return self._stream_undispatched[stream] >= self._chain_index[ki]
 
     def _dispatch(self):
-        self.counters["dispatch_passes"] += 1
+        self._dispatch_passes += 1
         now = self.events.now
         # a snapshot: kernels leave ``_active`` at their last dispatch
         if self._consumer_first:
@@ -880,99 +917,109 @@ class ExecutionEngine:
             order = self._active[:]
         for ki in order:
             ks = self.kernels[ki]
-            if not ks.ready or not self._producer_gate_ok(ki):
+            ready = ks.ready
+            if not ready or not self._producer_gate_ok(ki):
                 continue
+            try_place = self.device.try_place
             threads = ks.threads_per_tb
-            while ks.ready:
-                sm = self.device.try_place(threads, now)
+            durations = ks.durations
+            while ready:
+                sm = try_place(threads, now)
                 if sm is None:
                     break  # saturated for this block size; try others
-                tb = ks.ready.popleft()
+                tb = ready.popleft()
                 if self.journal is not None:
-                    self._journal_emit(
-                        "tb_dispatch", kernel=ks.plan.kernel_index, tb=tb,
-                        sm=sm,
-                    )
-                self._drain_deferred(ks)
+                    self._journal_emit("tb_dispatch", kernel=ki, tb=tb, sm=sm)
+                if ks.deferred_ready:
+                    self._drain_deferred(ks)
                 ks.dispatched += 1
                 if ks.dispatched == ks.num_tbs:
                     self._active.remove(ki)
                     self._advance_undispatched(ks.plan.stream)
                 if ks.first_tb_start_ns is None:
                     ks.first_tb_start_ns = now
-                duration = ks.plan.tb_duration_ns(tb)
+                finish = now + durations[tb]
                 ready_ns = self._tb_ready_time(ks, tb)
-                record = TBRecord(
-                    kernel_index=ks.plan.kernel_index,
-                    tb_id=tb,
-                    ready_ns=min(ready_ns, now),
-                    start_ns=now,
-                    finish_ns=now + duration,
-                    sm=sm,
-                )
-                self.tb_records.append(record)
-                self.events.schedule(
-                    now + duration,
-                    lambda k=ks, t=tb, s=sm, th=threads: self._tb_finished(
-                        k, t, s, th
-                    ),
-                )
+                self.tb_records.append(TBRecord(
+                    ki, tb, now if now < ready_ns else ready_ns, now, finish,
+                    sm,
+                ))
+                self.events.schedule(finish, self._tb_finished, ks, tb, sm)
 
     def _tb_ready_time(self, ks, tb):
         """Data-availability time for stall statistics (model independent:
         when were this block's dependencies actually satisfied?)."""
-        ki = ks.plan.kernel_index
         ready = ks.input_ready_ns
         if self.opts.ignore_dependencies:
             return ready  # only input data gates blocks in this replay
-        graph = ks.plan.graph
-        if graph is not None and ks.plan.chain_prev is not None:
-            parent = self.kernels[ks.plan.chain_prev]
-            if graph.is_fully_connected:
-                ready = max(ready, parent.all_tbs_done_ns or ready)
-            elif not graph.is_independent:
-                for p in self._parents_of[ki][tb]:
-                    ready = max(ready, parent.tb_finish_ns.get(p, ready))
-        grandparent = ks.plan.chain_grandparent
-        if ks.plan.grandparent_barrier and grandparent is not None:
+        plan = ks.plan
+        stamps = ks.parents_done_ns
+        if stamps is not None:
+            if stamps[tb] > ready:
+                ready = stamps[tb]
+        elif (
+            plan.chain_prev is not None
+            and ks.graph is not None
+            and ks.graph.is_fully_connected
+        ):
+            parent = self.kernels[plan.chain_prev]
+            ready = max(ready, parent.all_tbs_done_ns or ready)
+        grandparent = plan.chain_grandparent
+        if plan.grandparent_barrier and grandparent is not None:
             older = self.kernels[grandparent]
             if older.completed_ns is not None:
                 ready = max(ready, older.completed_ns)
-        for dep in ks.plan.cross_stream_deps:
+        for dep in plan.cross_stream_deps:
             dep_done = self.kernels[dep].completed_ns
             if dep_done is not None:
                 ready = max(ready, dep_done)
         return ready
 
     # ------------------------------------------------------------------
-    def _tb_finished(self, ks, tb, sm, threads):
+    def _tb_finished(self, ks, tb, sm):
         now = self.events.now
-        ki = ks.plan.kernel_index
-        self._ctx = ("tb_finish", ki, tb)
-        if self.journal is not None:
+        ki = ks.index
+        journal = self.journal
+        if journal is not None:
+            self._ctx = ("tb_finish", ki, tb)
             self._journal_emit("tb_finish", kernel=ki, tb=tb, sm=sm)
-        self.device.release(sm, threads, now)
+        self.device.release(sm, ks.threads_per_tb, now)
         ks.finished += 1
-        ks.tb_finish_ns[tb] = now
-        self._drain_deferred(ks)  # a tracking entry freed up
+        if ks.deferred_ready:
+            self._drain_deferred(ks)  # a tracking entry freed up
         child_ki = ks.plan.chain_next
-        # resolve children's parent counters (dependency list lookup)
-        if self.opts.fine_grain and child_ki is not None:
+        if child_ki is not None:
             child = self.kernels[child_ki]
-            graph = child.plan.graph
-            if graph is not None and child.pending_counters is not None:
-                for c in graph.children(tb):
-                    child.pending_counters[c] -= 1
-                    if child.pending_counters[c] == 0 and child.made_eligible:
-                        self._push_ready(child, c)
+            stamps = child.parents_done_ns
+            if stamps is not None:
+                # dependency list lookup: stamp each child's ready time
+                # and, under fine-grain scheduling, resolve its parent
+                # counter
+                counters = child.pending_counters
+                if counters is None:
+                    for c in child.graph.children_of[tb]:
+                        stamps[c] = now
+                else:
+                    for c in child.graph.children_of[tb]:
+                        stamps[c] = now
+                        counters[c] -= 1
+                        if counters[c] == 0 and child.made_eligible:
+                            self._push_ready(child, c)
         if ks.finished == ks.num_tbs:
             ks.all_tbs_done = True
             ks.all_tbs_done_ns = now
             self._journal_emit("kernel_drain", kernel=ki, name=ks.plan.name)
             self._on_all_tbs_done(ki)
-            self._ctx = ("tb_finish", ki, tb)  # leaving the cascade
+            if journal is not None:
+                self._ctx = ("tb_finish", ki, tb)  # leaving the cascade
         if child_ki is not None:
-            self._refresh_ready(child_ki)
+            # a refresh changes nothing when nothing is deferred and the
+            # child is eligible already or waits for this whole kernel
+            if child.deferred_ready or not (
+                child.made_eligible
+                or (child.awaits_parent_drain and not ks.all_tbs_done)
+            ):
+                self._refresh_ready(child_ki)
         self._dispatch()
 
     def _on_all_tbs_done(self, ki):

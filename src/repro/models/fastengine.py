@@ -2,12 +2,13 @@
 
 :class:`repro.models.base.ExecutionEngine` — the scalar reference — runs
 every API call, kernel launch, and thread-block lifecycle through one
-event heap, paying a per-event ``_pump`` scan over the command queue and
-a per-placement least-loaded scan over the SMs.  That is exact but it is
-interpreter work proportional to *events x queue length*, and since the
-analysis fast path (:mod:`repro.analysis.fastpath`) removed graph
-construction from the critical path, the engine dominates the wall-clock
-of ``run``/``bench``/``experiments``/``fuzz``.
+event heap.  Its bookkeeping is incremental, but every thread block
+still costs interpreter work: a placement on the least-loaded SM, a TB
+record, a finish event, a release, and a dispatch pass over the
+resident kernels.  That is exact, and since the analysis fast path
+(:mod:`repro.analysis.fastpath`) removed graph construction from the
+critical path, it dominates the wall-clock of
+``run``/``bench``/``experiments``/``fuzz``.
 
 This module computes the *same* :class:`~repro.sim.stats.RunStats` two
 cheaper ways for plans it can prove *device-serial* — at most one
@@ -76,6 +77,7 @@ from repro.host.api import (
 from repro.models.base import (
     _BYPASSED_BARRIERS,
     emit_engine_trace,
+    first_bad_duration,
     record_engine_metrics,
 )
 from repro.obs import PID_DEVICE
@@ -167,15 +169,16 @@ def _uniform_durations(plan):
 def _duration_vector(kp):
     """All TB durations of one kernel, bit-identical to
     ``KernelPlan.tb_duration_ns`` evaluated per block."""
+    if (
+        np is None
+        or not kp._jitter
+        or kp._duration_fn is not None
+        or kp._duration_scale_fn is not None
+    ):
+        return kp.tb_durations_ns()
     n = kp.num_tbs
-    if kp._duration_fn is not None or kp._duration_scale_fn is not None:
-        return [kp.tb_duration_ns(tb) for tb in range(n)]
     base = kp._base_duration_ns
-    if not kp._jitter:
-        return [base] * n
     jitter = kp._jitter
-    if np is None:
-        return [kp.tb_duration_ns(tb) for tb in range(n)]
     # vectorized jitter_factor: same integer hash, same float op order
     tb = np.arange(n, dtype=np.uint64)
     h = (np.uint64(kp.kernel_index) * np.uint64(0x9E3779B1)
@@ -194,7 +197,8 @@ def _duration_vector(kp):
 # ----------------------------------------------------------------------
 class _TierDecline(Exception):
     """Internal: a tier discovered mid-flight it cannot replicate the
-    reference (e.g. a negative or non-finite TB duration)."""
+    reference (a NaN, infinite or negative TB duration, which the
+    reference reports by kernel and TB)."""
 
     def __init__(self, reason):
         super().__init__(reason)
@@ -481,7 +485,8 @@ def _wave_schedule(t0, n, width, duration, num_sms):
     Wave boundaries use repeated addition (``t = t + d``), matching the
     event queue's ``schedule(now + duration)`` chain bit-for-bit.
     """
-    _check_duration(duration)
+    if first_bad_duration([duration]) is not None:
+        raise _TierDecline("bad_duration")
     num_waves = -(-n // width)
     wave_times = [t0]
     t = t0
@@ -510,8 +515,8 @@ def _slot_sweep(t0, n, width, durations, num_sms):
     onto the freed slot's SM — exactly what least-loaded placement does
     on a saturated device.
     """
-    for d in durations:
-        _check_duration(d)
+    if first_bad_duration(durations) is not None:
+        raise _TierDecline("bad_duration")
     m = n if n < width else width
     starts = [t0] * m + [0.0] * (n - m)
     finishes = [0.0] * n
@@ -531,13 +536,6 @@ def _slot_sweep(t0, n, width, durations, num_sms):
         heapq.heappush(heap, (finishes[i], i, sm))
     drained = max(entry[0] for entry in heap)
     return starts, finishes, sms, drained
-
-
-def _check_duration(duration):
-    # negative or NaN durations would need the reference's (undefined)
-    # past-scheduling behavior; hand those back to the oracle
-    if not (duration >= 0.0):
-        raise _TierDecline("bad_duration")
 
 
 def _accumulate_device(t0, starts, finishes, integral, busy, samples):
@@ -621,13 +619,7 @@ def _append_records(
                 if parent_fin[p] > ready:
                     ready = parent_fin[p]
         start = starts[tb]
-        tb_records.append(
-            TBRecord(
-                kernel_index=kp.kernel_index,
-                tb_id=tb,
-                ready_ns=ready if ready < start else start,
-                start_ns=start,
-                finish_ns=finishes[tb],
-                sm=sms[tb],
-            )
-        )
+        tb_records.append(TBRecord(
+            ki, tb, ready if ready < start else start, start, finishes[tb],
+            sms[tb],
+        ))

@@ -12,26 +12,15 @@ Placement policy: least-loaded SM first (by resident thread count, then
 block count, then index), which spreads blocks evenly and is
 deterministic.  The device keeps the SMs that can take another block
 ordered by that key, so placing or releasing a block costs O(log SMs)
-plus a short list shift.
+plus a short list shift.  Each key is one int that packs
+``(threads, tbs, index)`` — index in the low bits, block count above
+it, thread count on top — so integer order is exactly the tuple order.
 """
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 from repro.obs import PID_DEVICE, resolve_metrics, resolve_tracer
 from repro.sim.config import GPUConfig
-
-
-@dataclass
-class SMState:
-    index: int
-    resident_tbs: int = 0
-    resident_threads: int = 0
-
-    @property
-    def load(self):
-        """Placement order key: least-loaded first, ties by index."""
-        return (self.resident_threads, self.resident_tbs, self.index)
 
 
 def empty_device_slots(config: GPUConfig, threads_per_tb: int) -> int:
@@ -64,13 +53,25 @@ class Device:
         self.config = config
         self.tracer = resolve_tracer(tracer)
         self.metrics = resolve_metrics(metrics)
-        self.sms = [SMState(i) for i in range(config.num_sms)]
-        #: ``load`` keys of the SMs below their block cap, ascending.  A
-        #: block fits such an SM iff its thread budget allows, so the
-        #: first entry is the least-loaded SM that fits, if any does.
-        self._open = (
-            [sm.load for sm in self.sms] if config.max_tbs_per_sm > 0 else []
+        num_sms = config.num_sms
+        self._max_tbs = config.max_tbs_per_sm
+        self._max_threads = config.max_threads_per_sm
+        #: per-SM resident block and thread counts
+        self.resident_tbs = [0] * num_sms
+        self.resident_threads = [0] * num_sms
+        # placement key layout (see the module docstring): a block count
+        # never exceeds the cap, so its field never carries into threads
+        self._tbs_shift = max(num_sms - 1, 0).bit_length()
+        self._threads_shift = (
+            self._tbs_shift + max(self._max_tbs, 0).bit_length()
         )
+        self._index_mask = (1 << self._tbs_shift) - 1
+        self._one_tb = 1 << self._tbs_shift
+        #: keys of the SMs below their block cap, ascending.  A block
+        #: fits such an SM iff its thread budget allows, so the first
+        #: entry is the least-loaded SM that fits, if any does.  An idle
+        #: SM's key is its index.
+        self._open = list(range(num_sms)) if self._max_tbs > 0 else []
         self.running = 0
         self._last_event_ns = 0.0
         self.concurrency_integral = 0.0
@@ -78,7 +79,7 @@ class Device:
         self.peak_concurrency = 0
         self.placements = 0
 
-    def _sample_occupancy(self, now_ns, sm=None):
+    def _sample_occupancy(self, now_ns, sm):
         self.tracer.counter(
             "running_tbs",
             {"running": self.running},
@@ -86,10 +87,10 @@ class Device:
             cat="device",
             pid=PID_DEVICE,
         )
-        if sm is not None and getattr(self.tracer, "per_sm_counters", False):
+        if getattr(self.tracer, "per_sm_counters", False):
             self.tracer.counter(
-                "running_tbs[sm={:02d}]".format(sm.index),
-                {"running": sm.resident_tbs},
+                "running_tbs[sm={:02d}]".format(sm),
+                {"running": self.resident_tbs[sm]},
                 ts_us=now_ns / 1e3,
                 cat="device.sm",
                 pid=PID_DEVICE,
@@ -106,57 +107,71 @@ class Device:
 
     def free_slots(self, threads_per_tb):
         """Total blocks of the given size that could be placed right now."""
+        per_tb = max(1, threads_per_tb)
         total = 0
-        for sm in self.sms:
-            by_tbs = self.config.max_tbs_per_sm - sm.resident_tbs
-            by_threads = (
-                self.config.max_threads_per_sm - sm.resident_threads
-            ) // max(1, threads_per_tb)
+        for tbs, threads in zip(self.resident_tbs, self.resident_threads):
+            by_tbs = self._max_tbs - tbs
+            by_threads = (self._max_threads - threads) // per_tb
             total += max(0, min(by_tbs, by_threads))
         return total
 
     def try_place(self, threads_per_tb, now_ns):
         """Place one block on the least-loaded SM it fits; returns the SM
         index or ``None`` when nothing fits."""
-        if not self._open:
+        open_sms = self._open
+        if not open_sms:
             return None
-        load = self._open[0]
-        if load[0] + threads_per_tb > self.config.max_threads_per_sm:
+        key = open_sms[0]
+        if (key >> self._threads_shift) + threads_per_tb > self._max_threads:
             return None  # the least-threaded open SM has the most room
-        del self._open[0]
-        sm = self.sms[load[2]]
+        del open_sms[0]
+        sm = key & self._index_mask
+        if self.resident_tbs[sm] + 1 < self._max_tbs:
+            insort(
+                open_sms,
+                key + (threads_per_tb << self._threads_shift) + self._one_tb,
+            )
         self._occupy(sm, threads_per_tb, now_ns)
-        if sm.resident_tbs < self.config.max_tbs_per_sm:
-            insort(self._open, sm.load)
-        return sm.index
+        return sm
 
     def release(self, sm_index, threads_per_tb, now_ns):
-        sm = self.sms[sm_index]
-        load = sm.load
-        self._vacate(sm, threads_per_tb, now_ns)
-        if load[1] < self.config.max_tbs_per_sm:
-            del self._open[bisect_left(self._open, load)]
-        insort(self._open, sm.load)
+        tbs = self.resident_tbs[sm_index]
+        key = (
+            (self.resident_threads[sm_index] << self._threads_shift)
+            + (tbs << self._tbs_shift) + sm_index
+        )
+        self._vacate(sm_index, threads_per_tb, now_ns)
+        open_sms = self._open
+        if tbs < self._max_tbs:
+            del open_sms[bisect_left(open_sms, key)]
+        insort(
+            open_sms,
+            key - (threads_per_tb << self._threads_shift) - self._one_tb,
+        )
 
     def _occupy(self, sm, threads_per_tb, now_ns):
         self._advance(now_ns)
-        sm.resident_tbs += 1
-        sm.resident_threads += threads_per_tb
+        self.resident_tbs[sm] += 1
+        self.resident_threads[sm] += threads_per_tb
         self.running += 1
         self.placements += 1
-        self.peak_concurrency = max(self.peak_concurrency, self.running)
+        if self.running > self.peak_concurrency:
+            self.peak_concurrency = self.running
         if self.tracer.enabled:
-            self._sample_occupancy(now_ns, sm=sm)
+            self._sample_occupancy(now_ns, sm)
 
     def _vacate(self, sm, threads_per_tb, now_ns):
-        if sm.resident_tbs <= 0 or sm.resident_threads < threads_per_tb:
+        if (
+            self.resident_tbs[sm] <= 0
+            or self.resident_threads[sm] < threads_per_tb
+        ):
             raise RuntimeError("release without matching placement")
         self._advance(now_ns)
-        sm.resident_tbs -= 1
-        sm.resident_threads -= threads_per_tb
+        self.resident_tbs[sm] -= 1
+        self.resident_threads[sm] -= threads_per_tb
         self.running -= 1
         if self.tracer.enabled:
-            self._sample_occupancy(now_ns, sm=sm)
+            self._sample_occupancy(now_ns, sm)
 
     def finalize(self, now_ns):
         """Close the concurrency integral at end of simulation."""
@@ -180,14 +195,15 @@ class UnboundedDevice(Device):
 
     def __init__(self, config: GPUConfig, tracer=None, metrics=None):
         super().__init__(config, tracer=tracer, metrics=metrics)
-        self.sms = [SMState(0)]
+        self.resident_tbs = [0]
+        self.resident_threads = [0]
 
     def free_slots(self, threads_per_tb):
         return 1 << 30
 
     def try_place(self, threads_per_tb, now_ns):
-        self._occupy(self.sms[0], threads_per_tb, now_ns)
+        self._occupy(0, threads_per_tb, now_ns)
         return 0
 
     def release(self, sm_index, threads_per_tb, now_ns):
-        self._vacate(self.sms[sm_index], threads_per_tb, now_ns)
+        self._vacate(sm_index, threads_per_tb, now_ns)

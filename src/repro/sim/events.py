@@ -1,8 +1,10 @@
 """Deterministic discrete-event queue.
 
-Events are ``(time, seq, callback)`` heap entries; ``seq`` is a
+Events are ``(time, seq, callback, args)`` heap entries; ``seq`` is a
 monotonically increasing tiebreaker so same-time events fire in
 scheduling order, keeping every simulation run fully deterministic.
+An event carries its arguments rather than a closure over them, so
+scheduling one allocates only the heap tuple.
 """
 
 import heapq
@@ -17,49 +19,41 @@ class EventQueue:
     def __init__(self):
         self._heap = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: time of the event running now (of the last one, once drained)
+        self.now = 0.0
         self.processed = 0
         self.peak_pending = 0
 
-    @property
-    def now(self):
-        return self._now
-
-    @property
-    def empty(self):
-        return not self._heap
-
-    def __len__(self):
-        return len(self._heap)
-
-    def schedule(self, time, callback):
-        """Schedule ``callback()`` at absolute ``time``."""
-        if time < self._now:
+    def schedule(self, time, callback, *args):
+        """Schedule ``callback(*args)`` at absolute ``time``."""
+        if time < self.now:
             raise ValueError(
-                "cannot schedule event at {} before now {}".format(time, self._now)
+                "cannot schedule event at {} before now {}".format(
+                    time, self.now
+                )
             )
-        heapq.heappush(self._heap, (float(time), next(self._seq), callback))
-        if len(self._heap) > self.peak_pending:
-            self.peak_pending = len(self._heap)
+        heap = self._heap
+        heapq.heappush(heap, (float(time), next(self._seq), callback, args))
+        if len(heap) > self.peak_pending:
+            self.peak_pending = len(heap)
 
-    def schedule_after(self, delay, callback):
-        self.schedule(self._now + delay, callback)
-
-    def step(self):
-        """Pop and run the earliest event; returns False when drained."""
-        if not self._heap:
-            return False
-        time, _seq, callback = heapq.heappop(self._heap)
-        self._now = time
-        self.processed += 1
-        callback()
-        return True
+    def schedule_after(self, delay, callback, *args):
+        self.schedule(self.now + delay, callback, *args)
 
     def run(self, max_events=50_000_000):
         """Run until the queue drains; guards against runaway loops."""
+        heap = self._heap
+        pop = heapq.heappop
         count = 0
-        while self.step():
-            count += 1
-            if count > max_events:
-                raise RuntimeError("event cap exceeded; simulation livelock?")
-        return self._now
+        try:
+            while heap:
+                self.now, _seq, callback, args = pop(heap)
+                count += 1
+                callback(*args)
+                if count > max_events:
+                    raise RuntimeError(
+                        "event cap exceeded; simulation livelock?"
+                    )
+        finally:
+            self.processed += count
+        return self.now

@@ -22,7 +22,13 @@ from typing import Dict, List, Optional
 from repro.obs.metrics import percentile
 
 
-@dataclass
+try:  # one record per simulated TB: slots make each one smaller
+    _record = dataclass(slots=True)
+except TypeError:  # Python < 3.10 has no dataclass slots
+    _record = dataclass
+
+
+@_record
 class TBRecord:
     """Lifecycle of one thread block in one kernel launch."""
 

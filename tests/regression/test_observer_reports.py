@@ -1,4 +1,4 @@
-"""Golden gate: critpath and telemetry reports derived from the journal.
+"""Golden gate: the engine journal and the reports derived from it.
 
 ``observer_reports.json`` holds the sha256 of every cell's canonical
 critpath report (with what-if bounds) and telemetry report, recorded
@@ -6,6 +6,11 @@ when each analysis still had its own engine recorder.  Deriving both
 from the one journal stream must reproduce them byte for byte: the 12
 registry workloads (small variants) and ``fuzz-0``..``fuzz-49``, each
 under the 7 roster models.
+
+Its ``journal`` map holds each cell's journal digest.  The reports do
+not read every detail of the stream — moving an emission within one
+engine step can leave them unchanged — so the digest pins the event
+order the engine emits.
 """
 
 import hashlib
@@ -44,6 +49,7 @@ def test_golden_covers_every_cell(golden):
     }
     assert set(golden["critpath"]) == cells
     assert set(golden["telemetry"]) == cells
+    assert set(golden["journal"]) == cells
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -51,6 +57,7 @@ def test_reports_match_golden(golden, workload):
     for model in MODEL_NAMES:
         journal, stats = record_run(workload, model, build_small=True)
         cell = "{}/{}".format(workload, model)
+        assert journal.digest() == golden["journal"][cell], cell
         critpath = cp.build_report(stats, journal, whatif=True)
         assert _digest(critpath) == golden["critpath"][cell], cell
         telemetry = tm.build_report(stats, journal)

@@ -1,5 +1,7 @@
 """Engine edge cases: degenerate apps, tiny devices, deadlock freedom."""
 
+import re
+
 import pytest
 
 from repro.core.policy import SchedulingPolicy
@@ -133,6 +135,36 @@ class TestMixedBlockSizes:
         )
         # 1024-thread blocks: one per SM; 8 blocks run in 4 waves
         assert stats.avg_tb_concurrency() <= 2.01
+
+
+class TestBadDurations:
+    """A NaN, infinite or negative TB duration is an input error named
+    by kernel and block, whichever engine tier the run asks for."""
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -50.0],
+        ids=["nan", "inf", "negative"],
+    )
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
+    @pytest.mark.parametrize(
+        "model", [BlockMaestroModel(window=2), SerializedBaseline()],
+        ids=["blockmaestro", "baseline"],
+    )
+    def test_rejected_naming_kernel_and_tb(self, bad, engine, model):
+        app = make_chain_app(num_pairs=2, tbs=8, block=64, name="bad-dur")
+        app.trace.kernel_calls[1].tb_duration_fn = (
+            lambda tb: bad if tb == 3 else 1000.0
+        )
+        fine = isinstance(model, BlockMaestroModel)
+        plan = BlockMaestroRuntime(model.gpu_config).plan(
+            app, reorder=fine, window=2 if fine else 1
+        )
+        (kernel,) = [kp for kp in plan.kernels if kp.name == "cons0"]
+        message = r"kernel {} \(cons0\) TB 3: duration {} ns".format(
+            kernel.kernel_index, re.escape(repr(bad))
+        )
+        with pytest.raises(ValueError, match=message):
+            model.run(plan, engine=engine)
 
 
 class TestPublicAPI:

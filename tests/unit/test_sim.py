@@ -72,6 +72,54 @@ class TestEventQueue:
         with pytest.raises(RuntimeError):
             q.run(max_events=100)
 
+    def test_callback_arguments_arrive(self):
+        q = EventQueue()
+        log = []
+        q.schedule(2.0, lambda *args: log.append(args), "b", 2)
+        q.schedule(1.0, log.append, "a")
+        q.schedule_after(3.0, lambda *args: log.append(args))
+        q.run()
+        assert log == ["a", ("b", 2), ()]
+
+    def test_ties_with_arguments_fire_in_schedule_order(self):
+        q = EventQueue()
+        log = []
+        for tag in (3, 1, 2):
+            q.schedule(1.0, log.append, tag)
+        q.schedule(0.5, lambda: q.schedule(1.0, log.append, 0))
+        q.run()
+        assert log == [3, 1, 2, 0]
+
+    def test_processed_and_peak_pending_are_exact(self):
+        q = EventQueue()
+
+        def fan_out(depth):
+            if depth:
+                for _ in range(3):
+                    q.schedule_after(1.0, fan_out, depth - 1)
+
+        q.schedule(0.0, fan_out, 2)
+        q.schedule(0.0, fan_out, 0)
+        q.run()
+        # 2 roots, 3 children of the first, 9 grandchildren
+        assert q.processed == 2 + 3 + 9
+        # deepest heap: all 9 grandchildren, pending once the last child
+        # has run (the roots and children were popped before)
+        assert q.peak_pending == 9
+        assert q.now == 2.0
+
+    def test_event_cap_with_arguments(self):
+        q = EventQueue()
+
+        def forever(step):
+            q.schedule_after(1.0, forever, step + 1)
+
+        q.schedule(0.0, forever, 0)
+        with pytest.raises(RuntimeError, match="event cap"):
+            q.run(max_events=100)
+        # the capped run stops after the event past the cap
+        assert q.processed == 101
+
 
 class TestGPUConfig:
     def test_total_slots(self):
