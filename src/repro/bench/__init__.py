@@ -12,10 +12,7 @@ Four pieces, one file format:
   wall-clock comparison, bit-identical (zero tolerance) simulated
   metrics;
 * :mod:`repro.bench.trend` — folds a directory of reports into a
-  per-workload performance trajectory;
-* :mod:`repro.bench.fastpath` — the ``analysis-fastpath`` microbench
-  suite: scalar-reference vs tiered graph construction, before/after
-  reports plus a zero-drift gate (``repro bench fastpath``).
+  per-workload performance trajectory.
 
 See ``docs/benchmarking.md`` for the workflow.
 """
@@ -39,21 +36,12 @@ from repro.bench.runner import (
 )
 from repro.bench.diff import Delta, DiffResult, diff_reports, format_diff
 from repro.bench.trend import find_reports, format_trend, load_reports, trend_rows
-from repro.bench.fastpath import (
-    FASTPATH_MODELS,
-    FASTPATH_WORKLOADS,
-    fastpath_config,
-    registry_tier_census,
-    run_fastpath_bench,
-)
 
 __all__ = [
     "BenchConfig",
     "DEFAULT_MODELS",
     "Delta",
     "DiffResult",
-    "FASTPATH_MODELS",
-    "FASTPATH_WORKLOADS",
     "FILE_PREFIX",
     "QUICK_MODELS",
     "QUICK_WORKLOADS",
@@ -61,15 +49,12 @@ __all__ = [
     "SCHEMA_VERSION",
     "bench_filename",
     "diff_reports",
-    "fastpath_config",
     "find_reports",
     "format_diff",
     "format_trend",
     "load_report",
     "load_reports",
-    "registry_tier_census",
     "resolve_config",
-    "run_fastpath_bench",
     "run_suite",
     "trend_rows",
     "validate_report",

@@ -43,15 +43,6 @@ Commands:
 * ``bench run|diff|trend``          — performance benchmarking and
                                       regression tracking (see
                                       ``docs/benchmarking.md``)
-* ``bench fastpath``                — dependency-analysis fast-path
-                                      microbench: reference vs tiered
-                                      graph build (``--census`` for the
-                                      per-workload tier breakdown)
-* ``bench engine``                  — simulation-engine fast-path
-                                      microbench: scalar event-queue
-                                      oracle vs tiered engine
-                                      (``--census`` for the per-workload
-                                      tier breakdown, ``docs/engine.md``)
 * ``serve [--host H --port P]``     — long-running simulation daemon:
                                       the run/compare/critpath/
                                       telemetry/bench pipelines over
@@ -78,8 +69,8 @@ Commands:
                                       (``docs/fuzzing.md``)
 
 ``run``, ``critpath``, and ``bench run`` accept ``--engine MODE`` to
-pin the simulation-engine tier (``auto`` | ``closed_form`` |
-``vectorized`` | ``reference``) for the invocation — equivalent to
+pin the simulation-engine tier (``auto`` | ``vectorized`` |
+``reference``) for the invocation — equivalent to
 setting ``REPRO_ENGINE``, and inherited by worker processes.
 
 Model names accept the roster (``baseline``, ``ideal``, ``prelaunch``,
@@ -123,19 +114,29 @@ MODEL_CHOICES = MODEL_NAMES + sorted(MODEL_ALIASES)
 #: ``--engine`` values: canonical modes plus the aliases
 #: :func:`repro.models.fastengine.resolve_engine_mode` accepts
 ENGINE_CHOICES = (
-    "auto", "closed_form", "vectorized", "reference",
+    "auto", "vectorized", "reference",
     "on", "off", "scalar", "oracle",
 )
 
 
-def non_negative_int(text):
-    """argparse type for ``--limit``: a row count, never negative."""
+def _int_at_least(text, minimum):
     value = int(text)
-    if value < 0:
+    if value < minimum:
         raise argparse.ArgumentTypeError(
-            "must be >= 0 (got {})".format(value)
+            "must be >= {} (got {})".format(minimum, value)
         )
     return value
+
+
+def non_negative_int(text):
+    """argparse type for ``--limit``: a row or event count, never
+    negative."""
+    return _int_at_least(text, 0)
+
+
+def positive_int(text):
+    """argparse type for a launch ``--window``: at least one kernel."""
+    return _int_at_least(text, 1)
 
 
 def cmd_list(args):
@@ -678,121 +679,6 @@ def cmd_bench_diff(args):
     return 1 if result.failed(strict=args.strict) else 0
 
 
-def cmd_bench_fastpath(args):
-    from repro.bench import fastpath as fp
-
-    if args.census:
-        census = fp.registry_tier_census()
-        print(fp.format_census(census))
-        if fp.census_closed_form_total(census) == 0:
-            print(
-                "error: closed-form tier fired on zero registry workloads",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    from repro.obs.log import get_logger
-
-    summary = fp.run_fastpath_bench(
-        args.out,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        jobs=args.jobs,
-        log=get_logger("bench").info,
-    )
-    rows = [
-        {"workload": wname, "encode_speedup": speedup}
-        for wname, speedup in summary["encode_speedups"].items()
-    ]
-    print(
-        format_table(
-            rows,
-            ["workload", "encode_speedup"],
-            title="fastpath vs reference (encode-phase p50, cold)",
-        )
-    )
-    counters = summary["counters"]
-    prefix = "analysis.fastpath."
-    print(
-        "tiers: {}".format(
-            ", ".join(
-                "{} {:.0f}".format(name[len(prefix):], counters[name])
-                for name in sorted(counters)
-            ) or "(none)"
-        )
-    )
-    print("wrote", summary["before"])
-    print("wrote", summary["after"])
-    print("wrote", summary["diff"])
-    if summary["drift"]:
-        print(
-            "error: simulated drift between reference and fastpath runs — "
-            "the tiers must produce identical graphs (see {})".format(
-                summary["diff"]
-            ),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_engine(args):
-    from repro.bench import engine as eng
-
-    if args.census:
-        census = eng.registry_engine_census()
-        print(eng.format_census(census))
-        if eng.census_closed_form_total(census) == 0:
-            print(
-                "error: closed-form tier fired on zero workloads",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    from repro.obs.log import get_logger
-
-    summary = eng.run_engine_bench(
-        args.out,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        jobs=args.jobs,
-        log=get_logger("bench").info,
-    )
-    rows = [
-        {"workload/model": key, "simulate_speedup": speedup}
-        for key, speedup in summary["simulate_speedups"].items()
-    ]
-    print(
-        format_table(
-            rows,
-            ["workload/model", "simulate_speedup"],
-            title="fast engine vs reference (simulate-phase p50, cold)",
-        )
-    )
-    counters = summary["counters"]
-    prefix = "engine."
-    print(
-        "tiers: {}".format(
-            ", ".join(
-                "{} {:.0f}".format(name[len(prefix):], counters[name])
-                for name in sorted(counters)
-            ) or "(none)"
-        )
-    )
-    print("wrote", summary["before"])
-    print("wrote", summary["after"])
-    print("wrote", summary["diff"])
-    if summary["drift"]:
-        print(
-            "error: simulated drift between reference and fast-engine "
-            "runs — the tiers must produce identical RunStats (see "
-            "{})".format(summary["diff"]),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def cmd_bench_trend(args):
     from repro import bench
     from repro.bench.trend import METRICS
@@ -959,8 +845,6 @@ def cmd_bench(args):
         "diff": cmd_bench_diff,
         "trend": cmd_bench_trend,
         "serve": cmd_bench_serve,
-        "fastpath": cmd_bench_fastpath,
-        "engine": cmd_bench_engine,
     }[args.bench_command]
     return handler(args)
 
@@ -1046,8 +930,8 @@ def build_parser():
 
     p_analyze = sub.add_parser("analyze", help="launch-time analysis report")
     p_analyze.add_argument("workload")
-    p_analyze.add_argument("--window", type=int, default=3)
-    p_analyze.add_argument("--limit", type=int, default=24)
+    p_analyze.add_argument("--window", type=positive_int, default=3)
+    p_analyze.add_argument("--limit", type=non_negative_int, default=24)
 
     p_run = sub.add_parser("run", help="simulate one workload")
     p_run.add_argument("workload")
@@ -1246,7 +1130,7 @@ def build_parser():
     p_jdiff.add_argument("a", help="reference *.journal.jsonl")
     p_jdiff.add_argument("b", help="candidate *.journal.jsonl")
     p_jdiff.add_argument(
-        "--window", type=int, default=8, metavar="N",
+        "--window", type=non_negative_int, default=8, metavar="N",
         help="waterfall context events on each side of the divergence "
              "(default: 8)",
     )
@@ -1280,8 +1164,8 @@ def build_parser():
     p_fuzz.add_argument(
         "--engines", nargs="+", default=None, metavar="TIER",
         help="engine tiers to check against the scalar oracle "
-             "(default: closed_form vectorized auto; 'none' disables "
-             "the engine sweep)",
+             "(default: vectorized auto; 'none' disables the engine "
+             "sweep)",
     )
     p_fuzz.add_argument(
         "--model", choices=MODEL_CHOICES, default="consumer3"
@@ -1333,7 +1217,7 @@ def build_parser():
         "validate", help="functional replay check on a scaled-down workload"
     )
     p_val.add_argument("workload")
-    p_val.add_argument("--window", type=int, default=3)
+    p_val.add_argument("--window", type=positive_int, default=3)
 
     sub.add_parser("ablations", help="design-choice sweeps")
 
@@ -1448,52 +1332,6 @@ def build_parser():
         help="on simulated drift, re-record each drifted cell's journal "
              "under REPRO_FASTPATH=reference vs the current mode and "
              "print the first-divergence jdiff",
-    )
-
-    b_fp = bench_sub.add_parser(
-        "fastpath",
-        help="analysis-fastpath microbench: reference vs tiered graph "
-             "build, before/after reports + DIFF (docs/analysis.md)",
-    )
-    b_fp.add_argument(
-        "--out", default="fastpath-bench", metavar="DIR",
-        help="output directory for the two reports and DIFF.txt "
-             "(default: fastpath-bench)",
-    )
-    b_fp.add_argument("--repeats", type=int, default=3, metavar="N")
-    b_fp.add_argument("--warmup", type=int, default=1, metavar="N")
-    b_fp.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per pass (default 1)",
-    )
-    b_fp.add_argument(
-        "--census", action="store_true",
-        help="instead of benchmarking, print which tier serves each "
-             "registry workload; exit 1 if closed-form never fires",
-    )
-
-    b_eng = bench_sub.add_parser(
-        "engine",
-        help="simulation-engine microbench: scalar event-queue oracle "
-             "vs tiered fast engine, before/after reports + DIFF "
-             "(docs/engine.md)",
-    )
-    b_eng.add_argument(
-        "--out", default="engine-bench", metavar="DIR",
-        help="output directory for the two reports and DIFF.txt "
-             "(default: engine-bench)",
-    )
-    b_eng.add_argument("--repeats", type=int, default=3, metavar="N")
-    b_eng.add_argument("--warmup", type=int, default=1, metavar="N")
-    b_eng.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per pass (default 1)",
-    )
-    b_eng.add_argument(
-        "--census", action="store_true",
-        help="instead of benchmarking, print which engine tier "
-             "simulates each workload under a jitter-free config; "
-             "exit 1 if closed-form never fires",
     )
 
     b_trend = bench_sub.add_parser(

@@ -25,8 +25,8 @@ Alongside the ``REPRO_FASTPATH`` sweep, every candidate
 oracle plan — **engine** checks compare each tier's simulated
 signature *and* full per-thread-block records against the scalar
 event-queue engine, on the case's model and (when different) the
-always-eligible ``baseline`` model, observer-free so the fast tiers
-actually engage.
+always-eligible ``baseline`` model, observer-free so the fast tier
+actually engages.
 
 Everything a case produces is deterministic — no wall clock, no
 hash-order dependence — so a per-case content digest and the corpus
@@ -47,7 +47,7 @@ FUZZ_REPORT_SCHEMA_VERSION = 1
 #: candidate tiers checked against the always-implicit reference oracle
 DEFAULT_MODES = ("closed_form", "vectorized", "auto")
 #: candidate engine tiers checked against the scalar event-queue oracle
-DEFAULT_ENGINES = ("closed_form", "vectorized", "auto")
+DEFAULT_ENGINES = ("vectorized", "auto")
 ORACLE_MODE = "reference"
 DEFAULT_MODEL = "consumer3"
 

@@ -155,10 +155,10 @@ class ExecutionModel:
 
         ``engine`` selects the simulation tier
         (:func:`repro.models.fastengine.resolve_engine_mode`; ``None``
-        reads ``REPRO_ENGINE``, default ``auto``).  Fast tiers produce
+        reads ``REPRO_ENGINE``, default ``auto``).  The fast tier produces
         bit-identical :class:`RunStats`; a journal-carrying run silently
         uses the scalar reference engine, since the journal hooks
-        per-event injection points the batched tiers skip.
+        per-event injection points the batched tier skips.
         """
         # imported lazily: repro.models.fastengine builds on this module
         from repro.models import fastengine
@@ -178,8 +178,7 @@ class ExecutionModel:
                     metrics.inc("engine.fallback.observers")
                 else:
                     stats = fastengine.run_fast(
-                        plan, self.gpu_config, options, mode, tracer,
-                        metrics,
+                        plan, self.gpu_config, options, tracer, metrics,
                     )
                     if stats is not None:
                         return stats

@@ -1,4 +1,4 @@
-"""Two-tier fast path for the shared discrete-event execution engine.
+"""Vectorized fast path for the shared discrete-event execution engine.
 
 :class:`repro.models.base.ExecutionEngine` — the scalar reference — runs
 every API call, kernel launch, and thread-block lifecycle through one
@@ -10,35 +10,26 @@ resident kernels.  That is exact, and since the analysis fast path
 critical path, it dominates the wall-clock of
 ``run``/``bench``/``experiments``/``fuzz``.
 
-This module computes the *same* :class:`~repro.sim.stats.RunStats` two
-cheaper ways for plans it can prove *device-serial* — at most one
-kernel's thread blocks resident at any instant — and declines (caller
-falls back to the scalar oracle) whenever it cannot:
+This module computes the *same* :class:`~repro.sim.stats.RunStats` more
+cheaply for plans it can prove *device-serial* — at most one kernel's
+thread blocks resident at any instant — and declines (caller falls back
+to the scalar oracle) whenever it cannot.  Under a device-serial plan
+the device is exactly a FIFO queue over ``W`` indistinguishable slots:
+the scalar per-event heap loop collapses to one numpy pass for the
+duration vectors plus an O(N log W) slot sweep whose pops replay the
+reference event order (ties broken by dispatch sequence, like the event
+queue's ``(time, seq)`` ordering).  Host issue, command start, launch
+window, and in-order completion reduce to a forward max/plus scan over
+the program order.
 
-**Tier 1 — closed form** (``closed_form``).  When every kernel's TB
-durations are uniform (no per-TB duration callbacks, zero duration
-jitter), a kernel's execution is exact wave arithmetic: ``ceil(N / W)``
-waves of width ``W`` slots, each lasting the common duration.  Host
-issue, command start, launch window, and in-order completion reduce to
-a forward max/plus scan over the program order — no event loop at all.
-
-**Tier 2 — vectorized** (``vectorized``).  With per-TB durations
-(duration jitter is on by default), the device under a device-serial
-plan is exactly a FIFO queue over ``W`` indistinguishable slots: the
-scalar per-event heap loop collapses to one numpy pass for the duration
-vectors plus an O(N log W) slot sweep whose pops replay the reference
-event order (ties broken by dispatch sequence, like the event queue's
-``(time, seq)`` ordering).
-
-Both tiers replicate the reference bit-for-bit, including the float
+The tier replicates the reference bit-for-bit, including the float
 accumulation order of the device concurrency integral (one ``dt``
-advance per distinct event time), the repeated-addition wave
-boundaries, SM placement indices (round-robin layering; a freed slot's
-SM is re-won by the next dispatch), and the ``min(ready, start)`` clamp
-on per-TB ready times.  Differential tests
+advance per distinct event time), SM placement indices (round-robin
+layering; a freed slot's SM is re-won by the next dispatch), and the
+``min(ready, start)`` clamp on per-TB ready times.  Differential tests
 (``tests/integration/test_differential_engine.py``) and the fuzz
-harness hold every tier to byte-identical simulated signatures against
-the oracle.
+harness hold it to byte-identical simulated signatures against the
+oracle, with and without duration jitter.
 
 Device-serial certificate (the engine analogue of a proven Table-I
 pattern): single stream, no cross-stream dependencies, no
@@ -56,14 +47,14 @@ Tier selection is per-run via ``REPRO_ENGINE`` (see
 metrics counters and the BENCH report's ``engine`` section.  Whenever a
 journal is attached the dispatch seam in
 :meth:`repro.models.base.ExecutionModel.run` keeps the scalar engine,
-since the journal hooks per-event injection points the batched tiers
-skip.
+since the journal hooks per-event injection points the batched tier
+skips.
 """
 
 import heapq
 import os
 
-try:  # numpy accelerates tier-2 duration vectors; optional
+try:  # numpy accelerates the duration vectors; optional
     import numpy as np
 except ImportError:  # pragma: no cover - the CI image always has numpy
     np = None
@@ -85,7 +76,7 @@ from repro.sim.device import empty_device_slots
 from repro.sim.stats import KernelRecord, RunStats, TBRecord
 
 #: Valid engine modes (``resolve_engine_mode`` normalizes aliases).
-ENGINE_MODES = ("auto", "closed_form", "vectorized", "reference")
+ENGINE_MODES = ("auto", "vectorized", "reference")
 
 #: Environment override consulted when no explicit mode is configured —
 #: this is how bench worker processes flip the fast engine off to
@@ -120,7 +111,7 @@ def resolve_engine_mode(value=None):
 def certify_device_serial(plan, config, options):
     """Prove the plan executes device-serially under ``options``.
 
-    Returns ``None`` when the fast tiers apply, else a short reason slug
+    Returns ``None`` when the fast tier applies, else a short reason slug
     (reported as an ``engine.fallback.<reason>`` counter).  Any decline
     means the scalar oracle runs instead, so pathological inputs (zero-TB
     kernels, blocks that never fit) keep their reference behavior —
@@ -150,20 +141,6 @@ def certify_device_serial(plan, config, options):
                 # and child TBs under fine-grain scheduling
                 return "fine_grain_graph"
     return None
-
-
-def _uniform_durations(plan):
-    """Per-kernel common TB duration, or ``None`` when any kernel's TBs
-    differ (duration callbacks or nonzero jitter on a nonzero base)."""
-    out = []
-    for kp in plan.kernels:
-        if kp._duration_fn is not None or kp._duration_scale_fn is not None:
-            return None
-        base = kp._base_duration_ns
-        if kp._jitter and base != 0.0:
-            return None
-        out.append(base)  # a zero base stays zero under jitter
-    return out
 
 
 def _duration_vector(kp):
@@ -196,7 +173,7 @@ def _duration_vector(kp):
 # the fast run
 # ----------------------------------------------------------------------
 class _TierDecline(Exception):
-    """Internal: a tier discovered mid-flight it cannot replicate the
+    """Internal: the tier discovered mid-flight it cannot replicate the
     reference (a NaN, infinite or negative TB duration, which the
     reference reports by kernel and TB)."""
 
@@ -205,34 +182,23 @@ class _TierDecline(Exception):
         self.reason = reason
 
 
-def run_fast(plan, config, options, mode, tracer, metrics):
-    """Run ``plan`` through the cheapest applicable fast tier.
+def run_fast(plan, config, options, tracer, metrics):
+    """Run ``plan`` through the vectorized tier.
 
     Returns the :class:`RunStats` (bit-identical to the scalar oracle)
-    or ``None`` when every requested tier declines — the caller then
-    falls back to the reference engine.  ``mode`` is a normalized
-    non-``reference`` engine mode.
+    or ``None`` when the tier declines — the caller then falls back to
+    the reference engine.
     """
     reason = certify_device_serial(plan, config, options)
     if reason is not None:
         metrics.inc("engine.fallback.%s" % reason)
         return None
-    uniform = _uniform_durations(plan)
-    if mode == "closed_form" and uniform is None:
-        metrics.inc("engine.fallback.nonuniform_durations")
-        return None
-    tier = "closed_form" if uniform is not None and mode != "vectorized" \
-        else "vectorized"
     try:
-        stats, extras = _simulate(
-            plan, config, options,
-            uniform if tier == "closed_form" else None,
-            tracer,
-        )
+        stats, extras = _simulate(plan, config, options, tracer)
     except _TierDecline as decline:
         metrics.inc("engine.fallback.%s" % decline.reason)
         return None
-    metrics.inc("engine.tier.%s" % tier)
+    metrics.inc("engine.tier.vectorized")
     _finalize_device_metrics(metrics, extras)
     emit_engine_trace(
         tracer, plan, extras["call_enqueued_ns"], extras["call_done_ns"],
@@ -265,13 +231,11 @@ def _build_parents_of(graph):
     return inverse
 
 
-def _simulate(plan, config, options, uniform, tracer):
+def _simulate(plan, config, options, tracer):
     """Forward max/plus scan over the program order.
 
-    ``uniform`` is the per-kernel common duration list (tier 1) or
-    ``None`` (tier 2: per-TB durations, slot-heap sweep).  Returns
-    ``(stats, extras)`` where ``extras`` carries the call timestamp
-    arrays and device gauge values.
+    Returns ``(stats, extras)`` where ``extras`` carries the call
+    timestamp arrays and device gauge values.
     """
     timing = config.timing
     order = plan.order
@@ -294,7 +258,6 @@ def _simulate(plan, config, options, uniform, tracer):
     first_start = [0.0] * num_kernels
     all_done = [0.0] * num_kernels
     completed = [0.0] * num_kernels
-    tb_starts = [None] * num_kernels
     tb_finishes = [None] * num_kernels
 
     tb_records = []
@@ -363,15 +326,9 @@ def _simulate(plan, config, options, uniform, tracer):
 
             n = kp.num_tbs
             width = empty_device_slots(config, kp.threads_per_tb)
-            if uniform is not None:
-                starts, finishes, sms, drained = _wave_schedule(
-                    t0, n, width, uniform[ki], num_sms
-                )
-            else:
-                starts, finishes, sms, drained = _slot_sweep(
-                    t0, n, width, _duration_vector(kp), num_sms
-                )
-            tb_starts[ki] = starts
+            starts, finishes, sms, drained = _slot_sweep(
+                t0, n, width, _duration_vector(kp), num_sms
+            )
             tb_finishes[ki] = finishes
             all_done[ki] = drained
             done = drained
@@ -461,7 +418,7 @@ def _simulate(plan, config, options, uniform, tracer):
         graph_plain_bytes=plan.graph_plain_bytes,
         graph_encoded_bytes=plan.graph_encoded_bytes,
         counters={
-            "dispatch_passes": 0.0,  # no per-event passes in fast tiers
+            "dispatch_passes": 0.0,  # no per-event passes in the fast tier
             "host_blocks": float(host_blocks),
         },
     )
@@ -479,35 +436,8 @@ def _simulate(plan, config, options, uniform, tracer):
     return stats, extras
 
 
-def _wave_schedule(t0, n, width, duration, num_sms):
-    """Tier 1: uniform-duration wave arithmetic.
-
-    Wave boundaries use repeated addition (``t = t + d``), matching the
-    event queue's ``schedule(now + duration)`` chain bit-for-bit.
-    """
-    if first_bad_duration([duration]) is not None:
-        raise _TierDecline("bad_duration")
-    num_waves = -(-n // width)
-    wave_times = [t0]
-    t = t0
-    for _ in range(num_waves):
-        t = t + duration
-        wave_times.append(t)
-    starts = [0.0] * n
-    finishes = [0.0] * n
-    sms = [0] * n
-    for i in range(n):
-        wave_start = wave_times[i // width]
-        starts[i] = wave_start
-        finishes[i] = wave_start + duration
-        # wave 0 lays out round-robin; later TBs inherit the SM of the
-        # block whose finish freed their slot (see module docstring)
-        sms[i] = (i % width) % num_sms
-    return starts, finishes, sms, wave_times[num_waves]
-
-
 def _slot_sweep(t0, n, width, durations, num_sms):
-    """Tier 2: FIFO sweep over ``width`` slots with per-TB durations.
+    """FIFO sweep over ``width`` slots with per-TB durations.
 
     The heap replays the reference event order: entries are
     ``(finish, dispatch_seq, sm)``, the same ``(time, seq)`` tie-break
@@ -579,7 +509,7 @@ def _accumulate_device(t0, starts, finishes, integral, busy, samples):
 
 
 def _emit_occupancy(tracer, samples):
-    """Coarse ``running_tbs`` counter track for the batched tiers: one
+    """Coarse ``running_tbs`` counter track for the batched tier: one
     sample per distinct event time (the reference samples every
     placement and release; the step function is identical)."""
     for now, running in samples:

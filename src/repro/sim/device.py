@@ -28,7 +28,7 @@ def empty_device_slots(config: GPUConfig, threads_per_tb: int) -> int:
 
     Equals ``Device.free_slots`` on a freshly constructed device (every
     SM contributes the same ``min`` of its block cap and thread budget).
-    This is the wave width of the fast engine tiers
+    This is the wave width of the fast engine tier
     (:mod:`repro.models.fastengine`): under a device-serial plan each
     kernel starts on an empty device, so its TBs run in waves of exactly
     this many slots.

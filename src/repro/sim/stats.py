@@ -156,7 +156,7 @@ class RunStats:
         tolerance.  Keep this free of anything wall-clock dependent.
 
         This dict (together with the ordered ``tb_records``) is also the
-        differential contract for the engine fast tiers: every
+        differential contract for the engine fast tier: the
         :mod:`repro.models.fastengine` tier must reproduce it exactly
         against the scalar oracle, so any field added here is
         automatically covered by the engine gate and the fuzz sweep.

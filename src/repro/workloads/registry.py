@@ -135,7 +135,7 @@ _SPECS = (
 
 _BY_NAME = {spec.name: spec for spec in _SPECS}
 
-# Hidden extras (e.g. the analysis-fastpath microbench pairs) resolve
+# Hidden extras (e.g. the fast-engine workload chains) resolve
 # through get_workload() but stay out of all_workloads()/--filter so the
 # paper's Table-II suites remain exactly the paper's.
 _EXTRAS = None
@@ -147,11 +147,10 @@ def _extra_specs():
         # Imported lazily: microbench imports ptxgen/base, which are
         # cheap, but keeping it out of module import also avoids any
         # future cycle through the registry.
-        from repro.workloads.microbench import engine_specs, fastpath_specs
+        from repro.workloads.microbench import engine_specs
         from repro.workloads.rodinia import build_backprop
 
-        _EXTRAS = {spec.name: spec for spec in fastpath_specs()}
-        _EXTRAS.update({spec.name: spec for spec in engine_specs()})
+        _EXTRAS = {spec.name: spec for spec in engine_specs()}
         # Rodinia's backprop is the paper's running example (Fig. 1)
         # but not a Table II row, so it resolves by name without
         # joining the default suite.

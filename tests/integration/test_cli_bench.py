@@ -214,13 +214,52 @@ class TestErrorExits:
         assert err.startswith("error:") and "unknown model" in err
 
     @pytest.mark.parametrize(
-        "env, kind",
-        [("REPRO_ENGINE", "engine"), ("REPRO_FASTPATH", "fastpath")],
+        "env, kind, value",
+        [
+            pytest.param("REPRO_ENGINE", "engine", "bogus",
+                         id="REPRO_ENGINE-engine"),
+            pytest.param("REPRO_FASTPATH", "fastpath", "bogus",
+                         id="REPRO_FASTPATH-fastpath"),
+            pytest.param("REPRO_ENGINE", "engine", "closed_form",
+                         id="REPRO_ENGINE-engine-closed_form"),
+        ],
     )
-    def test_bad_mode_env_var_exits_2(self, env, kind, monkeypatch, capsys):
-        monkeypatch.setenv(env, "bogus")
+    def test_bad_mode_env_var_exits_2(self, env, kind, value, monkeypatch,
+                                      capsys):
+        monkeypatch.setenv(env, value)
         assert main(["run", "mvt"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: {}: unknown {} mode 'bogus'".format(
-            env, kind))
+        assert err.startswith("error: {}: unknown {} mode {!r}".format(
+            env, kind, value))
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["analyze", "mvt", "--window", "0"],
+                         "--window: must be >= 1 (got 0)",
+                         id="analyze-window-0"),
+            pytest.param(["analyze", "mvt", "--window", "-1"],
+                         "--window: must be >= 1 (got -1)",
+                         id="analyze-window-negative"),
+            pytest.param(["validate", "mvt", "--window", "0"],
+                         "--window: must be >= 1 (got 0)",
+                         id="validate-window-0"),
+            pytest.param(["analyze", "mvt", "--limit", "-3"],
+                         "--limit: must be >= 0 (got -3)",
+                         id="analyze-limit-negative"),
+            pytest.param(["jdiff", "a.jsonl", "b.jsonl", "--window", "-3"],
+                         "--window: must be >= 0 (got -3)",
+                         id="jdiff-window-negative"),
+            pytest.param(["run", "mvt", "--engine", "closed_form"],
+                         "--engine: invalid choice: 'closed_form'",
+                         id="run-engine-closed_form"),
+        ],
+    )
+    def test_out_of_range_argument_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""

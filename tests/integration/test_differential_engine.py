@@ -1,14 +1,14 @@
 """Differential gate: the engine fast path must change nothing.
 
-The :mod:`repro.models.fastengine` tiers are pure wall-clock
-optimizations over the scalar event-queue engine — by construction they
+The :mod:`repro.models.fastengine` tier is a pure wall-clock
+optimization over the scalar event-queue engine — by construction it
 may not perturb a single simulated value.  For every registry workload
-(small variants) and every roster model, each requested tier must
-produce a byte-identical :meth:`RunStats.simulated_signature` *and*
-identical ordered per-thread-block records against
-``REPRO_ENGINE=reference``; ``auto`` additionally has to pick a fast
-tier on the eligible (workload, model) pairs, which the census test
-pins down.
+(small variants) and every roster model, each requested engine mode
+must produce a byte-identical :meth:`RunStats.simulated_signature`
+*and* identical ordered per-thread-block records against
+``REPRO_ENGINE=reference``, with duration jitter on (the default) and
+off; ``auto`` additionally has to pick the fast tier on the eligible
+(workload, model) pairs.
 """
 
 import json
@@ -26,7 +26,7 @@ from repro.sim.config import GPUConfig
 from repro.workloads import all_workloads, get_workload
 
 MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
-ENGINE_TIERS = ("closed_form", "vectorized", "auto")
+ENGINE_TIERS = ("vectorized", "auto")
 
 
 def _run(app, model_name, engine, config=None, metrics=None):
@@ -52,7 +52,7 @@ def _surface(stats):
 
 @pytest.mark.parametrize("wname", [s.name for s in all_workloads()])
 def test_every_tier_matches_reference(wname):
-    """12 registry workloads x 7 roster models x 3 tiers vs the oracle."""
+    """12 registry workloads x 7 roster models x 2 modes vs the oracle."""
     app = get_workload(wname).build_small()
     for model_name in MODEL_NAMES:
         oracle = _surface(_run(app, model_name, "reference"))
@@ -73,7 +73,7 @@ def test_engine_microbenches_match_reference(wname):
 
 
 def test_auto_uses_vectorized_tier_on_coarse_models():
-    """Default config carries duration jitter, so auto lands on tier 2."""
+    """A coarse model is device-serial, so auto takes the fast tier."""
     app = get_workload("eng-wide").build_small()
     metrics = MetricsRegistry()
     _run(app, "baseline", "auto", metrics=metrics)
@@ -81,26 +81,23 @@ def test_auto_uses_vectorized_tier_on_coarse_models():
     assert counters.get("engine.tier.vectorized") == 1
 
 
-def test_auto_uses_closed_form_without_jitter():
-    """Uniform durations (jitter off) make tier 1 fire — and match."""
+@pytest.mark.parametrize(
+    "wname",
+    [s.name for s in all_workloads()] + ["eng-chain", "eng-wide", "eng-fc"],
+)
+def test_jitter_free_auto_matches_reference(wname):
+    """Uniform durations (jitter off): every TB of a wave finishes at the
+    same instant, so the slot sweep's ``(finish, seq)`` tie-break alone
+    decides SM placement and dispatch order — and must match."""
     config = GPUConfig(duration_jitter=0.0)
-    app = get_workload("eng-chain").build_small()
-    metrics = MetricsRegistry()
-    fast = _run(app, "baseline", "auto", config=config, metrics=metrics)
-    counters = metrics.snapshot()["counters"]
-    assert counters.get("engine.tier.closed_form") == 1
-    oracle = _run(app, "baseline", "reference", config=config)
-    assert _surface(fast) == _surface(oracle)
-
-
-def test_closed_form_mode_declines_jittered_durations():
-    """Explicit closed_form on nonuniform durations falls back, counted."""
-    app = get_workload("eng-wide").build_small()
-    metrics = MetricsRegistry()
-    _run(app, "baseline", "closed_form", metrics=metrics)
-    counters = metrics.snapshot()["counters"]
-    assert counters.get("engine.fallback.nonuniform_durations") == 1
-    assert counters.get("engine.tier.reference") == 1
+    app = get_workload(wname).build_small()
+    for model_name in ("baseline", "ideal", "prelaunch"):
+        metrics = MetricsRegistry()
+        fast = _run(app, model_name, "auto", config=config, metrics=metrics)
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("engine.tier.vectorized") == 1, model_name
+        oracle = _run(app, model_name, "reference", config=config)
+        assert _surface(fast) == _surface(oracle), model_name
 
 
 def test_fine_grain_fc_chain_is_eligible():
@@ -152,17 +149,3 @@ def test_env_variable_selects_tier(monkeypatch):
         )
         assert metrics.snapshot()["counters"].get(expected) == 1
     assert surfaces["auto"] == surfaces["reference"]
-
-
-def test_registry_census_closed_form_fires():
-    """The CI gate's backing function: on jitter-free configs the
-    closed-form tier serves every registry + engine microbench run."""
-    from repro.bench.engine import (
-        census_closed_form_total,
-        registry_engine_census,
-    )
-
-    census = registry_engine_census()
-    assert census_closed_form_total(census) >= len(census)
-    for name, tiers in census.items():
-        assert tiers.get("tier.closed_form", 0) >= 1, name

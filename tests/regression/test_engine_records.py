@@ -4,7 +4,7 @@
 JSON of one unobserved :class:`~repro.sim.stats.RunStats` produced with
 ``engine="reference"``: every field, including the ordered TB records
 with their SM placement, the kernel records and ``counters``, plus
-``simulated_signature()``.  The fast engine tiers are differential-gated
+``simulated_signature()``.  The fast engine tier is differential-gated
 *against* this engine, so only this file catches a change to the engine
 itself — TB order, SM placement, float accumulation order or the number
 of dispatch passes.

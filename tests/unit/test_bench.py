@@ -374,48 +374,6 @@ class TestFastpathSection:
         assert any("not a number" in e for e in validate_report(report))
 
 
-class TestFastpathSuite:
-    def test_config_shape(self):
-        from repro.bench.fastpath import (
-            FASTPATH_MODELS,
-            FASTPATH_WORKLOADS,
-            fastpath_config,
-        )
-
-        config = fastpath_config(repeats=0, warmup=-3, jobs=0)
-        assert config.workloads == FASTPATH_WORKLOADS
-        assert config.models == FASTPATH_MODELS
-        assert config.repeats == 1 and config.warmup == 0 and config.jobs == 1
-        assert config.cache_dir is None  # every pass must stay cold
-
-    def test_workloads_hidden_from_registry_listing(self):
-        from repro.bench.fastpath import FASTPATH_WORKLOADS
-        from repro.workloads import all_workloads, get_workload
-
-        listed = {spec.name for spec in all_workloads()}
-        for name in FASTPATH_WORKLOADS:
-            assert name not in listed
-            assert get_workload(name).name == name
-
-    def test_census_formatting_and_gate(self):
-        from repro.bench.fastpath import (
-            census_closed_form_total,
-            format_census,
-        )
-
-        census = {
-            "mvt": {"closed_form": 1},
-            "lud": {"closed_form": 3, "vectorized": 6},
-            "empty": {},
-        }
-        text = format_census(census)
-        assert "closed_form=3 vectorized=6" in text
-        assert "(no kernel pairs)" in text
-        assert "closed-form graphs total: 4" in text
-        assert census_closed_form_total(census) == 4
-        assert census_closed_form_total({"w": {"vectorized": 2}}) == 0
-
-
 def _telemetry_section(overlap=0.5):
     return {
         "mean_occupancy_tbs": 12.0,

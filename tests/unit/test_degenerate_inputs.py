@@ -3,11 +3,11 @@
 Empty runs, single samples, and all-equal distributions are exactly the
 inputs that show up when a workload is filtered down to nothing or a
 kernel has one thread block — none of them may crash or divide by zero.
-The engine fast tiers (:mod:`repro.models.fastengine`) must treat the
+The engine fast tier (:mod:`repro.models.fastengine`) must treat the
 same degenerate plans exactly like the scalar oracle: empty plans and
-single-TB kernels simulate identically under every tier, and zero-TB
-kernels decline to the reference so its behavior (including errors) is
-preserved verbatim.
+single-TB kernels simulate identically under every engine mode, and
+zero-TB kernels decline to the reference so its behavior (including
+errors) is preserved verbatim.
 """
 
 import json
@@ -22,7 +22,7 @@ from repro.sim.timeline import (
     render_kernel_timeline,
 )
 
-ENGINE_MODES = ("reference", "closed_form", "vectorized", "auto")
+ENGINE_MODES = ("reference", "vectorized", "auto")
 
 
 def _empty_stats():
@@ -107,7 +107,7 @@ class TestHistogram:
 
 
 # ----------------------------------------------------------------------
-# engine fast tiers on degenerate plans
+# engine fast tier on degenerate plans
 # ----------------------------------------------------------------------
 def _outcome(model, plan, engine):
     """Simulated surface, or the raised exception, per engine tier."""
@@ -136,7 +136,7 @@ class TestEngineDegeneratePlans:
         return runtime, _make_model("baseline", runtime.config)
 
     def test_plan_without_kernels(self, baseline):
-        """Malloc/copy-only plans: every tier agrees with the oracle."""
+        """Malloc/copy-only plans: every mode agrees with the oracle."""
         from repro.workloads.base import AppBuilder
 
         runtime, model = baseline
@@ -152,7 +152,7 @@ class TestEngineDegeneratePlans:
         assert outcomes["reference"][0] == "stats"
 
     def test_single_tb_single_wave_kernel(self, baseline):
-        """One block, one wave: wave arithmetic at its smallest."""
+        """One block, one wave: the slot sweep at its smallest."""
         from repro.workloads import get_workload
 
         runtime, model = baseline

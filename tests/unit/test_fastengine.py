@@ -52,14 +52,15 @@ class TestResolveEngineMode:
         ("scalar", "reference"),
         ("oracle", "reference"),
         ("on", "auto"),
-        ("closed-form", "closed_form"),
         ("  AUTO  ", "auto"),
         ("Vectorized", "vectorized"),
     ])
     def test_aliases_and_normalization(self, alias, canonical):
         assert resolve_engine_mode(alias) == canonical
 
-    @pytest.mark.parametrize("bad", ["fast", "none", "1", "turbo"])
+    @pytest.mark.parametrize(
+        "bad", ["fast", "none", "1", "turbo", "closed-form"]
+    )
     def test_unknown_mode_raises(self, bad):
         with pytest.raises(ValueError):
             resolve_engine_mode(bad)

@@ -220,11 +220,12 @@ class TestNormalizeParams:
         assert err.value.status == 404
 
     def test_bad_engine_400(self):
-        with pytest.raises(ServeRequestError) as err:
-            normalize_params(
-                "run", {"workload": "mvt", "engine": "warp-drive"}
-            )
-        assert err.value.status == 400
+        for engine in ("warp-drive", "closed_form"):
+            with pytest.raises(ServeRequestError) as err:
+                normalize_params(
+                    "run", {"workload": "mvt", "engine": engine}
+                )
+            assert err.value.status == 400
 
     def test_engine_alias_resolved(self):
         params = normalize_params(

@@ -147,6 +147,12 @@ class TestRegistry:
         with pytest.raises(KeyError, match="available"):
             get_workload("nonesuch")
 
+    def test_workloads_hidden_from_registry_listing(self):
+        listed = {spec.name for spec in all_workloads()}
+        for name in ("eng-chain", "eng-wide", "eng-fc", "backprop"):
+            assert name not in listed
+            assert get_workload(name).name == name
+
     @pytest.mark.parametrize("spec", all_workloads(), ids=lambda s: s.name)
     def test_kernel_counts_match_table2(self, spec):
         app = spec.build()
