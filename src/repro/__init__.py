@@ -28,33 +28,37 @@ See README.md for the full walkthrough, DESIGN.md for the paper-to-
 module map and EXPERIMENTS.md for paper-vs-measured results.
 """
 
-from repro.analysis.analyzer import LaunchConfig, analyze_kernel
-from repro.core.dependency_graph import BipartiteGraph, build_bipartite_graph
-from repro.core.patterns import DependencyPattern, classify_pattern
-from repro.core.policy import SchedulingPolicy
-from repro.core.runtime import BlockMaestroRuntime, RuntimePlan
-from repro.ptx.parser import parse_kernel, parse_module
-from repro.sim.config import GPUConfig
-from repro.sim.stats import RunStats
-from repro.workloads.base import AppBuilder, Application
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "AppBuilder",
-    "Application",
-    "BipartiteGraph",
-    "BlockMaestroRuntime",
-    "DependencyPattern",
-    "GPUConfig",
-    "LaunchConfig",
-    "RunStats",
-    "RuntimePlan",
-    "SchedulingPolicy",
-    "analyze_kernel",
-    "build_bipartite_graph",
-    "classify_pattern",
-    "parse_kernel",
-    "parse_module",
-    "__version__",
-]
+#: the quick-tour names, served on first access (PEP 562) so that
+#: ``import repro.<anything>`` does not load the whole pipeline
+_EXPORTS = {
+    "AppBuilder": "repro.workloads.base",
+    "Application": "repro.workloads.base",
+    "BipartiteGraph": "repro.core.dependency_graph",
+    "BlockMaestroRuntime": "repro.core.runtime",
+    "DependencyPattern": "repro.core.patterns",
+    "GPUConfig": "repro.sim.config",
+    "LaunchConfig": "repro.analysis.analyzer",
+    "RunStats": "repro.sim.stats",
+    "RuntimePlan": "repro.core.runtime",
+    "SchedulingPolicy": "repro.core.policy",
+    "analyze_kernel": "repro.analysis.analyzer",
+    "build_bipartite_graph": "repro.core.dependency_graph",
+    "classify_pattern": "repro.core.patterns",
+    "parse_kernel": "repro.ptx.parser",
+    "parse_module": "repro.ptx.parser",
+}
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(
+            "module {!r} has no attribute {!r}".format(__name__, name)
+        )
+    from importlib import import_module
+
+    return getattr(import_module(_EXPORTS[name]), name)
+
+
+__all__ = [*_EXPORTS, "__version__"]

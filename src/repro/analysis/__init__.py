@@ -7,56 +7,3 @@ affine domain that — given the concrete launch configuration and kernel
 arguments available at launch time — produces the byte-exact read and
 write sets of every thread block.
 """
-
-from repro.analysis.intervals import Interval, IntervalSet
-from repro.analysis.affine import AffineExpr, Sym, TID, CTAID, LOOP
-from repro.analysis.values import SInterval, Unknown, UNKNOWN_ARITH, UNKNOWN_MEMORY
-from repro.analysis.dataflow import (
-    BasicBlock,
-    ControlFlowGraph,
-    NonStaticAccess,
-    backward_slice,
-    build_cfg,
-)
-from repro.analysis.access import AccessRecord, TBAccessSets
-from repro.analysis.analyzer import (
-    AnalysisError,
-    KernelSummary,
-    LaunchConfig,
-    analyze_kernel,
-)
-from repro.analysis.fastpath import (
-    FASTPATH_ENV,
-    FASTPATH_MODES,
-    build_graph_fast,
-    resolve_fastpath_mode,
-)
-
-__all__ = [
-    "Interval",
-    "IntervalSet",
-    "AffineExpr",
-    "Sym",
-    "TID",
-    "CTAID",
-    "LOOP",
-    "SInterval",
-    "Unknown",
-    "UNKNOWN_ARITH",
-    "UNKNOWN_MEMORY",
-    "BasicBlock",
-    "ControlFlowGraph",
-    "NonStaticAccess",
-    "backward_slice",
-    "build_cfg",
-    "AccessRecord",
-    "TBAccessSets",
-    "AnalysisError",
-    "KernelSummary",
-    "LaunchConfig",
-    "analyze_kernel",
-    "FASTPATH_ENV",
-    "FASTPATH_MODES",
-    "build_graph_fast",
-    "resolve_fastpath_mode",
-]

@@ -43,7 +43,6 @@ counters (see :func:`repro.core.runtime.BlockMaestroRuntime`) and the
 BENCH report's ``fastpath`` section.
 """
 
-import os
 from typing import Optional, Tuple
 
 from repro.analysis.intervals import IntervalSet
@@ -52,19 +51,7 @@ from repro.core.dependency_graph import (
     BipartiteGraph,
     build_bipartite_graph,
 )
-
-try:  # numpy powers tier 2; everything degrades gracefully without it
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None
-
-#: Valid fast-path modes (``resolve_fastpath_mode`` normalizes aliases).
-FASTPATH_MODES = ("auto", "closed_form", "vectorized", "reference")
-
-#: Environment override consulted when no explicit mode is configured —
-#: this is how bench worker processes flip the fast path off to capture
-#: reference timings.
-FASTPATH_ENV = "REPRO_FASTPATH"
+from repro.modes import FASTPATH_ENV, resolve_fastpath_mode  # noqa: F401 - public
 
 #: Tier-1 gives up when the parent×child shape product would make the
 #: displacement-domain construction itself quadratic-ish; tier 2 still
@@ -79,27 +66,6 @@ _JOIN_CHUNK = 1 << 22
 #: boolean bitmap (one byte per cell — cheap, and ``flatnonzero`` hands
 #: back sorted keys); beyond it, chunked ``np.unique`` keeps memory flat.
 _BITMAP_LIMIT = 1 << 26
-
-
-def resolve_fastpath_mode(value=None):
-    """Normalize a fast-path mode, consulting ``REPRO_FASTPATH``.
-
-    ``None`` reads the environment (default ``auto``); ``off``/
-    ``scalar``/``oracle`` alias ``reference``; ``on`` aliases ``auto``.
-    """
-    if value is None:
-        value = os.environ.get(FASTPATH_ENV) or "auto"
-    mode = str(value).strip().lower().replace("-", "_")
-    if mode in ("off", "scalar", "oracle"):
-        mode = "reference"
-    elif mode == "on":
-        mode = "auto"
-    if mode not in FASTPATH_MODES:
-        raise ValueError(
-            "unknown fastpath mode %r (expected one of %s)"
-            % (value, ", ".join(FASTPATH_MODES))
-        )
-    return mode
 
 
 def build_graph_fast(
@@ -140,7 +106,7 @@ def build_graph_fast(
         )
         if graph is not None:
             return graph, "closed_form"
-    if mode in ("auto", "vectorized") and np is not None:
+    if mode in ("auto", "vectorized"):
         graph = _vectorized_graph(
             parent_summary, child_summary, pairs, max_explicit_edges
         )
@@ -406,6 +372,8 @@ def _lowered_arrays(summary, kinds):
     could overflow int64 (the scalar oracle, on python ints, handles
     those).
     """
+    import numpy as np
+
     access = summary.access_sets
     gx, gy, gz = access.grid
     t = np.arange(access.num_tbs, dtype=np.int64)
@@ -444,13 +412,23 @@ def _lowered_arrays(summary, kinds):
 
 def _segment_local_arange(reps):
     """``concatenate([arange(r) for r in reps])`` without the loop."""
+    import numpy as np
+
     out = np.arange(int(reps.sum()), dtype=np.int64)
     seg_starts = np.cumsum(reps) - reps
     return out - np.repeat(seg_starts, reps)
 
 
 def _vectorized_graph(parent_summary, child_summary, pairs, max_explicit_edges):
-    """Tier 2: numpy join, or ``None`` to decline (no numpy/overflow)."""
+    """Tier 2: numpy join, or ``None`` to decline (no numpy/overflow).
+
+    numpy is imported here, at the first join that needs it, so plans
+    whose pairs all take tier 1 never load it.
+    """
+    try:
+        import numpy as np
+    except ImportError:
+        return None
     num_parents = parent_summary.num_tbs
     num_children = child_summary.num_tbs
     if num_parents * num_children >= _INT64_GUARD:

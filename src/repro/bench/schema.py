@@ -56,7 +56,8 @@ import os
 import subprocess
 import time
 
-SCHEMA_VERSION = 2
+from repro.version import BENCH_SCHEMA_VERSION as SCHEMA_VERSION
+
 #: versions :func:`validate_report` accepts — v1 reports (no optional
 #: "telemetry" sections) stay loadable so history remains diffable
 SUPPORTED_SCHEMA_VERSIONS = (1, 2)

@@ -32,8 +32,9 @@ import sys
 import threading
 import time
 
+from repro.version import SERVE_BENCH_SCHEMA_VERSION
+
 SERVE_BENCH_KIND = "repro-serve-bench-report"
-SERVE_BENCH_SCHEMA_VERSION = 1
 SERVE_BENCH_FILE_PREFIX = "SERVEBENCH_"
 
 #: what the daemon prints once it is accepting connections
@@ -96,7 +97,7 @@ class SpawnedDaemon:
         if self.process.poll() is None:
             if self.url:
                 try:
-                    from repro.serve import ServeClient
+                    from repro.serve.client import ServeClient
 
                     ServeClient(self.url, timeout=5.0).shutdown()
                 except Exception:  # noqa: BLE001 - fall through to kill
@@ -313,7 +314,7 @@ def run_serve_bench(url=None, requests=DEFAULT_REQUESTS,
     ``baseline_repeats=0`` skips the CLI cold-start baseline.
     """
     from repro.bench.schema import git_metadata, host_metadata, utc_timestamp
-    from repro.serve import ServeClient
+    from repro.serve.client import ServeClient
 
     emit = log or (lambda _message: None)
     workloads = list(workloads or DEFAULT_WORKLOADS)

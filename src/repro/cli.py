@@ -92,31 +92,25 @@ handshake token.
 import argparse
 import sys
 
-from repro.core.runtime import BlockMaestroRuntime
-from repro.experiments.common import (
-    MODEL_ALIASES,
-    STANDARD_MODELS,
-    ExperimentContext,
-    UnknownModelError,
-    _make_model,
-    _model_plan_params,
-    canonical_model_name,
-    format_table,
+# Only what build_parser and the env-mode check read is imported here;
+# each cmd_* imports the modules it runs, so a command loads no pipeline
+# it does not execute.
+from repro.experiments.common import MODEL_ALIASES, STANDARD_MODELS
+from repro.modes import (
+    ENGINE_ENV,
+    ENGINE_MODES,
+    FASTPATH_ENV,
+    MODE_ALIASES,
+    resolve_engine_mode,
+    resolve_fastpath_mode,
 )
-from repro.obs import MetricsRegistry, Tracer
-from repro.obs.report import dump_json, format_blame, run_stats_dict, write_text
-from repro.sim.timeline import compare_timelines, render_kernel_timeline
-from repro.workloads import UnknownWorkloadError, all_workloads, get_workload
 
 MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
 MODEL_CHOICES = MODEL_NAMES + sorted(MODEL_ALIASES)
 
 #: ``--engine`` values: canonical modes plus the aliases
-#: :func:`repro.models.fastengine.resolve_engine_mode` accepts
-ENGINE_CHOICES = (
-    "auto", "vectorized", "reference",
-    "on", "off", "scalar", "oracle",
-)
+#: :func:`repro.modes.resolve_engine_mode` accepts
+ENGINE_CHOICES = ENGINE_MODES + tuple(MODE_ALIASES)
 
 
 def _int_at_least(text, minimum):
@@ -129,17 +123,21 @@ def _int_at_least(text, minimum):
 
 
 def non_negative_int(text):
-    """argparse type for ``--limit``: a row or event count, never
-    negative."""
+    """argparse type for a count that may be zero (``--limit``,
+    ``--warmup``)."""
     return _int_at_least(text, 0)
 
 
 def positive_int(text):
-    """argparse type for a launch ``--window``: at least one kernel."""
+    """argparse type for a count of at least one (``--window``,
+    ``--repeats``, ``--width``)."""
     return _int_at_least(text, 1)
 
 
 def cmd_list(args):
+    from repro.experiments.common import format_table
+    from repro.workloads import all_workloads
+
     if getattr(args, "json", None):
         payload = []
         for spec in all_workloads():
@@ -172,6 +170,10 @@ def cmd_list(args):
 
 
 def cmd_analyze(args):
+    from repro.core.runtime import BlockMaestroRuntime
+    from repro.experiments.common import format_table
+    from repro.workloads import get_workload
+
     app = get_workload(args.workload).build()
     runtime = BlockMaestroRuntime()
     plan = runtime.plan(app, reorder=True, window=args.window)
@@ -228,6 +230,8 @@ class _VersionAction(argparse.Action):
 
 def _emit_json(payload, destination):
     """Write a JSON payload to stdout (``-``) or a file path."""
+    from repro.obs.report import dump_json
+
     dump_json(payload, destination)
     if destination != "-":
         print("wrote", destination)
@@ -245,12 +249,14 @@ def _pin_engine_mode(value):
         return
     import os
 
-    from repro.models.fastengine import ENGINE_ENV, resolve_engine_mode
-
     os.environ[ENGINE_ENV] = resolve_engine_mode(value)
 
 
 def cmd_run(args):
+    from repro.experiments.common import ExperimentContext
+    from repro.obs.report import run_stats_dict
+    from repro.workloads import get_workload
+
     _pin_engine_mode(args.engine)
     app = get_workload(args.workload).build()
     ctx = ExperimentContext()
@@ -259,6 +265,8 @@ def cmd_run(args):
     if args.json == "-":
         _emit_json(run_stats_dict(stats, include_tb_records=args.tb_records), "-")
         return
+    from repro.sim.timeline import render_kernel_timeline
+
     print(render_kernel_timeline(stats, width=args.width))
     print()
     print("model     :", stats.model)
@@ -274,16 +282,21 @@ def cmd_run(args):
 
 def _compare_model(item):
     """``compare --jobs`` worker: one roster model, self-contained."""
-    workload, model_name = item
-    from repro.workloads import get_workload as _get
+    from repro.experiments.common import ExperimentContext
+    from repro.workloads import get_workload
 
-    app = _get(workload).build()
+    workload, model_name = item
+    app = get_workload(workload).build()
     ctx = ExperimentContext()
     ctx.register_app(app)
     return ctx.run_model(app, model_name)
 
 
 def cmd_compare(args):
+    from repro.experiments.common import ExperimentContext, format_table
+    from repro.obs.report import run_stats_dict
+    from repro.workloads import get_workload
+
     app = get_workload(args.workload).build()
     jobs = getattr(args, "jobs", 1) or 1
     if jobs > 1:
@@ -327,6 +340,8 @@ def cmd_compare(args):
         )
     )
     if args.timelines:
+        from repro.sim.timeline import compare_timelines
+
         print()
         print(compare_timelines(runs[:1] + runs[2:], width=args.width))
 
@@ -338,6 +353,15 @@ def _traced_run(workload, model_name, per_sm=False, journal=None):
     ``blame``; ``journal`` optionally records the run for the
     critical-path and telemetry overlays.
     """
+    from repro.core.runtime import BlockMaestroRuntime
+    from repro.experiments.common import (
+        _make_model,
+        _model_plan_params,
+        canonical_model_name,
+    )
+    from repro.obs import MetricsRegistry, Tracer
+    from repro.workloads import get_workload
+
     tracer = Tracer(per_sm_counters=per_sm)
     metrics = MetricsRegistry()
     spec = get_workload(workload)
@@ -353,6 +377,8 @@ def _traced_run(workload, model_name, per_sm=False, journal=None):
 
 
 def cmd_trace(args):
+    from repro.obs.report import write_text
+
     journal = None
     if args.critpath or args.telemetry:
         from repro.obs.journal import JournalRecorder
@@ -394,6 +420,8 @@ def cmd_trace(args):
 
 
 def cmd_blame(args):
+    from repro.obs.report import format_blame, write_text
+
     _app, stats, tracer, _metrics = _traced_run(args.workload, args.model)
     if args.json:
         from repro.obs.report import blame_payload
@@ -450,6 +478,7 @@ def cmd_journal(args):
 def cmd_telemetry(args):
     from repro.obs import telemetry as tm
     from repro.obs.journal import record_run
+    from repro.obs.report import write_text
 
     journal, stats = record_run(args.workload, args.model)
     report = tm.build_report(stats, journal)
@@ -509,6 +538,9 @@ def cmd_jdiff(args):
 
 
 def cmd_dot(args):
+    from repro.core.runtime import BlockMaestroRuntime
+    from repro.workloads import get_workload
+
     app = get_workload(args.workload).build()
     runtime = BlockMaestroRuntime()
     plan = runtime.plan(app, reorder=True, window=3)
@@ -529,9 +561,11 @@ def cmd_dot(args):
 def cmd_validate(args):
     """Functional replay validation: simulate, replay the block start
     order at real values, diff against serialized execution."""
+    from repro.core.policy import SchedulingPolicy
+    from repro.core.runtime import BlockMaestroRuntime
     from repro.models import BlockMaestroModel
     from repro.sim.funcsim import FunctionalSimulator, schedule_from_stats
-    from repro.core.policy import SchedulingPolicy
+    from repro.workloads import get_workload
 
     spec = get_workload(args.workload)
     app = spec.build_small()
@@ -558,6 +592,7 @@ def cmd_validate(args):
 def cmd_bench_run(args):
     from repro import bench
     from repro.analysis.cache import resolve_cache_dir
+    from repro.experiments.common import format_table
 
     _pin_engine_mode(args.engine)
     cache_dir = resolve_cache_dir(
@@ -826,6 +861,8 @@ def cmd_client(args):
             print(client.metrics(), end="")
             return 0
         elif command == "events":
+            from repro.obs.report import dump_json
+
             for event in client.events(max_events=args.count):
                 dump_json(event, "-")
             return 0
@@ -886,6 +923,15 @@ def cmd_fuzz(args):
 def cmd_experiments(args):
     from repro.experiments import runner
 
+    for name in args.names:
+        if name not in runner.EXPERIMENTS:
+            print(
+                "error: unknown experiment {!r}; available: {}".format(
+                    name, ", ".join(runner.EXPERIMENTS)
+                ),
+                file=sys.stderr,
+            )
+            return 2
     runner.run_all(
         args.names or None, out_dir=args.out, jobs=args.jobs,
         status_file=args.status_file,
@@ -936,7 +982,7 @@ def build_parser():
     p_run = sub.add_parser("run", help="simulate one workload")
     p_run.add_argument("workload")
     p_run.add_argument("--model", choices=MODEL_CHOICES, default="consumer3")
-    p_run.add_argument("--width", type=int, default=72)
+    p_run.add_argument("--width", type=positive_int, default=72)
     p_run.add_argument(
         "--json",
         nargs="?",
@@ -963,7 +1009,7 @@ def build_parser():
         help="run roster models on N worker processes (default: 1, serial)",
     )
     p_compare.add_argument("--timelines", action="store_true")
-    p_compare.add_argument("--width", type=int, default=72)
+    p_compare.add_argument("--width", type=positive_int, default=72)
     p_compare.add_argument(
         "--json",
         nargs="?",
@@ -1257,8 +1303,10 @@ def build_parser():
         "--fuzz-seed", type=int, default=0, metavar="S",
         help="first fuzz workload seed for --fuzz (default: 0)",
     )
-    b_run.add_argument("--repeats", type=int, default=None, metavar="N")
-    b_run.add_argument("--warmup", type=int, default=None, metavar="N")
+    b_run.add_argument("--repeats", type=positive_int, default=None, metavar="N")
+    b_run.add_argument(
+        "--warmup", type=non_negative_int, default=None, metavar="N"
+    )
     b_run.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="run independent (workload, model) cells on N worker "
@@ -1542,9 +1590,6 @@ def _check_env_modes():
     one line and exit 2 instead of a traceback from deep inside a run.
     Returns ``None`` when both are valid.
     """
-    from repro.analysis.fastpath import FASTPATH_ENV, resolve_fastpath_mode
-    from repro.models.fastengine import ENGINE_ENV, resolve_engine_mode
-
     for env, resolve in (
         (FASTPATH_ENV, resolve_fastpath_mode),
         (ENGINE_ENV, resolve_engine_mode),
@@ -1571,7 +1616,12 @@ def main(argv=None):
         return 2
     try:
         return COMMANDS[args.command](args) or 0
-    except (UnknownWorkloadError, UnknownModelError) as exc:
+    except KeyError as exc:
+        from repro.experiments.common import UnknownModelError
+        from repro.workloads.registry import UnknownWorkloadError
+
+        if not isinstance(exc, (UnknownWorkloadError, UnknownModelError)):
+            raise
         # user typo'd a name: one line, exit 2, no traceback
         message = exc.args[0] if exc.args else str(exc)
         print("error: {}".format(message), file=sys.stderr)

@@ -15,32 +15,3 @@ Subpackages/modules:
 * :mod:`repro.core.runtime` — the launch-time pipeline tying analysis,
   graph construction and encoding together for an API trace.
 """
-
-from repro.core.dependency_graph import (
-    BipartiteGraph,
-    GraphKind,
-    build_bipartite_graph,
-)
-from repro.core.patterns import DependencyPattern, classify_pattern
-from repro.core.encoding import encoded_bytes, plain_bytes
-from repro.core.policy import SchedulingPolicy
-from repro.core.reorder import reorder_trace
-from repro.core.runtime import BlockMaestroRuntime, KernelPlan, RuntimePlan
-from repro.core.hardware import DependencyHardware, HardwareConfig
-
-__all__ = [
-    "BipartiteGraph",
-    "GraphKind",
-    "build_bipartite_graph",
-    "DependencyPattern",
-    "classify_pattern",
-    "encoded_bytes",
-    "plain_bytes",
-    "SchedulingPolicy",
-    "reorder_trace",
-    "BlockMaestroRuntime",
-    "KernelPlan",
-    "RuntimePlan",
-    "DependencyHardware",
-    "HardwareConfig",
-]

@@ -1,29 +1,24 @@
-"""Shared experiment machinery: model roster, plan caching, tables."""
+"""Shared experiment machinery: model roster, plan caching, tables.
+
+The roster and the table formatter import nothing heavy, so the CLI's
+parser and ``repro list`` use them without loading the models or the
+launch-time pipeline; those load when a context first plans or runs.
+"""
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.core.policy import SchedulingPolicy
-from repro.core.runtime import BlockMaestroRuntime, RuntimePlan
-from repro.models import (
-    BlockMaestroModel,
-    IdealBaseline,
-    PrelaunchOnly,
-    SerializedBaseline,
-)
-from repro.sim.config import GPUConfig
-from repro.workloads import UnknownWorkloadError, all_workloads
-
-#: The Fig. 9 model roster: (name, factory(gpu_config), reorder, window)
+#: The Fig. 9 model roster: (name, reorder, window); :func:`_make_model`
+#: builds each model
 STANDARD_MODELS = (
-    ("baseline", SerializedBaseline, False, 1),
-    ("ideal", IdealBaseline, False, 1),
-    ("prelaunch", PrelaunchOnly, True, 2),
-    ("producer", None, True, 2),  # producer-priority BlockMaestro
-    ("consumer2", None, True, 2),
-    ("consumer3", None, True, 3),
-    ("consumer4", None, True, 4),
+    ("baseline", False, 1),
+    ("ideal", False, 1),
+    ("prelaunch", True, 2),
+    ("producer", True, 2),  # producer-priority BlockMaestro
+    ("consumer2", True, 2),
+    ("consumer3", True, 3),
+    ("consumer4", True, 4),
 )
 
 #: convenience names accepted anywhere a roster model is named
@@ -51,6 +46,14 @@ def canonical_model_name(name):
 
 
 def _make_model(name, gpu_config):
+    from repro.core.policy import SchedulingPolicy
+    from repro.models import (
+        BlockMaestroModel,
+        IdealBaseline,
+        PrelaunchOnly,
+        SerializedBaseline,
+    )
+
     name = canonical_model_name(name)
     if name == "baseline":
         return SerializedBaseline(gpu_config)
@@ -88,21 +91,29 @@ class ExperimentContext:
     pair, and each model's simulation result is memoized.
     """
 
-    gpu_config: GPUConfig = field(default_factory=GPUConfig)
-    runtime: BlockMaestroRuntime = None
+    gpu_config: "GPUConfig" = None
+    runtime: "BlockMaestroRuntime" = None
     _apps: Dict[str, object] = field(default_factory=dict)
-    _plans: Dict[Tuple[str, bool, int], RuntimePlan] = field(default_factory=dict)
+    _plans: Dict[Tuple[str, bool, int], "RuntimePlan"] = field(default_factory=dict)
     _runs: Dict[Tuple[str, str], object] = field(default_factory=dict)
     _observed: Dict[Tuple[str, str], tuple] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.gpu_config is None:
+            from repro.sim.config import GPUConfig
+
+            self.gpu_config = GPUConfig()
         if self.runtime is None:
+            from repro.core.runtime import BlockMaestroRuntime
+
             self.runtime = BlockMaestroRuntime(self.gpu_config)
 
     # ------------------------------------------------------------------
     def app(self, name, **overrides):
         key = name if not overrides else "{}|{}".format(name, sorted(overrides.items()))
         if key not in self._apps:
+            from repro.workloads import UnknownWorkloadError, all_workloads
+
             for spec in all_workloads():
                 if spec.name == name:
                     self._apps[key] = spec.build(**overrides)
@@ -179,7 +190,7 @@ class ExperimentContext:
 
 def _model_plan_params(model_name):
     model_name = canonical_model_name(model_name)
-    for name, _factory, reorder, window in STANDARD_MODELS:
+    for name, reorder, window in STANDARD_MODELS:
         if name == model_name:
             return reorder, window
     raise _unknown_model(model_name)

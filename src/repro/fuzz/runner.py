@@ -39,10 +39,10 @@ import json
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.version import FUZZ_REPORT_SCHEMA_VERSION
 from repro.workloads.ptxgen import FuzzSpec, build_fuzz_app
 
 FUZZ_REPORT_KIND = "repro-fuzz-report"
-FUZZ_REPORT_SCHEMA_VERSION = 1
 
 #: candidate tiers checked against the always-implicit reference oracle
 DEFAULT_MODES = ("closed_form", "vectorized", "auto")

@@ -21,10 +21,10 @@ import json
 import os
 
 from repro.fuzz.runner import check_case
+from repro.version import CASE_SCHEMA_VERSION
 from repro.workloads.ptxgen import FuzzKernel, FuzzSpec
 
 CASE_KIND = "repro-fuzz-case"
-CASE_SCHEMA_VERSION = 1
 
 #: greedy-pass budget: each candidate costs one full pipeline run
 MAX_SHRINK_ATTEMPTS = 96

@@ -52,12 +52,6 @@ skips.
 """
 
 import heapq
-import os
-
-try:  # numpy accelerates the duration vectors; optional
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None
 
 from repro.host.api import (
     KernelLaunchCall,
@@ -71,38 +65,10 @@ from repro.models.base import (
     first_bad_duration,
     record_engine_metrics,
 )
+from repro.modes import ENGINE_ENV, resolve_engine_mode  # noqa: F401 - public
 from repro.obs import PID_DEVICE
 from repro.sim.device import empty_device_slots
 from repro.sim.stats import KernelRecord, RunStats, TBRecord
-
-#: Valid engine modes (``resolve_engine_mode`` normalizes aliases).
-ENGINE_MODES = ("auto", "vectorized", "reference")
-
-#: Environment override consulted when no explicit mode is configured —
-#: this is how bench worker processes flip the fast engine off to
-#: capture reference timings.
-ENGINE_ENV = "REPRO_ENGINE"
-
-
-def resolve_engine_mode(value=None):
-    """Normalize an engine mode, consulting ``REPRO_ENGINE``.
-
-    ``None`` reads the environment (default ``auto``); ``off``/
-    ``scalar``/``oracle`` alias ``reference``; ``on`` aliases ``auto``.
-    """
-    if value is None:
-        value = os.environ.get(ENGINE_ENV) or "auto"
-    mode = str(value).strip().lower().replace("-", "_")
-    if mode in ("off", "scalar", "oracle"):
-        mode = "reference"
-    elif mode == "on":
-        mode = "auto"
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            "unknown engine mode %r (expected one of %s)"
-            % (value, ", ".join(ENGINE_MODES))
-        )
-    return mode
 
 
 # ----------------------------------------------------------------------
@@ -145,13 +111,17 @@ def certify_device_serial(plan, config, options):
 
 def _duration_vector(kp):
     """All TB durations of one kernel, bit-identical to
-    ``KernelPlan.tb_duration_ns`` evaluated per block."""
+    ``KernelPlan.tb_duration_ns`` evaluated per block (numpy is
+    imported on first use; without it, the per-block loop)."""
     if (
-        np is None
-        or not kp._jitter
+        not kp._jitter
         or kp._duration_fn is not None
         or kp._duration_scale_fn is not None
     ):
+        return kp.tb_durations_ns()
+    try:
+        import numpy as np
+    except ImportError:
         return kp.tb_durations_ns()
     n = kp.num_tbs
     base = kp._base_duration_ns

@@ -44,9 +44,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.host.api import KernelLaunchCall, MallocCall, MemcpyD2H, MemcpyH2D
 from repro.obs.tracer import PID_DEVICE, PID_HOST, PID_SM
+from repro.version import CRITPATH_SCHEMA_VERSION
 
 CRITPATH_KIND = "repro-critpath-report"
-CRITPATH_SCHEMA_VERSION = 1
 
 #: attribution buckets; every critical-path segment lands in exactly one
 COMPONENT_KEYS = (

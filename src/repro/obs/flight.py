@@ -73,10 +73,9 @@ def build_flight_data(workload, model="consumer3", build_small=False,
 def _bench_delta(bench_dir):
     """Diff the two newest BENCH reports in ``bench_dir`` (best effort)."""
     from repro.bench.diff import diff_reports
-    from repro.bench.trend import find_reports, load_reports
+    from repro.bench.trend import load_reports
 
-    paths = find_reports(bench_dir)
-    reports = load_reports(paths)
+    reports = load_reports(bench_dir)
     if len(reports) < 2:
         return {"note": "need two BENCH reports in {}".format(bench_dir)}
     (old_path, old), (new_path, new) = reports[-2], reports[-1]

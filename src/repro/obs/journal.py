@@ -38,8 +38,9 @@ at module load, and :func:`record_run` imports the engine.
 import hashlib
 import json
 
+from repro.version import JOURNAL_SCHEMA_VERSION
+
 JOURNAL_KIND = "repro-journal"
-JOURNAL_SCHEMA_VERSION = 1
 
 #: every event kind the engine emits, in rough lifecycle order
 EVENT_KINDS = (

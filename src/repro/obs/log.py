@@ -37,6 +37,8 @@ import os
 import sys
 import time
 
+from repro.version import STATUS_SCHEMA_VERSION
+
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40, "off": 100}
 
 LOG_ENV = "REPRO_LOG"
@@ -175,7 +177,6 @@ def get_logger(subsystem):
 # heartbeat / status file
 # ----------------------------------------------------------------------
 STATUS_KIND = "repro-status"
-STATUS_SCHEMA_VERSION = 1
 
 #: per-process sequence for tmp-file names: concurrent writers (e.g.
 #: the serve daemon's heartbeat vs a request handler thread) must not

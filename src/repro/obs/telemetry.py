@@ -49,8 +49,9 @@ render telemetry.
 
 import math
 
+from repro.version import TELEMETRY_SCHEMA_VERSION
+
 TELEMETRY_KIND = "repro-telemetry-report"
-TELEMETRY_SCHEMA_VERSION = 1
 
 #: the raw time-series columns, in report order
 SERIES_KEYS = (

@@ -35,9 +35,7 @@ See ``docs/serving.md`` for the endpoint reference and
 ``repro bench serve`` for the load-test bench.
 """
 
-#: client/daemon handshake token: bump on any incompatible change to
-#: the request/response envelope or an endpoint's result shape
-SERVE_SCHEMA_VERSION = 1
+from repro.version import SERVE_SCHEMA_VERSION  # noqa: F401 - public
 
 #: envelope ``kind`` on every JSON response body
 SERVE_KIND = "repro-serve-response"
@@ -47,32 +45,3 @@ DEFAULT_PORT = 8642
 
 #: environment override for the client's default daemon URL
 SERVE_URL_ENV = "REPRO_SERVE_URL"
-
-from repro.serve.coalescer import (  # noqa: E402
-    Coalescer,
-    ResponseCache,
-    request_key,
-)
-from repro.serve.client import (  # noqa: E402
-    ClientError,
-    SchemaMismatchError,
-    ServeClient,
-    default_url,
-)
-from repro.serve.server import ReproServer, ServeDaemon  # noqa: E402
-
-__all__ = [
-    "SERVE_SCHEMA_VERSION",
-    "SERVE_KIND",
-    "DEFAULT_PORT",
-    "SERVE_URL_ENV",
-    "Coalescer",
-    "ResponseCache",
-    "request_key",
-    "ClientError",
-    "SchemaMismatchError",
-    "ServeClient",
-    "default_url",
-    "ReproServer",
-    "ServeDaemon",
-]

@@ -19,6 +19,20 @@ whose ``serve`` schema differs from the daemon's refuses the session
 with a clear error instead of mis-parsing responses.
 """
 
+#: one constant per family above; each emitting module imports its own
+#: from here, so ``repro --version`` needs none of them
+BENCH_SCHEMA_VERSION = 2
+CRITPATH_SCHEMA_VERSION = 1
+FUZZ_REPORT_SCHEMA_VERSION = 1
+CASE_SCHEMA_VERSION = 1
+JOURNAL_SCHEMA_VERSION = 1
+#: client/daemon handshake token: bump on any incompatible change to
+#: the request/response envelope or an endpoint's result shape
+SERVE_SCHEMA_VERSION = 1
+SERVE_BENCH_SCHEMA_VERSION = 1
+STATUS_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 1
+
 #: fallback when the package metadata is unavailable (e.g. running from
 #: a source checkout via PYTHONPATH); keep in sync with pyproject.toml
 __version__ = "1.0.0"
@@ -38,18 +52,8 @@ def package_version():
 
 def schema_versions():
     """Every report-schema version this build emits, by family name."""
-    from repro.bench.schema import SCHEMA_VERSION as bench_version
-    from repro.bench.serve import SERVE_BENCH_SCHEMA_VERSION
-    from repro.fuzz.runner import FUZZ_REPORT_SCHEMA_VERSION
-    from repro.fuzz.shrink import CASE_SCHEMA_VERSION
-    from repro.obs.critpath import CRITPATH_SCHEMA_VERSION
-    from repro.obs.journal import JOURNAL_SCHEMA_VERSION
-    from repro.obs.log import STATUS_SCHEMA_VERSION
-    from repro.obs.telemetry import TELEMETRY_SCHEMA_VERSION
-    from repro.serve import SERVE_SCHEMA_VERSION
-
     return {
-        "bench": bench_version,
+        "bench": BENCH_SCHEMA_VERSION,
         "critpath": CRITPATH_SCHEMA_VERSION,
         "fuzz": FUZZ_REPORT_SCHEMA_VERSION,
         "fuzz_case": CASE_SCHEMA_VERSION,

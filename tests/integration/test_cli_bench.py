@@ -169,6 +169,40 @@ class TestBenchTrend:
         assert "error:" in capsys.readouterr().err
 
 
+class TestReportBench:
+    """``repro report --bench DIR`` diffs the two newest reports in DIR."""
+
+    def _flight_html(self, bench_dir, out_dir):
+        out = out_dir / "flight.html"
+        assert main(
+            ["report", "mvt", "--out", str(out), "--bench", str(bench_dir)]
+        ) == 0
+        return out.read_text()
+
+    def test_two_reports_are_named(self, bench_report, tmp_path):
+        _path, payload = bench_report
+        bench_dir = tmp_path / "bench"
+        bench_dir.mkdir()
+        names = ["BENCH_20260804T000000Z.json", "BENCH_20260806T000000Z.json"]
+        for name in names:
+            (bench_dir / name).write_text(json.dumps(payload))
+        html = self._flight_html(bench_dir, tmp_path)
+        assert "Compared" in html
+        assert all(name in html for name in names)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_reports_gives_note(self, bench_report, tmp_path,
+                                               count):
+        _path, payload = bench_report
+        bench_dir = tmp_path / "bench"
+        bench_dir.mkdir()
+        for index in range(count):
+            (bench_dir / "BENCH_2026080{}T000000Z.json".format(index)) \
+                .write_text(json.dumps(payload))
+        html = self._flight_html(bench_dir, tmp_path)
+        assert "need two BENCH reports" in html
+
+
 class TestListJson:
     def test_list_json_stdout(self, capsys):
         assert main(["list", "--json"]) == 0
@@ -214,20 +248,24 @@ class TestErrorExits:
         assert err.startswith("error:") and "unknown model" in err
 
     @pytest.mark.parametrize(
-        "env, kind, value",
+        "env, kind, value, argv",
         [
-            pytest.param("REPRO_ENGINE", "engine", "bogus",
+            pytest.param("REPRO_ENGINE", "engine", "bogus", ["run", "mvt"],
                          id="REPRO_ENGINE-engine"),
             pytest.param("REPRO_FASTPATH", "fastpath", "bogus",
-                         id="REPRO_FASTPATH-fastpath"),
+                         ["run", "mvt"], id="REPRO_FASTPATH-fastpath"),
             pytest.param("REPRO_ENGINE", "engine", "closed_form",
+                         ["run", "mvt"],
                          id="REPRO_ENGINE-engine-closed_form"),
+            pytest.param("REPRO_ENGINE", "engine", "bogus",
+                         ["client", "health"],
+                         id="REPRO_ENGINE-engine-client"),
         ],
     )
-    def test_bad_mode_env_var_exits_2(self, env, kind, value, monkeypatch,
-                                      capsys):
+    def test_bad_mode_env_var_exits_2(self, env, kind, value, argv,
+                                      monkeypatch, capsys):
         monkeypatch.setenv(env, value)
-        assert main(["run", "mvt"]) == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: {}: unknown {} mode {!r}".format(
             env, kind, value))
@@ -254,6 +292,24 @@ class TestErrorExits:
             pytest.param(["run", "mvt", "--engine", "closed_form"],
                          "--engine: invalid choice: 'closed_form'",
                          id="run-engine-closed_form"),
+            pytest.param(["bench", "run", "--quick", "--repeats", "0"],
+                         "--repeats: must be >= 1 (got 0)",
+                         id="bench-repeats-0"),
+            pytest.param(["bench", "run", "--quick", "--repeats", "-1"],
+                         "--repeats: must be >= 1 (got -1)",
+                         id="bench-repeats-negative"),
+            pytest.param(["bench", "run", "--quick", "--warmup", "-1"],
+                         "--warmup: must be >= 0 (got -1)",
+                         id="bench-warmup-negative"),
+            pytest.param(["run", "mvt", "--width", "0"],
+                         "--width: must be >= 1 (got 0)",
+                         id="run-width-0"),
+            pytest.param(["run", "mvt", "--width", "-5"],
+                         "--width: must be >= 1 (got -5)",
+                         id="run-width-negative"),
+            pytest.param(["compare", "mvt", "--width", "0"],
+                         "--width: must be >= 1 (got 0)",
+                         id="compare-width-0"),
         ],
     )
     def test_out_of_range_argument_exits_2(self, argv, message, capsys):
@@ -262,4 +318,13 @@ class TestErrorExits:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    def test_unknown_experiment_exits_2(self, capsys):
+        assert main(["experiments", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: unknown experiment 'nosuch'; available: fig09, "
+        )
+        assert captured.err.count("\n") == 1
         assert captured.out == ""

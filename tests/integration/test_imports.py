@@ -1,0 +1,144 @@
+"""Import hygiene: every module imports alone, and cold commands import
+only what they run.
+
+A cold ``repro`` command pays for every module it imports before it does
+any work.  numpy, asyncio and http are imported inside the functions
+that use them, and package ``__init__``s re-export nothing eagerly.
+These tests hold both rules in fresh interpreters.
+"""
+
+import json
+import os
+import socket
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+#: import each module named on the command line from a clean ``repro``
+#: state; print one ``module: error`` line per failure
+_IMPORT_EACH = """
+import importlib, sys
+for name in sys.argv[1:]:
+    for key in [k for k in sys.modules if k.split(".")[0] == "repro"]:
+        del sys.modules[key]
+    try:
+        importlib.import_module(name)
+    except Exception as exc:
+        print("{}: {}: {}".format(name, type(exc).__name__, exc))
+"""
+
+#: run ``repro.cli.main`` on argv[2:], then write the exit code and the
+#: loaded module names to the file argv[1]
+_PROBE = """
+import json, sys
+out = sys.argv.pop(1)
+from repro.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+with open(out, "w") as handle:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, handle)
+"""
+
+#: what a cold ``repro run`` of a closed-form-only workload must not load
+RUN_UNLOADED = ("numpy", "asyncio", "http.client", "repro.serve.server")
+
+#: what the parser-only commands and the thin client must not load
+THIN_UNLOADED = (
+    "numpy",
+    "asyncio",
+    "repro.analysis.analyzer",
+    "repro.analysis.fastpath",
+    "repro.core.runtime",
+    "repro.models",
+)
+
+
+def _python(*args, timeout=300):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=timeout,
+    )
+
+
+def _module_names():
+    names = []
+    for dirpath, dirnames, filenames in os.walk(os.path.join(SRC, "repro")):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        package = os.path.relpath(dirpath, SRC).replace(os.sep, ".")
+        for filename in sorted(filenames):
+            if filename == "__init__.py":
+                names.append(package)
+            elif filename.endswith(".py"):
+                names.append("{}.{}".format(package, filename[:-3]))
+    return names
+
+
+def _probe(tmp_path, argv):
+    out = tmp_path / "probe.json"
+    result = _python("-c", _PROBE, str(out), *argv)
+    assert out.exists(), result.stderr
+    data = json.loads(out.read_text())
+    return data["code"], data["modules"]
+
+
+def _loaded(modules, names):
+    return sorted(
+        module for module in modules
+        for name in names
+        if module == name or module.startswith(name + ".")
+    )
+
+
+def _closed_port_url():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return "http://127.0.0.1:{}".format(port)
+
+
+def test_every_module_imports_on_its_own():
+    names = _module_names()
+    assert "repro.cli" in names and "repro.analysis.fastpath" in names
+    result = _python("-c", _IMPORT_EACH, *names, timeout=600)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "", "modules that fail alone:\n" + result.stdout
+
+
+@pytest.mark.parametrize("workload", ["mvt", "bicg", "path", "hs", "fdtd-2d"])
+def test_cold_run_loads_no_numpy_or_daemon(workload, tmp_path):
+    code, modules = _probe(
+        tmp_path, ["run", workload, "--model", "consumer3", "--json", "-"]
+    )
+    assert code == 0
+    assert _loaded(modules, RUN_UNLOADED) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--version"], 0),
+        (["list"], 0),
+        (["list", "--json"], 0),
+        (["client", "--url", "CLOSED", "health"], 2),
+    ],
+    ids=["version", "list", "list-json", "client"],
+)
+def test_thin_commands_load_no_pipeline(argv, code, tmp_path):
+    argv = [_closed_port_url() if arg == "CLOSED" else arg for arg in argv]
+    exit_code, modules = _probe(tmp_path, argv)
+    assert exit_code == code
+    unloaded = THIN_UNLOADED
+    if argv[0] in ("--version", "client"):
+        unloaded += ("repro.workloads",)
+    assert _loaded(modules, unloaded) == []

@@ -33,7 +33,7 @@ from repro.workloads import all_workloads, get_workload
 from tests.conftest import make_chain_app
 
 #: the four distinct (reorder, window) plans of the roster
-CONFIGS = sorted({(reorder, window) for _, _, reorder, window in STANDARD_MODELS})
+CONFIGS = sorted({(reorder, window) for _, reorder, window in STANDARD_MODELS})
 APPS = [spec.name for spec in all_workloads()] + [
     "fuzz-{}".format(seed) for seed in range(50)
 ]
@@ -105,7 +105,7 @@ def test_shared_graphs_match_fresh_builds(name):
     assert built == len(distinct)
     assert built + hits == counters.get("plan.graphs_built", 0)
 
-    for model, _factory, reorder, window in STANDARD_MODELS:
+    for model, reorder, window in STANDARD_MODELS:
         fresh_plan = BlockMaestroRuntime(metrics=MetricsRegistry()).plan(
             app, reorder=reorder, window=window
         )

@@ -9,6 +9,7 @@ is byte-identical to the unobserved fast-tier run.
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core.runtime import BlockMaestroRuntime
 from repro.experiments.common import _make_model
 from repro.models.fastengine import (
     ENGINE_ENV,
+    _duration_vector,
     certify_device_serial,
     resolve_engine_mode,
 )
@@ -139,6 +141,17 @@ class TestCertificate:
         assert (
             certify_device_serial(plan, config, options) == "no_slot_fits"
         )
+
+
+class TestDurationVector:
+    def test_without_numpy_matches_per_block_loop(self, monkeypatch):
+        plan = BlockMaestroRuntime().plan(get_workload("eng-chain").build_small())
+        kp = plan.kernels[0]
+        expected = kp.tb_durations_ns()
+        assert kp._jitter and len(set(expected)) > 1
+        assert _duration_vector(kp) == expected
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        assert _duration_vector(kp) == expected
 
 
 class TestObserverFallback:

@@ -1,5 +1,7 @@
 """Unit tests for the two-tier dependency-graph fast path."""
 
+import sys
+
 import pytest
 
 from repro.analysis import fastpath
@@ -220,7 +222,7 @@ class TestBuildGraphFast:
         child = make_summary(
             [record("read", 0, (0, 256, 0), width=256)], (4, 4)
         )
-        monkeypatch.setattr(fastpath, "np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
         graph, tier = build_graph_fast(parent, child)
         assert tier == "reference"
         assert graph == build_bipartite_graph(parent, child)
