@@ -361,3 +361,40 @@ class TestDifferentialGate:
                 # the signature the daemon attaches matches the
                 # payload it attaches it to
                 assert signature["makespan_ns"] == local["makespan_ns"]
+
+
+#: op -> the daemon-only fields its result carries beside the CLI payload
+DAEMON_ONLY_FIELDS = {"compare": ("signatures",), "critpath": (),
+                      "telemetry": ()}
+
+
+class TestAllOpDifferentialGate:
+    """compare, critpath (with and without what-if) and telemetry: the
+    daemon's result, minus its daemon-only fields, equals the in-process
+    ``repro <op> W --json -`` payload."""
+
+    @pytest.mark.parametrize("op", sorted(DAEMON_ONLY_FIELDS))
+    @pytest.mark.parametrize("wname", ["mvt", "path", "fdtd-2d"])
+    def test_daemon_matches_cli(self, wname, op, daemon, capsys):
+        from repro.cli import main
+
+        daemon_client = ServeClient(daemon.base_url)
+        variants = [((), {})]
+        if op == "critpath":
+            variants.append((("--whatif",), {"whatif": True}))
+        for flags, params in variants:
+            argv = [op, wname, "--json", "-"] + list(flags)
+            assert main(argv) == 0
+            local = json.loads(capsys.readouterr().out)
+            envelope = daemon_client._request(
+                "POST", "/v1/{}".format(op),
+                body=dict(params, workload=wname),
+            )
+            remote = dict(envelope["result"])
+            for field in DAEMON_ONLY_FIELDS[op]:
+                remote.pop(field)
+            assert json.dumps(remote, sort_keys=True) == \
+                json.dumps(local, sort_keys=True), (
+                    "daemon {} diverged from `repro {}`".format(
+                        op, " ".join(argv))
+                )
