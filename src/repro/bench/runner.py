@@ -55,12 +55,11 @@ from typing import Optional, Tuple
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.fastpath import resolve_fastpath_mode
 from repro.bench import schema
-from repro.core.runtime import BlockMaestroRuntime
 from repro.experiments.common import (
     STANDARD_MODELS,
-    _make_model,
     _model_plan_params,
     canonical_model_name,
+    simulate_cell,
 )
 from repro.models.fastengine import resolve_engine_mode
 from repro.obs import MetricsRegistry, Tracer
@@ -222,13 +221,9 @@ def _run_once(spec, model_name, cache=None):
     if cache is not None:
         cache.metrics = metrics  # count this pass's traffic separately
     start = time.perf_counter()
-    with tracer.span("workload.build:{}".format(spec.name), cat="ptx"):
-        app = spec.build()
-    reorder, window = _model_plan_params(model_name)
-    runtime = BlockMaestroRuntime(tracer=tracer, metrics=metrics, cache=cache)
-    plan = runtime.plan(app, reorder=reorder, window=window)
-    model = _make_model(model_name, runtime.config)
-    stats = model.run(plan, tracer=tracer, metrics=metrics)
+    _app, stats = simulate_cell(
+        spec.name, model_name, tracer=tracer, metrics=metrics, cache=cache
+    )
     total_s = time.perf_counter() - start
     phases = {key: 0.0 for key in schema.PHASE_KEYS}
     for name, total_us, _count in tracer.wall_phase_totals():
@@ -369,7 +364,7 @@ def _run_cell(cell):
     return entry, cell_metrics.snapshot()
 
 
-def run_suite(config, log=None, executor=None, status_file=None):
+def run_suite(config, log=None, status_file=None):
     """Execute the configured suite; returns the report payload dict.
 
     Cells — independent (workload, model) pairs — are dispatched through
@@ -421,12 +416,7 @@ def run_suite(config, log=None, executor=None, status_file=None):
             ),
         )
 
-    if executor is None:
-        executor = SuiteExecutor(
-            jobs=config.jobs, log=log, on_result=_on_result
-        )
-    elif getattr(executor, "on_result", None) is None:
-        executor.on_result = _on_result
+    executor = SuiteExecutor(jobs=config.jobs, log=log, on_result=_on_result)
     merged_metrics = MetricsRegistry()
     try:
         results = executor.map(_run_cell, cells)

@@ -150,7 +150,7 @@ def latency_block(samples_ms):
 def _timed_run(client, workload, model):
     """One ``/v1/run`` request; returns (elapsed_ms, source)."""
     started = time.perf_counter()
-    envelope = client.run(workload, model=model)
+    envelope = client.call("run", workload=workload, model=model)
     elapsed_ms = (time.perf_counter() - started) * 1e3
     return elapsed_ms, envelope.get("source", "?")
 
@@ -169,7 +169,7 @@ def _phase_warmup(make_client, workloads, model):
     client = make_client()
     started = time.perf_counter()
     for workload in workloads:
-        client.run(workload, model=model)
+        client.call("run", workload=workload, model=model)
     return {
         "requests": len(workloads),
         "total_s": round(time.perf_counter() - started, 3),

@@ -45,14 +45,14 @@ Commands:
                                       ``docs/benchmarking.md``)
 * ``serve [--host H --port P]``     — long-running simulation daemon:
                                       the run/compare/critpath/
-                                      telemetry/bench pipelines over
+                                      telemetry operations over
                                       HTTP/JSON with warm state,
                                       request coalescing, ``/metrics``,
                                       ``/healthz``, ``/statusz``,
                                       ``/events`` (``docs/serving.md``)
 * ``client <cmd> [--url URL]``      — thin client for the daemon:
                                       ``run``/``compare``/``critpath``/
-                                      ``telemetry``/``bench`` plus
+                                      ``telemetry`` plus
                                       ``health``/``status``/``version``/
                                       ``metrics``/``events``/``shutdown``
 * ``bench serve``                   — daemon load test: latency
@@ -68,10 +68,14 @@ Commands:
                                       any divergence
                                       (``docs/fuzzing.md``)
 
-``run``, ``critpath``, and ``bench run`` accept ``--engine MODE`` to
-pin the simulation-engine tier (``auto`` | ``vectorized`` |
-``reference``) for the invocation — equivalent to
-setting ``REPRO_ENGINE``, and inherited by worker processes.
+``run`` and ``bench run`` accept ``--engine MODE`` to pin the
+simulation-engine tier (``auto`` | ``vectorized`` | ``reference``) for
+the invocation, over ``REPRO_ENGINE``; ``bench run``'s worker processes
+inherit the pin.
+
+``run``, ``compare``, ``critpath`` and ``telemetry`` are the operations
+of :mod:`repro.ops`, which the daemon serves and ``repro client``
+calls.
 
 Model names accept the roster (``baseline``, ``ideal``, ``prelaunch``,
 ``producer``, ``consumer2``..``consumer4``) plus the ``blockmaestro``
@@ -95,22 +99,13 @@ import sys
 # Only what build_parser and the env-mode check read is imported here;
 # each cmd_* imports the modules it runs, so a command loads no pipeline
 # it does not execute.
-from repro.experiments.common import MODEL_ALIASES, STANDARD_MODELS
 from repro.modes import (
     ENGINE_ENV,
-    ENGINE_MODES,
     FASTPATH_ENV,
-    MODE_ALIASES,
     resolve_engine_mode,
     resolve_fastpath_mode,
 )
-
-MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
-MODEL_CHOICES = MODEL_NAMES + sorted(MODEL_ALIASES)
-
-#: ``--engine`` values: canonical modes plus the aliases
-#: :func:`repro.modes.resolve_engine_mode` accepts
-ENGINE_CHOICES = ENGINE_MODES + tuple(MODE_ALIASES)
+from repro.ops import ENGINE_CHOICES, MODEL_CHOICES, OPS, REQUIRED
 
 
 def _int_at_least(text, minimum):
@@ -238,13 +233,8 @@ def _emit_json(payload, destination):
 
 
 def _pin_engine_mode(value):
-    """Pin ``--engine MODE`` for this invocation via the environment.
-
-    The env var — not a call argument — is the conduit because the
-    memoized :meth:`ExperimentContext.run_model` path and forked bench
-    workers both resolve ``REPRO_ENGINE`` at run time; pinning the
-    environment reaches every run the command makes.
-    """
+    """Pin ``bench run --engine MODE`` via the environment, which the
+    suite's forked ``--jobs`` workers inherit."""
     if value is None:
         return
     import os
@@ -253,17 +243,14 @@ def _pin_engine_mode(value):
 
 
 def cmd_run(args):
-    from repro.experiments.common import ExperimentContext
-    from repro.obs.report import run_stats_dict
-    from repro.workloads import get_workload
+    from repro import ops
 
-    _pin_engine_mode(args.engine)
-    app = get_workload(args.workload).build()
-    ctx = ExperimentContext()
-    ctx.register_app(app)
-    stats = ctx.run_model(app, args.model)
+    payload, stats = ops.run(
+        args.workload, args.model, engine=args.engine,
+        tb_records=args.tb_records,
+    )
     if args.json == "-":
-        _emit_json(run_stats_dict(stats, include_tb_records=args.tb_records), "-")
+        _emit_json(payload, "-")
         return
     from repro.sim.timeline import render_kernel_timeline
 
@@ -275,51 +262,16 @@ def cmd_run(args):
     q1, med, q3 = stats.stall_quartiles()
     print("stalls    : q1={:.2f} median={:.2f} q3={:.2f}".format(q1, med, q3))
     if args.json:
-        _emit_json(
-            run_stats_dict(stats, include_tb_records=args.tb_records), args.json
-        )
-
-
-def _compare_model(item):
-    """``compare --jobs`` worker: one roster model, self-contained."""
-    from repro.experiments.common import ExperimentContext
-    from repro.workloads import get_workload
-
-    workload, model_name = item
-    app = get_workload(workload).build()
-    ctx = ExperimentContext()
-    ctx.register_app(app)
-    return ctx.run_model(app, model_name)
+        _emit_json(payload, args.json)
 
 
 def cmd_compare(args):
-    from repro.experiments.common import ExperimentContext, format_table
-    from repro.obs.report import run_stats_dict
-    from repro.workloads import get_workload
+    from repro import ops
+    from repro.experiments.common import format_table
 
-    app = get_workload(args.workload).build()
-    jobs = getattr(args, "jobs", 1) or 1
-    if jobs > 1:
-        from repro.parallel import SuiteExecutor
-
-        executor = SuiteExecutor(jobs=jobs)
-        runs = executor.map(
-            _compare_model, [(args.workload, name) for name in MODEL_NAMES]
-        )
-    else:
-        ctx = ExperimentContext()
-        ctx.register_app(app)
-        runs = [ctx.run_model(app, name) for name in MODEL_NAMES]
+    payload, runs = ops.compare(args.workload, jobs=args.jobs)
     baseline = runs[0]
     if args.json:
-        payload = {
-            "workload": app.name,
-            "baseline": baseline.model,
-            "runs": [
-                dict(run_stats_dict(stats), speedup=stats.speedup_over(baseline))
-                for stats in runs
-            ],
-        }
         _emit_json(payload, args.json)
         if args.json == "-":
             return
@@ -336,7 +288,7 @@ def cmd_compare(args):
         format_table(
             rows,
             ["model", "makespan_us", "speedup", "concurrency"],
-            title="Model comparison: {}".format(app.name),
+            title="Model comparison: {}".format(payload["workload"]),
         )
     )
     if args.timelines:
@@ -353,26 +305,15 @@ def _traced_run(workload, model_name, per_sm=False, journal=None):
     ``blame``; ``journal`` optionally records the run for the
     critical-path and telemetry overlays.
     """
-    from repro.core.runtime import BlockMaestroRuntime
-    from repro.experiments.common import (
-        _make_model,
-        _model_plan_params,
-        canonical_model_name,
-    )
+    from repro.experiments.common import simulate_cell
     from repro.obs import MetricsRegistry, Tracer
-    from repro.workloads import get_workload
 
     tracer = Tracer(per_sm_counters=per_sm)
     metrics = MetricsRegistry()
-    spec = get_workload(workload)
-    with tracer.span("workload.build:{}".format(spec.name), cat="ptx"):
-        app = spec.build()  # PTX parse + trace construction
-    model_name = canonical_model_name(model_name)
-    reorder, window = _model_plan_params(model_name)
-    runtime = BlockMaestroRuntime(tracer=tracer, metrics=metrics)
-    plan = runtime.plan(app, reorder=reorder, window=window)
-    model = _make_model(model_name, runtime.config)
-    stats = model.run(plan, tracer=tracer, metrics=metrics, journal=journal)
+    app, stats = simulate_cell(
+        workload, model_name, tracer=tracer, metrics=metrics,
+        journal=journal,
+    )
     return app, stats, tracer, metrics
 
 
@@ -433,20 +374,10 @@ def cmd_blame(args):
 
 
 def cmd_critpath(args):
+    from repro import ops
     from repro.obs import critpath as cp
-    from repro.obs.journal import record_run
 
-    # the journal attaches an observer, so a non-reference --engine pin
-    # falls back to the scalar oracle (counted, documented behavior);
-    # the pin is still honored so users can see exactly that.
-    _pin_engine_mode(args.engine)
-    journal, stats = record_run(args.workload, args.model)
-    report = cp.build_report(stats, journal, whatif=args.whatif)
-    errors = cp.validate_critpath_report(report)
-    if errors:  # a profiler bug, not a user error — fail loudly
-        raise AssertionError(
-            "generated critpath report is invalid: {}".format(errors[:3])
-        )
+    report, _stats = ops.critpath(args.workload, args.model, args.whatif)
     if args.json:
         _emit_json(report, args.json)
         if args.json == "-":
@@ -476,17 +407,11 @@ def cmd_journal(args):
 
 
 def cmd_telemetry(args):
+    from repro import ops
     from repro.obs import telemetry as tm
-    from repro.obs.journal import record_run
     from repro.obs.report import write_text
 
-    journal, stats = record_run(args.workload, args.model)
-    report = tm.build_report(stats, journal)
-    errors = tm.validate_telemetry_report(report)
-    if errors:  # an analyzer bug, not a user error — fail loudly
-        raise AssertionError(
-            "generated telemetry report is invalid: {}".format(errors[:3])
-        )
+    report, _stats = ops.telemetry(args.workload, args.model)
     if args.prom:
         write_text(tm.write_prometheus(report), args.prom)
     if args.json:
@@ -810,7 +735,6 @@ def cmd_serve(args):
             cache_dir=cache_dir,
             status_file=args.status_file,
             trace_out=args.trace_out,
-            bench_jobs=args.jobs,
         )
         return asyncio.run(server.run(announce=print))
     except ServeStartupError as exc:
@@ -821,42 +745,27 @@ def cmd_serve(args):
         return 0
 
 
+#: ``repro client`` commands that print one GET/POST answer as JSON
+_CLIENT_REQUESTS = {
+    "health": "health",
+    "status": "statusz",
+    "version": "version",
+    "workloads": "workloads",
+    "shutdown": "shutdown",
+}
+
+
 def cmd_client(args):
     from repro.serve.client import ClientError, ServeClient
 
     command = args.client_command
     try:
         client = ServeClient(args.url)
-        if command == "run":
-            payload = client.run(
-                args.workload,
-                model=args.model,
-                engine=args.engine,
-                journal=args.journal,
-                tb_records=args.tb_records,
-            )
-        elif command == "compare":
-            payload = client.compare(args.workload)
-        elif command == "critpath":
-            payload = client.critpath(
-                args.workload, model=args.model, whatif=args.whatif
-            )
-        elif command == "telemetry":
-            payload = client.telemetry(args.workload, model=args.model)
-        elif command == "bench":
-            payload = client.bench(
-                quick=not args.full,
-                repeats=args.repeats,
-                warmup=args.warmup,
-            )
-        elif command == "health":
-            payload = client.health()
-        elif command == "status":
-            payload = client.statusz()
-        elif command == "version":
-            payload = client.version()
-        elif command == "workloads":
-            payload = client.workloads()
+        if command in OPS:
+            payload = client.call(command, **{
+                param.name: getattr(args, param.name)
+                for param in OPS[command].params
+            })
         elif command == "metrics":
             print(client.metrics(), end="")
             return 0
@@ -866,13 +775,14 @@ def cmd_client(args):
             for event in client.events(max_events=args.count):
                 dump_json(event, "-")
             return 0
-        else:  # command == "shutdown"
-            payload = client.shutdown()
+        else:
+            payload = getattr(client, _CLIENT_REQUESTS[command])()
     except ClientError as exc:
-        # daemon down / refused / schema mismatch: one line, exit 2
+        # daemon down / refused / bad URL / schema mismatch: one line,
+        # exit 2
         print("error: {}".format(exc), file=sys.stderr)
         return 2
-    _emit_json(payload, getattr(args, "json", None) or "-")
+    _emit_json(payload, "-")
     return 0
 
 
@@ -1103,12 +1013,6 @@ def build_parser():
         default=None,
         metavar="FILE",
         help="schema-validated critpath report to stdout (no FILE) or FILE",
-    )
-    p_cp.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default=None,
-        help="pin the simulation-engine tier (critpath records a "
-             "journal, which forces the reference oracle; the fallback "
-             "is counted)",
     )
 
     p_journal = sub.add_parser(
@@ -1436,7 +1340,7 @@ def build_parser():
     p_serve = sub.add_parser(
         "serve",
         help="long-running simulation daemon: run/compare/critpath/"
-             "telemetry/bench over HTTP with request coalescing, "
+             "telemetry over HTTP with request coalescing, "
              "/metrics, /healthz, /statusz, /events (docs/serving.md)",
     )
     p_serve.add_argument(
@@ -1457,10 +1361,6 @@ def build_parser():
     p_serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist launch-time analysis in DIR (implies --cache)",
-    )
-    p_serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for /v1/bench suites (default: 1)",
     )
     p_serve.add_argument(
         "--status-file", default=None, metavar="FILE",
@@ -1489,55 +1389,20 @@ def build_parser():
         dest="client_command", required=True
     )
 
-    c_run = client_sub.add_parser("run", help="simulate one workload")
-    c_run.add_argument("workload")
-    c_run.add_argument(
-        "--model", choices=MODEL_CHOICES, default="consumer3"
-    )
-    c_run.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default=None,
-        help="pin the daemon's simulation-engine tier for this request",
-    )
-    c_run.add_argument(
-        "--journal", action="store_true",
-        help="include the run's journal digest in the response",
-    )
-    c_run.add_argument(
-        "--tb-records", action="store_true",
-        help="include per-thread-block records in the response",
-    )
-
-    c_compare = client_sub.add_parser(
-        "compare", help="all roster models on one workload"
-    )
-    c_compare.add_argument("workload")
-
-    c_cp = client_sub.add_parser(
-        "critpath", help="critical-path report for one workload"
-    )
-    c_cp.add_argument("workload")
-    c_cp.add_argument(
-        "--model", choices=MODEL_CHOICES, default="consumer3"
-    )
-    c_cp.add_argument("--whatif", action="store_true")
-
-    c_tm = client_sub.add_parser(
-        "telemetry", help="telemetry report for one workload"
-    )
-    c_tm.add_argument("workload")
-    c_tm.add_argument(
-        "--model", choices=MODEL_CHOICES, default="consumer3"
-    )
-
-    c_bench = client_sub.add_parser(
-        "bench", help="run a bench suite inside the daemon"
-    )
-    c_bench.add_argument(
-        "--full", action="store_true",
-        help="full suite instead of the quick set",
-    )
-    c_bench.add_argument("--repeats", type=int, default=None, metavar="N")
-    c_bench.add_argument("--warmup", type=int, default=None, metavar="N")
+    for name, op in OPS.items():
+        c_op = client_sub.add_parser(name, help=op.help)
+        for param in op.params:
+            if param.default is REQUIRED:
+                c_op.add_argument(param.name, help=param.help)
+                continue
+            flag = "--" + param.name.replace("_", "-")
+            if param.type is bool:
+                c_op.add_argument(flag, action="store_true", help=param.help)
+            else:
+                c_op.add_argument(
+                    flag, choices=param.choices, default=param.default,
+                    help=param.help,
+                )
 
     client_sub.add_parser("health", help="GET /healthz")
     client_sub.add_parser("status", help="GET /statusz")

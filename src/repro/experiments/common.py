@@ -110,22 +110,13 @@ class ExperimentContext:
 
     # ------------------------------------------------------------------
     def app(self, name, **overrides):
+        """The application ``get_workload(name)`` builds, built once."""
         key = name if not overrides else "{}|{}".format(name, sorted(overrides.items()))
         if key not in self._apps:
-            from repro.workloads import UnknownWorkloadError, all_workloads
+            from repro.workloads import get_workload
 
-            for spec in all_workloads():
-                if spec.name == name:
-                    self._apps[key] = spec.build(**overrides)
-                    break
-            else:
-                raise UnknownWorkloadError("unknown workload %r" % name)
+            self._apps[key] = get_workload(name).build(**overrides)
         return self._apps[key]
-
-    def register_app(self, app):
-        """Register an externally built application (microbenchmarks)."""
-        self._apps[app.name] = app
-        return app
 
     def plan_for(self, app, reorder, window):
         key = (app.name, reorder, window)
@@ -135,15 +126,23 @@ class ExperimentContext:
             )
         return self._plans[key]
 
+    def simulate(self, app, model_name, engine=None, journal=None):
+        """Run one roster model on the app's memoized plan, unmemoized.
+
+        ``engine`` pins the simulation tier and ``journal`` records the
+        run, as in :meth:`~repro.models.base.ExecutionModel.run`.
+        """
+        reorder, window = _model_plan_params(model_name)
+        plan = self.plan_for(app, reorder, window)
+        model = _make_model(model_name, self.gpu_config)
+        return model.run(plan, journal=journal, engine=engine)
+
     def run_model(self, app, model_name):
         """Run one roster model on one app, memoized."""
         model_name = canonical_model_name(model_name)
         key = (app.name, model_name)
         if key not in self._runs:
-            reorder, window = _model_plan_params(model_name)
-            plan = self.plan_for(app, reorder, window)
-            model = _make_model(model_name, self.gpu_config)
-            self._runs[key] = model.run(plan)
+            self._runs[key] = self.simulate(app, model_name)
         return self._runs[key]
 
     def critpath_attribution(self, app, model_name):
@@ -169,11 +168,8 @@ class ExperimentContext:
             from repro.obs import critpath, telemetry
             from repro.obs.journal import JournalRecorder
 
-            reorder, window = _model_plan_params(model_name)
-            plan = self.plan_for(app, reorder, window)
-            model = _make_model(model_name, self.gpu_config)
             journal = JournalRecorder()
-            stats = model.run(plan, journal=journal)
+            stats = self.simulate(app, model_name, journal=journal)
             self._observed[key] = (
                 dict(critpath.build_report(stats, journal)
                      ["attribution_fraction"]),
@@ -186,6 +182,33 @@ class ExperimentContext:
     def run_all(self, app, model_names=None):
         names = model_names or [m[0] for m in STANDARD_MODELS]
         return {name: self.run_model(app, name) for name in names}
+
+
+def simulate_cell(workload, model_name, build_small=False, tracer=None,
+                  metrics=None, cache=None, journal=None):
+    """Build, plan and simulate one (workload, model) cell from scratch.
+
+    The one cold pipeline behind :func:`repro.obs.journal.record_run`,
+    the CLI's traced runs, bench passes and ``compare --jobs`` workers.
+    ``tracer`` and ``metrics`` observe every stage, ``cache`` is an
+    optional :class:`~repro.analysis.cache.AnalysisCache` for planning,
+    and ``journal`` records the run.  Returns ``(app, stats)``.
+    """
+    from repro.core.runtime import BlockMaestroRuntime
+    from repro.obs import resolve_tracer
+    from repro.workloads import get_workload
+
+    spec = get_workload(workload)
+    with resolve_tracer(tracer).span(
+        "workload.build:{}".format(spec.name), cat="ptx"
+    ):
+        app = spec.build_small() if build_small else spec.build()
+    reorder, window = _model_plan_params(model_name)
+    runtime = BlockMaestroRuntime(tracer=tracer, metrics=metrics, cache=cache)
+    plan = runtime.plan(app, reorder=reorder, window=window)
+    model = _make_model(model_name, runtime.config)
+    stats = model.run(plan, tracer=tracer, metrics=metrics, journal=journal)
+    return app, stats
 
 
 def _model_plan_params(model_name):

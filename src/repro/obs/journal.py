@@ -335,21 +335,11 @@ def record_run(workload, model="consumer3", build_small=False, cache=None):
     """
     # Imported lazily: the engine imports repro.obs at module load, so a
     # module-level import here would be a cycle.
-    from repro.core.runtime import BlockMaestroRuntime
-    from repro.experiments.common import (
-        _make_model,
-        _model_plan_params,
-        canonical_model_name,
-    )
-    from repro.workloads import get_workload
+    from repro.experiments.common import simulate_cell
 
-    spec = get_workload(workload)
-    app = spec.build_small() if build_small else spec.build()
-    model_name = canonical_model_name(model)
-    reorder, window = _model_plan_params(model_name)
-    runtime = BlockMaestroRuntime(cache=cache)
-    plan = runtime.plan(app, reorder=reorder, window=window)
-    engine_model = _make_model(model_name, runtime.config)
     recorder = JournalRecorder()
-    stats = engine_model.run(plan, journal=recorder)
+    _app, stats = simulate_cell(
+        workload, model, build_small=build_small, cache=cache,
+        journal=recorder,
+    )
     return recorder, stats

@@ -4,11 +4,10 @@ Every CLI invocation pays interpreter + parse + analyze cold start.
 ``repro serve`` is the long-running alternative: one asyncio HTTP/JSON
 process that holds the workload registry, a warm in-process
 :class:`~repro.experiments.common.ExperimentContext` (apps, plans, and
-run results memoized across requests), a persistent
-:class:`~repro.analysis.cache.AnalysisCache`, and a
-:class:`~repro.parallel.SuiteExecutor` pool for bench requests —
-exposing ``run`` / ``compare`` / ``critpath`` / ``telemetry`` /
-``bench`` as endpoints.
+run results memoized across requests) and a persistent
+:class:`~repro.analysis.cache.AnalysisCache` — exposing the
+:mod:`repro.ops` operations ``run`` / ``compare`` / ``critpath`` /
+``telemetry`` as endpoints.
 
 Request handling is *content-addressed* (PR 3's sha256 scheme): every
 simulation request canonicalizes to a :func:`request_key`; concurrent

@@ -10,8 +10,8 @@ subsequent request also carries the ``X-Repro-Serve-Schema`` header so
 the daemon can reject stale clients symmetrically (HTTP 409).
 
 Transport failures (daemon not running, connection refused, timeouts)
-surface as :class:`ClientError` — a one-line, traceback-free message
-the CLI maps to exit 2.
+and malformed daemon URLs surface as :class:`ClientError` — a one-line,
+traceback-free message the CLI maps to exit 2.
 """
 
 import http.client
@@ -41,7 +41,14 @@ class ServeClient:
     """Talk to one daemon at ``base_url`` (default: :func:`default_url`)."""
 
     def __init__(self, base_url=None, timeout=120.0):
-        parsed = urllib.parse.urlsplit(base_url or default_url())
+        url = base_url or default_url()
+        try:
+            parsed = urllib.parse.urlsplit(url)
+            port = parsed.port
+        except ValueError as exc:
+            raise ClientError(
+                "bad daemon URL {!r}: {}".format(url, exc)
+            ) from None
         if parsed.scheme not in ("http", ""):
             raise ClientError(
                 "unsupported URL scheme {!r} (http only)".format(
@@ -51,7 +58,7 @@ class ServeClient:
         self.host = parsed.hostname or "127.0.0.1"
         from repro.serve import DEFAULT_PORT
 
-        self.port = parsed.port or DEFAULT_PORT
+        self.port = port or DEFAULT_PORT
         self.timeout = timeout
         self._handshaken = False
 
@@ -139,10 +146,6 @@ class ServeClient:
             )
         self._handshaken = True
 
-    def _simulate(self, endpoint, params):
-        self._handshake()
-        return self._request("POST", "/v1/{}".format(endpoint), body=params)
-
     # ------------------------------------------------------------------
     # observability surfaces
     # ------------------------------------------------------------------
@@ -166,50 +169,16 @@ class ServeClient:
         return self._request("POST", "/v1/shutdown")
 
     # ------------------------------------------------------------------
-    # simulation endpoints
+    # operations
     # ------------------------------------------------------------------
-    def run(self, workload, model=None, engine=None, journal=False,
-            tb_records=False):
-        params = {"workload": workload}
-        if model is not None:
-            params["model"] = model
-        if engine is not None:
-            params["engine"] = engine
-        if journal:
-            params["journal"] = True
-        if tb_records:
-            params["tb_records"] = True
-        return self._simulate("run", params)
+    def call(self, op, **params):
+        """``POST /v1/<op>``: one :data:`repro.ops.OPS` operation.
 
-    def compare(self, workload):
-        return self._simulate("compare", {"workload": workload})
-
-    def critpath(self, workload, model=None, whatif=False):
-        params = {"workload": workload}
-        if model is not None:
-            params["model"] = model
-        if whatif:
-            params["whatif"] = True
-        return self._simulate("critpath", params)
-
-    def telemetry(self, workload, model=None):
-        params = {"workload": workload}
-        if model is not None:
-            params["model"] = model
-        return self._simulate("telemetry", params)
-
-    def bench(self, quick=True, models=None, filter_globs=None,
-              repeats=None, warmup=None):
-        params = {"quick": quick}
-        if models is not None:
-            params["models"] = list(models)
-        if filter_globs is not None:
-            params["filter"] = list(filter_globs)
-        if repeats is not None:
-            params["repeats"] = repeats
-        if warmup is not None:
-            params["warmup"] = warmup
-        return self._simulate("bench", params)
+        ``params`` are the op's parameters; an omitted or ``None`` one
+        takes the op's default.  Returns the response envelope.
+        """
+        self._handshake()
+        return self._request("POST", "/v1/{}".format(op), body=params)
 
     # ------------------------------------------------------------------
     # event stream

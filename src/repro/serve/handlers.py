@@ -1,31 +1,24 @@
-"""Endpoint computations for the serve daemon.
+"""Request handling for the serve daemon: normalize, then call the op.
 
-Each ``<endpoint>_result(state, params)`` function is a *blocking*
-callable: the server dispatches it through the coalescer into the event
-loop's thread executor.  All of them run the exact same code paths the
-one-shot CLI commands run — ``/v1/run`` is
-:meth:`ExperimentContext.run_model`, ``/v1/critpath`` is the
-``repro critpath`` pipeline, and so on — so a daemon response is
-byte-identical to the in-process CLI result for the same parameters
-(the integration suite's differential gate).
+``POST /v1/<op>`` runs the :mod:`repro.ops` function that ``repro <op>``
+runs, so a daemon result is the in-process CLI payload plus the
+daemon's envelope fields: ``workload``, and the simulated
+``signature`` (``run``) or per-model ``signatures`` (``compare``).
+The integration suite's differential gates compare the two for every
+op.
 
 Parameter handling happens *before* key derivation:
-:func:`normalize_params` applies defaults, canonicalizes model aliases
-(``blockmaestro`` -> ``consumer3``), validates names and types, and
-rejects unknown fields — so two spellings of the same request share one
-content-addressed key, and an invalid request fails fast with a
-:class:`ServeRequestError` instead of poisoning the cache.
+:func:`normalize_params` applies the :data:`repro.ops.OPS` defaults,
+canonicalizes model aliases (``blockmaestro`` -> ``consumer3``),
+validates names and types, and rejects unknown fields — so two
+spellings of the same request share one content-addressed key, and an
+invalid request fails fast with a :class:`ServeRequestError` instead of
+poisoning the cache.
 """
 
-from repro.experiments.common import (
-    MODEL_ALIASES,
-    STANDARD_MODELS,
-    UnknownModelError,
-    canonical_model_name,
-)
+from repro.experiments.common import MODEL_ALIASES, canonical_model_name
+from repro.ops import MODEL_NAMES, OPS, REQUIRED
 from repro.workloads import UnknownWorkloadError, all_workloads, get_workload
-
-MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
 
 
 class ServeRequestError(ValueError):
@@ -36,45 +29,8 @@ class ServeRequestError(ValueError):
         self.status = status
 
 
-#: endpoint -> {param: (type-check, default)}; ``REQUIRED`` = no default
-REQUIRED = object()
-
-_BOOL = ("boolean", lambda v: isinstance(v, bool))
-_STR = ("string", lambda v: isinstance(v, str))
-_INT = ("integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_STR_LIST = (
-    "list of strings",
-    lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-)
-
-PARAM_SPECS = {
-    "run": {
-        "workload": (_STR, REQUIRED),
-        "model": (_STR, "consumer3"),
-        "engine": (_STR, None),
-        "journal": (_BOOL, False),
-        "tb_records": (_BOOL, False),
-    },
-    "compare": {
-        "workload": (_STR, REQUIRED),
-    },
-    "critpath": {
-        "workload": (_STR, REQUIRED),
-        "model": (_STR, "consumer3"),
-        "whatif": (_BOOL, False),
-    },
-    "telemetry": {
-        "workload": (_STR, REQUIRED),
-        "model": (_STR, "consumer3"),
-    },
-    "bench": {
-        "quick": (_BOOL, True),
-        "models": (_STR_LIST, None),
-        "filter": (_STR_LIST, None),
-        "repeats": (_INT, None),
-        "warmup": (_INT, None),
-    },
-}
+#: JSON type names for error messages, by parameter type
+_TYPE_NAMES = {str: "string", bool: "boolean"}
 
 
 def _validate_model(name):
@@ -98,7 +54,7 @@ def _validate_workload(name):
 
 
 def _validate_engine(value):
-    from repro.models.fastengine import resolve_engine_mode
+    from repro.modes import resolve_engine_mode
 
     try:
         return resolve_engine_mode(value)
@@ -108,8 +64,8 @@ def _validate_engine(value):
 
 def normalize_params(endpoint, body):
     """Defaults + canonicalization + validation for one endpoint."""
-    spec = PARAM_SPECS.get(endpoint)
-    if spec is None:
+    op = OPS.get(endpoint)
+    if op is None:
         raise ServeRequestError(
             "unknown endpoint {!r}".format(endpoint), status=404
         )
@@ -117,6 +73,7 @@ def normalize_params(endpoint, body):
         body = {}
     if not isinstance(body, dict):
         raise ServeRequestError("request body must be a JSON object")
+    spec = {param.name: param for param in op.params}
     unknown = sorted(set(body) - set(spec))
     if unknown:
         raise ServeRequestError(
@@ -126,19 +83,21 @@ def normalize_params(endpoint, body):
             )
         )
     params = {}
-    for name, ((type_name, check), default) in sorted(spec.items()):
+    for name, param in sorted(spec.items()):
         if name in body and body[name] is not None:
             value = body[name]
-            if not check(value):
+            if not isinstance(value, param.type):
                 raise ServeRequestError(
-                    "parameter {!r} must be a {}".format(name, type_name)
+                    "parameter {!r} must be a {}".format(
+                        name, _TYPE_NAMES[param.type]
+                    )
                 )
-        elif default is REQUIRED:
+        elif param.default is REQUIRED:
             raise ServeRequestError(
                 "missing required parameter {!r}".format(name)
             )
         else:
-            value = default
+            value = param.default
         params[name] = value
     if "workload" in params:
         params["workload"] = _validate_workload(params["workload"])
@@ -146,156 +105,31 @@ def normalize_params(endpoint, body):
         params["model"] = _validate_model(params["model"])
     if params.get("engine") is not None:
         params["engine"] = _validate_engine(params["engine"])
-    if "models" in params and params["models"] is not None:
-        try:
-            params["models"] = [
-                name if name == "all" else _validate_model(name)
-                for name in params["models"]
-            ]
-        except UnknownModelError as exc:
-            raise ServeRequestError(
-                exc.args[0] if exc.args else str(exc), status=404
-            ) from None
     return params
 
 
-# ----------------------------------------------------------------------
-# endpoint computations (blocking; dispatched via the coalescer)
-# ----------------------------------------------------------------------
-def run_result(state, params):
-    """``/v1/run`` — exactly the in-process ``repro run`` path."""
-    from repro.obs.report import run_stats_dict
+def op_result(state, endpoint, params):
+    """``/v1/<endpoint>`` — the op's payload plus the envelope fields.
 
+    A blocking callable: the server dispatches it through the coalescer
+    into the event loop's thread executor.
+    """
     with state.sim_lock:
-        state.metrics.inc("serve.sim.run")
-        if params.get("engine"):
-            stats = state.run_with_engine(
-                params["workload"], params["model"], params["engine"]
-            )
-        else:
-            app = state.app_for(params["workload"])
-            stats = state.context.run_model(app, params["model"])
-        result = run_stats_dict(
-            stats, include_tb_records=params["tb_records"]
+        state.metrics.inc("serve.sim.{}".format(endpoint))
+        result, stats = OPS[endpoint].function(
+            context=state.warm_context(), **params
         )
-        result["workload"] = params["workload"]
-        result["signature"] = stats.simulated_signature()
-        if params["journal"]:
-            from repro.obs import journal as jr
-
-            recorder, _stats = jr.record_run(
-                params["workload"], params["model"],
-                cache=state.analysis_cache,
-            )
-            result["journal"] = {
-                "digest": recorder.digest(),
-                "num_events": len(recorder.events),
+        if endpoint == "run":
+            result["workload"] = params["workload"]
+            result["signature"] = stats.simulated_signature()
+        elif endpoint == "compare":
+            result["workload"] = params["workload"]
+            result["signatures"] = {
+                run.model: run.simulated_signature() for run in stats
             }
     return result
-
-
-def compare_result(state, params):
-    """``/v1/compare`` — the serial ``repro compare --json`` payload."""
-    from repro.obs.report import run_stats_dict
-
-    with state.sim_lock:
-        state.metrics.inc("serve.sim.compare")
-        app = state.app_for(params["workload"])
-        runs = [
-            state.context.run_model(app, name) for name in MODEL_NAMES
-        ]
-        baseline = runs[0]
-        result = {
-            "workload": params["workload"],
-            "baseline": baseline.model,
-            "runs": [
-                dict(
-                    run_stats_dict(stats),
-                    speedup=stats.speedup_over(baseline),
-                )
-                for stats in runs
-            ],
-            "signatures": {
-                stats.model: stats.simulated_signature() for stats in runs
-            },
-        }
-    return result
-
-
-def critpath_result(state, params):
-    """``/v1/critpath`` — the schema-validated critpath report."""
-    from repro.obs import critpath as cp
-    from repro.obs.journal import record_run
-
-    with state.sim_lock:
-        state.metrics.inc("serve.sim.critpath")
-        journal, stats = record_run(
-            params["workload"], params["model"], cache=state.analysis_cache
-        )
-        report = cp.build_report(stats, journal, whatif=params["whatif"])
-    errors = cp.validate_critpath_report(report)
-    if errors:  # a profiler bug, not a user error — fail loudly
-        raise AssertionError(
-            "generated critpath report is invalid: {}".format(errors[:3])
-        )
-    return report
-
-
-def telemetry_result(state, params):
-    """``/v1/telemetry`` — the schema-validated telemetry report."""
-    from repro.obs import telemetry as tm
-    from repro.obs.journal import record_run
-
-    with state.sim_lock:
-        state.metrics.inc("serve.sim.telemetry")
-        journal, stats = record_run(
-            params["workload"], params["model"], cache=state.analysis_cache
-        )
-        report = tm.build_report(stats, journal)
-    errors = tm.validate_telemetry_report(report)
-    if errors:  # an analyzer bug, not a user error — fail loudly
-        raise AssertionError(
-            "generated telemetry report is invalid: {}".format(errors[:3])
-        )
-    return report
-
-
-def bench_result(state, params):
-    """``/v1/bench`` — a full bench-report payload (no file written)."""
-    from repro import bench
-
-    with state.sim_lock:
-        state.metrics.inc("serve.sim.bench")
-        config = bench.resolve_config(
-            quick=params["quick"],
-            models=params["models"],
-            filter_globs=params["filter"],
-            repeats=params["repeats"],
-            warmup=params["warmup"],
-            jobs=state.bench_jobs,
-            cache_dir=state.cache_dir,
-        )
-        payload = bench.run_suite(
-            config, log=lambda *_args, **_kw: None,
-            executor=state.suite_executor(),
-        )
-    errors = bench.validate_report(payload)
-    if errors:  # a schema bug, not a user error — fail loudly
-        raise AssertionError(
-            "generated bench report is invalid: {}".format(errors[:3])
-        )
-    return payload
 
 
 def workloads_result(_state, _params):
     """``/workloads`` — the registry, as ``repro list --json`` specs."""
     return [spec.as_dict() for spec in all_workloads()]
-
-
-HANDLERS = {
-    "run": run_result,
-    "compare": compare_result,
-    "critpath": critpath_result,
-    "telemetry": telemetry_result,
-    "bench": bench_result,
-}

@@ -22,10 +22,9 @@ does is observable while it runs:
 
 Warm state lives for the life of the process: the workload registry,
 an :class:`~repro.experiments.common.ExperimentContext` whose app /
-plan / run memos make repeated requests near-free, an optional
-persistent :class:`~repro.analysis.cache.AnalysisCache`, a bounded
-:class:`~repro.serve.coalescer.ResponseCache`, and a
-:class:`~repro.parallel.SuiteExecutor` pool for ``/v1/bench``.
+plan / run memos make repeated requests near-free (planning through an
+optional persistent :class:`~repro.analysis.cache.AnalysisCache`), and
+a bounded :class:`~repro.serve.coalescer.ResponseCache`.
 """
 
 import asyncio
@@ -45,9 +44,9 @@ from repro.obs.log import (
 )
 from repro.serve.coalescer import Coalescer, ResponseCache, request_key
 from repro.serve.handlers import (
-    HANDLERS,
     ServeRequestError,
     normalize_params,
+    op_result,
     workloads_result,
 )
 
@@ -124,13 +123,12 @@ class ReproServer:
 
     def __init__(self, host="127.0.0.1", port=0, cache_dir=None,
                  response_cache_size=1024, heartbeat_s=2.0,
-                 status_file=None, trace_out=None, bench_jobs=1):
+                 status_file=None, trace_out=None):
         self.host = host
         self.port = int(port)
         self.heartbeat_s = float(heartbeat_s)
         self.status_file = status_file or None
         self.trace_out = trace_out or None
-        self.bench_jobs = max(1, int(bench_jobs))
 
         self.metrics = MetricsRegistry()
         self.tracer = Tracer() if self.trace_out else NULL_TRACER
@@ -141,13 +139,7 @@ class ReproServer:
         )
         self.events = _EventBus(self.metrics)
         self.sim_lock = threading.Lock()
-        self.cache_dir = cache_dir
 
-        from repro.experiments.common import ExperimentContext
-
-        self.context = ExperimentContext()
-        self._apps = {}
-        self._suite_executor = None
         self.analysis_cache = None
         if cache_dir:
             from repro.analysis.cache import AnalysisCache
@@ -155,6 +147,7 @@ class ReproServer:
             self.analysis_cache = AnalysisCache(
                 directory=cache_dir, metrics=self.metrics
             )
+        self.context = self._new_context()
 
         self._started_monotonic = None
         self._started_wall = None
@@ -167,55 +160,24 @@ class ReproServer:
         self._loop = None
 
     # ------------------------------------------------------------------
-    # warm state accessors (called from executor threads under sim_lock)
+    # warm state (called from executor threads under sim_lock)
     # ------------------------------------------------------------------
-    def app_for(self, name):
-        """Build-once application lookup (registry + hidden names)."""
-        from repro.workloads import get_workload
-
-        app = self._apps.get(name)
-        if app is None:
-            if len(self._apps) >= 512:
-                # unbounded hidden names (fuzz-<seed>) must not grow the
-                # memo forever; reset the warm context wholesale
-                from repro.experiments.common import ExperimentContext
-
-                self.context = ExperimentContext()
-                self._apps.clear()
-                self.metrics.inc("serve.context.resets")
-            app = get_workload(name).build()
-            self.context.register_app(app)
-            self._apps[name] = app
-        return app
-
-    def run_with_engine(self, workload, model, engine):
-        """An engine-pinned run: fresh context, env restored after."""
+    def _new_context(self):
+        from repro.core.runtime import BlockMaestroRuntime
         from repro.experiments.common import ExperimentContext
-        from repro.models.fastengine import ENGINE_ENV
-        from repro.workloads import get_workload
 
-        previous = os.environ.get(ENGINE_ENV)
-        os.environ[ENGINE_ENV] = engine
-        try:
-            app = get_workload(workload).build()
-            context = ExperimentContext()
-            context.register_app(app)
-            return context.run_model(app, model)
-        finally:
-            if previous is None:
-                os.environ.pop(ENGINE_ENV, None)
-            else:
-                os.environ[ENGINE_ENV] = previous
+        return ExperimentContext(
+            runtime=BlockMaestroRuntime(cache=self.analysis_cache)
+        )
 
-    def suite_executor(self):
-        """The ``/v1/bench`` worker pool (lazily built, process-wide)."""
-        if self.bench_jobs <= 1:
-            return None
-        if self._suite_executor is None:
-            from repro.parallel import SuiteExecutor
-
-            self._suite_executor = SuiteExecutor(jobs=self.bench_jobs)
-        return self._suite_executor
+    def warm_context(self):
+        """The warm context every op runs in, reset wholesale once it
+        holds 512 apps: unbounded hidden names (``fuzz-<seed>``) must
+        not grow its memos forever."""
+        if len(self.context._apps) >= 512:
+            self.context = self._new_context()
+            self.metrics.inc("serve.context.resets")
+        return self.context
 
     # ------------------------------------------------------------------
     # status / metrics surfaces
@@ -349,10 +311,6 @@ class ReproServer:
             self._write_status_file()
             if self.trace_out and self.tracer is not NULL_TRACER:
                 self.tracer.write(self.trace_out)
-            if self._suite_executor is not None:
-                close = getattr(self._suite_executor, "close", None)
-                if close is not None:
-                    close()
         return 0
 
     async def _heartbeat_task(self):
@@ -588,11 +546,6 @@ class ReproServer:
 
         self._check_schema_header(headers)
         endpoint = path[len("/v1/"):]
-        handler = HANDLERS.get(endpoint)
-        if handler is None:
-            raise ServeRequestError(
-                "unknown endpoint {!r}".format(endpoint), status=404
-            )
         params = normalize_params(endpoint, body)
         key = request_key(endpoint, params)
         cached = self.cache.get(key)
@@ -604,7 +557,7 @@ class ReproServer:
                 key=key, params=params,
             )
             result, source = await self.coalescer.fetch(
-                key, lambda: handler(self, params)
+                key, lambda: op_result(self, endpoint, params)
             )
             if source == "simulated":
                 self.cache.put(key, result)

@@ -234,6 +234,7 @@ class TestErrorExits:
             ["trace", "nosuch"],
             ["compare", "nosuch"],
             ["bench", "run", "--filter", "nosuch"],
+            ["compare", "nosuch", "--jobs", "2"],
         ],
     )
     def test_unknown_workload_exits_2(self, argv, capsys):

@@ -19,6 +19,14 @@ from repro.serve import DEFAULT_PORT, SERVE_SCHEMA_VERSION
 from repro.serve.server import ServeDaemon
 
 
+#: daemon URLs urllib cannot split or whose port is not 0..65535
+BAD_URLS = [
+    "http://[::1",
+    "http://127.0.0.1:abc",
+    "http://127.0.0.1:70000",
+]
+
+
 @pytest.fixture(scope="module")
 def daemon():
     with ServeDaemon(heartbeat_s=0.5) as running:
@@ -146,6 +154,26 @@ class TestClientCli:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: cannot reach repro serve")
+
+    @pytest.mark.parametrize("url", BAD_URLS)
+    def test_malformed_url_exit_2(self, url, capsys):
+        code = main(["client", "--url", url, "health"])
+        self._assert_bad_url(code, capsys, url)
+
+    @pytest.mark.parametrize("url", BAD_URLS)
+    def test_malformed_env_url_exit_2(self, url, capsys, monkeypatch):
+        from repro.serve import SERVE_URL_ENV
+
+        monkeypatch.setenv(SERVE_URL_ENV, url)
+        code = main(["client", "health"])
+        self._assert_bad_url(code, capsys, url)
+
+    @staticmethod
+    def _assert_bad_url(code, capsys, url):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: bad daemon URL {!r}".format(url))
+        assert len(err.strip().splitlines()) == 1
 
     def test_default_url_from_env(self, daemon, capsys, monkeypatch):
         from repro.serve import SERVE_URL_ENV

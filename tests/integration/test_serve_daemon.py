@@ -72,7 +72,8 @@ class TestObservabilityPlane:
         assert names == WORKLOADS
 
     def test_metrics_exposition_validates(self, client):
-        client.run("mvt")   # ensure at least one sim family exists
+        # ensure at least one sim family exists
+        client.call("run", workload="mvt")
         text = client.metrics()
         assert validate_exposition(text) == []
         assert "repro_serve_requests_post_run_total" in text
@@ -105,7 +106,7 @@ class TestObservabilityPlane:
         thread = threading.Thread(target=tail, daemon=True)
         thread.start()
         threading.Event().wait(0.3)     # let the subscriber attach
-        client.run("bicg", model="ideal")
+        client.call("run", workload="bicg", model="ideal")
         collected.wait(15.0)
         kinds = {event["kind"] for event in events}
         assert "hello" in kinds or "heartbeat" in kinds
@@ -142,15 +143,15 @@ class TestObservabilityPlane:
 
 class TestCachingAndCoalescing:
     def test_repeat_request_is_cached_with_same_key(self, client):
-        first = client.run("mvt", model="consumer3")
-        second = client.run("mvt", model="consumer3")
+        first = client.call("run", workload="mvt", model="consumer3")
+        second = client.call("run", workload="mvt", model="consumer3")
         assert first["key"] == second["key"]
         assert second["source"] == "cached"
         assert second["result"] == first["result"]
 
     def test_model_alias_shares_the_key(self, client):
-        canonical = client.run("mvt", model="consumer3")
-        alias = client.run("mvt", model="blockmaestro")
+        canonical = client.call("run", workload="mvt", model="consumer3")
+        alias = client.call("run", workload="mvt", model="blockmaestro")
         assert alias["key"] == canonical["key"]
         assert alias["source"] == "cached"
 
@@ -171,7 +172,9 @@ class TestCachingAndCoalescing:
         def fire():
             burst_client = ServeClient(daemon.base_url)
             barrier.wait(timeout=30.0)
-            results.append(burst_client.run(workload, model=model))
+            results.append(
+                burst_client.call("run", workload=workload, model=model)
+            )
 
         threads = [threading.Thread(target=fire) for _ in range(burst)]
         for thread in threads:
@@ -205,12 +208,12 @@ class TestCachingAndCoalescing:
 class TestErrorDiscipline:
     def test_unknown_workload_404(self, client):
         with pytest.raises(ClientError) as err:
-            client.run("nosuch")
+            client.call("run", workload="nosuch")
         assert "unknown workload" in str(err.value)
 
     def test_unknown_model_404(self, client):
         with pytest.raises(ClientError) as err:
-            client.run("mvt", model="gpt5")
+            client.call("run", workload="mvt", model="gpt5")
         assert "unknown model" in str(err.value)
 
     def test_unknown_parameter_400(self, client):
@@ -260,7 +263,7 @@ class TestErrorDiscipline:
             lambda: {"serve_schema_version": SERVE_SCHEMA_VERSION + 7},
         )
         with pytest.raises(SchemaMismatchError):
-            fresh.run("mvt")
+            fresh.call("run", workload="mvt")
 
     def test_error_body_shape(self, client):
         try:
@@ -273,7 +276,7 @@ class TestErrorDiscipline:
     def test_daemon_survives_errors(self, client):
         for _ in range(3):
             with pytest.raises(ClientError):
-                client.run("nosuch")
+                client.call("run", workload="nosuch")
         assert client.health()["status"] == "ok"
 
 
@@ -300,32 +303,34 @@ class TestEndpointParity:
     def test_critpath_report_schema(self, client):
         from repro.obs.critpath import validate_critpath_report
 
-        envelope = client.critpath("mvt")
+        envelope = client.call("critpath", workload="mvt")
         assert envelope["kind"] == SERVE_KIND
         assert validate_critpath_report(envelope["result"]) == []
 
     def test_telemetry_report_schema(self, client):
         from repro.obs.telemetry import validate_telemetry_report
 
-        envelope = client.telemetry("mvt")
+        envelope = client.call("telemetry", workload="mvt")
         assert validate_telemetry_report(envelope["result"]) == []
 
     def test_compare_covers_roster(self, client):
-        envelope = client.compare("mvt")
+        envelope = client.call("compare", workload="mvt")
         result = envelope["result"]
         assert [run["model"] for run in result["runs"]] == MODEL_NAMES
         assert result["baseline"] == "baseline"
         assert set(result["signatures"]) == set(MODEL_NAMES)
 
     def test_run_with_engine_pin(self, client):
-        pinned = client.run("mvt", model="consumer3", engine="reference")
-        free = client.run("mvt", model="consumer3")
+        pinned = client.call(
+            "run", workload="mvt", model="consumer3", engine="reference"
+        )
+        free = client.call("run", workload="mvt", model="consumer3")
         assert pinned["key"] != free["key"]     # engine is key material
         assert pinned["result"]["signature"] == \
             free["result"]["signature"]         # but changes nothing
 
     def test_run_with_journal_digest(self, client):
-        envelope = client.run("bicg", journal=True)
+        envelope = client.call("run", workload="bicg", journal=True)
         journal = envelope["result"]["journal"]
         assert journal["digest"].startswith("sha256:")
         assert journal["num_events"] > 0
@@ -345,8 +350,8 @@ class TestDifferentialGate:
             assert main(["run", wname, "--model", model, "--json", "-"]) == 0
             local = json.loads(capsys.readouterr().out)
 
-            cold = daemon_client.run(wname, model=model)
-            warm = daemon_client.run(wname, model=model)
+            cold = daemon_client.call("run", workload=wname, model=model)
+            warm = daemon_client.call("run", workload=wname, model=model)
             assert warm["source"] == "cached"
 
             for envelope in (cold, warm):

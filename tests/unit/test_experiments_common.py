@@ -95,12 +95,24 @@ class TestExperimentContext:
         results = ctx.run_all(app, model_names=["baseline", "producer"])
         assert set(results) == {"baseline", "producer"}
 
-    def test_register_external_app(self):
-        from repro.workloads.microbench import build_vecadd_pair
+    @pytest.mark.parametrize(
+        "name", ["fuzz-3", "backprop", "eng-chain", "MVT"]
+    )
+    def test_app_resolves_every_workload_name(self, name):
+        """Hidden and differently cased names resolve as in get_workload."""
+        from repro.workloads import get_workload
+
+        def shape(app):
+            return (
+                app.describe(),
+                sorted(app.kernels),
+                [type(call).__name__ for call in app.trace],
+                [call.num_tbs for call in app.trace.kernel_calls],
+            )
 
         ctx = ExperimentContext()
-        app = build_vecadd_pair(num_tbs=32, degree=1)
-        assert ctx.register_app(app) is app
+        assert shape(ctx.app(name)) == shape(get_workload(name).build())
+        assert ctx.app(name) is ctx.app(name)
 
 
 class TestRunner:

@@ -8,12 +8,14 @@ normalization, the version surface, and the serve-bench report
 schema.
 """
 
+import argparse
 import asyncio
 import threading
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.ops import OPS, REQUIRED
 from repro.serve import SERVE_SCHEMA_VERSION
 from repro.serve.coalescer import Coalescer, ResponseCache, request_key
 from repro.serve.handlers import ServeRequestError, normalize_params
@@ -237,7 +239,7 @@ class TestNormalizeParams:
         with pytest.raises(ServeRequestError):
             normalize_params("run", {"workload": "mvt", "journal": "yes"})
         with pytest.raises(ServeRequestError):
-            normalize_params("bench", {"repeats": True})
+            normalize_params("critpath", {"workload": True})
 
     def test_unknown_endpoint(self):
         with pytest.raises(ServeRequestError) as err:
@@ -249,12 +251,82 @@ class TestNormalizeParams:
             normalize_params("run", [1, 2, 3])
 
     def test_none_body_means_defaults(self):
-        assert normalize_params("bench", None)["quick"] is True
-
-    def test_bench_models_validated(self):
         with pytest.raises(ServeRequestError) as err:
-            normalize_params("bench", {"models": ["baseline", "gpt5"]})
+            normalize_params("compare", None)
+        assert "missing required parameter 'workload'" in str(err.value)
+        params = normalize_params("run", {"workload": "mvt", "model": None})
+        assert params["model"] == "consumer3"
+
+    def test_bench_endpoint_is_gone(self):
+        with pytest.raises(ServeRequestError) as err:
+            normalize_params("bench", {})
         assert err.value.status == 404
+
+
+def _subparser(parser, *names):
+    for name in names:
+        subparsers = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        parser = subparsers.choices[name]
+    return parser
+
+
+class TestOpTable:
+    """``repro.ops.OPS`` is the one declaration of each op's parameters:
+    the client's subcommands and the daemon's normalizer both read it."""
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_client_subparser_matches_the_table(self, op):
+        from repro.cli import build_parser
+
+        parser = _subparser(build_parser(), "client", op)
+        actions = [
+            action for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        params = OPS[op].params
+        assert [action.dest for action in actions] == \
+            [param.name for param in params]
+        for action, param in zip(actions, params):
+            if param.default is REQUIRED:
+                assert action.option_strings == []
+                continue
+            assert action.default == param.default
+            if param.type is bool:
+                assert action.const is True and action.nargs == 0
+            else:
+                assert tuple(action.choices or ()) == \
+                    tuple(param.choices or ())
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_normalizer_rejects_every_other_name(self, op):
+        own = {param.name for param in OPS[op].params}
+        others = {
+            param.name for row in OPS.values() for param in row.params
+        } - own
+        for name in sorted(others | {"bogus", "quick", "repeats"}):
+            with pytest.raises(ServeRequestError) as err:
+                normalize_params(op, {"workload": "mvt", name: True})
+            assert err.value.status == 400
+            assert name in str(err.value)
+
+
+class TestWarmContext:
+    def test_reset_once_it_holds_512_apps(self):
+        from repro.serve.server import ReproServer
+
+        server = ReproServer()
+        first = server.warm_context()
+        first._apps.update((str(i), None) for i in range(511))
+        assert server.warm_context() is first
+        first._apps["512th"] = None
+        fresh = server.warm_context()
+        assert fresh is not first
+        assert fresh._apps == {}
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["serve.context.resets"] == 1
 
 
 class TestVersionSurface:
