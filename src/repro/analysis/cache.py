@@ -25,14 +25,14 @@ stale entry is *unreachable*, never wrong: any change to the PTX, the
 launch, or the config produces a new key.  The schema version is bumped
 whenever the pickled classes change shape, which orphans (and on
 contact, deletes) old-version trees.  Writes are atomic
-(tmp + ``os.replace``) so concurrent ``--jobs`` workers can share one
+(tmp + ``os.replace``) so concurrent processes can share one
 directory.
 
 Observability: hits, misses, stores, and invalidations are counted on
 the :class:`~repro.obs.MetricsRegistry` the cache is bound to
 (``cache.summary.hits``, ``cache.graph.misses``,
-``cache.invalidations``, ...), and ``repro bench run`` folds the
-counters into the BENCH report's ``cache`` section.
+``cache.invalidations``, ...); under ``repro serve --cache`` that is
+the daemon's registry, so ``/metrics`` reports them.
 """
 
 import hashlib

@@ -40,9 +40,6 @@ Commands:
 * ``experiments [names...]``        — regenerate paper tables/figures
                                       (``--out DIR`` for JSON reports)
 * ``ablations``                     — the design-choice sweeps
-* ``bench run|diff|trend``          — performance benchmarking and
-                                      regression tracking (see
-                                      ``docs/benchmarking.md``)
 * ``serve [--host H --port P]``     — long-running simulation daemon:
                                       the run/compare/critpath/
                                       telemetry operations over
@@ -55,10 +52,6 @@ Commands:
                                       ``telemetry`` plus
                                       ``health``/``status``/``version``/
                                       ``metrics``/``events``/``shutdown``
-* ``bench serve``                   — daemon load test: latency
-                                      quantiles, RPS, coalescing under
-                                      a concurrent burst, CLI
-                                      cold-start baseline
 * ``fuzz [--count N] [--seed S]``   — differential fuzzing: seeded
                                       generator corpus, every
                                       ``REPRO_FASTPATH`` mode and every
@@ -68,10 +61,9 @@ Commands:
                                       any divergence
                                       (``docs/fuzzing.md``)
 
-``run`` and ``bench run`` accept ``--engine MODE`` to pin the
-simulation-engine tier (``auto`` | ``vectorized`` | ``reference``) for
-the invocation, over ``REPRO_ENGINE``; ``bench run``'s worker processes
-inherit the pin.
+``run`` accepts ``--engine MODE`` to pin the simulation-engine tier
+(``auto`` | ``vectorized`` | ``reference``) for the invocation, over
+``REPRO_ENGINE``.
 
 ``run``, ``compare``, ``critpath`` and ``telemetry`` are the operations
 of :mod:`repro.ops`, which the daemon serves and ``repro client``
@@ -82,15 +74,16 @@ Model names accept the roster (``baseline``, ``ideal``, ``prelaunch``,
 alias for the headline consumer/window-3 configuration.  Unknown
 workload or model names exit with code 2 and a one-line message.
 
-``bench run``, ``experiments``, and ``compare`` accept ``--jobs N`` to
-fan independent work out over worker processes; ``bench run`` also
-accepts ``--cache`` / ``--cache-dir DIR`` to persist launch-time
-analysis across runs.  See ``docs/parallelism.md``.
+``experiments``, ``compare`` and ``fuzz`` accept ``--jobs N`` to fan
+independent work out over worker processes; ``serve`` accepts
+``--cache`` / ``--cache-dir DIR`` to persist launch-time analysis
+across runs.  See ``docs/parallelism.md``.  Wall-clock benchmarking
+lives outside the CLI, in ``benchmarks/e2e`` (``docs/benchmarking.md``).
 
 ``repro --version`` prints the package version plus every report
-schema version this build emits (bench, critpath, fuzz, journal,
-serve, status, telemetry); the ``serve`` entry is the client/daemon
-handshake token.
+schema version this build emits (critpath, fuzz, journal, serve,
+status, telemetry); the ``serve`` entry is the client/daemon handshake
+token.
 """
 
 import argparse
@@ -119,13 +112,13 @@ def _int_at_least(text, minimum):
 
 def non_negative_int(text):
     """argparse type for a count that may be zero (``--limit``,
-    ``--warmup``)."""
+    ``dot --pair``)."""
     return _int_at_least(text, 0)
 
 
 def positive_int(text):
     """argparse type for a count of at least one (``--window``,
-    ``--repeats``, ``--width``)."""
+    ``--width``, ``--jobs``)."""
     return _int_at_least(text, 1)
 
 
@@ -230,16 +223,6 @@ def _emit_json(payload, destination):
     dump_json(payload, destination)
     if destination != "-":
         print("wrote", destination)
-
-
-def _pin_engine_mode(value):
-    """Pin ``bench run --engine MODE`` via the environment, which the
-    suite's forked ``--jobs`` workers inherit."""
-    if value is None:
-        return
-    import os
-
-    os.environ[ENGINE_ENV] = resolve_engine_mode(value)
 
 
 def cmd_run(args):
@@ -425,7 +408,7 @@ def cmd_report(args):
     from repro.obs import flight
 
     path, data = flight.write_flight_report(
-        args.workload, args.model, out=args.out, bench_dir=args.bench
+        args.workload, args.model, out=args.out
     )
     telemetry = data["telemetry"]
     print("model    :", data["model"])
@@ -472,7 +455,7 @@ def cmd_dot(args):
     kernels = [kp for kp in plan.kernels if kp.encoded is not None]
     if not kernels:
         raise SystemExit("workload has no dependent kernel pairs")
-    index = max(0, min(args.pair, len(kernels) - 1))
+    index = min(args.pair, len(kernels) - 1)
     kp = kernels[index]
     parent = plan.kernels[kp.chain_prev]
     print(
@@ -512,192 +495,6 @@ def cmd_validate(args):
         if verdict == "FAIL":
             raise SystemExit(1)
     print("schedules preserve program semantics.")
-
-
-def cmd_bench_run(args):
-    from repro import bench
-    from repro.analysis.cache import resolve_cache_dir
-    from repro.experiments.common import format_table
-
-    _pin_engine_mode(args.engine)
-    cache_dir = resolve_cache_dir(
-        cache_dir=args.cache_dir, enabled=bool(args.cache_dir or args.cache)
-    )
-    config = bench.resolve_config(
-        quick=args.quick,
-        models=args.models,
-        filter_globs=args.filter,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        profile=args.profile,
-        profile_top=args.profile_top,
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        critpath=args.critpath,
-        telemetry=args.telemetry,
-        fuzz=args.fuzz,
-        fuzz_seed=args.fuzz_seed,
-    )
-    payload = bench.run_suite(config, status_file=args.status_file)
-    errors = bench.validate_report(payload)
-    if errors:  # a schema bug, not a user error — fail loudly
-        raise AssertionError("generated report is invalid: {}".format(errors[:3]))
-    path = bench.write_report(payload, path=args.output, directory=args.out)
-    rows = []
-    for wname, wentry in payload["workloads"].items():
-        for mname, mentry in wentry["models"].items():
-            rows.append(
-                {
-                    "workload": wname,
-                    "model": mname,
-                    "wall_p50_ms": mentry["wall"]["total_s"]["p50"] * 1e3,
-                    "makespan_us": mentry["simulated"]["makespan_ns"] / 1e3,
-                    "speedup": mentry["simulated"]["speedup_vs_baseline"],
-                }
-            )
-    print(
-        format_table(
-            rows,
-            ["workload", "model", "wall_p50_ms", "makespan_us", "speedup"],
-            title="bench run ({} repeats, {} warmup, {} job{})".format(
-                config.repeats, config.warmup, config.jobs,
-                "" if config.jobs == 1 else "s",
-            ),
-        )
-    )
-    cache_section = payload.get("cache")
-    if cache_section:
-        counters = cache_section["counters"]
-        hits = sum(v for k, v in counters.items() if k.endswith(".hits"))
-        misses = sum(v for k, v in counters.items() if k.endswith(".misses"))
-        print(
-            "cache: {:.0f} hits / {:.0f} misses ({})".format(
-                hits, misses, cache_section["dir"]
-            )
-        )
-    fastpath_section = payload.get("fastpath")
-    if fastpath_section:
-        counters = fastpath_section["counters"]
-        prefix = "analysis.fastpath."
-        print(
-            "fastpath ({}): {}".format(
-                fastpath_section["mode"],
-                ", ".join(
-                    "{} {:.0f}".format(name[len(prefix):], counters[name])
-                    for name in sorted(counters)
-                ),
-            )
-        )
-    engine_section = payload.get("engine")
-    if engine_section:
-        counters = engine_section["counters"]
-        prefix = "engine."
-        print(
-            "engine ({}): {}".format(
-                engine_section["mode"],
-                ", ".join(
-                    "{} {:.0f}".format(name[len(prefix):], counters[name])
-                    for name in sorted(counters)
-                ),
-            )
-        )
-    print("wrote", path)
-
-
-def cmd_bench_diff(args):
-    from repro import bench
-
-    try:
-        old = bench.load_report(args.old)
-        new = bench.load_report(args.new)
-    except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    result = bench.diff_reports(
-        old, new, tolerance=args.tolerance, min_seconds=args.min_seconds
-    )
-    print(bench.format_diff(result, tolerance=args.tolerance, strict=args.strict))
-    if args.forensics and result.drift:
-        from repro.obs import jdiff as jd
-
-        # one forensics pass per drifted (workload, model) cell: record
-        # two fresh journals on the *current* code (reference fastpath
-        # vs ambient mode) and localize the first diverging event
-        drifted = sorted({(d.workload, d.model) for d in result.drift})
-        for wname, mname in drifted:
-            print()
-            print("forensics: re-recording {} x {} ...".format(wname, mname))
-            forensic = jd.drift_forensics(wname, mname)
-            print(jd.format_jdiff(forensic))
-            if forensic["identical"]:
-                print(
-                    "forensics: engine is internally consistent on this "
-                    "code — the drift comes from code changes between the "
-                    "reports; record `repro journal {} --model {}` at each "
-                    "commit and jdiff those".format(wname, mname)
-                )
-    return 1 if result.failed(strict=args.strict) else 0
-
-
-def cmd_bench_trend(args):
-    from repro import bench
-    from repro.bench.trend import METRICS
-
-    if args.metric not in METRICS:
-        print(
-            "error: unknown trend metric {!r}; available: {}".format(
-                args.metric, ", ".join(sorted(METRICS))
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    reports = bench.load_reports(args.directory)
-    print(bench.format_trend(reports, metric=args.metric))
-
-
-def cmd_bench_serve(args):
-    from repro.bench import serve as sbench
-    from repro.obs.log import get_logger
-
-    log = get_logger("bench")
-    try:
-        payload = sbench.run_serve_bench(
-            url=args.url,
-            requests=args.requests,
-            concurrency=args.concurrency,
-            burst=args.burst,
-            model=args.model,
-            baseline_repeats=args.baseline,
-            log=log.info,
-        )
-    except (ValueError, RuntimeError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    errors = sbench.validate_serve_bench_report(payload)
-    if errors:  # a bench bug, not a user error — fail loudly
-        raise AssertionError(
-            "generated serve-bench report is invalid: {}".format(errors[:3])
-        )
-    path = args.output or sbench.serve_bench_filename()
-    sbench.write_serve_bench_report(payload, path)
-    print("\n".join(sbench.format_serve_bench_report(payload)))
-    print("wrote", path)
-    coalesce = payload["phases"]["coalesce"]
-    if (
-        coalesce["completed"] != coalesce["burst"]
-        or coalesce["simulations"] != 1
-    ):
-        # the daemon failed the coalescing contract under load
-        print(
-            "COALESCE FAIL: {} of {} burst requests completed, {} "
-            "simulations (expected exactly 1)".format(
-                coalesce["completed"], coalesce["burst"],
-                coalesce["simulations"],
-            ),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def cmd_serve(args):
@@ -786,16 +583,6 @@ def cmd_client(args):
     return 0
 
 
-def cmd_bench(args):
-    handler = {
-        "run": cmd_bench_run,
-        "diff": cmd_bench_diff,
-        "trend": cmd_bench_trend,
-        "serve": cmd_bench_serve,
-    }[args.bench_command]
-    return handler(args)
-
-
 def cmd_fuzz(args):
     from repro import fuzz
     from repro.obs.log import get_logger
@@ -861,7 +648,7 @@ def build_parser():
     parser.add_argument(
         "--log", default=None, metavar="LEVEL[:SUBSYS,...]",
         help="stderr log threshold, optionally scoped to subsystems "
-             "(e.g. debug or debug:bench,parallel); overrides $REPRO_LOG",
+             "(e.g. debug or debug:fuzz,serve); overrides $REPRO_LOG",
     )
     parser.add_argument(
         "--log-json", action="store_true",
@@ -915,7 +702,7 @@ def build_parser():
     p_compare = sub.add_parser("compare", help="all models on one workload")
     p_compare.add_argument("workload")
     p_compare.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="run roster models on N worker processes (default: 1, serial)",
     )
     p_compare.add_argument("--timelines", action="store_true")
@@ -1057,7 +844,7 @@ def build_parser():
     p_report = sub.add_parser(
         "report",
         help="one-stop HTML flight report: telemetry + critpath + "
-             "journal + bench deltas",
+             "journal",
     )
     p_report.add_argument("workload")
     p_report.add_argument(
@@ -1066,11 +853,6 @@ def build_parser():
     p_report.add_argument(
         "--out", default=None, metavar="FILE",
         help="report path (default: flight-<workload>-<model>.html)",
-    )
-    p_report.add_argument(
-        "--bench", default=None, metavar="DIR",
-        help="include wall/simulated deltas from the two newest "
-             "BENCH_*.json reports in DIR",
     )
 
     p_jdiff = sub.add_parser(
@@ -1121,7 +903,7 @@ def build_parser():
         "--model", choices=MODEL_CHOICES, default="consumer3"
     )
     p_fuzz.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="check cases on N worker processes; the report is "
              "bit-identical to --jobs 1",
     )
@@ -1149,7 +931,7 @@ def build_parser():
         help="also write one JSON report per experiment into DIR",
     )
     p_exp.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="run independent experiments on N worker processes",
     )
     p_exp.add_argument(
@@ -1160,8 +942,8 @@ def build_parser():
 
     p_dot = sub.add_parser("dot", help="Graphviz DOT of a kernel-pair graph")
     p_dot.add_argument("workload")
-    p_dot.add_argument("--pair", type=int, default=0)
-    p_dot.add_argument("--max-nodes", type=int, default=32)
+    p_dot.add_argument("--pair", type=non_negative_int, default=0)
+    p_dot.add_argument("--max-nodes", type=positive_int, default=32)
 
     p_val = sub.add_parser(
         "validate", help="functional replay check on a scaled-down workload"
@@ -1170,170 +952,6 @@ def build_parser():
     p_val.add_argument("--window", type=positive_int, default=3)
 
     sub.add_parser("ablations", help="design-choice sweeps")
-
-    p_bench = sub.add_parser(
-        "bench", help="performance benchmarking and regression tracking"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-
-    b_run = bench_sub.add_parser(
-        "run", help="run the suite, write BENCH_<UTC-timestamp>.json"
-    )
-    b_run.add_argument(
-        "--quick",
-        action="store_true",
-        help="3 fast workloads x (baseline, blockmaestro), 2 repeats",
-    )
-    b_run.add_argument(
-        "--models",
-        nargs="+",
-        default=None,
-        metavar="MODEL",
-        help="roster names / aliases, or 'all' (baseline always included)",
-    )
-    b_run.add_argument(
-        "--filter",
-        nargs="+",
-        default=None,
-        metavar="GLOB",
-        help="workload subset as shell globs (e.g. 'mvt' 'f*')",
-    )
-    b_run.add_argument(
-        "--fuzz", type=int, default=None, metavar="N",
-        help="append N seeded fuzz applications (fuzz-<seed>..) as "
-             "extra load-generator workloads (docs/fuzzing.md)",
-    )
-    b_run.add_argument(
-        "--fuzz-seed", type=int, default=0, metavar="S",
-        help="first fuzz workload seed for --fuzz (default: 0)",
-    )
-    b_run.add_argument("--repeats", type=positive_int, default=None, metavar="N")
-    b_run.add_argument(
-        "--warmup", type=non_negative_int, default=None, metavar="N"
-    )
-    b_run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run independent (workload, model) cells on N worker "
-             "processes; simulated metrics are identical to --jobs 1",
-    )
-    b_run.add_argument(
-        "--cache", action="store_true",
-        help="persist launch-time analysis in the default cache dir "
-             "(~/.cache/repro, or $REPRO_CACHE_DIR)",
-    )
-    b_run.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persist launch-time analysis in DIR (implies --cache)",
-    )
-    b_run.add_argument(
-        "--profile",
-        action="store_true",
-        help="embed cProfile top-k cumulative hotspots per workload/model",
-    )
-    b_run.add_argument(
-        "--critpath",
-        action="store_true",
-        help="embed per-model critical-path attribution (one extra "
-             "untimed journaled pass per cell; see bench diff)",
-    )
-    b_run.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="embed per-cell telemetry summaries (occupancy, overlap, "
-             "idle bubbles; derived from the same journaled pass)",
-    )
-    b_run.add_argument("--profile-top", type=int, default=15, metavar="K")
-    b_run.add_argument(
-        "--out", default=".", metavar="DIR",
-        help="directory for the timestamped report (default: .)",
-    )
-    b_run.add_argument(
-        "-o", "--output", default=None, metavar="FILE",
-        help="explicit report path (overrides --out naming)",
-    )
-    b_run.add_argument(
-        "--status-file", default=None, metavar="FILE",
-        help="atomically rewrite a JSON progress snapshot here after "
-             "every suite cell (also $REPRO_STATUS_FILE)",
-    )
-    b_run.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default=None,
-        help="pin the simulation-engine tier for every cell "
-             "(same as REPRO_ENGINE; inherited by --jobs workers)",
-    )
-
-    b_diff = bench_sub.add_parser(
-        "diff", help="compare two reports; non-zero exit on regression"
-    )
-    b_diff.add_argument("old", help="reference BENCH_*.json")
-    b_diff.add_argument("new", help="candidate BENCH_*.json")
-    b_diff.add_argument(
-        "--tolerance", type=float, default=0.25, metavar="FRAC",
-        help="relative wall-clock noise band (default 0.25 = +/-25%%)",
-    )
-    b_diff.add_argument(
-        "--min-seconds", type=float, default=0.010, metavar="S",
-        help="ignore wall deltas smaller than this (default 10ms)",
-    )
-    b_diff.add_argument(
-        "--strict", action="store_true",
-        help="also fail when entries present in OLD are missing from NEW",
-    )
-    b_diff.add_argument(
-        "--forensics", action="store_true",
-        help="on simulated drift, re-record each drifted cell's journal "
-             "under REPRO_FASTPATH=reference vs the current mode and "
-             "print the first-divergence jdiff",
-    )
-
-    b_trend = bench_sub.add_parser(
-        "trend", help="per-workload trajectory across all BENCH_*.json"
-    )
-    b_trend.add_argument(
-        "directory", nargs="?", default=".",
-        help="where to look for BENCH_*.json (default: .)",
-    )
-    b_trend.add_argument(
-        "--metric", default="wall", metavar="NAME",
-        help="wall | makespan | speedup (default: wall)",
-    )
-
-    b_serve = bench_sub.add_parser(
-        "serve",
-        help="load-test the serve daemon: latency quantiles, RPS, "
-             "coalescing under a concurrent burst, CLI cold-start "
-             "baseline (docs/serving.md)",
-    )
-    b_serve.add_argument(
-        "--url", default=None, metavar="URL",
-        help="bench an already-running daemon (default: spawn one for "
-             "the duration of the bench)",
-    )
-    b_serve.add_argument(
-        "--requests", type=int, default=24, metavar="N",
-        help="requests per load phase (default: 24)",
-    )
-    b_serve.add_argument(
-        "--concurrency", type=int, default=4, metavar="C",
-        help="client threads in the throughput phase (default: 4)",
-    )
-    b_serve.add_argument(
-        "--burst", type=int, default=8, metavar="N",
-        help="simultaneous identical requests in the coalesce phase "
-             "(default: 8)",
-    )
-    b_serve.add_argument(
-        "--model", choices=MODEL_CHOICES, default="consumer3",
-    )
-    b_serve.add_argument(
-        "--baseline", type=int, default=1, metavar="N",
-        help="one-shot CLI subprocess runs for the cold-start "
-             "baseline; 0 skips it (default: 1)",
-    )
-    b_serve.add_argument(
-        "-o", "--output", default=None, metavar="FILE",
-        help="report path (default: SERVEBENCH_<UTC>.json)",
-    )
 
     from repro.serve import DEFAULT_PORT
 
@@ -1365,7 +983,7 @@ def build_parser():
     p_serve.add_argument(
         "--status-file", default=None, metavar="FILE",
         help="atomically rewrite a repro-status JSON snapshot here on "
-             "every heartbeat (same schema as bench --status-file)",
+             "every heartbeat (same schema as experiments --status-file)",
     )
     p_serve.add_argument(
         "--trace-out", default=None, metavar="FILE",
@@ -1415,7 +1033,7 @@ def build_parser():
         "events", help="tail the /events SSE stream as JSON lines"
     )
     c_events.add_argument(
-        "--count", type=int, default=None, metavar="N",
+        "--count", type=positive_int, default=None, metavar="N",
         help="stop after N events (default: until the stream closes)",
     )
     client_sub.add_parser(
@@ -1442,7 +1060,6 @@ COMMANDS = {
     "fuzz": cmd_fuzz,
     "experiments": cmd_experiments,
     "ablations": cmd_ablations,
-    "bench": cmd_bench,
     "serve": cmd_serve,
     "client": cmd_client,
 }

@@ -110,12 +110,19 @@ class ExperimentContext:
 
     # ------------------------------------------------------------------
     def app(self, name, **overrides):
-        """The application ``get_workload(name)`` builds, built once."""
-        key = name if not overrides else "{}|{}".format(name, sorted(overrides.items()))
-        if key not in self._apps:
-            from repro.workloads import get_workload
+        """The application ``get_workload(name)`` builds, built once.
 
-            self._apps[key] = get_workload(name).build(**overrides)
+        Memoized on the spec's name, so every spelling of one workload
+        (``MVT``/``mvt``, ``fuzz-007``/``fuzz-7``) shares one app.
+        """
+        from repro.workloads import get_workload
+
+        spec = get_workload(name)
+        key = spec.name
+        if overrides:
+            key = "{}|{}".format(key, sorted(overrides.items()))
+        if key not in self._apps:
+            self._apps[key] = spec.build(**overrides)
         return self._apps[key]
 
     def plan_for(self, app, reorder, window):
@@ -185,14 +192,13 @@ class ExperimentContext:
 
 
 def simulate_cell(workload, model_name, build_small=False, tracer=None,
-                  metrics=None, cache=None, journal=None):
+                  metrics=None, journal=None):
     """Build, plan and simulate one (workload, model) cell from scratch.
 
     The one cold pipeline behind :func:`repro.obs.journal.record_run`,
-    the CLI's traced runs, bench passes and ``compare --jobs`` workers.
-    ``tracer`` and ``metrics`` observe every stage, ``cache`` is an
-    optional :class:`~repro.analysis.cache.AnalysisCache` for planning,
-    and ``journal`` records the run.  Returns ``(app, stats)``.
+    the CLI's traced runs and ``compare --jobs`` workers.  ``tracer``
+    and ``metrics`` observe every stage, and ``journal`` records the
+    run.  Returns ``(app, stats)``.
     """
     from repro.core.runtime import BlockMaestroRuntime
     from repro.obs import resolve_tracer
@@ -204,7 +210,7 @@ def simulate_cell(workload, model_name, build_small=False, tracer=None,
     ):
         app = spec.build_small() if build_small else spec.build()
     reorder, window = _model_plan_params(model_name)
-    runtime = BlockMaestroRuntime(tracer=tracer, metrics=metrics, cache=cache)
+    runtime = BlockMaestroRuntime(tracer=tracer, metrics=metrics)
     plan = runtime.plan(app, reorder=reorder, window=window)
     model = _make_model(model_name, runtime.config)
     stats = model.run(plan, tracer=tracer, metrics=metrics, journal=journal)

@@ -82,8 +82,11 @@ def _run_one_task(name):
     return _run_one(name)
 
 
-def run_all(names=None, stream=sys.stdout, out_dir=None, jobs=1,
+def run_all(names=None, stream=None, out_dir=None, jobs=1,
             status_file=None):
+    # resolved per call: a default bound at import would keep writing
+    # to whatever sys.stdout was then, even after it is replaced
+    stream = sys.stdout if stream is None else stream
     names = list(names or EXPERIMENTS)
     results = {}
     heartbeat = Heartbeat(

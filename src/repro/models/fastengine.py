@@ -8,7 +8,7 @@ record, a finish event, a release, and a dispatch pass over the
 resident kernels.  That is exact, and since the analysis fast path
 (:mod:`repro.analysis.fastpath`) removed graph construction from the
 critical path, it dominates the wall-clock of
-``run``/``bench``/``experiments``/``fuzz``.
+``run``/``experiments``/``fuzz``.
 
 This module computes the *same* :class:`~repro.sim.stats.RunStats` more
 cheaply for plans it can prove *device-serial* — at most one kernel's

@@ -16,8 +16,7 @@ FASTPATH_MODES = ("auto", "closed_form", "vectorized", "reference")
 ENGINE_MODES = ("auto", "vectorized", "reference")
 
 #: Environment overrides consulted when no explicit mode is configured —
-#: this is how bench worker processes flip the fast tiers off to capture
-#: reference timings.
+#: this is how worker processes inherit a pinned tier.
 FASTPATH_ENV = "REPRO_FASTPATH"
 ENGINE_ENV = "REPRO_ENGINE"
 

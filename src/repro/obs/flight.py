@@ -5,8 +5,7 @@ derives the critical-path and telemetry reports from that one event
 stream, and stitches them into one shareable HTML page: telemetry timelines
 (occupancy, queues, DLB/PCB) as inline SVG, per-kernel execution spans,
 the critpath attribution bar, the achieved-overlap table, the idle-
-bubble blame table, the journal digest, and (optionally) the latest
-``bench diff`` deltas.
+bubble blame table and the journal digest.
 
 The page is fully self-contained — inline CSS, inline SVG, zero
 external assets — so it can be attached to a CI run or an issue and
@@ -26,26 +25,12 @@ from repro.obs.telemetry import (
     build_report as build_telemetry_report,
 )
 
-#: section order of the rendered page
-FLIGHT_SECTIONS = (
-    "summary",
-    "timelines",
-    "kernels",
-    "critpath",
-    "overlap",
-    "bubbles",
-    "journal",
-    "bench",
-)
-
-
-def build_flight_data(workload, model="consumer3", build_small=False,
-                      bench_dir=None):
+def build_flight_data(workload, model="consumer3", build_small=False):
     """Run once with the journal attached; return the stitched data.
 
     Returns a dict with ``stats``, ``telemetry`` (validated report),
-    ``critpath`` (validated report), ``journal_header``, ``blame_rows``
-    and optionally ``bench_delta``.
+    ``critpath`` (validated report), ``journal_header`` and
+    ``blame_rows``.
     """
     # Imported lazily: the engine imports repro.obs at module load.
     from repro.experiments.common import canonical_model_name
@@ -55,7 +40,7 @@ def build_flight_data(workload, model="consumer3", build_small=False,
     from repro.workloads import get_workload
 
     journal, stats = record_run(workload, model, build_small=build_small)
-    data = {
+    return {
         "workload": get_workload(workload).name,
         "model": canonical_model_name(model),
         "stats": stats,
@@ -63,31 +48,6 @@ def build_flight_data(workload, model="consumer3", build_small=False,
         "critpath": build_critpath_report(stats, journal),
         "journal_header": journal.header(),
         "blame_rows": kernel_blame_rows(stats),
-        "bench_delta": None,
-    }
-    if bench_dir is not None:
-        data["bench_delta"] = _bench_delta(bench_dir)
-    return data
-
-
-def _bench_delta(bench_dir):
-    """Diff the two newest BENCH reports in ``bench_dir`` (best effort)."""
-    from repro.bench.diff import diff_reports
-    from repro.bench.trend import load_reports
-
-    reports = load_reports(bench_dir)
-    if len(reports) < 2:
-        return {"note": "need two BENCH reports in {}".format(bench_dir)}
-    (old_path, old), (new_path, new) = reports[-2], reports[-1]
-    result = diff_reports(old, new)
-    describe = lambda deltas: [delta.describe() for delta in deltas]
-    return {
-        "old": old_path,
-        "new": new_path,
-        "compared": result.compared,
-        "regressions": describe(result.regressions),
-        "improvements": describe(result.improvements),
-        "drift": describe(result.drift),
     }
 
 
@@ -287,38 +247,6 @@ def _bubble_table(telemetry):
     )
 
 
-def _bench_section(delta):
-    if delta is None:
-        return "<p>No bench directory supplied (use <code>--bench DIR</code>).</p>"
-    if "note" in delta:
-        return "<p>{}</p>".format(html.escape(delta["note"]))
-    bits = [
-        "<p>Compared {} cells: <code>{}</code> vs <code>{}</code>.</p>".format(
-            delta["compared"],
-            html.escape(str(delta["old"])),
-            html.escape(str(delta["new"])),
-        )
-    ]
-    for label, css, items in (
-        ("regressions", "bad", delta["regressions"]),
-        ("drift", "bad", delta["drift"]),
-        ("improvements", "ok", delta["improvements"]),
-    ):
-        if items:
-            bits.append(
-                '<p class="{}">{} {}:</p><ul>{}</ul>'.format(
-                    css, len(items), label,
-                    "".join(
-                        "<li>{}</li>".format(html.escape(item))
-                        for item in items
-                    ),
-                )
-            )
-    if not (delta["regressions"] or delta["drift"]):
-        bits.append('<p class="ok">No regressions, no simulated drift.</p>')
-    return "".join(bits)
-
-
 def render_flight_html(data):
     """Render :func:`build_flight_data` output as one standalone page."""
     telemetry = data["telemetry"]
@@ -404,15 +332,13 @@ def render_flight_html(data):
             html.escape(header["digest"]),
             html.escape(json.dumps(header["options"], sort_keys=True)),
         ),
-        "<h2>Bench deltas</h2>",
-        _bench_section(data["bench_delta"]),
         "</body></html>",
     ]
     return "".join(parts)
 
 
 def write_flight_report(workload, model="consumer3", out=None,
-                        build_small=False, bench_dir=None):
+                        build_small=False):
     """One-call entry: run, stitch, render, write via the shared writer.
 
     Returns ``(path, data)``; ``out=None`` defaults to
@@ -420,9 +346,7 @@ def write_flight_report(workload, model="consumer3", out=None,
     """
     from repro.obs.report import write_text
 
-    data = build_flight_data(
-        workload, model=model, build_small=build_small, bench_dir=bench_dir
-    )
+    data = build_flight_data(workload, model=model, build_small=build_small)
     if out is None:
         out = "flight-{}-{}.html".format(data["workload"], data["model"])
     page = render_flight_html(data)

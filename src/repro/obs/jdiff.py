@@ -13,15 +13,9 @@ without opening either file.
 
 The report is schema-versioned (``repro-jdiff-report``) and drives the
 ``repro jdiff`` exit code: 0 when identical, 1 on divergence.
-:func:`drift_forensics` is the ``bench diff --forensics`` hook — it
-re-records a drifted (workload, model) cell in-process under
-``REPRO_FASTPATH=reference`` and under the current mode and diffs the
-two journals, localizing same-code drift exactly and proving
-cross-version drift needs a journal recorded at the old commit.
 """
 
 import json
-import os
 
 from repro.obs.journal import canonical_line, journal_digest
 
@@ -316,49 +310,6 @@ def format_jdiff(report, window=None):
                 event.get("seq", "?"), describe_event(event)
             ))
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# bench diff --forensics
-# ----------------------------------------------------------------------
-def drift_forensics(workload, model, window=8):
-    """Re-record one drifted bench cell and localize the divergence.
-
-    Records two in-process journals for (workload, model): one under
-    ``REPRO_FASTPATH=reference`` (the scalar oracle graph builder) and
-    one under the current/ambient mode.  Identical journals prove the
-    engine is internally consistent *on this code* — the drift between
-    the two bench reports then comes from code changes, and the fix is
-    to record a journal at each commit and jdiff those.  A divergence
-    here is localized to the exact first event, TB, and edge.
-    """
-    from repro.analysis.fastpath import FASTPATH_ENV
-    from repro.obs.journal import record_run
-
-    saved = os.environ.get(FASTPATH_ENV)
-    try:
-        os.environ[FASTPATH_ENV] = "reference"
-        reference, _stats = record_run(workload, model)
-    finally:
-        if saved is None:
-            os.environ.pop(FASTPATH_ENV, None)
-        else:
-            os.environ[FASTPATH_ENV] = saved
-    current, _stats = record_run(workload, model)
-    return diff_journals(
-        reference.header(), reference.events,
-        current.header(), current.events,
-        window=window,
-        a_label="{} x {} [REPRO_FASTPATH=reference]".format(workload, model),
-        b_label="{} x {} [current mode]".format(workload, model),
-    )
-
-
-def load_journal_file(path):
-    """CLI-facing loader (re-exported so the CLI imports one module)."""
-    from repro.obs.journal import load_journal
-
-    return load_journal(path)
 
 
 def _selftest(argv=None):  # pragma: no cover - manual smoke helper

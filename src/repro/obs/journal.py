@@ -322,16 +322,12 @@ def validate_journal(header, events):
 # ----------------------------------------------------------------------
 # recording a run
 # ----------------------------------------------------------------------
-def record_run(workload, model="consumer3", build_small=False, cache=None):
+def record_run(workload, model="consumer3", build_small=False):
     """Build, plan, and simulate one registry workload with a journal.
 
-    Returns ``(recorder, stats)``.  This is the one observed-run code
-    path behind ``repro journal``/``critpath``/``telemetry``/``report``,
-    the bench critpath/telemetry sections, the daemon's observer
-    endpoints, the forensics re-recorder, and the determinism tests, so
-    every journal of a given (workload, model) is produced identically.
-    ``cache`` is an optional :class:`~repro.analysis.cache.AnalysisCache`
-    for the planning step.
+    Returns ``(recorder, stats)``: the cold observed run behind ``repro
+    journal`` and ``repro report``, the observer goldens and the
+    determinism tests.
     """
     # Imported lazily: the engine imports repro.obs at module load, so a
     # module-level import here would be a cycle.
@@ -339,7 +335,6 @@ def record_run(workload, model="consumer3", build_small=False, cache=None):
 
     recorder = JournalRecorder()
     _app, stats = simulate_cell(
-        workload, model, build_small=build_small, cache=cache,
-        journal=recorder,
+        workload, model, build_small=build_small, journal=recorder
     )
     return recorder, stats

@@ -8,7 +8,7 @@ tests, shell pipelines, CI greps — notices the switch.  Two knobs
 change that:
 
 * ``REPRO_LOG`` — ``level`` or ``level:subsys1,subsys2`` (for example
-  ``debug`` or ``debug:bench,parallel``).  Levels: ``debug`` < ``info``
+  ``debug`` or ``debug:fuzz,serve``).  Levels: ``debug`` < ``info``
   (default) < ``warning`` < ``error`` < ``off``.  A subsystem list
   restricts *debug-level* verbosity to those subsystems; info and above
   always pass the level filter alone.
@@ -22,8 +22,8 @@ change that:
 this process — that is the per-worker forwarding story: workers inherit
 the parent's stderr, and the context field says who wrote each line.
 
-:class:`Heartbeat` is the live-progress half: long ``bench run`` /
-``experiments run-all`` invocations tick it once per completed cell.
+:class:`Heartbeat` is the live-progress half: long ``repro
+experiments`` invocations tick it once per completed experiment.
 On a TTY it redraws a single status line (current cell, ETA, cache hit
 rate); on a non-TTY it stays silent so logs remain clean.  Either way
 every tick atomically rewrites a machine-readable JSON status file
@@ -56,7 +56,7 @@ _state = {
 
 
 def parse_spec(spec):
-    """``"debug:bench,parallel"`` -> (numeric level, subsystem set)."""
+    """``"debug:fuzz,serve"`` -> (numeric level, subsystem set)."""
     spec = (spec or "").strip()
     if not spec:
         return LEVELS["info"], None
@@ -249,8 +249,8 @@ class Heartbeat:
     absent until the first cell lands.
     """
 
-    def __init__(self, total, phase="bench", status_path=None, stream=None,
-                 clock=time.monotonic):
+    def __init__(self, total, phase="experiments", status_path=None,
+                 stream=None, clock=time.monotonic):
         self.total = int(total)
         self.phase = phase
         self.status_path = (

@@ -12,7 +12,7 @@ identically whether metrics are collected or not.  Histograms keep
 running statistics (count/total/min/max) plus a bounded reservoir of
 samples, so observation cost is O(1) and memory stays bounded
 regardless of run size while tail percentiles (p50/p95/p99) remain
-quotable in bench reports and ``blame`` output.
+quotable in ``blame`` output and the metrics sidecar.
 """
 
 import json
@@ -22,9 +22,8 @@ import random
 def percentile(sorted_values, q):
     """Linear-interpolation percentile of an already-sorted sequence.
 
-    The single quantile definition shared by histogram summaries,
-    :meth:`repro.sim.stats.RunStats.stall_quartiles`, and the bench
-    runner's wall-clock percentile blocks.
+    The single quantile definition shared by histogram summaries and
+    :meth:`repro.sim.stats.RunStats.stall_quartiles`.
     """
     if not sorted_values:
         return 0.0
@@ -59,9 +58,6 @@ class Gauge:
 
     def set(self, value):
         self.value = float(value)
-
-    def set_max(self, value):
-        self.value = max(self.value, float(value))
 
 
 class Histogram:
@@ -174,42 +170,6 @@ class MetricsRegistry:
         self.histogram(name).observe(value)
 
     # cross-process folding --------------------------------------------
-    def merge(self, snapshot):
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        The contract parallel workers rely on (``--jobs N``): each
-        worker process accumulates into its own registry, ships the
-        snapshot home, and the parent *merges* — counters are summed
-        (never clobbered), gauges keep the maximum (the only order-
-        independent choice for last-write-wins instruments), histograms
-        fold their exact running statistics (count/total/min/max).
-        Histogram reservoirs are not transferable through a summary, so
-        percentiles over merged histograms reflect only locally observed
-        samples; bench percentile blocks are computed per-cell in the
-        worker for exactly that reason.
-        """
-        for name, value in (snapshot.get("counters") or {}).items():
-            self.counter(name).inc(value)
-        for name, value in (snapshot.get("gauges") or {}).items():
-            self.gauge(name).set_max(value)
-        for name, summary in (snapshot.get("histograms") or {}).items():
-            if not summary or not summary.get("count"):
-                continue
-            hist = self.histogram(name)
-            hist.count += summary["count"]
-            hist.total += summary["total"]
-            if summary.get("min") is not None:
-                hist.min = (
-                    summary["min"] if hist.min is None
-                    else min(hist.min, summary["min"])
-                )
-            if summary.get("max") is not None:
-                hist.max = (
-                    summary["max"] if hist.max is None
-                    else max(hist.max, summary["max"])
-                )
-        return self
-
     # export -----------------------------------------------------------
     def snapshot(self):
         """Freeze to ``{"counters": ..., "gauges": ..., "histograms": ...}``."""
@@ -255,9 +215,6 @@ class _NullInstrument:
     def set(self, value):
         pass
 
-    def set_max(self, value):
-        pass
-
     def observe(self, value):
         pass
 
@@ -290,9 +247,6 @@ class NullMetrics:
 
     def observe(self, name, value):
         pass
-
-    def merge(self, snapshot):
-        return self
 
     def snapshot(self):
         return {"counters": {}, "gauges": {}, "histograms": {}}

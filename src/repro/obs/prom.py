@@ -25,8 +25,8 @@ Everything is hand-rolled so the repo stays dependency-free.
 
 import re
 
-#: quantiles exported for histogram summaries (matches the reservoir
-#: percentiles bench reports already quote)
+#: quantiles exported for histogram summaries (the reservoir
+#: percentiles :meth:`repro.obs.metrics.Histogram.summary` quotes)
 SUMMARY_QUANTILES = ((0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99"))
 
 VALID_TYPES = ("counter", "gauge", "summary", "histogram", "untyped")

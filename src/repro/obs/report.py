@@ -49,7 +49,7 @@ def atomic_write_text(text, path):
 def dump_json(payload, destination, indent=2, sort_keys=True):
     """The one JSON writer: ``-`` for stdout, else a file path.
 
-    Shared by the CLI ``--json`` flags and the bench report writer so
+    Shared by the CLI ``--json`` flags and the experiment reports so
     every artifact is serialized the same way (stable key order,
     trailing newline).  Returns ``destination``.
     """

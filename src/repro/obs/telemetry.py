@@ -445,9 +445,8 @@ def build_report(stats, journal, max_samples=512):
 
 
 def bench_summary(report):
-    """Flat numeric summary embedded in BENCH reports' ``telemetry``
-    section — ``bench diff`` treats every value as zero-tolerance
-    simulated drift."""
+    """Flat numeric summary of one report: occupancy, overlap and idle
+    bubbles (Fig. 11's ``tm_*`` columns)."""
     utilization = report["utilization"]
     overlap = report["overlap"]
     return {

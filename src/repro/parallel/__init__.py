@@ -11,14 +11,12 @@ One primitive, used by every matrix-shaped command:
 
 Consumers:
 
-* ``repro bench run --jobs N``   — (workload, model) cells
 * ``repro experiments --jobs N`` — experiment modules
 * ``repro compare --jobs N``     — roster models on one workload
+* ``repro fuzz --jobs N``        — generated cases
 
-Worker processes collect their own :class:`~repro.obs.MetricsRegistry`
-and ship a snapshot home; the parent folds counters in with
-:meth:`~repro.obs.MetricsRegistry.merge` so concurrent writers are
-summed, never clobbered.  See ``docs/parallelism.md``.
+Each task returns its result to the parent, which merges them in
+submission order.  See ``docs/parallelism.md``.
 """
 
 from repro.parallel.executor import (

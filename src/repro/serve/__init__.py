@@ -30,8 +30,7 @@ The observability plane around the daemon:
   per-request ``request_id`` that is also propagated into the server's
   tracer spans (``--trace-out``).
 
-See ``docs/serving.md`` for the endpoint reference and
-``repro bench serve`` for the load-test bench.
+See ``docs/serving.md`` for the endpoint reference.
 """
 
 from repro.version import SERVE_SCHEMA_VERSION  # noqa: F401 - public

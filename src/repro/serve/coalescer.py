@@ -15,8 +15,8 @@ Two layers sit on top of the key:
   the event loop's executor; any request for the same key that arrives
   while the leader is running becomes a *follower* and awaits the
   leader's future.  N concurrent identical requests therefore perform
-  exactly one simulation — the property ``repro bench serve`` and the
-  integration suite verify through the ``serve.coalesce.*`` counters.
+  exactly one simulation — the property the integration suite
+  verifies through the ``serve.coalesce.*`` counters.
 """
 
 import asyncio

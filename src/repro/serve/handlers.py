@@ -2,14 +2,15 @@
 
 ``POST /v1/<op>`` runs the :mod:`repro.ops` function that ``repro <op>``
 runs, so a daemon result is the in-process CLI payload plus the
-daemon's envelope fields: ``workload``, and the simulated
-``signature`` (``run``) or per-model ``signatures`` (``compare``).
-The integration suite's differential gates compare the two for every
-op.
+daemon's envelope fields: ``workload`` and the simulated
+``signature`` (``run``), or per-model ``signatures`` (``compare``,
+whose payload already names its application).  The integration
+suite's differential gates compare the two for every op.
 
 Parameter handling happens *before* key derivation:
 :func:`normalize_params` applies the :data:`repro.ops.OPS` defaults,
-canonicalizes model aliases (``blockmaestro`` -> ``consumer3``),
+canonicalizes model aliases (``blockmaestro`` -> ``consumer3``) and
+workload spellings (``MVT``, ``fuzz-007`` -> the registry's name),
 validates names and types, and rejects unknown fields — so two
 spellings of the same request share one content-addressed key, and an
 invalid request fails fast with a :class:`ServeRequestError` instead of
@@ -46,11 +47,10 @@ def _validate_model(name):
 
 def _validate_workload(name):
     try:
-        get_workload(name)
+        return get_workload(name).name
     except UnknownWorkloadError as exc:
         message = exc.args[0] if exc.args else str(exc)
         raise ServeRequestError(message, status=404) from None
-    return str(name).lower()
 
 
 def _validate_engine(value):
@@ -123,7 +123,6 @@ def op_result(state, endpoint, params):
             result["workload"] = params["workload"]
             result["signature"] = stats.simulated_signature()
         elif endpoint == "compare":
-            result["workload"] = params["workload"]
             result["signatures"] = {
                 run.model: run.simulated_signature() for run in stats
             }

@@ -659,7 +659,7 @@ class ReproServer:
 
 
 class ServeDaemon:
-    """Run a :class:`ReproServer` on a background thread (tests, bench).
+    """Run a :class:`ReproServer` on a background thread (tests).
 
     ``with ServeDaemon() as daemon:`` binds an ephemeral port, waits
     until the server is accepting, and exposes ``daemon.port`` /

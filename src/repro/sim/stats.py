@@ -152,8 +152,9 @@ class RunStats:
 
         The timing model is deterministic, so two runs of the same code
         on the same workload must agree on every one of these values
-        bit-for-bit — ``repro bench diff`` enforces that with zero
-        tolerance.  Keep this free of anything wall-clock dependent.
+        bit-for-bit — the golden and differential gates compare it with
+        zero tolerance.  Keep this free of anything wall-clock
+        dependent.
 
         This dict (together with the ordered ``tb_records``) is also the
         differential contract for the engine fast tier: the

@@ -4,13 +4,11 @@ Every schema-versioned artifact family the toolkit emits is collected
 here so one flag (and the serve daemon's ``/version`` endpoint) answers
 "which schemas does this build speak":
 
-* ``bench``     — ``repro-bench-report`` (``repro.bench.schema``)
 * ``critpath``  — ``repro-critpath-report`` (``repro.obs.critpath``)
 * ``fuzz``      — ``repro-fuzz-report`` (``repro.fuzz.runner``)
 * ``fuzz_case`` — ``repro-fuzz-case`` (``repro.fuzz.shrink``)
 * ``journal``   — ``repro-journal`` (``repro.obs.journal``)
 * ``serve``     — the serve daemon's request/response envelope
-* ``serve_bench`` — ``repro-serve-bench-report`` (``repro.bench.serve``)
 * ``status``    — ``repro-status`` snapshots (``repro.obs.log``)
 * ``telemetry`` — ``repro-telemetry-report`` (``repro.obs.telemetry``)
 
@@ -21,7 +19,6 @@ with a clear error instead of mis-parsing responses.
 
 #: one constant per family above; each emitting module imports its own
 #: from here, so ``repro --version`` needs none of them
-BENCH_SCHEMA_VERSION = 2
 CRITPATH_SCHEMA_VERSION = 1
 FUZZ_REPORT_SCHEMA_VERSION = 1
 CASE_SCHEMA_VERSION = 1
@@ -29,7 +26,6 @@ JOURNAL_SCHEMA_VERSION = 1
 #: client/daemon handshake token: bump on any incompatible change to
 #: the request/response envelope or an endpoint's result shape
 SERVE_SCHEMA_VERSION = 1
-SERVE_BENCH_SCHEMA_VERSION = 1
 STATUS_SCHEMA_VERSION = 1
 TELEMETRY_SCHEMA_VERSION = 1
 
@@ -53,13 +49,11 @@ def package_version():
 def schema_versions():
     """Every report-schema version this build emits, by family name."""
     return {
-        "bench": BENCH_SCHEMA_VERSION,
         "critpath": CRITPATH_SCHEMA_VERSION,
         "fuzz": FUZZ_REPORT_SCHEMA_VERSION,
         "fuzz_case": CASE_SCHEMA_VERSION,
         "journal": JOURNAL_SCHEMA_VERSION,
         "serve": SERVE_SCHEMA_VERSION,
-        "serve_bench": SERVE_BENCH_SCHEMA_VERSION,
         "status": STATUS_SCHEMA_VERSION,
         "telemetry": TELEMETRY_SCHEMA_VERSION,
     }

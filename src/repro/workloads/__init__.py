@@ -32,7 +32,6 @@ from repro.workloads.registry import (
     WorkloadSpec,
     all_workloads,
     get_workload,
-    matching_workloads,
     workload_names,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "WorkloadSpec",
     "all_workloads",
     "get_workload",
-    "matching_workloads",
     "workload_names",
 ]

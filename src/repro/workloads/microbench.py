@@ -14,7 +14,7 @@ event loop the dominant cost.  The engine differential tests
 (``tests/integration/test_differential_engine.py``) run them on every
 :mod:`repro.models.fastengine` tier.  They are deliberately *hidden*:
 resolvable by name through :func:`repro.workloads.get_workload`, but
-absent from ``all_workloads()`` / ``--filter`` so the paper's Table-II
+absent from ``all_workloads()`` so the paper's Table-II
 suites stay exactly the paper's.
 """
 

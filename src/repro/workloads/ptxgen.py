@@ -29,7 +29,7 @@ pure function of ``s`` (``random.Random`` only — no hash-seed or dict
 order dependence), and :func:`build_fuzz_app` materializes it as a
 real-PTX application.  :func:`fuzz_workload_spec` wraps that as a
 hidden registry entry so ``get_workload("fuzz-<seed>")`` resolves it
-without the name joining ``list``/``--filter``.
+without the name joining ``list``.
 """
 
 import functools
@@ -979,10 +979,9 @@ def build_fuzz_app(spec):
 def fuzz_workload_spec(seed):
     """The hidden registry row behind ``get_workload("fuzz-<seed>")``.
 
-    Mirrors the analysis-fastpath microbench seam: resolvable by name
-    (so bench/CLI plumbing works unchanged) while staying out of
-    ``all_workloads()``/``matching_workloads()`` and therefore out of
-    ``list``/``--filter``.
+    Resolvable by name (so the CLI and the daemon take it like any
+    workload) while staying out of ``all_workloads()`` and therefore
+    out of ``list``.
     """
     from repro.workloads.registry import WorkloadSpec
 

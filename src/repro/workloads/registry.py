@@ -1,12 +1,11 @@
 """Workload registry: the paper's Table II benchmark suite by name."""
 
-import fnmatch
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
 
 class UnknownWorkloadError(KeyError):
-    """A workload name (or ``--filter`` glob) matched nothing.
+    """A workload name matched nothing.
 
     Subclasses :class:`KeyError` for backward compatibility; the CLI
     maps it to exit code 2 with a one-line message.
@@ -56,7 +55,7 @@ class WorkloadSpec:
         return self.builder(**params)
 
     def as_dict(self):
-        """JSON-safe registry row (``repro list --json``, bench reports)."""
+        """JSON-safe registry row (``repro list --json``, ``/workloads``)."""
         return {
             "name": self.name,
             "description": self.description,
@@ -136,7 +135,7 @@ _SPECS = (
 _BY_NAME = {spec.name: spec for spec in _SPECS}
 
 # Hidden extras (e.g. the fast-engine workload chains) resolve
-# through get_workload() but stay out of all_workloads()/--filter so the
+# through get_workload() but stay out of all_workloads() so the
 # paper's Table-II suites remain exactly the paper's.
 _EXTRAS = None
 
@@ -179,7 +178,7 @@ def get_workload(name) -> WorkloadSpec:
 
     ``fuzz-<seed>`` names resolve to seeded generator applications
     (:func:`repro.workloads.ptxgen.fuzz_workload_spec`); like the other
-    hidden extras they never join ``all_workloads()``/``--filter``.
+    hidden extras they never join ``all_workloads()``.
     """
     key = str(name).lower()
     try:
@@ -200,25 +199,3 @@ def get_workload(name) -> WorkloadSpec:
         )
     ) from None
 
-
-def matching_workloads(patterns):
-    """Specs whose names match any shell-style glob, in Table II order.
-
-    Patterns are case-insensitive (``MVT``, ``f*``, ``?s`` all work).
-    Raises :class:`UnknownWorkloadError` when nothing matches, so CLI
-    callers fail fast with exit code 2 instead of running an empty
-    suite.
-    """
-    lowered = [str(pattern).lower() for pattern in patterns]
-    chosen = [
-        spec
-        for spec in _SPECS
-        if any(fnmatch.fnmatchcase(spec.name, pattern) for pattern in lowered)
-    ]
-    if not chosen:
-        raise UnknownWorkloadError(
-            "no workload matches {!r}; available: {}".format(
-                " ".join(str(p) for p in patterns), ", ".join(workload_names())
-            )
-        )
-    return chosen

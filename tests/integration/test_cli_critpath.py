@@ -2,12 +2,9 @@
 
 Covers ``repro critpath`` (text, ``--json``, ``--whatif``), the new
 ``--json`` flags on ``blame`` and ``trace``, the ``trace --critpath``
-flow-event overlay, ``trace --per-sm`` counters, and the bench
-``--critpath`` section plus its ``bench diff`` drift detection.
+flow-event overlay and ``trace --per-sm`` counters.
 """
 
-import copy
-import glob
 import json
 
 import pytest
@@ -151,55 +148,3 @@ class TestTraceJsonAndFlow:
             if e["ph"] == "C" and e["name"].startswith("running_tbs[sm=")
         ]
 
-
-class TestBenchCritpath:
-    @pytest.fixture(scope="class")
-    def report(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("bench-cp")
-        main([
-            "bench", "run", "--quick", "--critpath",
-            "--filter", "mvt", "--models", "consumer3",
-            "--repeats", "1", "--warmup", "0", "--out", str(out),
-        ])
-        (path,) = glob.glob(str(out / "BENCH_*.json"))
-        return json.loads(open(path).read())
-
-    def test_report_carries_schema_valid_critpath_section(self, report):
-        from repro.bench.schema import validate_report
-
-        assert validate_report(report) == []
-        assert report["config"]["critpath"] is True
-        entry = report["workloads"]["mvt"]["models"]["consumer3"]["critpath"]
-        makespan = (
-            report["workloads"]["mvt"]["models"]["consumer3"]["simulated"]
-            ["makespan_ns"]
-        )
-        assert sum(entry["attribution_ns"].values()) == pytest.approx(
-            makespan, abs=1e-3
-        )
-        assert sum(entry["attribution_fraction"].values()) == pytest.approx(
-            1.0, abs=1e-6
-        )
-
-    def test_diff_flags_attribution_shift_as_drift(self, report):
-        from repro.bench.diff import diff_reports
-
-        clean = diff_reports(report, copy.deepcopy(report))
-        assert not clean.drift and not clean.failed()
-
-        shifted = copy.deepcopy(report)
-        cp = shifted["workloads"]["mvt"]["models"]["consumer3"]["critpath"]
-        cp["attribution_ns"]["launch"] += 5.0
-        result = diff_reports(report, shifted)
-        assert result.failed()
-        assert any(
-            d.metric == "critpath.attribution_ns.launch" for d in result.drift
-        )
-
-    def test_diff_ignores_missing_section(self, report):
-        from repro.bench.diff import diff_reports
-
-        stripped = copy.deepcopy(report)
-        del stripped["workloads"]["mvt"]["models"]["consumer3"]["critpath"]
-        assert not diff_reports(report, stripped).failed()
-        assert not diff_reports(stripped, report).failed()

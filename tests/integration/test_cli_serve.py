@@ -1,15 +1,18 @@
 """CLI-level tests for ``repro serve`` / ``repro client`` /
-``repro bench serve`` / ``repro --version``.
+``repro --version``.
 
 Exercises the command surface the way a user does: in-process
 ``main([...])`` calls for argument validation and output shape, plus
-one real subprocess daemon spawn (the ``repro bench serve`` path) to
-prove the announce-line protocol end to end.
+one real subprocess daemon spawn to prove the announce-line protocol
+end to end.
 """
 
+import contextlib
 import gc
 import json
+import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -17,6 +20,50 @@ import pytest
 from repro.cli import main
 from repro.serve import DEFAULT_PORT, SERVE_SCHEMA_VERSION
 from repro.serve.server import ServeDaemon
+
+#: the line ``repro serve`` prints once it accepts connections
+LISTENING_PREFIX = "repro serve: listening on "
+
+
+@contextlib.contextmanager
+def _spawned_daemon(startup_timeout=60.0):
+    """``repro serve --port 0`` as a subprocess: yields ``(url, process)``
+    with the URL read from the announce line; shuts it down on exit."""
+    from repro.serve.client import ServeClient
+
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--host", "127.0.0.1", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    url = None
+    try:
+        deadline = time.monotonic() + startup_timeout
+        while url is None and time.monotonic() < deadline:
+            line = process.stdout.readline()
+            if not line:
+                break
+            if line.startswith(LISTENING_PREFIX):
+                # "... listening on http://H:P (pid N)"
+                url = line[len(LISTENING_PREFIX):].split()[0]
+        if url is None:
+            raise RuntimeError("spawned daemon never announced itself")
+        yield url, process
+    finally:
+        if process.poll() is None:
+            if url:
+                try:
+                    ServeClient(url, timeout=5.0).shutdown()
+                except Exception:  # noqa: BLE001 - fall through to kill
+                    pass
+            try:
+                process.wait(timeout=10.0)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait(timeout=10.0)
+        process.stdout.close()
 
 
 #: daemon URLs urllib cannot split or whose port is not 0..65535
@@ -48,9 +95,9 @@ class TestVersionFlag:
         schemas = dict(
             token.split("=") for token in out[1].split()[1:]
         )
-        for family in ("bench", "critpath", "fuzz", "journal", "serve",
-                       "serve_bench", "status", "telemetry"):
-            assert family in schemas, family
+        assert sorted(schemas) == ["critpath", "fuzz", "fuzz_case",
+                                   "journal", "serve", "status",
+                                   "telemetry"]
         assert schemas["serve"] == str(SERVE_SCHEMA_VERSION)
 
 
@@ -189,38 +236,17 @@ class TestClientCli:
         assert default_url().endswith(str(DEFAULT_PORT))
 
 
-class TestBenchServe:
-    def test_bench_against_running_daemon(self, daemon, tmp_path, capsys):
-        """`repro bench serve --url ...`: report written + validated,
-        coalescing gate green, no daemon spawn needed."""
-        out_path = str(tmp_path / "SERVEBENCH_test.json")
-        code = main([
-            "bench", "serve", "--url", daemon.base_url,
-            "--requests", "6", "--concurrency", "2", "--burst", "4",
-            "--baseline", "0", "-o", out_path,
-        ])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        assert "coalesce" in captured.out
-        with open(out_path) as handle:
-            payload = json.load(handle)
-        from repro.bench.serve import validate_serve_bench_report
-
-        assert validate_serve_bench_report(payload) == []
-        coalesce = payload["phases"]["coalesce"]
-        assert coalesce["simulations"] == 1
-        assert coalesce["completed"] == coalesce["burst"] == 4
-        assert coalesce["counters"]["followers_delta"] == 3
-        assert payload["phases"]["throughput"]["rps"] > 0
+class TestSpawnedDaemon:
+    """``repro serve --port 0`` in a subprocess: the announce line names
+    the ephemeral port, and the daemon answers on it."""
 
     def test_spawned_daemon_protocol(self):
         """The announce-line spawn protocol end to end (subprocess)."""
-        from repro.bench.serve import SpawnedDaemon
         from repro.serve.client import ServeClient
 
-        with SpawnedDaemon() as spawned:
-            assert spawned.url.startswith("http://127.0.0.1:")
-            client = ServeClient(spawned.url)
+        with _spawned_daemon() as (url, _process):
+            assert url.startswith("http://127.0.0.1:")
+            client = ServeClient(url)
             assert client.health()["status"] == "ok"
             assert client.version()["schemas"]["serve"] == \
                 SERVE_SCHEMA_VERSION
@@ -228,19 +254,16 @@ class TestBenchServe:
     def test_spawned_daemon_stop_closes_its_pipe(self):
         """With ResourceWarning raised as an error, starting and stopping
         a spawned daemon leaves no unclosed file behind."""
-        from repro.bench.serve import SpawnedDaemon
-
         raised = []
         hook = sys.unraisablehook   # where errors in __del__ surface
         sys.unraisablehook = raised.append
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", ResourceWarning)
-                spawned = SpawnedDaemon().start()
-                process = spawned.process
-                spawned.stop()
+                with _spawned_daemon() as (_url, process):
+                    pass
                 assert process.stdout.closed
-                del spawned, process
+                del process
                 gc.collect()
         finally:
             sys.unraisablehook = hook

@@ -3,9 +3,8 @@
 Covers ``repro telemetry`` (text, ``--json`` schema validation,
 ``--prom``), ``repro report`` (the self-contained HTML flight report),
 ``repro trace --telemetry`` (merged counter tracks), the sized
-``repro list --json`` listing, ``bench run --telemetry``, and the
-create-parent-directories behavior every ``--out``-style flag shares
-through the atomic writer.
+``repro list --json`` listing, and the create-parent-directories
+behavior every ``--out``-style flag shares through the atomic writer.
 """
 
 import json
@@ -13,7 +12,6 @@ import re
 
 import pytest
 
-from repro.bench.schema import load_report
 from repro.cli import main
 from repro.obs.telemetry import validate_telemetry_report
 
@@ -109,22 +107,6 @@ class TestListSizes:
             assert entry["total_tbs"] >= entry["num_kernels"]
         by_name = {e["name"]: e for e in entries}
         assert by_name["mvt"]["num_kernels"] == 2
-
-
-class TestBenchTelemetry:
-    def test_run_embeds_validated_section(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        assert main([
-            "bench", "run", "--filter", "mvt", "--models", "consumer3",
-            "--repeats", "1", "--warmup", "0", "--telemetry",
-            "-o", str(path),
-        ]) == 0
-        payload = load_report(str(path))  # raises if schema-invalid
-        assert payload["schema_version"] == 2
-        entry = payload["workloads"]["mvt"]["models"]["consumer3"]
-        assert "pair_overlap" in entry["telemetry"]
-        # self-diff must be clean: the summary is deterministic
-        assert main(["bench", "diff", str(path), str(path)]) == 0
 
 
 class TestOutCreatesParentDirs:

@@ -6,104 +6,101 @@ number.  This suite is the gate: the full registry workload × model
 matrix is executed
 
 * serially with no cache (the reference),
-* under ``--jobs 4`` with a *cold* cache directory, and
+* on 4 worker processes with a *cold* cache directory, and
 * serially again with the now-*warm* cache,
 
 and every :meth:`RunStats.simulated_signature` must match the reference
-bit for bit.  A second check does the same for experiment JSON
-artifacts (serial vs ``--jobs 2``), byte-comparing everything except
-the wall-clock ``elapsed_s`` field.
+bit for bit.  Each cell attaches the cache the way ``repro serve
+--cache`` does, through the runtime of a fresh
+:class:`~repro.experiments.common.ExperimentContext`.  A second check
+does the same for experiment JSON artifacts (serial vs ``--jobs 2``),
+byte-comparing everything except the wall-clock ``elapsed_s`` field.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
-from repro import bench
+from repro.analysis.cache import AnalysisCache
+from repro.core.runtime import BlockMaestroRuntime
 from repro.experiments import runner as experiments_runner
+from repro.experiments.common import ExperimentContext
+from repro.obs import MetricsRegistry
+from repro.parallel import SuiteExecutor
 from repro.workloads import all_workloads
 
-#: the bench default model roster: baseline + prelaunch + headline config
-MODELS = bench.DEFAULT_MODELS
+#: baseline + prelaunch + the headline config
+MODELS = ("baseline", "prelaunch", "consumer3")
 
 #: experiments in the artifact check (a fast, representative subset:
 #: analysis-heavy, storage-heavy, and the pattern census)
 EXPERIMENT_NAMES = ("tab1", "tab3", "census")
 
 
-def _signatures(payload):
-    """``{(workload, model): simulated-dict}`` from a bench report."""
-    out = {}
-    for wname, wentry in payload["workloads"].items():
-        for mname, mentry in wentry["models"].items():
-            out[(wname, mname)] = mentry["simulated"]
-    return out
+def _simulate_cell(cell):
+    """One (workload, model) cell on a fresh context, as a pool task.
+
+    Returns the run's simulated signature and the ``cache.*`` counters
+    this cell's planning moved.
+    """
+    wname, model, cache_dir = cell
+    cache = None
+    if cache_dir is not None:
+        cache = AnalysisCache(cache_dir, metrics=MetricsRegistry())
+    ctx = ExperimentContext(runtime=BlockMaestroRuntime(cache=cache))
+    stats = ctx.run_model(ctx.app(wname), model)
+    return stats.simulated_signature(), cache.counters() if cache else {}
 
 
 def _run_matrix(jobs, cache_dir):
-    config = bench.BenchConfig(
-        workloads=tuple(spec.name for spec in all_workloads()),
-        models=MODELS,
-        repeats=1,
-        warmup=0,
-        jobs=jobs,
-        cache_dir=cache_dir,
-    )
-    return bench.run_suite(config, log=lambda message: None)
+    """``({(workload, model): signature}, summed cache counters)``."""
+    cells = [
+        (spec.name, model, cache_dir)
+        for spec in all_workloads()
+        for model in MODELS
+    ]
+    results = SuiteExecutor(jobs=jobs).map(_simulate_cell, cells)
+    counters = Counter()
+    for _signature, cell_counters in results:
+        counters.update(cell_counters)
+    signatures = {
+        (wname, model): signature
+        for (wname, model, _dir), (signature, _counters)
+        in zip(cells, results)
+    }
+    return signatures, counters
 
 
 @pytest.fixture(scope="module")
-def reference_report():
-    return _run_matrix(jobs=1, cache_dir=None)
+def reference():
+    signatures, _counters = _run_matrix(jobs=1, cache_dir=None)
+    return signatures
 
 
 class TestFullMatrixDifferential:
-    def test_reference_covers_the_whole_registry(self, reference_report):
-        signatures = _signatures(reference_report)
+    def test_reference_covers_the_whole_registry(self, reference):
         workloads = {spec.name for spec in all_workloads()}
-        assert {w for w, _m in signatures} == workloads
-        assert {m for _w, m in signatures} == set(MODELS)
+        assert {w for w, _m in reference} == workloads
+        assert {m for _w, m in reference} == set(MODELS)
 
     def test_jobs4_cold_cache_then_warm_cache_identical(
-        self, reference_report, tmp_path_factory
+        self, reference, tmp_path_factory
     ):
         cache_dir = str(tmp_path_factory.mktemp("analysis-cache"))
-        reference = _signatures(reference_report)
 
-        parallel_cold = _run_matrix(jobs=4, cache_dir=cache_dir)
-        assert _signatures(parallel_cold) == reference
+        parallel_cold, cold_counters = _run_matrix(jobs=4, cache_dir=cache_dir)
+        assert parallel_cold == reference
+        assert cold_counters["cache.summary.misses"] > 0
 
-        serial_warm = _run_matrix(jobs=1, cache_dir=cache_dir)
-        assert _signatures(serial_warm) == reference
+        serial_warm, warm_counters = _run_matrix(jobs=1, cache_dir=cache_dir)
+        assert serial_warm == reference
 
-        # the warm run really did come from the cache
-        warm_counters = serial_warm["cache"]["counters"]
-        assert warm_counters.get("cache.summary.hits", 0) > 0
-        assert not warm_counters.get("cache.summary.misses")
-
-    def test_reports_validate_and_json_serialize_identically(
-        self, reference_report, tmp_path
-    ):
-        assert bench.validate_report(reference_report) == []
-        # the workloads section (everything except metadata/config/cache)
-        # serializes identically through the shared JSON writer
-        parallel = _run_matrix(jobs=4, cache_dir=None)
-        assert bench.validate_report(parallel) == []
-
-        def workloads_json(payload):
-            stripped = {
-                wname: {
-                    "spec": wentry["spec"],
-                    "models": {
-                        mname: {"simulated": mentry["simulated"]}
-                        for mname, mentry in wentry["models"].items()
-                    },
-                }
-                for wname, wentry in payload["workloads"].items()
-            }
-            return json.dumps(stripped, sort_keys=True)
-
-        assert workloads_json(parallel) == workloads_json(reference_report)
+        # the warm run really did come from the cache, and no entry the
+        # cold run wrote was unreadable
+        assert warm_counters["cache.summary.hits"] > 0
+        assert not warm_counters["cache.summary.misses"]
+        assert not warm_counters["cache.invalidations"]
 
 
 class TestExperimentArtifactDifferential:

@@ -27,6 +27,7 @@ from repro.obs.prom import validate_exposition
 from repro.serve import SERVE_KIND, SERVE_SCHEMA_VERSION
 from repro.serve.client import ClientError, SchemaMismatchError, ServeClient
 from repro.serve.server import ServeDaemon
+from repro.version import schema_versions
 from repro.workloads import all_workloads
 
 MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
@@ -65,7 +66,7 @@ class TestObservabilityPlane:
         payload = client.version()
         assert payload["serve_schema_version"] == SERVE_SCHEMA_VERSION
         assert payload["schemas"]["serve"] == SERVE_SCHEMA_VERSION
-        assert "bench" in payload["schemas"]
+        assert payload["schemas"] == schema_versions()
 
     def test_workloads_lists_registry(self, client):
         names = [entry["name"] for entry in client.workloads()]
@@ -379,7 +380,12 @@ class TestAllOpDifferentialGate:
     ``repro <op> W --json -`` payload."""
 
     @pytest.mark.parametrize("op", sorted(DAEMON_ONLY_FIELDS))
-    @pytest.mark.parametrize("wname", ["mvt", "path", "fdtd-2d"])
+    @pytest.mark.parametrize(
+        "wname",
+        # eng-fc and fuzz-007 name an application other than themselves
+        # (eng-fc-k6-n512, fuzz-7)
+        ["mvt", "path", "fdtd-2d", "eng-fc", "fuzz-007"],
+    )
     def test_daemon_matches_cli(self, wname, op, daemon, capsys):
         from repro.cli import main
 

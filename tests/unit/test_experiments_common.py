@@ -114,6 +114,17 @@ class TestExperimentContext:
         assert shape(ctx.app(name)) == shape(get_workload(name).build())
         assert ctx.app(name) is ctx.app(name)
 
+    @pytest.mark.parametrize(
+        "spellings", [("MVT", "mvt", "Mvt"), ("fuzz-7", "fuzz-007")]
+    )
+    def test_spellings_share_one_app(self, spellings):
+        """Every spelling of a workload builds one app and one memo entry
+        (the daemon resets its context by this count)."""
+        ctx = ExperimentContext()
+        apps = [ctx.app(name) for name in spellings]
+        assert all(app is apps[0] for app in apps)
+        assert len(ctx._apps) == 1
+
 
 class TestRunner:
     def test_selected_experiments(self):

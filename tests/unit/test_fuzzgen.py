@@ -22,7 +22,6 @@ from repro.workloads.registry import (
     UnknownWorkloadError,
     all_workloads,
     get_workload,
-    matching_workloads,
     workload_names,
 )
 
@@ -101,8 +100,6 @@ class TestRegistrySeam:
     def test_hidden_from_listings(self):
         assert not [n for n in workload_names() if n.startswith("fuzz-")]
         assert not [w for w in all_workloads() if w.suite == "fuzz"]
-        with pytest.raises(UnknownWorkloadError):
-            matching_workloads(["fuzz-*"])
 
     @pytest.mark.parametrize("name", ["fuzz-", "fuzz-abc", "fuzz-1x", "fuzz"])
     def test_malformed_fuzz_names_stay_unknown(self, name):

@@ -8,7 +8,6 @@ from repro.obs.jdiff import (
     JDIFF_KIND,
     describe_event,
     diff_journals,
-    drift_forensics,
     format_jdiff,
     validate_jdiff_report,
 )
@@ -165,9 +164,3 @@ class TestDescribeEvent:
         })
         assert "call 3 (memcpyH2D)" in call
 
-
-class TestDriftForensics:
-    def test_same_code_modes_are_consistent(self):
-        report = drift_forensics("mvt", "consumer3")
-        assert report["identical"] is True
-        assert "reference" in report["a"]["label"]

@@ -273,90 +273,6 @@ class TestMetricsRegistry:
         assert json.loads(path.read_text())["counters"]["a.b"] == 4
 
 
-def _worker_snapshot(item):
-    """Pool task for the merge tests: a worker's private registry."""
-    worker_id, observations = item
-    registry = MetricsRegistry()
-    registry.inc("cache.summary.hits", observations)
-    registry.inc("shared.counter")          # every worker bumps this one
-    registry.set_gauge("peak.tbs", worker_id * 10.0)
-    for value in range(1, observations + 1):
-        registry.observe("phase.analyze_s", float(value))
-    return registry.snapshot()
-
-
-class TestMetricsMerge:
-    """The ``--jobs N`` contract: worker snapshots merge, never clobber."""
-
-    def test_counters_are_summed_not_clobbered(self):
-        parent = MetricsRegistry()
-        parent.inc("c", 5)
-        parent.merge({"counters": {"c": 3, "only.theirs": 2}})
-        snap = parent.snapshot()["counters"]
-        assert snap["c"] == 8             # 5 + 3, not 3
-        assert snap["only.theirs"] == 2
-
-    def test_gauges_keep_the_maximum_in_any_merge_order(self):
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        snaps = [{"gauges": {"g": value}} for value in (2.0, 9.0, 4.0)]
-        for snap in snaps:
-            forward.merge(snap)
-        for snap in reversed(snaps):
-            backward.merge(snap)
-        assert forward.snapshot()["gauges"]["g"] == 9.0
-        assert backward.snapshot()["gauges"]["g"] == 9.0
-
-    def test_histograms_fold_exact_running_stats(self):
-        parent = MetricsRegistry()
-        parent.observe("h", 10.0)
-        child = MetricsRegistry()
-        child.observe("h", 2.0)
-        child.observe("h", 6.0)
-        parent.merge(child.snapshot())
-        summary = parent.snapshot()["histograms"]["h"]
-        assert summary["count"] == 3
-        assert summary["min"] == 2.0 and summary["max"] == 10.0
-        assert summary["mean"] == pytest.approx(6.0)
-
-    def test_empty_histograms_do_not_poison_min_max(self):
-        parent = MetricsRegistry()
-        parent.observe("h", 5.0)
-        parent.merge({"histograms": {"h": {"count": 0, "total": 0.0,
-                                           "min": None, "max": None}}})
-        summary = parent.snapshot()["histograms"]["h"]
-        assert summary["count"] == 1
-        assert summary["min"] == 5.0 and summary["max"] == 5.0
-
-    def test_null_metrics_merge_is_a_noop(self):
-        assert NULL_METRICS.merge({"counters": {"c": 1}}) is NULL_METRICS
-        assert NULL_METRICS.snapshot()["counters"] == {}
-
-    def test_concurrent_executor_writers_merge_cleanly(self):
-        """Registries built in separate pool workers fold into one total.
-
-        This is exactly what ``bench run --jobs N`` does: each cell runs
-        in its own process with a private registry, ships the snapshot
-        back through the executor's ordered merge, and the parent folds
-        them — so the final counters must equal the serial totals no
-        matter how the pool scheduled the cells.
-        """
-        from repro.parallel import SuiteExecutor
-
-        items = [(worker_id, observations)
-                 for worker_id, observations in ((1, 2), (2, 4), (3, 1))]
-        snapshots = SuiteExecutor(jobs=2).map(_worker_snapshot, items)
-
-        merged = MetricsRegistry()
-        for snap in snapshots:
-            merged.merge(snap)
-        totals = merged.snapshot()
-        assert totals["counters"]["cache.summary.hits"] == 2 + 4 + 1
-        assert totals["counters"]["shared.counter"] == len(items)  # not 1
-        assert totals["gauges"]["peak.tbs"] == 30.0
-        hist = totals["histograms"]["phase.analyze_s"]
-        assert hist["count"] == 7
-        assert hist["min"] == 1.0 and hist["max"] == 4.0
-
 
 @pytest.fixture(scope="module")
 def traced_run():

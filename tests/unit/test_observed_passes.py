@@ -29,20 +29,6 @@ def test_fig11_context_observes_each_cell_once():
     assert summary["busy_fraction"] > 0
 
 
-def test_bench_cell_observes_once_for_both_sections():
-    from repro.bench.runner import _run_cell
-
-    metrics = MetricsRegistry()
-    with observed(metrics=metrics):
-        # the timed pass reports into its own registry; only the
-        # untimed observed pass reaches the ambient one
-        entry, _snapshot = _run_cell(
-            ("mvt", "consumer3", 1, 0, False, 0, None, True, True)
-        )
-    assert _reference_runs(metrics) == 1
-    assert "critpath" in entry and "telemetry" in entry
-
-
 def test_fuzz_self_checks_reuse_the_oracle_journal():
     from repro.fuzz import check_case
     from repro.workloads.ptxgen import FuzzSpec

@@ -4,8 +4,7 @@ Covers the pieces that must be correct *before* any HTTP is involved:
 content-addressed request keys (canonicalization, schema binding),
 the bounded LRU response cache, in-flight request coalescing
 (leader/follower semantics, error propagation), endpoint parameter
-normalization, the version surface, and the serve-bench report
-schema.
+normalization and the version surface.
 """
 
 import argparse
@@ -199,6 +198,18 @@ class TestNormalizeParams:
         b = normalize_params("run", {"workload": "mvt", "model": "consumer3"})
         assert a == b   # same canonical params => same request key
 
+    @pytest.mark.parametrize("endpoint", sorted(OPS))
+    @pytest.mark.parametrize(
+        "spellings", [("MVT", "mvt"), ("fuzz-007", "fuzz-7")]
+    )
+    def test_workload_spellings_share_one_key(self, endpoint, spellings):
+        params = [
+            normalize_params(endpoint, {"workload": name})
+            for name in spellings
+        ]
+        assert params[0]["workload"] == spellings[-1]
+        assert len({request_key(endpoint, p) for p in params}) == 1
+
     def test_missing_required_param(self):
         with pytest.raises(ServeRequestError) as err:
             normalize_params("run", {})
@@ -334,10 +345,10 @@ class TestVersionSurface:
         from repro.version import schema_versions
 
         schemas = schema_versions()
-        for family in ("bench", "critpath", "fuzz", "journal", "serve",
-                       "serve_bench", "status", "telemetry"):
-            assert family in schemas, family
-            assert isinstance(schemas[family], int)
+        assert sorted(schemas) == ["critpath", "fuzz", "fuzz_case",
+                                   "journal", "serve", "status",
+                                   "telemetry"]
+        assert all(isinstance(value, int) for value in schemas.values())
 
     def test_serve_entry_matches_package_constant(self):
         from repro.version import schema_versions
@@ -352,96 +363,3 @@ class TestVersionSurface:
         assert lines[1].startswith("schemas: ")
         assert "serve={}".format(SERVE_SCHEMA_VERSION) in lines[1]
 
-
-class TestServeBenchReport:
-    def _minimal_payload(self):
-        from repro.bench.serve import latency_block, run_serve_bench  # noqa: F401
-        from repro.bench.serve import (
-            SERVE_BENCH_KIND,
-            SERVE_BENCH_SCHEMA_VERSION,
-        )
-
-        wall = latency_block([1.0, 2.0, 3.0])
-        return {
-            "kind": SERVE_BENCH_KIND,
-            "schema_version": SERVE_BENCH_SCHEMA_VERSION,
-            "created_utc": "2026-08-08T00:00:00Z",
-            "host": {}, "git": {}, "daemon": {}, "config": {},
-            "phases": {
-                "warmup": {"requests": 3, "total_s": 0.5},
-                "latency": {"requests": 3, "wall_ms": wall, "sources": {}},
-                "throughput": {
-                    "requests": 3, "concurrency": 2, "elapsed_s": 0.1,
-                    "rps": 30.0, "wall_ms": wall, "sources": {},
-                },
-                "coalesce": {
-                    "burst": 4, "completed": 4, "simulations": 1,
-                    "coalesce_hit_rate": 0.75, "wall_ms": wall,
-                    "sources": {"simulated": 1, "coalesced": 3},
-                },
-            },
-            "cli_baseline": None,
-        }
-
-    def test_minimal_payload_validates(self):
-        from repro.bench.serve import validate_serve_bench_report
-
-        assert validate_serve_bench_report(self._minimal_payload()) == []
-
-    def test_wrong_kind_flagged(self):
-        from repro.bench.serve import validate_serve_bench_report
-
-        payload = self._minimal_payload()
-        payload["kind"] = "something-else"
-        assert any(
-            "kind" in error
-            for error in validate_serve_bench_report(payload)
-        )
-
-    def test_missing_phase_flagged(self):
-        from repro.bench.serve import validate_serve_bench_report
-
-        payload = self._minimal_payload()
-        del payload["phases"]["coalesce"]
-        assert validate_serve_bench_report(payload)
-
-    def test_incomplete_latency_block_flagged(self):
-        from repro.bench.serve import validate_serve_bench_report
-
-        payload = self._minimal_payload()
-        del payload["phases"]["latency"]["wall_ms"]["p99"]
-        assert any(
-            "p99" in error
-            for error in validate_serve_bench_report(payload)
-        )
-
-    def test_latency_block_quantiles_ordered(self):
-        from repro.bench.serve import latency_block
-
-        block = latency_block([5.0, 1.0, 3.0, 2.0, 4.0])
-        assert block["min"] == 1.0
-        assert block["max"] == 5.0
-        assert block["p50"] == 3.0
-        assert block["min"] <= block["p50"] <= block["p95"] <= block["p99"]
-        assert block["count"] == 5
-
-    def test_latency_block_empty(self):
-        from repro.bench.serve import latency_block
-
-        block = latency_block([])
-        assert block["count"] == 0
-        assert block["p50"] == 0.0
-
-    def test_burst_workload_must_be_held_out(self):
-        from repro.bench.serve import run_serve_bench
-
-        with pytest.raises(ValueError):
-            run_serve_bench(
-                workloads=["mvt"], burst_workload="mvt", url="http://x:1"
-            )
-
-    def test_formatter_mentions_coalesce(self):
-        from repro.bench.serve import format_serve_bench_report
-
-        lines = format_serve_bench_report(self._minimal_payload())
-        assert any("coalesce" in line for line in lines)
