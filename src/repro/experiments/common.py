@@ -96,7 +96,6 @@ class ExperimentContext:
     _apps: Dict[str, object] = field(default_factory=dict)
     _plans: Dict[Tuple[str, bool, int], "RuntimePlan"] = field(default_factory=dict)
     _runs: Dict[Tuple[str, str], object] = field(default_factory=dict)
-    _observed: Dict[Tuple[str, str], tuple] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.gpu_config is None:
@@ -151,40 +150,6 @@ class ExperimentContext:
         if key not in self._runs:
             self._runs[key] = self.simulate(app, model_name)
         return self._runs[key]
-
-    def critpath_attribution(self, app, model_name):
-        """Critical-path makespan fractions per component, memoized."""
-        return self._observe(app, model_name)[0]
-
-    def telemetry_summary(self, app, model_name):
-        """Flat telemetry summary (occupancy/overlap/bubbles), memoized."""
-        return self._observe(app, model_name)[1]
-
-    def _observe(self, app, model_name):
-        """One journaled pass per cell -> both observer summaries.
-
-        A separate pass, so the memoized :meth:`run_model` result stays
-        observation-free and experiment signatures are untouched; only
-        the two small summaries are kept, never the journal.
-        """
-        model_name = canonical_model_name(model_name)
-        key = (app.name, model_name)
-        if key not in self._observed:
-            # Imported lazily: critpath imports models.base for what-if
-            # replay, so a module-level import here would be a cycle.
-            from repro.obs import critpath, telemetry
-            from repro.obs.journal import JournalRecorder
-
-            journal = JournalRecorder()
-            stats = self.simulate(app, model_name, journal=journal)
-            self._observed[key] = (
-                dict(critpath.build_report(stats, journal)
-                     ["attribution_fraction"]),
-                telemetry.bench_summary(
-                    telemetry.build_report(stats, journal)
-                ),
-            )
-        return self._observed[key]
 
     def run_all(self, app, model_names=None):
         names = model_names or [m[0] for m in STANDARD_MODELS]

@@ -22,8 +22,6 @@ def run(ctx: ExperimentContext = None, benchmarks=None, models=MODELS):
         for model in models:
             stats = ctx.run_model(app, model)
             q1, median, q3 = stats.stall_quartiles()
-            attr = ctx.critpath_attribution(app, model)
-            telemetry = ctx.telemetry_summary(app, model)
             rows.append(
                 {
                     "benchmark": name,
@@ -32,21 +30,6 @@ def run(ctx: ExperimentContext = None, benchmarks=None, models=MODELS):
                     "median": median,
                     "q3": q3,
                     "max": max(stats.normalized_stalls(), default=0.0),
-                    # critical-path makespan fractions: where the
-                    # end-to-end time actually went (stall quartiles are
-                    # per-TB and do not weight by path membership)
-                    "cp_exec": attr.get("exec", 0.0),
-                    "cp_launch": attr.get("launch", 0.0),
-                    "cp_stall": (
-                        attr.get("dependency", 0.0)
-                        + attr.get("occupancy", 0.0)
-                        + attr.get("barrier", 0.0)
-                    ),
-                    # telemetry view of the same story: how much
-                    # cross-kernel overlap the model achieved, and what
-                    # fraction of the makespan any TB was resident
-                    "tm_overlap": telemetry["mean_overlap_fraction"],
-                    "tm_busy": telemetry["busy_fraction"],
                 }
             )
     return rows
@@ -55,8 +38,7 @@ def run(ctx: ExperimentContext = None, benchmarks=None, models=MODELS):
 def format_rows(rows):
     return format_table(
         rows,
-        ["benchmark", "model", "q1", "median", "q3", "max",
-         "cp_exec", "cp_launch", "cp_stall", "tm_overlap", "tm_busy"],
+        ["benchmark", "model", "q1", "median", "q3", "max"],
         title="Figure 11: dependency stall distribution (normalized to TB time)",
     )
 

@@ -444,27 +444,6 @@ def build_report(stats, journal, max_samples=512):
     }
 
 
-def bench_summary(report):
-    """Flat numeric summary of one report: occupancy, overlap and idle
-    bubbles (Fig. 11's ``tm_*`` columns)."""
-    utilization = report["utilization"]
-    overlap = report["overlap"]
-    return {
-        "mean_occupancy_tbs": utilization["mean_occupancy_tbs"],
-        "p95_occupancy_tbs": utilization["p95_occupancy_tbs"],
-        "wavefront_efficiency": utilization["wavefront_efficiency"],
-        "busy_fraction": utilization["busy_fraction"],
-        "total_overlap_ns": overlap["total_overlap_ns"],
-        "mean_overlap_fraction": overlap["mean_overlap_fraction"],
-        "idle_bubble_ns": report["bubbles"]["total_ns"],
-        "idle_bubble_count": report["bubbles"]["count"],
-        "pair_overlap": {
-            "k{}->k{}".format(pair["a"], pair["b"]): pair["overlap_fraction"]
-            for pair in overlap["pairs"]
-        },
-    }
-
-
 # ----------------------------------------------------------------------
 # validation
 # ----------------------------------------------------------------------

@@ -1,32 +1,16 @@
-"""Observed passes simulate once: critpath and telemetry share a journal.
+"""Observed passes simulate once: the fuzz self-checks reuse one journal.
 
 Every journal-carrying run executes on the scalar reference engine and
 counts ``engine.tier.reference``, so the ambient counter is the number
 of observed simulations a pipeline performed.
 """
 
-from repro.experiments.common import ExperimentContext
 from repro.obs import observed
 from repro.obs.metrics import MetricsRegistry
 
 
 def _reference_runs(metrics):
     return metrics.snapshot()["counters"].get("engine.tier.reference", 0)
-
-
-def test_fig11_context_observes_each_cell_once():
-    ctx = ExperimentContext()
-    app = ctx.app("mvt")
-    metrics = MetricsRegistry()
-    with observed(metrics=metrics):
-        attribution = ctx.critpath_attribution(app, "consumer3")
-        summary = ctx.telemetry_summary(app, "consumer3")
-        # memoized: asking again simulates nothing
-        assert ctx.critpath_attribution(app, "consumer3") is attribution
-        assert ctx.telemetry_summary(app, "consumer3") is summary
-    assert _reference_runs(metrics) == 1
-    assert sum(attribution.values()) > 0.99
-    assert summary["busy_fraction"] > 0
 
 
 def test_fuzz_self_checks_reuse_the_oracle_journal():

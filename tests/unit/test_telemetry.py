@@ -13,7 +13,6 @@ from repro.obs.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     UTILIZATION_KEYS,
     _downsample,
-    bench_summary,
     build_report,
     format_telemetry,
     validate_telemetry_report,
@@ -113,17 +112,6 @@ class TestReport:
         broken = copy.deepcopy(report)
         broken["kind"] = "nope"
         assert validate_telemetry_report(broken)
-
-    def test_bench_summary_is_flat_and_numeric(self, run):
-        _stats, _journal, report = run
-        summary = bench_summary(report)
-        for key, value in summary.items():
-            if key == "pair_overlap":
-                assert all(
-                    isinstance(v, float) for v in value.values()
-                )
-            else:
-                assert isinstance(value, (int, float))
 
     def test_prometheus_exposition(self, run):
         _stats, _journal, report = run
