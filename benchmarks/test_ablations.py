@@ -8,7 +8,7 @@ from benchmarks.conftest import run_and_print
 def test_ablation_window_sweep(benchmark, ctx):
     rows = run_and_print(
         benchmark,
-        lambda: ablations.run_window_sweep(),
+        lambda: ablations.run_window_sweep(ctx),
         ablations.format_window_sweep,
     )
     geo = rows[-1]
@@ -20,7 +20,7 @@ def test_ablation_window_sweep(benchmark, ctx):
 def test_ablation_counter_bits(benchmark, ctx):
     rows = run_and_print(
         benchmark,
-        lambda: ablations.run_counter_bits_sweep(),
+        lambda: ablations.run_counter_bits_sweep(ctx),
         ablations.format_counter_bits,
     )
     # the 6-bit choice of the paper sits on the flat part of the
@@ -33,7 +33,7 @@ def test_ablation_counter_bits(benchmark, ctx):
 def test_ablation_reorder(benchmark, ctx):
     rows = run_and_print(
         benchmark,
-        lambda: ablations.run_reorder_ablation(),
+        lambda: ablations.run_reorder_ablation(ctx),
         ablations.format_reorder,
     )
     by_key = {(r["host"], r["reordered"]): r["speedup"] for r in rows}
@@ -43,7 +43,7 @@ def test_ablation_reorder(benchmark, ctx):
 def test_ablation_jitter(benchmark, ctx):
     rows = run_and_print(
         benchmark,
-        lambda: ablations.run_jitter_sweep(),
+        lambda: ablations.run_jitter_sweep(ctx),
         ablations.format_jitter,
     )
     assert rows[-1]["fine_grain_gain"] >= rows[0]["fine_grain_gain"] - 0.01
@@ -52,7 +52,7 @@ def test_ablation_jitter(benchmark, ctx):
 def test_ablation_hazards(benchmark, ctx):
     rows = run_and_print(
         benchmark,
-        lambda: ablations.run_hazard_ablation(),
+        lambda: ablations.run_hazard_ablation(ctx),
         ablations.format_hazards,
     )
     for row in rows:
@@ -62,7 +62,7 @@ def test_ablation_hazards(benchmark, ctx):
 def test_ablation_coalescing(benchmark, ctx):
     rows = run_and_print(
         benchmark,
-        lambda: ablations.run_coalescing_ablation(),
+        lambda: ablations.run_coalescing_ablation(ctx),
         ablations.format_coalescing,
     )
     for row in rows:
@@ -75,7 +75,7 @@ def test_ablation_coalescing(benchmark, ctx):
 def test_ablation_launch_overhead(benchmark, ctx):
     rows = run_and_print(
         benchmark,
-        lambda: ablations.run_launch_overhead_sweep(),
+        lambda: ablations.run_launch_overhead_sweep(ctx),
         ablations.format_launch_overhead,
     )
     # benefit grows with the launch cost and saturates

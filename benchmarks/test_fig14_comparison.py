@@ -8,7 +8,7 @@ from benchmarks.conftest import run_and_print
 def test_fig14_comparison(benchmark, ctx):
     rows = run_and_print(
         benchmark,
-        lambda: fig14_comparison.run(),
+        lambda: fig14_comparison.run(ctx),
         fig14_comparison.format_rows,
     )
     geo = rows[-1]

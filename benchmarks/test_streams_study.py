@@ -8,7 +8,7 @@ from benchmarks.conftest import run_and_print
 def test_streams_study(benchmark, ctx):
     rows = run_and_print(
         benchmark,
-        lambda: streams_study.run(),
+        lambda: streams_study.run(ctx),
         streams_study.format_rows,
     )
     for row in rows:

@@ -8,7 +8,7 @@ from benchmarks.conftest import run_and_print
 def test_table1_overhead(benchmark, ctx):
     rows = run_and_print(
         benchmark,
-        lambda: table1_overhead.run(n=256, m=256),
+        lambda: table1_overhead.run(ctx, n=256, m=256),
         table1_overhead.format_rows,
     )
     by_pattern = {r["pattern"]: r for r in rows}

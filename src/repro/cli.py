@@ -455,8 +455,16 @@ def cmd_dot(args):
     kernels = [kp for kp in plan.kernels if kp.encoded is not None]
     if not kernels:
         raise SystemExit("workload has no dependent kernel pairs")
-    index = min(args.pair, len(kernels) - 1)
-    kp = kernels[index]
+    if args.pair >= len(kernels):
+        print(
+            "error: --pair {} is out of range: {} has {} dependent kernel "
+            "pairs (0..{})".format(
+                args.pair, app.name, len(kernels), len(kernels) - 1
+            ),
+            file=sys.stderr,
+        )
+        return 2
+    kp = kernels[args.pair]
     parent = plan.kernels[kp.chain_prev]
     print(
         kp.encoded.original.to_dot(
@@ -636,9 +644,13 @@ def cmd_experiments(args):
 
 
 def cmd_ablations(_args):
-    from repro.experiments import ablations
+    from repro.experiments.ablations import ABLATIONS
+    from repro.experiments.common import ExperimentContext
 
-    ablations.main()
+    ctx = ExperimentContext()
+    for run_fn, format_fn in ABLATIONS.values():
+        print(format_fn(run_fn(ctx)))
+        print()
 
 
 def build_parser():

@@ -203,10 +203,35 @@ class BlockMaestroRuntime:
         from repro.analysis.fastpath import resolve_fastpath_mode
 
         self.fastpath = resolve_fastpath_mode(fastpath)
+        #: (id(kernel), launch) -> (kernel, KernelSummary); see _analyze
         self._summary_cache = {}
-        #: (id(parent summary), id(child summary)) -> (parent summary,
-        #: child summary, EncodedGraph); see _encoded_graph_for
+        #: (id(parent summary), id(child summary), hazards, degree
+        #: threshold) -> (parent summary, child summary, EncodedGraph);
+        #: see _encoded_graph_for
         self._graph_cache = {}
+
+    def variant(self, config=None, hardware=None, hazards=None):
+        """This runtime under other timing, hardware or hazards.
+
+        Unset arguments keep this runtime's values.  The variant shares
+        this runtime's summary and pair-graph memos: each is keyed on
+        everything its entries depend on, so one memo serves every
+        configuration of a sweep.
+        """
+        other = BlockMaestroRuntime(
+            config or self.config,
+            hardware or self.hardware_config,
+            hazards or self.hazards,
+            window=self.window,
+            max_intervals=self.max_intervals,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            cache=self.cache,
+            fastpath=self.fastpath,
+        )
+        other._summary_cache = self._summary_cache
+        other._graph_cache = self._graph_cache
+        return other
 
     # ------------------------------------------------------------------
     def plan(self, application, reorder=True, window=None) -> RuntimePlan:
@@ -331,12 +356,13 @@ class BlockMaestroRuntime:
             grid=call.grid, block=call.block, args=call.arg_values()
         )
         # Identical launches (same kernel body and concrete parameters,
-        # e.g. ping-pong iterations) share one analysis result.
+        # e.g. ping-pong iterations) share one analysis result.  The
+        # entry pins the kernel, so its id stays its own.
         key = (id(call.kernel), launch)
         cached = self._summary_cache.get(key)
         if cached is not None:
             self.metrics.inc("plan.analysis_cache_hits")
-            return cached
+            return cached[1]
         disk_key = None
         if self.cache is not None:
             disk_key = self.cache.summary_key(
@@ -344,7 +370,7 @@ class BlockMaestroRuntime:
             )
             summary = self.cache.get_summary(disk_key)
             if summary is not None:
-                self._summary_cache[key] = summary
+                self._summary_cache[key] = (call.kernel, summary)
                 return summary
         summary = analyze_kernel(
             call.kernel,
@@ -352,7 +378,7 @@ class BlockMaestroRuntime:
             max_intervals=self.max_intervals,
             metrics=self.metrics,
         )
-        self._summary_cache[key] = summary
+        self._summary_cache[key] = (call.kernel, summary)
         if disk_key is not None:
             self.cache.put_summary(disk_key, summary)
         self.metrics.inc("plan.kernels_analyzed")
@@ -365,10 +391,10 @@ class BlockMaestroRuntime:
         predecessor: from memory, from the persistent cache, or built.
 
         An encoded graph is a pure function of the two summaries, the
-        hazards and the degree threshold; the last two are fixed per
-        runtime and identical launches share one summary object, so
-        one in-memory entry per summary pair serves every plan of this
-        runtime.  The entry pins both summaries, so their ids stay
+        hazards and the degree threshold, and identical launches share
+        one summary object, so one in-memory entry per summary pair,
+        hazards and threshold serves every plan of this runtime and of
+        its variants.  The entry pins both summaries, so their ids stay
         theirs.  Launches with an explicit ``dependency_override``
         bypass both caches: the override is an arbitrary callable whose
         content neither can address.
@@ -376,7 +402,8 @@ class BlockMaestroRuntime:
         if child_plan.call.dependency_override is not None:
             return self._encode(self._graph_for(parent_plan, child_plan))
         parent, child = parent_plan.summary, child_plan.summary
-        key = (id(parent), id(child))
+        threshold = self.hardware_config.degree_threshold
+        key = (id(parent), id(child), self.hazards, threshold)
         entry = self._graph_cache.get(key)
         if entry is not None:
             self.metrics.inc("plan.graph_cache_hits")
@@ -391,7 +418,7 @@ class BlockMaestroRuntime:
                     child_plan.call.kernel, child.launch, self.max_intervals
                 ),
                 self.hazards,
-                self.hardware_config.degree_threshold,
+                threshold,
             )
             encoded = self.cache.get_graph(graph_key)
         if encoded is None:

@@ -14,9 +14,10 @@ table2_benchmarks Table II — benchmark inventory
 table3_storage    Table III — dependency graph storage
 ================  =============================================
 
-Each module exposes ``run(...) -> rows`` returning plain dicts and a
-``format_rows`` helper; :mod:`repro.experiments.runner` drives them all
-and writes EXPERIMENTS-ready summaries.
+Each module exposes ``run(ctx, ...) -> rows`` returning plain dicts and
+a ``format_rows`` helper; :mod:`repro.experiments.runner` (``repro
+experiments``) calls every ``run`` on one shared
+:class:`~repro.experiments.common.ExperimentContext`.
 """
 
 from repro.experiments.common import (

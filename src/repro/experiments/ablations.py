@@ -27,41 +27,43 @@ of each mechanism:
   ones saturate).
 """
 
-from repro.core.hardware import HardwareConfig
+from dataclasses import replace
+
 from repro.core.policy import SchedulingPolicy
-from repro.core.runtime import BlockMaestroRuntime
-from repro.experiments.common import format_table, geomean
-from repro.models import BlockMaestroModel, PrelaunchOnly, SerializedBaseline
-from repro.sim.config import GPUConfig
-from repro.workloads import get_workload
+from repro.experiments.common import STANDARD_MODELS, format_table, geomean
+from repro.models import BlockMaestroModel, PrelaunchOnly
 
 #: small-but-representative benchmark set for sweeps
 DEFAULT_BENCHMARKS = ("3mm", "bicg", "fdtd-2d", "hs", "lud", "path")
 
+_ROSTER = {m[0] for m in STANDARD_MODELS}
 
-def _speedup(app, gpu_config=None, window=2, reorder=True,
-             policy=SchedulingPolicy.CONSUMER_PRIORITY, hardware=None,
-             hazards=("raw",)):
-    gpu_config = gpu_config or GPUConfig()
-    runtime = BlockMaestroRuntime(gpu_config, hardware=hardware, hazards=hazards)
-    base = SerializedBaseline(gpu_config).run(
-        runtime.plan(app, reorder=False, window=1)
-    )
-    bm = BlockMaestroModel(gpu_config, window=window, policy=policy).run(
-        runtime.plan(app, reorder=reorder, window=window)
-    )
-    return bm.speedup_over(base)
+
+def _speedup(ctx, app, window=2):
+    """Consumer-priority BlockMaestro at ``window`` over the serialized
+    baseline: the roster's ``consumerN`` where it has one."""
+    name = "consumer{}".format(window)
+    if name in _ROSTER:
+        bm = ctx.run_model(app, name)
+    else:
+        bm = BlockMaestroModel(
+            ctx.gpu_config, window=window,
+            policy=SchedulingPolicy.CONSUMER_PRIORITY,
+        ).run(ctx.plan_for(app, True, window))
+    return bm.speedup_over(ctx.run_model(app, "baseline"))
 
 
 # ----------------------------------------------------------------------
-def run_window_sweep(benchmarks=DEFAULT_BENCHMARKS, windows=(1, 2, 3, 4, 5, 6)):
+def run_window_sweep(
+    ctx, benchmarks=DEFAULT_BENCHMARKS, windows=(1, 2, 3, 4, 5, 6)
+):
     """Speedup vs. pre-launch window depth."""
     rows = []
     for name in benchmarks:
-        app = get_workload(name).build()
+        app = ctx.app(name)
         row = {"benchmark": name}
         for window in windows:
-            row["w{}".format(window)] = _speedup(app, window=window)
+            row["w{}".format(window)] = _speedup(ctx, app, window)
         rows.append(row)
     summary = {"benchmark": "geomean"}
     for window in windows:
@@ -77,21 +79,19 @@ def format_window_sweep(rows):
 
 
 # ----------------------------------------------------------------------
-def run_counter_bits_sweep(bits_options=(3, 4, 5, 6, 7, 8), benchmark="gaussian"):
+def run_counter_bits_sweep(
+    ctx, bits_options=(3, 4, 5, 6, 7, 8), benchmark="gaussian"
+):
     """Parent-counter width: collapse threshold vs. storage and speedup."""
-    app = get_workload(benchmark).build()
+    app = ctx.app(benchmark)
     rows = []
     for bits in bits_options:
-        hardware = HardwareConfig(counter_bits=bits)
-        runtime = BlockMaestroRuntime(hardware=hardware)
-        plan = runtime.plan(app, reorder=True, window=3)
+        hardware = replace(ctx.runtime.hardware_config, counter_bits=bits)
+        variant = ctx.variant(hardware=hardware)
+        plan = variant.plan_for(app, True, 3)
         collapsed = sum(
             1 for kp in plan.kernels if kp.encoded is not None and kp.encoded.collapsed
         )
-        base = SerializedBaseline().run(runtime.plan(app, reorder=False, window=1))
-        bm = BlockMaestroModel(
-            window=3, policy=SchedulingPolicy.CONSUMER_PRIORITY
-        ).run(plan)
         ratio = (
             plan.graph_encoded_bytes / plan.graph_plain_bytes
             if plan.graph_plain_bytes
@@ -103,7 +103,7 @@ def run_counter_bits_sweep(bits_options=(3, 4, 5, 6, 7, 8), benchmark="gaussian"
                 "threshold": hardware.degree_threshold,
                 "collapsed_graphs": collapsed,
                 "storage_ratio": ratio,
-                "speedup": bm.speedup_over(base),
+                "speedup": _speedup(variant, app, 3),
             }
         )
     return rows
@@ -164,19 +164,18 @@ def build_streaming_app(stages=6, tbs=96, block=256, intensity=4.0):
     return b.build()
 
 
-def run_reorder_ablation(stages=6):
+def run_reorder_ablation(ctx, stages=6):
     """Queue reordering on/off, with and without host un-blocking."""
     app = build_streaming_app(stages=stages)
-    runtime = BlockMaestroRuntime()
-    base = SerializedBaseline().run(runtime.plan(app, reorder=False, window=1))
+    base = ctx.simulate(app, "baseline")
     rows = []
     for host, model_cls in (
         ("blocking", _BlockingHostPrelaunch),
         ("non-blocking", BlockMaestroModel),
     ):
         for reorder in (False, True):
-            plan = runtime.plan(app, reorder=reorder, window=2)
-            stats = model_cls(window=2).run(plan)
+            plan = ctx.plan_for(app, reorder, 2)
+            stats = model_cls(ctx.gpu_config, window=2).run(plan)
             rows.append(
                 {
                     "host": host,
@@ -196,20 +195,23 @@ def format_reorder(rows):
 
 
 # ----------------------------------------------------------------------
-def run_jitter_sweep(jitters=(0.0, 0.05, 0.15, 0.30), benchmarks=("hs", "path", "lud")):
+def run_jitter_sweep(
+    ctx, jitters=(0.0, 0.05, 0.15, 0.30), benchmarks=("hs", "path", "lud")
+):
     """Fine-grain benefit (BlockMaestro over pre-launch-only) vs. the
     per-block duration spread."""
     rows = []
     for jitter in jitters:
-        gpu_config = GPUConfig(duration_jitter=jitter)
-        runtime = BlockMaestroRuntime(gpu_config)
+        variant = ctx.variant(
+            gpu_config=replace(ctx.gpu_config, duration_jitter=jitter)
+        )
         gains = []
         for name in benchmarks:
-            app = get_workload(name).build()
-            plan = runtime.plan(app, reorder=True, window=3)
-            pre = PrelaunchOnly(gpu_config, window=3).run(plan)
+            plan = variant.plan_for(ctx.app(name), True, 3)
+            pre = PrelaunchOnly(variant.gpu_config, window=3).run(plan)
             bm = BlockMaestroModel(
-                gpu_config, window=3, policy=SchedulingPolicy.PRODUCER_PRIORITY
+                variant.gpu_config, window=3,
+                policy=SchedulingPolicy.PRODUCER_PRIORITY,
             ).run(plan)
             gains.append(bm.speedup_over(pre))
         rows.append(
@@ -227,13 +229,15 @@ def format_jitter(rows):
 
 
 # ----------------------------------------------------------------------
-def run_hazard_ablation(benchmarks=DEFAULT_BENCHMARKS):
+def run_hazard_ablation(ctx, benchmarks=DEFAULT_BENCHMARKS):
     """RAW-only (paper) vs. full RAW+WAR+WAW dependency tracking."""
+    raw_ctx = ctx.variant(hazards=("raw",))
+    full_ctx = ctx.variant(hazards=("raw", "war", "waw"))
     rows = []
     for name in benchmarks:
-        app = get_workload(name).build()
-        raw_only = _speedup(app, hazards=("raw",))
-        full = _speedup(app, hazards=("raw", "war", "waw"))
+        app = ctx.app(name)
+        raw_only = _speedup(raw_ctx, app)
+        full = _speedup(full_ctx, app)
         rows.append(
             {
                 "benchmark": name,
@@ -255,7 +259,7 @@ def format_hazards(rows):
 
 # ----------------------------------------------------------------------
 def run_launch_overhead_sweep(
-    overheads_us=(1, 2, 5, 10, 20, 30), benchmarks=("gaussian", "nw", "hs")
+    ctx, overheads_us=(1, 2, 5, 10, 20, 30), benchmarks=("gaussian", "nw", "hs")
 ):
     """Speedup vs. the kernel-launch overhead.
 
@@ -264,19 +268,17 @@ def run_launch_overhead_sweep(
     with it — launch-bound applications (GAUSSIAN, NW) gain roughly
     linearly, compute-bound ones saturate.
     """
-    from repro.host.timing import HostTimingModel
-
     rows = []
     for overhead_us in overheads_us:
-        timing = HostTimingModel(
+        timing = replace(
+            ctx.gpu_config.timing,
             kernel_launch_device_ns=overhead_us * 1000.0 - 1000.0,
             api_call_ns=1000.0,
         )
-        gpu_config = GPUConfig(timing=timing)
+        variant = ctx.variant(gpu_config=replace(ctx.gpu_config, timing=timing))
         row = {"launch_us": overhead_us}
         for name in benchmarks:
-            app = get_workload(name).build()
-            row[name] = _speedup(app, gpu_config=gpu_config, window=3)
+            row[name] = _speedup(variant, ctx.app(name), 3)
         rows.append(row)
     return rows
 
@@ -289,7 +291,7 @@ def format_launch_overhead(rows):
 
 
 # ----------------------------------------------------------------------
-def run_coalescing_ablation(benchmarks=DEFAULT_BENCHMARKS):
+def run_coalescing_ablation(ctx, benchmarks=DEFAULT_BENCHMARKS):
     """Effect of modelling memory coalescing (transactions per warp
     derived from inter-thread strides) on the headline speedups.
 
@@ -298,13 +300,16 @@ def run_coalescing_ablation(benchmarks=DEFAULT_BENCHMARKS):
     of the execution models should be robust to it — this sweep is the
     evidence.
     """
+    off_ctx = ctx.variant(
+        gpu_config=replace(ctx.gpu_config, model_coalescing=False)
+    )
+    on_ctx = ctx.variant(
+        gpu_config=replace(ctx.gpu_config, model_coalescing=True)
+    )
     rows = []
     for name in benchmarks:
-        app = get_workload(name).build()
-        off = _speedup(app, gpu_config=GPUConfig(model_coalescing=False))
-        on = _speedup(app, gpu_config=GPUConfig(model_coalescing=True))
-        runtime = BlockMaestroRuntime(GPUConfig(model_coalescing=True))
-        plan = runtime.plan(app, reorder=False, window=1)
+        app = ctx.app(name)
+        plan = on_ctx.plan_for(app, False, 1)
         factors = [
             kp.summary.coalescing_factor() for kp in plan.kernels
         ]
@@ -312,8 +317,8 @@ def run_coalescing_ablation(benchmarks=DEFAULT_BENCHMARKS):
             {
                 "benchmark": name,
                 "mean_coalescing": sum(factors) / len(factors),
-                "speedup_off": off,
-                "speedup_on": on,
+                "speedup_off": _speedup(off_ctx, app),
+                "speedup_on": _speedup(on_ctx, app),
             }
         )
     return rows
@@ -337,13 +342,3 @@ ABLATIONS = {
     "coalescing": (run_coalescing_ablation, format_coalescing),
     "launch_overhead": (run_launch_overhead_sweep, format_launch_overhead),
 }
-
-
-def main():
-    for name, (run_fn, format_fn) in ABLATIONS.items():
-        print(format_fn(run_fn()))
-        print()
-
-
-if __name__ == "__main__":
-    main()

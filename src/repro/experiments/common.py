@@ -84,18 +84,24 @@ def _make_model(name, gpu_config):
 
 @dataclass
 class ExperimentContext:
-    """Caches applications, plans and run results across experiments.
+    """The one build -> plan -> run path of every paper artifact.
 
-    One context per process keeps the full Fig. 9-13 sweep affordable:
-    an application is built once, analyzed once per (reorder, window)
-    pair, and each model's simulation result is memoized.
+    An application is built once per registry name and overrides,
+    planned once per (reorder, window) pair, and each roster model's
+    run on it is memoized.  Plans and runs are keyed on the application
+    object, and each entry pins it: apps that share a name (a registry
+    app and its overridden build, or two sweep points of one builder)
+    never share a plan.  :meth:`variant` gives the same apps under other
+    timing, hardware or hazards.
     """
 
     gpu_config: "GPUConfig" = None
     runtime: "BlockMaestroRuntime" = None
     _apps: Dict[str, object] = field(default_factory=dict)
-    _plans: Dict[Tuple[str, bool, int], "RuntimePlan"] = field(default_factory=dict)
-    _runs: Dict[Tuple[str, str], object] = field(default_factory=dict)
+    #: (id(app), reorder, window) -> (app, RuntimePlan)
+    _plans: Dict[Tuple[int, bool, int], tuple] = field(default_factory=dict)
+    #: (id(app), model name) -> (app, RunStats)
+    _runs: Dict[Tuple[int, str], tuple] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.gpu_config is None:
@@ -124,13 +130,36 @@ class ExperimentContext:
             self._apps[key] = spec.build(**overrides)
         return self._apps[key]
 
+    def variant(self, gpu_config=None, hardware=None, hazards=None):
+        """This context under other timing, hardware or hazards.
+
+        Unset arguments keep this context's values; with none changed
+        this context is returned.  A variant shares this context's apps
+        and its runtime's summary and pair-graph memos
+        (:meth:`~repro.core.runtime.BlockMaestroRuntime.variant`); its
+        plans and runs are its own.
+        """
+        runtime = self.runtime
+        gpu_config = gpu_config or self.gpu_config
+        hardware = hardware or runtime.hardware_config
+        hazards = tuple(hazards or runtime.hazards)
+        if (gpu_config, hardware, hazards) == (
+            self.gpu_config, runtime.hardware_config, runtime.hazards
+        ):
+            return self
+        return ExperimentContext(
+            gpu_config=gpu_config,
+            runtime=runtime.variant(gpu_config, hardware, hazards),
+            _apps=self._apps,
+        )
+
     def plan_for(self, app, reorder, window):
-        key = (app.name, reorder, window)
+        key = (id(app), reorder, window)
         if key not in self._plans:
-            self._plans[key] = self.runtime.plan(
-                app, reorder=reorder, window=window
+            self._plans[key] = (
+                app, self.runtime.plan(app, reorder=reorder, window=window)
             )
-        return self._plans[key]
+        return self._plans[key][1]
 
     def simulate(self, app, model_name, engine=None, journal=None):
         """Run one roster model on the app's memoized plan, unmemoized.
@@ -146,14 +175,10 @@ class ExperimentContext:
     def run_model(self, app, model_name):
         """Run one roster model on one app, memoized."""
         model_name = canonical_model_name(model_name)
-        key = (app.name, model_name)
+        key = (id(app), model_name)
         if key not in self._runs:
-            self._runs[key] = self.simulate(app, model_name)
-        return self._runs[key]
-
-    def run_all(self, app, model_names=None):
-        names = model_names or [m[0] for m in STANDARD_MODELS]
-        return {name: self.run_model(app, name) for name in names}
+            self._runs[key] = (app, self.simulate(app, model_name))
+        return self._runs[key][1]
 
 
 def simulate_cell(workload, model_name, build_small=False, tracer=None,

@@ -11,14 +11,13 @@ GAUSSIAN/GRAMSCHM gain mostly from pre-launching; 3MM/BICG/FDTD gain
 mostly from fine-grain dependency resolution; AlexNet gains little.
 """
 
-from repro.experiments.common import ExperimentContext, format_table, geomean
+from repro.experiments.common import format_table, geomean
 from repro.workloads import workload_names
 
 MODELS = ("prelaunch", "producer", "consumer2", "consumer3", "consumer4", "ideal")
 
 
-def run(ctx: ExperimentContext = None, benchmarks=None):
-    ctx = ctx or ExperimentContext()
+def run(ctx, benchmarks=None):
     rows = []
     for name in benchmarks or workload_names():
         app = ctx.app(name)
@@ -41,11 +40,3 @@ def format_rows(rows):
         ["benchmark"] + list(MODELS),
         title="Figure 9: speedup over serialized baseline",
     )
-
-
-def main():
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":
-    main()

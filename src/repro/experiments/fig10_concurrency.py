@@ -6,14 +6,13 @@ baseline.  Fine-grain dependency resolution raises concurrency by
 letting dependent kernels' blocks fill freed SM slots.
 """
 
-from repro.experiments.common import ExperimentContext, format_table, geomean
+from repro.experiments.common import format_table, geomean
 from repro.workloads import workload_names
 
 MODELS = ("prelaunch", "producer", "consumer2", "consumer3", "consumer4")
 
 
-def run(ctx: ExperimentContext = None, benchmarks=None):
-    ctx = ctx or ExperimentContext()
+def run(ctx, benchmarks=None):
     rows = []
     for name in benchmarks or workload_names():
         app = ctx.app(name)
@@ -36,11 +35,3 @@ def format_rows(rows):
         ["benchmark"] + list(MODELS),
         title="Figure 10: normalized average TB concurrency",
     )
-
-
-def main():
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":
-    main()

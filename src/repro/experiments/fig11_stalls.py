@@ -8,14 +8,13 @@ vs. BlockMaestro; BICG and MVT collapse to ~0 under BlockMaestro since
 their two kernels run concurrently.
 """
 
-from repro.experiments.common import ExperimentContext, format_table
+from repro.experiments.common import format_table
 from repro.workloads import workload_names
 
 MODELS = ("baseline", "consumer3")
 
 
-def run(ctx: ExperimentContext = None, benchmarks=None, models=MODELS):
-    ctx = ctx or ExperimentContext()
+def run(ctx, benchmarks=None, models=MODELS):
     rows = []
     for name in benchmarks or workload_names():
         app = ctx.app(name)
@@ -41,11 +40,3 @@ def format_rows(rows):
         ["benchmark", "model", "q1", "median", "q3", "max"],
         title="Figure 11: dependency stall distribution (normalized to TB time)",
     )
-
-
-def main():
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":
-    main()

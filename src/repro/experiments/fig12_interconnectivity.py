@@ -12,26 +12,14 @@ threshold; larger workloads gain less (execution swamps the launch
 overhead), with the speedup essentially gone by 2048 blocks per kernel.
 """
 
-from repro.core.runtime import BlockMaestroRuntime
-from repro.core.policy import SchedulingPolicy
-from repro.experiments.common import ExperimentContext, format_table
-from repro.models import BlockMaestroModel, PrelaunchOnly, SerializedBaseline
+from repro.experiments.common import format_table
 from repro.workloads.microbench import build_vecadd_pair
 
 SIZES = (128, 256, 512, 1024, 2048)
 DEGREES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
-def run(ctx: ExperimentContext = None, sizes=SIZES, degrees=DEGREES):
-    ctx = ctx or ExperimentContext()
-    baseline = SerializedBaseline(ctx.gpu_config)
-    fully_connected = PrelaunchOnly(ctx.gpu_config, window=2)
-    blockmaestro = BlockMaestroModel(
-        ctx.gpu_config,
-        window=2,
-        policy=SchedulingPolicy.PRODUCER_PRIORITY,
-        name="producer",
-    )
+def run(ctx, sizes=SIZES, degrees=DEGREES):
     rows = []
     for size in sizes:
         row = {"num_tbs": size}
@@ -40,13 +28,11 @@ def run(ctx: ExperimentContext = None, sizes=SIZES, degrees=DEGREES):
                 row["deg{}".format(degree)] = None
                 continue
             app = build_vecadd_pair(num_tbs=size, degree=degree)
-            runtime = BlockMaestroRuntime(ctx.gpu_config)
-            base_stats = baseline.run(runtime.plan(app, reorder=False, window=1))
-            plan = runtime.plan(app, reorder=True, window=2)
-            bm_stats = blockmaestro.run(plan)
+            base_stats = ctx.simulate(app, "baseline")
+            bm_stats = ctx.simulate(app, "producer")
             row["deg{}".format(degree)] = bm_stats.speedup_over(base_stats)
             if degree == degrees[0]:
-                fc_stats = fully_connected.run(plan)
+                fc_stats = ctx.simulate(app, "prelaunch")
                 row["fully_connected"] = fc_stats.speedup_over(base_stats)
         rows.append(row)
     return rows
@@ -57,11 +43,3 @@ def format_rows(rows):
     return format_table(
         rows, columns, title="Figure 12: speedup vs dependency degree"
     )
-
-
-def main():
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":
-    main()

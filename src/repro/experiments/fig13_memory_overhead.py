@@ -7,14 +7,13 @@ kernels' own global-memory requests.  The paper measures about 1.36%
 on average.
 """
 
-from repro.experiments.common import ExperimentContext, format_table
+from repro.experiments.common import format_table
 from repro.workloads import workload_names
 
 MODEL = "producer"
 
 
-def run(ctx: ExperimentContext = None, benchmarks=None):
-    ctx = ctx or ExperimentContext()
+def run(ctx, benchmarks=None):
     rows = []
     total = 0.0
     count = 0
@@ -49,11 +48,3 @@ def format_rows(rows):
         ["benchmark", "kernel_requests", "dependency_requests", "overhead_pct"],
         title="Figure 13: memory request overhead (%)",
     )
-
-
-def main():
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":
-    main()

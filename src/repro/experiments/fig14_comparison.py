@@ -16,34 +16,15 @@ BlockMaestro beats Wireframe (~2x over CDP) because its run-ahead is
 not buffer-constrained.
 """
 
-from repro.core.policy import SchedulingPolicy
-from repro.core.runtime import BlockMaestroRuntime
-from repro.experiments.common import ExperimentContext, format_table, geomean
-from repro.models import BlockMaestroModel, CDPModel, WireframeModel
+from repro.experiments.common import format_table, geomean
+from repro.models import CDPModel, WireframeModel
 from repro.workloads.wavefront import WAVEFRONT_APPS, build_wavefront
 
 MODELS = ("cdp", "bm-producer", "wireframe", "bm-consumer")
 
 
-def run(ctx: ExperimentContext = None, side=64):
-    ctx = ctx or ExperimentContext()
+def run(ctx, side=64):
     cfg = ctx.gpu_config
-    models = {
-        "cdp": CDPModel(cfg),
-        "bm-producer": BlockMaestroModel(
-            cfg, window=2, policy=SchedulingPolicy.PRODUCER_PRIORITY, name="producer"
-        ),
-        "wireframe": WireframeModel(cfg),
-        "bm-consumer": BlockMaestroModel(
-            cfg, window=4, policy=SchedulingPolicy.CONSUMER_PRIORITY, name="consumer4"
-        ),
-    }
-    plan_params = {
-        "cdp": (False, 1),
-        "bm-producer": (True, 2),
-        "wireframe": (True, 3),
-        "bm-consumer": (True, 4),
-    }
     rows = []
     for name, parents, intensity, factor, fraction in WAVEFRONT_APPS:
         app = build_wavefront(
@@ -54,12 +35,12 @@ def run(ctx: ExperimentContext = None, side=64):
             straggler_factor=factor,
             straggler_fraction=fraction,
         )
-        runtime = BlockMaestroRuntime(cfg)
-        stats = {}
-        for model_name, model in models.items():
-            reorder, window = plan_params[model_name]
-            plan = runtime.plan(app, reorder=reorder, window=window)
-            stats[model_name] = model.run(plan)
+        stats = {
+            "cdp": CDPModel(cfg).run(ctx.plan_for(app, False, 1)),
+            "bm-producer": ctx.simulate(app, "producer"),
+            "wireframe": WireframeModel(cfg).run(ctx.plan_for(app, True, 3)),
+            "bm-consumer": ctx.simulate(app, "consumer4"),
+        }
         row = {"benchmark": name}
         for model_name in MODELS:
             row[model_name] = stats[model_name].speedup_over(stats["cdp"])
@@ -77,11 +58,3 @@ def format_rows(rows):
         ["benchmark"] + list(MODELS),
         title="Figure 14: speedup normalized to CDP",
     )
-
-
-def main():
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,7 @@ encoding choices of Section III-E.
 from collections import Counter
 
 from repro.core.patterns import DependencyPattern
-from repro.experiments.common import ExperimentContext, format_table
+from repro.experiments.common import format_table
 from repro.workloads import workload_names
 
 _PATTERN_COLUMNS = [
@@ -25,8 +25,7 @@ _PATTERN_COLUMNS = [
 ]
 
 
-def run(ctx: ExperimentContext = None, benchmarks=None):
-    ctx = ctx or ExperimentContext()
+def run(ctx, benchmarks=None):
     rows = []
     for name in benchmarks or workload_names():
         app = ctx.app(name)
@@ -60,11 +59,3 @@ def format_rows(rows):
     return format_table(
         rows, columns, title="Pattern census: kernel-pair graphs by Table I class"
     )
-
-
-def main():
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":
-    main()

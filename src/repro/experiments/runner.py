@@ -1,22 +1,19 @@
-"""Run every experiment and print (or save) all paper artifacts.
+"""Run the paper's experiments and print (or save) their artifacts.
 
-Usage::
-
-    python -m repro.experiments.runner            # everything
-    python -m repro.experiments.runner fig09 tab3 # selected
-    python -m repro.experiments.runner --out reports/   # + JSON artifacts
-
-``--output FILE`` captures the text tables; ``--out DIR`` additionally
-writes one machine-readable JSON report per experiment
-(``DIR/<name>.json``, schema in :mod:`repro.obs.report`) so benchmark
-trajectories can be recorded and diffed across commits.
+``repro experiments [NAMES] [--out DIR] [--jobs N]`` is the command;
+:func:`run_all` is its body.  Every experiment is called the same way,
+``module.run(ctx)``, on one shared
+:class:`~repro.experiments.common.ExperimentContext`, so apps, plans and
+roster runs are built once for all of them.  ``--out DIR`` also writes
+one machine-readable JSON report per experiment (``DIR/<name>.json``,
+schema in :mod:`repro.obs.report`).
 
 ``--jobs N`` runs independent experiments on a process pool
 (:class:`~repro.parallel.SuiteExecutor`).  Each worker builds its own
-:class:`~repro.experiments.common.ExperimentContext`; text and JSON
-artifacts are emitted by the parent in registry order, so the output is
-byte-identical to a serial run (modulo the wall-clock ``elapsed_s``
-field and the ``[... finished in Ns]`` footers).
+context; text and JSON artifacts are emitted by the parent in registry
+order, so the output is byte-identical to a serial run (modulo the
+wall-clock ``elapsed_s`` field and the ``[... finished in Ns]``
+footers).
 """
 
 import sys
@@ -55,9 +52,6 @@ EXPERIMENTS = {
     "census": pattern_census,
 }
 
-#: experiments that accept the shared ExperimentContext
-_CTX_AWARE = {"fig09", "fig10", "fig11", "fig13", "tab2", "tab3", "census"}
-
 
 def _run_one(name, ctx=None):
     """Run one experiment; returns ``(rows, elapsed_s)``.
@@ -65,21 +59,11 @@ def _run_one(name, ctx=None):
     Doubles as the ``--jobs`` worker body (``ctx=None`` builds a fresh
     context), so it must stay module-level and picklable.
     """
-    module = EXPERIMENTS[name]
     if ctx is None:
         ctx = common.ExperimentContext()
     start = time.time()
-    if name in _CTX_AWARE:
-        rows = module.run(ctx)
-    elif name in ("fig12", "fig14"):
-        rows = module.run(common.ExperimentContext(gpu_config=ctx.gpu_config))
-    else:
-        rows = module.run()
+    rows = EXPERIMENTS[name].run(ctx)
     return rows, time.time() - start
-
-
-def _run_one_task(name):
-    return _run_one(name)
 
 
 def run_all(names=None, stream=None, out_dir=None, jobs=1,
@@ -100,7 +84,7 @@ def run_all(names=None, stream=None, out_dir=None, jobs=1,
                     current=names[result.index]
                 ),
             )
-            produced = executor.map(_run_one_task, names)
+            produced = executor.map(_run_one, names)
         else:
             # serial: one shared context keeps plans/runs memoized across
             # experiments (the pre---jobs behavior, bit for bit)
@@ -123,46 +107,3 @@ def run_all(names=None, stream=None, out_dir=None, jobs=1,
     finally:
         heartbeat.finish()
     return results
-
-
-def _pop_flag(argv, flag):
-    if flag not in argv:
-        return None
-    idx = argv.index(flag)
-    try:
-        value = argv[idx + 1]
-    except IndexError:
-        raise SystemExit("{} requires a path".format(flag))
-    del argv[idx : idx + 2]
-    return value
-
-
-def main(argv=None):
-    argv = list(argv if argv is not None else sys.argv[1:])
-    output_path = _pop_flag(argv, "--output")
-    out_dir = _pop_flag(argv, "--out")
-    status_file = _pop_flag(argv, "--status-file")
-    jobs_value = _pop_flag(argv, "--jobs")
-    try:
-        jobs = int(jobs_value) if jobs_value is not None else 1
-    except ValueError:
-        raise SystemExit("--jobs requires an integer, got {!r}".format(jobs_value))
-    unknown = [a for a in argv if a not in EXPERIMENTS]
-    if unknown:
-        raise SystemExit(
-            "unknown experiments {}; available: {}".format(
-                unknown, ", ".join(EXPERIMENTS)
-            )
-        )
-    if output_path:
-        with open(output_path, "w") as handle:
-            run_all(argv or None, stream=handle, out_dir=out_dir, jobs=jobs,
-                    status_file=status_file)
-        print("wrote", output_path)
-    else:
-        run_all(argv or None, out_dir=out_dir, jobs=jobs,
-                status_file=status_file)
-
-
-if __name__ == "__main__":
-    main()

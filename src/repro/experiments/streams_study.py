@@ -13,31 +13,20 @@ complex dependency patterns":
   and fine-grain overlap on top of hand-written streams.
 """
 
-from repro.core.policy import SchedulingPolicy
-from repro.core.runtime import BlockMaestroRuntime
 from repro.experiments.common import format_table
-from repro.models import BlockMaestroModel, SerializedBaseline
 from repro.workloads.streams import build_pipelines
 
 
-def run(pipelines=(2, 3, 4), stages=4, window=4):
-    runtime = BlockMaestroRuntime()
+def run(ctx, pipelines=(2, 3, 4), stages=4):
+    """BlockMaestro is consumer priority over a window of 4 kernels."""
     rows = []
     for count in pipelines:
         single = build_pipelines(pipelines=count, stages=stages, use_streams=False)
         multi = build_pipelines(pipelines=count, stages=stages, use_streams=True)
-        base_single = SerializedBaseline().run(
-            runtime.plan(single, reorder=False, window=1)
-        )
-        base_multi = SerializedBaseline().run(
-            runtime.plan(multi, reorder=False, window=1)
-        )
-        bm_single = BlockMaestroModel(
-            window=window, policy=SchedulingPolicy.CONSUMER_PRIORITY
-        ).run(runtime.plan(single, reorder=True, window=window))
-        bm_multi = BlockMaestroModel(
-            window=window, policy=SchedulingPolicy.CONSUMER_PRIORITY
-        ).run(runtime.plan(multi, reorder=True, window=window))
+        base_single = ctx.simulate(single, "baseline")
+        base_multi = ctx.simulate(multi, "baseline")
+        bm_single = ctx.simulate(single, "consumer4")
+        bm_multi = ctx.simulate(multi, "consumer4")
         rows.append(
             {
                 "pipelines": count,
@@ -62,11 +51,3 @@ def format_rows(rows):
         ],
         title="Streams study: speedup over the single-stream baseline",
     )
-
-
-def main():
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":
-    main()

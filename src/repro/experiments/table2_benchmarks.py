@@ -5,12 +5,11 @@ analysis, and reports the kernel-launch count and the set of detected
 Table I dependency patterns next to the paper's values.
 """
 
-from repro.experiments.common import ExperimentContext, format_table
+from repro.experiments.common import format_table
 from repro.workloads import all_workloads
 
 
-def run(ctx: ExperimentContext = None):
-    ctx = ctx or ExperimentContext()
+def run(ctx):
     rows = []
     for spec in all_workloads():
         app = ctx.app(spec.name)
@@ -48,11 +47,3 @@ def format_rows(rows):
         ],
         title="Table II: benchmarks, kernel counts and dependency patterns",
     )
-
-
-def main():
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":
-    main()

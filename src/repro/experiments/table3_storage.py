@@ -8,12 +8,11 @@ GRAMSCHM) shrink well below 1; pure stencil/butterfly applications
 dependencies at all (no storage).
 """
 
-from repro.experiments.common import ExperimentContext, format_table
+from repro.experiments.common import format_table
 from repro.workloads import workload_names
 
 
-def run(ctx: ExperimentContext = None, benchmarks=None):
-    ctx = ctx or ExperimentContext()
+def run(ctx, benchmarks=None):
     rows = []
     ratios = []
     for name in benchmarks or workload_names():
@@ -51,11 +50,3 @@ def format_rows(rows):
         ["benchmark", "plain_bytes", "encoded_bytes", "ratio"],
         title="Table III: dependency graph storage normalized to plain",
     )
-
-
-def main():
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -15,8 +15,6 @@ The report is schema-versioned (``repro-jdiff-report``) and drives the
 ``repro jdiff`` exit code: 0 when identical, 1 on divergence.
 """
 
-import json
-
 from repro.obs.journal import canonical_line, journal_digest
 
 JDIFF_KIND = "repro-jdiff-report"
@@ -310,16 +308,3 @@ def format_jdiff(report, window=None):
                 event.get("seq", "?"), describe_event(event)
             ))
     return "\n".join(lines)
-
-
-def _selftest(argv=None):  # pragma: no cover - manual smoke helper
-    from repro.obs.journal import record_run
-
-    a, _ = record_run("mvt")
-    b, _ = record_run("mvt")
-    report = diff_journals(a.header(), a.events, b.header(), b.events)
-    print(json.dumps({"identical": report["identical"]}))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _selftest()

@@ -2,7 +2,7 @@
 
 This module is the single serializer for run results — ``repro run
 --json``, ``repro compare --json``, ``repro trace``'s metrics sidecar
-and ``experiments.runner --out`` all go through it, so every artifact
+and ``repro experiments --out`` all go through it, so every artifact
 speaks the same schema.
 
 The *blame* view is modelled on ``systemd-analyze blame`` /

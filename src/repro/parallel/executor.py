@@ -34,7 +34,6 @@ context with its pid — workers inherit the parent's stderr, so the
 """
 
 import os
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -217,12 +216,3 @@ class SuiteExecutor:
                 fn, index, item, attempts_before=attempts
             )
         return results
-
-
-def _selftest(argv=None):  # pragma: no cover - manual smoke helper
-    executor = SuiteExecutor(jobs=4)
-    print(executor.map(abs, [-3, -2, -1, 0, 1]), file=sys.stderr)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _selftest()

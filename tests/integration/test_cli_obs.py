@@ -9,7 +9,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import runner
 
 
 class TestTraceCommand:
@@ -101,7 +100,7 @@ class TestJsonFlags:
 class TestRunnerReports:
     def test_out_dir_writes_per_experiment_json(self, tmp_path, capsys):
         out_dir = tmp_path / "reports"
-        runner.main(["tab3", "--out", str(out_dir)])
+        assert main(["experiments", "tab3", "--out", str(out_dir)]) == 0
         report = json.loads((out_dir / "tab3.json").read_text())
         assert report["experiment"] == "tab3"
         assert report["rows"]

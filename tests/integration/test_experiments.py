@@ -67,9 +67,9 @@ class TestFig11:
 
 
 class TestFig12:
-    def test_reduced_sweep(self):
+    def test_reduced_sweep(self, ctx):
         rows = fig12_interconnectivity.run(
-            sizes=(128, 512), degrees=(1, 8, 64, 128)
+            ctx, sizes=(128, 512), degrees=(1, 8, 64, 128)
         )
         assert len(rows) == 2
         for row in rows:
@@ -78,8 +78,8 @@ class TestFig12:
         # larger workloads gain less at low degree
         assert rows[0]["deg1"] >= rows[1]["deg1"] - 0.05
 
-    def test_collapse_matches_fc_reference(self):
-        rows = fig12_interconnectivity.run(sizes=(256,), degrees=(1, 128))
+    def test_collapse_matches_fc_reference(self, ctx):
+        rows = fig12_interconnectivity.run(ctx, sizes=(256,), degrees=(1, 128))
         row = rows[0]
         assert row["deg128"] == pytest.approx(row["fully_connected"], rel=1e-6)
 
@@ -93,8 +93,8 @@ class TestFig13:
 
 
 class TestFig14:
-    def test_ordering(self):
-        rows = fig14_comparison.run(side=16)
+    def test_ordering(self, ctx):
+        rows = fig14_comparison.run(ctx, side=16)
         summary = rows[-1]
         assert summary["benchmark"] == "geomean"
         # the paper's ordering: consumer BM > wireframe > producer BM > CDP

@@ -57,12 +57,12 @@ class TestFig11Module:
 
 
 class TestFig12Module:
-    def test_degree_exceeding_size_is_none(self):
-        rows = fig12_interconnectivity.run(sizes=(128,), degrees=(1, 256))
+    def test_degree_exceeding_size_is_none(self, ctx):
+        rows = fig12_interconnectivity.run(ctx, sizes=(128,), degrees=(1, 256))
         assert rows[0]["deg256"] is None
 
-    def test_fc_reference_attached_once(self):
-        rows = fig12_interconnectivity.run(sizes=(128,), degrees=(1, 2))
+    def test_fc_reference_attached_once(self, ctx):
+        rows = fig12_interconnectivity.run(ctx, sizes=(128,), degrees=(1, 2))
         assert "fully_connected" in rows[0]
 
 
@@ -78,16 +78,16 @@ class TestFig13Module:
 
 
 class TestFig14Module:
-    def test_small_side_runs(self):
-        rows = fig14_comparison.run(side=8)
+    def test_small_side_runs(self, ctx):
+        rows = fig14_comparison.run(ctx, side=8)
         assert len(rows) == 7  # 6 apps + geomean
         for row in rows:
             assert row["cdp"] == 1.0
 
 
 class TestStreamsStudyModule:
-    def test_columns_and_normalization(self):
-        rows = streams_study.run(pipelines=(2,), stages=2)
+    def test_columns_and_normalization(self, ctx):
+        rows = streams_study.run(ctx, pipelines=(2,), stages=2)
         assert rows[0]["baseline_single"] == 1.0
         assert set(rows[0]) == {
             "pipelines",

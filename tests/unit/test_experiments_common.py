@@ -89,11 +89,22 @@ class TestExperimentContext:
         second = ctx.run_model(app, "baseline")
         assert first is second
 
-    def test_run_all_returns_roster(self):
+    def test_memos_key_on_the_app_not_its_name(self):
+        """An overridden build shares its name with the full-size app,
+        but never its plan or its runs."""
         ctx = ExperimentContext()
-        app = ctx.app("path")
-        results = ctx.run_all(app, model_names=["baseline", "producer"])
-        assert set(results) == {"baseline", "producer"}
+        full = ctx.app("mvt")
+        ctx.run_model(full, "baseline")
+        small = ctx.app("mvt", blocks=2, k=16)
+        assert small.name == full.name
+        fresh = ExperimentContext()
+        expected = fresh.run_model(
+            fresh.app("mvt", blocks=2, k=16), "baseline"
+        )
+        assert ctx.plan_for(small, False, 1) is not ctx.plan_for(full, False, 1)
+        assert ctx.run_model(small, "baseline").makespan_ns == (
+            expected.makespan_ns
+        )
 
     @pytest.mark.parametrize(
         "name", ["fuzz-3", "backprop", "eng-chain", "MVT"]
@@ -135,8 +146,8 @@ class TestRunner:
         assert "tab1" in results
         assert "Table I" in stream.getvalue()
 
-    def test_unknown_experiment_rejected(self):
-        from repro.experiments import runner
+    def test_unknown_experiment_rejected(self, capsys):
+        from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            runner.main(["nope"])
+        assert main(["experiments", "nope"]) == 2
+        assert "unknown experiment 'nope'" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.dependency_graph import GraphKind
+from repro.core.hardware import HardwareConfig
 from repro.core.runtime import BlockMaestroRuntime, jitter_factor
 from repro.sim.config import GPUConfig
 
@@ -155,3 +156,54 @@ class TestSummaryCache:
         prod0, cons0, prod1, cons1 = plan.kernels
         assert cons0.summary is cons1.summary
         assert prod0.summary is not prod1.summary
+
+
+def _war_app():
+    """Two launches of one body: the second overwrites what the first
+    reads, so only WAR tracking links them."""
+    from repro.workloads import ptxgen
+
+    b = AppBuilder("war")
+    kernel = ptxgen.elementwise("ew", num_inputs=1, alu=1)
+    a, c, out = (b.alloc(name, 8 * 64 * 4) for name in "ACB")
+    b.launch(kernel, grid=8, block=64, args={"IN0": a, "OUT": out})
+    b.launch(kernel, grid=8, block=64, args={"IN0": c, "OUT": a})
+    return b.build()
+
+
+def _gaussian_small():
+    from repro.workloads import get_workload
+
+    return get_workload("gaussian").build_small()
+
+
+class TestVariant:
+    @pytest.mark.parametrize(
+        "build, changes",
+        [
+            (_gaussian_small, {"hardware": HardwareConfig(counter_bits=1)}),
+            (_war_app, {"hazards": ("raw", "war", "waw")}),
+        ],
+        ids=["counter-bits", "hazards"],
+    )
+    def test_shared_memos_never_serve_another_configs_graph(
+        self, build, changes
+    ):
+        def graphs(plan):
+            return [
+                (kp.encoded.collapsed, kp.encoded.encoded_bytes,
+                 kp.encoded.original.num_edges)
+                for kp in plan.kernels if kp.encoded is not None
+            ]
+
+        app = build()
+        runtime = BlockMaestroRuntime()
+        first = runtime.plan(app)
+        variant = runtime.variant(**changes)
+        plan = variant.plan(app)
+        fresh = BlockMaestroRuntime(**changes).plan(app)
+        assert graphs(plan) == graphs(fresh) != graphs(first)
+        # summaries depend on neither, so the variant reuses them
+        assert all(
+            a.summary is b.summary for a, b in zip(plan.kernels, first.kernels)
+        )

@@ -115,3 +115,14 @@ class TestDotCommand:
         main(["dot", "bicg"])
         out = capsys.readouterr().out
         assert "digraph" in out
+
+    def test_pair_past_the_last_exits_2(self, capsys):
+        assert main(["dot", "fdtd-2d", "--pair", "22"]) == 0
+        capsys.readouterr()
+        assert main(["dot", "fdtd-2d", "--pair", "23"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: --pair 23 is out of range: fdtd-2d has 23 dependent "
+            "kernel pairs (0..22)\n"
+        )
