@@ -39,8 +39,7 @@ identical, :class:`repro.analysis.cache.AnalysisCache` entries written
 by either path interoperate with no key or schema change.
 
 Tier selection is reported through the ``analysis.fastpath.*`` metrics
-counters (see :func:`repro.core.runtime.BlockMaestroRuntime`) and the
-BENCH report's ``fastpath`` section.
+counters (see :func:`repro.core.runtime.BlockMaestroRuntime`).
 """
 
 from typing import Optional, Tuple

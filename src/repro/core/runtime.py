@@ -209,6 +209,8 @@ class BlockMaestroRuntime:
         #: threshold) -> (parent summary, child summary, EncodedGraph);
         #: see _encoded_graph_for
         self._graph_cache = {}
+        #: the degree thresholds _graph_cache holds encodings for
+        self._graph_thresholds = set()
 
     def variant(self, config=None, hardware=None, hazards=None):
         """This runtime under other timing, hardware or hazards.
@@ -231,6 +233,7 @@ class BlockMaestroRuntime:
         )
         other._summary_cache = self._summary_cache
         other._graph_cache = self._graph_cache
+        other._graph_thresholds = self._graph_thresholds
         return other
 
     # ------------------------------------------------------------------
@@ -388,16 +391,19 @@ class BlockMaestroRuntime:
 
     def _encoded_graph_for(self, parent_plan, child_plan):
         """The child's encoded dependency graph against its same-stream
-        predecessor: from memory, from the persistent cache, or built.
+        predecessor: from memory, from the persistent cache, re-encoded
+        from memory, or built.
 
         An encoded graph is a pure function of the two summaries, the
         hazards and the degree threshold, and identical launches share
         one summary object, so one in-memory entry per summary pair,
         hazards and threshold serves every plan of this runtime and of
-        its variants.  The entry pins both summaries, so their ids stay
-        theirs.  Launches with an explicit ``dependency_override``
-        bypass both caches: the override is an arbitrary callable whose
-        content neither can address.
+        its variants.  Only the encoding depends on the threshold, so a
+        new threshold re-encodes the raw graph of an entry for another
+        one rather than building it again.  The entry pins both
+        summaries, so their ids stay theirs.  Launches with an explicit
+        ``dependency_override`` bypass both caches: the override is an
+        arbitrary callable whose content neither can address.
         """
         if child_plan.call.dependency_override is not None:
             return self._encode(self._graph_for(parent_plan, child_plan))
@@ -422,11 +428,28 @@ class BlockMaestroRuntime:
             )
             encoded = self.cache.get_graph(graph_key)
         if encoded is None:
-            encoded = self._encode(self._graph_for(parent_plan, child_plan))
+            graph = self._memoized_raw_graph(parent, child)
+            if graph is None:
+                graph = self._graph_for(parent_plan, child_plan)
+            else:
+                self.metrics.inc("plan.graph_cache_hits")
+            encoded = self._encode(graph)
             if graph_key is not None:
                 self.cache.put_graph(graph_key, encoded)
         self._graph_cache[key] = (parent, child, encoded)
+        self._graph_thresholds.add(threshold)
         return encoded
+
+    def _memoized_raw_graph(self, parent, child):
+        """The raw pair graph memoized under another degree threshold,
+        or None."""
+        for threshold in self._graph_thresholds:
+            entry = self._graph_cache.get(
+                (id(parent), id(child), self.hazards, threshold)
+            )
+            if entry is not None:
+                return entry[2].original
+        return None
 
     def _encode(self, graph):
         return encode_graph(

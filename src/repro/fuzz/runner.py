@@ -80,7 +80,7 @@ def resolve_fuzz_config(count=None, seed=None, modes=None, engines=None,
     """
     from repro.analysis.fastpath import resolve_fastpath_mode
     from repro.experiments.common import _model_plan_params, canonical_model_name
-    from repro.models.fastengine import resolve_engine_mode
+    from repro.modes import resolve_engine_mode
 
     count = 50 if count is None else int(count)
     if count < 1:

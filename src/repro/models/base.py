@@ -66,6 +66,7 @@ _BYPASSED_BARRIERS = (
     EventRecord,
     StreamWaitEvent,
 )
+from repro.modes import resolve_engine_mode
 from repro.obs import (
     PID_DEVICE,
     PID_HOST,
@@ -76,7 +77,7 @@ from repro.obs import (
 )
 from repro.obs.journal import EDGE_KINDS, edge_fields as _edge_fields
 from repro.sim.config import GPUConfig
-from repro.sim.device import Device
+from repro.sim.device import Device, empty_device_slots
 from repro.sim.events import EventQueue
 from repro.sim.stats import KernelRecord, RunStats, TBRecord
 
@@ -95,6 +96,44 @@ def first_bad_duration(durations):
     for index, duration in enumerate(durations):
         if not 0.0 <= duration < _INF:
             return index
+    return None
+
+
+def certify_device_serial(plan, config, options):
+    """Prove the plan executes device-serially under ``options``.
+
+    Returns ``None`` when the vectorized tier
+    (:mod:`repro.models.fastengine`) applies, else a short reason slug
+    (reported as an ``engine.fallback.<reason>`` counter).  Any decline
+    means the scalar oracle runs instead, so pathological inputs
+    (zero-TB kernels, blocks that never fit) keep their reference
+    behavior — including :class:`EngineDrainError`.  Coarse models gate
+    a kernel's TBs on the predecessor's drain, so they are
+    device-serial for *any* graph shape.
+    """
+    if options.ignore_dependencies:
+        return "ignore_dependencies"
+    if options.ready_capacity is not None:
+        # Wireframe's pending-buffer cap limits ready-but-undispatched
+        # TBs, not resident ones: the buffer refills within a single
+        # event time, so occupancy is not simply min(width, capacity)
+        return "ready_capacity"
+    streams = {call.stream_id for call in plan.order}
+    if len(streams) > 1:
+        return "multi_stream"
+    for kp in plan.kernels:
+        if kp.cross_stream_deps:
+            return "cross_stream"
+        if kp.num_tbs <= 0:
+            return "zero_tb_kernel"
+        if empty_device_slots(config, kp.threads_per_tb) <= 0:
+            return "no_slot_fits"
+        if options.fine_grain and kp.chain_prev is not None:
+            graph = kp.graph
+            if graph is None or not graph.is_fully_connected:
+                # 1-to-1 / independent / explicit graphs pipeline parent
+                # and child TBs under fine-grain scheduling
+                return "fine_grain_graph"
     return None
 
 
@@ -154,19 +193,18 @@ class ExecutionModel:
         tracer or journal is attached.
 
         ``engine`` selects the simulation tier
-        (:func:`repro.models.fastengine.resolve_engine_mode`; ``None``
-        reads ``REPRO_ENGINE``, default ``auto``).  The fast tier produces
-        bit-identical :class:`RunStats`; a journal-carrying run silently
-        uses the scalar reference engine, since the journal hooks
-        per-event injection points the batched tier skips.
+        (:func:`repro.modes.resolve_engine_mode`; ``None`` reads
+        ``REPRO_ENGINE``, default ``auto``).  The vectorized tier
+        produces bit-identical :class:`RunStats` for the runs
+        :func:`certify_device_serial` accepts, and its module is
+        imported only for those; a journal-carrying run silently uses
+        the scalar reference engine, since the journal hooks per-event
+        injection points the batched tier skips.
         """
-        # imported lazily: repro.models.fastengine builds on this module
-        from repro.models import fastengine
-
         tracer = resolve_tracer(tracer)
         metrics = resolve_metrics(metrics)
         options = self.options()
-        mode = fastengine.resolve_engine_mode(engine)
+        mode = resolve_engine_mode(engine)
         with tracer.span(
             "model:{}".format(options.name),
             cat="model",
@@ -175,8 +213,18 @@ class ExecutionModel:
         ):
             if mode != "reference":
                 if journal is not None:
-                    metrics.inc("engine.fallback.observers")
+                    reason = "observers"
                 else:
+                    reason = certify_device_serial(
+                        plan, self.gpu_config, options
+                    )
+                if reason is not None:
+                    metrics.inc("engine.fallback.%s" % reason)
+                else:
+                    # imported lazily: it builds on this module, and a
+                    # declined run never needs it
+                    from repro.models import fastengine
+
                     stats = fastengine.run_fast(
                         plan, self.gpu_config, options, tracer, metrics,
                     )

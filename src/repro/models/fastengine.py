@@ -1,4 +1,4 @@
-"""Vectorized fast path for the shared discrete-event execution engine.
+"""Vectorized tier of the shared discrete-event execution engine.
 
 :class:`repro.models.base.ExecutionEngine` — the scalar reference — runs
 every API call, kernel launch, and thread-block lifecycle through one
@@ -11,16 +11,29 @@ critical path, it dominates the wall-clock of
 ``run``/``experiments``/``fuzz``.
 
 This module computes the *same* :class:`~repro.sim.stats.RunStats` more
-cheaply for plans it can prove *device-serial* — at most one kernel's
-thread blocks resident at any instant — and declines (caller falls back
-to the scalar oracle) whenever it cannot.  Under a device-serial plan
-the device is exactly a FIFO queue over ``W`` indistinguishable slots:
-the scalar per-event heap loop collapses to one numpy pass for the
-duration vectors plus an O(N log W) slot sweep whose pops replay the
-reference event order (ties broken by dispatch sequence, like the event
-queue's ``(time, seq)`` ordering).  Host issue, command start, launch
-window, and in-order completion reduce to a forward max/plus scan over
-the program order.
+cheaply for plans :func:`repro.models.base.certify_device_serial` proves
+*device-serial* — at most one kernel's thread blocks resident at any
+instant.  :meth:`repro.models.base.ExecutionModel.run` certifies first
+and imports this module only for a certified run.  Under a
+device-serial plan the device is exactly a FIFO queue over ``W``
+indistinguishable slots, so the scalar per-event heap loop collapses to
+three steps per kernel:
+
+* **durations** — one numpy pass per few thousand TBs of the plan's
+  plain jittered kernels (no duration or scale function), sliced per
+  kernel as the scan reaches it; ``KernelPlan.tb_durations_ns`` serves
+  the rest and every kernel when numpy is missing;
+* **placement** — a kernel that fits in one wave (``n <= W``) starts
+  every TB at ``t0`` on SM ``i % num_sms`` and needs no heap; a wider
+  one runs an O(N log W) slot sweep whose pops replay the reference
+  event order (ties broken by dispatch sequence, like the event queue's
+  ``(time, seq)`` ordering);
+* **records** — each kernel's :class:`~repro.sim.stats.TBRecord` rows
+  are built in bulk, explicit-graph ready times straight from the
+  graph's ``children_of``.
+
+Host issue, command start, launch window, and in-order completion
+reduce to a forward max/plus scan over the program order.
 
 The tier replicates the reference bit-for-bit, including the float
 accumulation order of the device concurrency integral (one ``dt``
@@ -31,27 +44,15 @@ layering; a freed slot's SM is re-won by the next dispatch), and the
 harness hold it to byte-identical simulated signatures against the
 oracle, with and without duration jitter.
 
-Device-serial certificate (the engine analogue of a proven Table-I
-pattern): single stream, no cross-stream dependencies, no
-``ignore_dependencies`` replay, no ``ready_capacity`` cap (Wireframe's
-pending buffers refill at event granularity, which only the event loop
-models), every kernel has at least one TB and a positive per-device
-slot count, and — under fine-grain scheduling — every chained kernel
-carries a fully-connected graph (1-to-1, independent, and explicit
-graphs pipeline parent and child TBs, which only the event loop
-models).  Coarse models gate a kernel's TBs on the predecessor's
-drain, so they are device-serial for *any* graph shape.
-
-Tier selection is per-run via ``REPRO_ENGINE`` (see
-:func:`resolve_engine_mode`) and reported through ``engine.tier.*``
-metrics counters and the BENCH report's ``engine`` section.  Whenever a
-journal is attached the dispatch seam in
-:meth:`repro.models.base.ExecutionModel.run` keeps the scalar engine,
-since the journal hooks per-event injection points the batched tier
-skips.
+Tier selection is per-run via ``REPRO_ENGINE``
+(:func:`repro.modes.resolve_engine_mode`) and reported through the
+``engine.tier.*`` and ``engine.fallback.*`` metrics counters.  Whenever
+a journal is attached the dispatch seam keeps the scalar engine, since
+the journal hooks per-event injection points the batched tier skips.
 """
 
 import heapq
+from itertools import accumulate, cycle, islice, repeat
 
 from repro.host.api import (
     KernelLaunchCall,
@@ -65,78 +66,13 @@ from repro.models.base import (
     first_bad_duration,
     record_engine_metrics,
 )
-from repro.modes import ENGINE_ENV, resolve_engine_mode  # noqa: F401 - public
 from repro.obs import PID_DEVICE
 from repro.sim.device import empty_device_slots
 from repro.sim.stats import KernelRecord, RunStats, TBRecord
 
-
-# ----------------------------------------------------------------------
-# eligibility
-# ----------------------------------------------------------------------
-def certify_device_serial(plan, config, options):
-    """Prove the plan executes device-serially under ``options``.
-
-    Returns ``None`` when the fast tier applies, else a short reason slug
-    (reported as an ``engine.fallback.<reason>`` counter).  Any decline
-    means the scalar oracle runs instead, so pathological inputs (zero-TB
-    kernels, blocks that never fit) keep their reference behavior —
-    including :class:`~repro.models.base.EngineDrainError`.
-    """
-    if options.ignore_dependencies:
-        return "ignore_dependencies"
-    if options.ready_capacity is not None:
-        # Wireframe's pending-buffer cap limits ready-but-undispatched
-        # TBs, not resident ones: the buffer refills within a single
-        # event time, so occupancy is not simply min(width, capacity)
-        return "ready_capacity"
-    streams = {call.stream_id for call in plan.order}
-    if len(streams) > 1:
-        return "multi_stream"
-    for kp in plan.kernels:
-        if kp.cross_stream_deps:
-            return "cross_stream"
-        if kp.num_tbs <= 0:
-            return "zero_tb_kernel"
-        if empty_device_slots(config, kp.threads_per_tb) <= 0:
-            return "no_slot_fits"
-        if options.fine_grain and kp.chain_prev is not None:
-            graph = kp.graph
-            if graph is None or not graph.is_fully_connected:
-                # 1-to-1 / independent / explicit graphs pipeline parent
-                # and child TBs under fine-grain scheduling
-                return "fine_grain_graph"
-    return None
-
-
-def _duration_vector(kp):
-    """All TB durations of one kernel, bit-identical to
-    ``KernelPlan.tb_duration_ns`` evaluated per block (numpy is
-    imported on first use; without it, the per-block loop)."""
-    if (
-        not kp._jitter
-        or kp._duration_fn is not None
-        or kp._duration_scale_fn is not None
-    ):
-        return kp.tb_durations_ns()
-    try:
-        import numpy as np
-    except ImportError:
-        return kp.tb_durations_ns()
-    n = kp.num_tbs
-    base = kp._base_duration_ns
-    jitter = kp._jitter
-    # vectorized jitter_factor: same integer hash, same float op order
-    tb = np.arange(n, dtype=np.uint64)
-    h = (np.uint64(kp.kernel_index) * np.uint64(0x9E3779B1)
-         + tb * np.uint64(0x85EBCA77) + np.uint64(0x165667B1)) \
-        & np.uint64(0xFFFFFFFF)
-    h ^= h >> np.uint64(16)
-    h = (h * np.uint64(0x045D9F3B)) & np.uint64(0xFFFFFFFF)
-    h ^= h >> np.uint64(16)
-    unit = h.astype(np.float64) / float(1 << 32)
-    factor = 1.0 + jitter * (2.0 * unit - 1.0)
-    return (base * factor).tolist()
+#: TBs per numpy pass of :func:`_plan_durations`: enough to amortize
+#: numpy's per-call cost, few enough to keep the pass's arrays small
+_PASS_TBS = 4096
 
 
 # ----------------------------------------------------------------------
@@ -153,16 +89,12 @@ class _TierDecline(Exception):
 
 
 def run_fast(plan, config, options, tracer, metrics):
-    """Run ``plan`` through the vectorized tier.
+    """Run a certified device-serial ``plan`` through the vectorized tier.
 
     Returns the :class:`RunStats` (bit-identical to the scalar oracle)
-    or ``None`` when the tier declines — the caller then falls back to
-    the reference engine.
+    or ``None`` when the tier declines mid-flight — the caller then
+    falls back to the reference engine.
     """
-    reason = certify_device_serial(plan, config, options)
-    if reason is not None:
-        metrics.inc("engine.fallback.%s" % reason)
-        return None
     try:
         stats, extras = _simulate(plan, config, options, tracer)
     except _TierDecline as decline:
@@ -193,14 +125,6 @@ def _finalize_device_metrics(metrics, extras):
     metrics.inc("device.tb_placements", extras["placements"])
 
 
-def _build_parents_of(graph):
-    inverse = [[] for _ in range(graph.num_children)]
-    for p, children in enumerate(graph.children_of):
-        for c in children:
-            inverse[c].append(p)
-    return inverse
-
-
 def _simulate(plan, config, options, tracer):
     """Forward max/plus scan over the program order.
 
@@ -229,6 +153,8 @@ def _simulate(plan, config, options, tracer):
     all_done = [0.0] * num_kernels
     completed = [0.0] * num_kernels
     tb_finishes = [None] * num_kernels
+    # kernel indices follow program order, the order of the scan
+    durations_of = _plan_durations(kernels)
 
     tb_records = []
     host_time = 0.0
@@ -295,10 +221,21 @@ def _simulate(plan, config, options, tracer):
             first_start[ki] = t0
 
             n = kp.num_tbs
+            durations = next(durations_of)
+            if first_bad_duration(durations) is not None:
+                raise _TierDecline("bad_duration")
             width = empty_device_slots(config, kp.threads_per_tb)
-            starts, finishes, sms, drained = _slot_sweep(
-                t0, n, width, _duration_vector(kp), num_sms
-            )
+            if n <= width:
+                # one wave: every TB starts at t0 on SM i % num_sms
+                starts = [t0] * n
+                finishes = [t0 + d for d in durations]
+                sms = islice(cycle(range(num_sms)), n)
+            else:
+                starts, finishes, sms = _slot_sweep(
+                    t0, n, width, durations, num_sms
+                )
+            fin_sorted = sorted(finishes)
+            drained = fin_sorted[-1]
             tb_finishes[ki] = finishes
             all_done[ki] = drained
             done = drained
@@ -313,19 +250,25 @@ def _simulate(plan, config, options, tracer):
             # min(N, W_eff) of this kernel's blocks (release/place pairs
             # replace one-for-one), and it holds exactly that many in
             # the first wave.
-            integral, busy = _accumulate_device(
-                t0, starts, finishes, integral, busy, occupancy_samples,
-            )
+            if n <= width and occupancy_samples is None:
+                integral, busy = _accumulate_wave(
+                    t0, fin_sorted, integral, busy,
+                )
+            else:
+                integral, busy = _accumulate_device(
+                    t0, starts, fin_sorted, integral, busy,
+                    occupancy_samples,
+                )
             k_peak = n if n < width else width
             if k_peak > peak:
                 peak = k_peak
             placements += n
 
             # per-TB records (dispatch order == TB id under FIFO ready)
-            _append_records(
-                tb_records, plan, kernels, ki, kp,
-                input_ready[ki], all_done, completed,
-                starts, finishes, sms, tb_finishes,
+            _extend_records(
+                tb_records, ki, kp, input_ready[ki], all_done, completed,
+                t0, starts, finishes, sms,
+                tb_finishes[prev] if prev is not None else None,
             )
         else:
             if strict:
@@ -406,8 +349,103 @@ def _simulate(plan, config, options, tracer):
     return stats, extras
 
 
+# ----------------------------------------------------------------------
+# durations
+# ----------------------------------------------------------------------
+def _plain_jittered(kp):
+    """Does the numpy pass compute this kernel's durations?"""
+    return (
+        kp._jitter
+        and kp._duration_fn is None
+        and kp._duration_scale_fn is None
+    )
+
+
+def _plan_durations(kernels):
+    """Each kernel's TB durations, in kernel order: an iterator of
+    lists, each equal to ``kp.tb_durations_ns()``.
+
+    numpy is imported on first use; without it, and for every kernel
+    that is not plain jittered, ``tb_durations_ns`` serves.
+    """
+    try:
+        import numpy as np
+    except ImportError:
+        return (kp.tb_durations_ns() for kp in kernels)
+    jittered = _jittered_durations(
+        np, [kp for kp in kernels if _plain_jittered(kp)]
+    )
+    return (
+        next(jittered) if _plain_jittered(kp) else kp.tb_durations_ns()
+        for kp in kernels
+    )
+
+
+def _jittered_durations(np, kps):
+    """Yield the durations of the plain jittered kernels ``kps``, one
+    list per kernel.
+
+    One numpy pass serves each run of consecutive kernels that reaches
+    ``_PASS_TBS`` TBs, so its arrays stay small, and each kernel's
+    Python floats are made only when the scan reaches it.  The pass
+    computes ``base * jitter_factor(kernel_index, tb, jitter)`` per TB
+    with the same integer hash (its low 32 bits are exact in uint64)
+    and the same float operations in the same order, every step after
+    the first in place.
+    """
+    mask = np.uint64(0xFFFFFFFF)
+    shift = np.uint64(16)
+    stop = 0
+    while stop < len(kps):
+        start = stop
+        tbs = 0
+        while stop < len(kps) and tbs < _PASS_TBS:
+            tbs += kps[stop].num_tbs
+            stop += 1
+        batch = kps[start:stop]
+        counts = [kp.num_tbs for kp in batch]
+        h = np.arange(tbs, dtype=np.uint64)  # TB ids, made per-kernel
+        h -= _per_tb(
+            np, counts, list(accumulate(counts[:-1], initial=0)), np.uint64
+        )
+        h *= np.uint64(0x85EBCA77)
+        h += _per_tb(
+            np, counts,
+            [(kp.kernel_index * 0x9E3779B1 + 0x165667B1) & 0xFFFFFFFF
+             for kp in batch],
+            np.uint64,
+        )
+        h &= mask
+        h ^= h >> shift
+        h *= np.uint64(0x045D9F3B)
+        h &= mask
+        h ^= h >> shift
+        values = h.astype(np.float64)
+        del h
+        values /= float(1 << 32)
+        values *= 2.0
+        values -= 1.0
+        values *= _per_tb(np, counts, [kp._jitter for kp in batch], np.float64)
+        values += 1.0
+        values *= _per_tb(
+            np, counts, [kp._base_duration_ns for kp in batch], np.float64
+        )
+        offset = 0
+        for count in counts:
+            yield values[offset:offset + count].tolist()
+            offset += count
+
+
+def _per_tb(np, counts, values, dtype):
+    """One array holding each kernel's value once per TB."""
+    return np.repeat(np.array(values, dtype=dtype), counts)
+
+
+# ----------------------------------------------------------------------
+# one kernel's TB phase
+# ----------------------------------------------------------------------
 def _slot_sweep(t0, n, width, durations, num_sms):
-    """FIFO sweep over ``width`` slots with per-TB durations.
+    """FIFO sweep of ``n > width`` TBs over ``width`` slots.
 
     The heap replays the reference event order: entries are
     ``(finish, dispatch_seq, sm)``, the same ``(time, seq)`` tie-break
@@ -415,40 +453,55 @@ def _slot_sweep(t0, n, width, durations, num_sms):
     onto the freed slot's SM — exactly what least-loaded placement does
     on a saturated device.
     """
-    if first_bad_duration(durations) is not None:
-        raise _TierDecline("bad_duration")
-    m = n if n < width else width
-    starts = [t0] * m + [0.0] * (n - m)
+    starts = [t0] * width + [0.0] * (n - width)
     finishes = [0.0] * n
     sms = [0] * n
     heap = []
-    for i in range(m):
+    for i in range(width):
         sm = i % num_sms
         sms[i] = sm
         finishes[i] = t0 + durations[i]
         heap.append((finishes[i], i, sm))
     heapq.heapify(heap)
-    for i in range(m, n):
+    for i in range(width, n):
         t, _seq, sm = heapq.heappop(heap)
         starts[i] = t
         sms[i] = sm
         finishes[i] = t + durations[i]
         heapq.heappush(heap, (finishes[i], i, sm))
-    drained = max(entry[0] for entry in heap)
-    return starts, finishes, sms, drained
+    return starts, finishes, sms
 
 
-def _accumulate_device(t0, starts, finishes, integral, busy, samples):
+def _accumulate_wave(t0, fin_sorted, integral, busy):
+    """:func:`_accumulate_device` for one wave, untraced.
+
+    All TBs start at ``t0`` and each finish drops the running count by
+    one, so one left-to-right loop over the sorted finishes suffices:
+    the first finish at a time advances ``dt * running`` with the count
+    held before it, and the later equal finishes add ``dt == 0.0``, a
+    float no-op.
+    """
+    last = t0
+    running = len(fin_sorted)
+    for now in fin_sorted:
+        dt = now - last
+        integral += dt * running
+        busy += dt
+        last = now
+        running -= 1
+    return integral, busy
+
+
+def _accumulate_device(t0, starts, fin_sorted, integral, busy, samples):
     """Replicate ``Device._advance`` over one kernel's TB phase.
 
-    Starts and finishes interleave chronologically; at each distinct
-    event time the reference advances once with the running count held
-    since the previous event, and placements/releases at equal times net
-    out within the event.  Idle gaps (``running == 0``) add ``0.0`` to
-    the integral and skip the busy sum — a float no-op, so skipping the
-    advance entirely is bit-equivalent.
+    Starts and (sorted) finishes interleave chronologically; at each
+    distinct event time the reference advances once with the running
+    count held since the previous event, and placements/releases at
+    equal times net out within the event.  Idle gaps (``running == 0``)
+    add ``0.0`` to the integral and skip the busy sum — a float no-op,
+    so skipping the advance entirely is bit-equivalent.
     """
-    fin_sorted = sorted(finishes)
     n = len(starts)
     last = t0
     running = 0
@@ -492,34 +545,43 @@ def _emit_occupancy(tracer, samples):
         )
 
 
-def _append_records(
-    tb_records, plan, kernels, ki, kp, ready_in,
-    all_done, completed, starts, finishes, sms, tb_finishes,
+def _extend_records(
+    tb_records, ki, kp, ready_in, all_done, completed,
+    t0, starts, finishes, sms, parent_finishes,
 ):
-    """Build this kernel's :class:`TBRecord` rows (dispatch order)."""
+    """Append this kernel's :class:`TBRecord` rows, in dispatch order.
+
+    A TB's ready time is the latest of its inputs, the barriers and —
+    under an explicit graph — its parents' finishes, clamped to its
+    start (``starts`` never precede ``t0``).
+    """
+    n = len(finishes)
     prev = kp.chain_prev
     graph = kp.graph
-    per_tb_parents = None
-    base_ready = ready_in
+    base = ready_in
+    explicit = False
     if graph is not None and prev is not None:
         if graph.is_fully_connected:
-            if all_done[prev] > base_ready:
-                base_ready = all_done[prev]
+            if all_done[prev] > base:
+                base = all_done[prev]
         elif not graph.is_independent:
-            per_tb_parents = _build_parents_of(graph)
+            explicit = True
     gp = kp.chain_grandparent
     if kp.grandparent_barrier and gp is not None:
-        if completed[gp] > base_ready:
-            base_ready = completed[gp]
-    parent_fin = tb_finishes[prev] if prev is not None else None
-    for tb in range(kp.num_tbs):
-        ready = base_ready
-        if per_tb_parents is not None:
-            for p in per_tb_parents[tb]:
-                if parent_fin[p] > ready:
-                    ready = parent_fin[p]
-        start = starts[tb]
-        tb_records.append(TBRecord(
-            ki, tb, ready if ready < start else start, start, finishes[tb],
-            sms[tb],
-        ))
+        if completed[gp] > base:
+            base = completed[gp]
+    if explicit:
+        ready = [base] * n
+        for finish, children in zip(parent_finishes, graph.children_of):
+            if finish > base:
+                for c in children:
+                    if finish > ready[c]:
+                        ready[c] = finish
+        readies = [r if r < s else s for r, s in zip(ready, starts)]
+    elif base <= t0:
+        readies = repeat(base, n)
+    else:
+        readies = [base if base < s else s for s in starts]
+    tb_records.extend(map(
+        TBRecord, repeat(ki, n), range(n), readies, starts, finishes, sms,
+    ))

@@ -46,8 +46,16 @@ with open(out, "w") as handle:
     json.dump({"code": code, "modules": sorted(sys.modules)}, handle)
 """
 
-#: what a cold ``repro run`` of a closed-form-only workload must not load
-RUN_UNLOADED = ("numpy", "asyncio", "http.client", "repro.serve.server")
+#: what a cold ``repro run`` of a closed-form-only workload must not load;
+#: its fine-grain graphs decline the vectorized engine tier, whose
+#: module is imported only for a run the tier certifies
+RUN_UNLOADED = (
+    "numpy",
+    "asyncio",
+    "http.client",
+    "repro.serve.server",
+    "repro.models.fastengine",
+)
 
 #: what the parser-only commands and the thin client must not load
 THIN_UNLOADED = (

@@ -10,6 +10,8 @@ zero-TB kernels decline to the reference so its behavior (including
 errors) is preserved verbatim.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -181,3 +183,85 @@ class TestEngineDegeneratePlans:
             mode: _outcome(model, plan, mode) for mode in ENGINE_MODES
         }
         assert len(set(outcomes.values())) == 1, outcomes
+
+
+# ----------------------------------------------------------------------
+# the edges of the vectorized tier's single-wave shortcut
+# ----------------------------------------------------------------------
+def _complete_digest(stats):
+    """sha256 of the complete RunStats; every number in it must be a
+    plain Python int or float."""
+    payload = dataclasses.asdict(stats)
+    pending = [payload]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, dict):
+            pending.extend(value.values())
+        elif isinstance(value, list):
+            pending.extend(value)
+        else:
+            assert type(value) in (int, float, str, bool), repr(value)
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestSingleWaveEdges:
+    """``auto`` against ``reference`` on the complete RunStats around
+    the one-wave shortcut: exactly W TBs (no heap) and W + 1 (the
+    heap), each with jittered, zero and uniform durations, under the
+    two coarse device-serial models and a fully connected fine-grain
+    chain, and under the baseline on a 1-to-1 chain, whose explicit
+    graph gives each TB its parent's finish as ready time."""
+
+    CASES = [
+        ("baseline", "fc"),
+        ("prelaunch", "fc"),
+        ("consumer3", "fc"),
+        ("baseline", "explicit"),
+    ]
+
+    @pytest.mark.parametrize("durations", ["jittered", "zero", "uniform"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["W", "W+1"])
+    @pytest.mark.parametrize(
+        "model_name, graph", CASES, ids=["-".join(c) for c in CASES]
+    )
+    def test_auto_matches_reference(self, model_name, graph, extra,
+                                    durations):
+        from repro.core.runtime import BlockMaestroRuntime
+        from repro.experiments.common import _make_model, _model_plan_params
+        from repro.obs.metrics import MetricsRegistry
+        from repro.sim.config import GPUConfig
+        from repro.sim.device import empty_device_slots
+        from repro.workloads.microbench import (
+            build_engine_chain,
+            build_engine_fc,
+        )
+
+        config = GPUConfig(
+            duration_jitter=0.0 if durations == "uniform" else 0.15
+        )
+        width = empty_device_slots(config, 256)  # the apps' block size
+        build = build_engine_fc if graph == "fc" else build_engine_chain
+        app = build(num_kernels=3, num_tbs=width + extra)
+        if durations == "zero":
+            for call in app.trace.kernel_calls:
+                call.tb_duration_fn = lambda tb: 0.0
+        runtime = BlockMaestroRuntime(config)
+        plan = runtime.plan(app, *_model_plan_params(model_name))
+        assert {kp.threads_per_tb for kp in plan.kernels} == {256}
+        if graph == "explicit":
+            assert all(
+                not kp.graph.is_fully_connected
+                and not kp.graph.is_independent
+                for kp in plan.kernels[1:]
+            )
+        model = _make_model(model_name, config)
+        metrics = MetricsRegistry()
+        fast = model.run(plan, metrics=metrics, engine="auto")
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("engine.tier.vectorized") == 1, counters
+        oracle = model.run(plan, engine="reference")
+        # the one documented difference: no dispatch passes on this tier
+        assert fast.counters.pop("dispatch_passes") == 0.0
+        oracle.counters.pop("dispatch_passes")
+        assert _complete_digest(fast) == _complete_digest(oracle)

@@ -1,7 +1,8 @@
 """Unit coverage of the simulation-engine fast path seams.
 
 Mode normalization, the device-serial certificate's decline reasons,
-and the observer-fallback rule: with a journal/provenance/telemetry
+the per-plan duration pass against ``KernelPlan.tb_durations_ns``, and
+the observer-fallback rule: with a journal/provenance/telemetry
 hook attached, ``auto`` silently keeps the scalar reference engine and
 says so through the metrics counters — and the observed run's signature
 is byte-identical to the unobserved fast-tier run.
@@ -15,15 +16,12 @@ import pytest
 
 from repro.core.runtime import BlockMaestroRuntime
 from repro.experiments.common import _make_model
-from repro.models.fastengine import (
-    ENGINE_ENV,
-    _duration_vector,
-    certify_device_serial,
-    resolve_engine_mode,
-)
+from repro.models.base import certify_device_serial
+from repro.models.fastengine import _PASS_TBS, _plan_durations
+from repro.modes import ENGINE_ENV, resolve_engine_mode
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import GPUConfig
-from repro.workloads import get_workload
+from repro.workloads import all_workloads, get_workload
 from repro.workloads.streams import build_pipelines
 
 
@@ -143,15 +141,43 @@ class TestCertificate:
         )
 
 
-class TestDurationVector:
-    def test_without_numpy_matches_per_block_loop(self, monkeypatch):
-        plan = BlockMaestroRuntime().plan(get_workload("eng-chain").build_small())
-        kp = plan.kernels[0]
-        expected = kp.tb_durations_ns()
-        assert kp._jitter and len(set(expected)) > 1
-        assert _duration_vector(kp) == expected
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
-        assert _duration_vector(kp) == expected
+class TestPlanDurations:
+    """The per-plan duration pass equals ``tb_durations_ns`` kernel by
+    kernel, with numpy and without it."""
+
+    @pytest.fixture(scope="class")
+    def plans(self):
+        runtime = BlockMaestroRuntime()
+        names = [spec.name for spec in all_workloads()]
+        names += ["fuzz-{}".format(seed) for seed in range(50)]
+        plans = [runtime.plan(get_workload(name).build()) for name in names]
+        # kernels wider than a pass, with a duration and a scale function
+        # between the jittered ones, with and without jitter
+        mixed = get_workload("eng-chain").build_small(
+            num_kernels=4, num_tbs=_PASS_TBS + 1
+        )
+        calls = mixed.trace.kernel_calls
+        calls[1].tb_duration_fn = lambda tb: 10.0 + tb
+        calls[2].tb_duration_scale_fn = lambda tb: 1.0 + tb % 3
+        plans.append(runtime.plan(mixed))
+        jitter_free = BlockMaestroRuntime(GPUConfig(duration_jitter=0.0))
+        plans.append(jitter_free.plan(mixed))
+        return plans
+
+    def test_plans_span_several_passes(self, plans):
+        assert max(
+            sum(kp.num_tbs for kp in plan.kernels) for plan in plans
+        ) > 4 * _PASS_TBS
+
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "no-numpy"])
+    def test_pass_equals_per_kernel_durations(self, plans, numpy, monkeypatch):
+        if not numpy:
+            monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        for plan in plans:
+            expected = [kp.tb_durations_ns() for kp in plan.kernels]
+            assert list(_plan_durations(plan.kernels)) == expected, (
+                plan.application
+            )
 
 
 class TestObserverFallback:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.dependency_graph import GraphKind
 from repro.core.hardware import HardwareConfig
 from repro.core.runtime import BlockMaestroRuntime, jitter_factor
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import GPUConfig
 
 from tests.conftest import PRODUCE_SRC, make_chain_app
@@ -207,3 +208,38 @@ class TestVariant:
         assert all(
             a.summary is b.summary for a, b in zip(plan.kernels, first.kernels)
         )
+
+    def test_new_degree_threshold_reencodes_without_building(self):
+        """Only the encoding depends on the counter width: a variant
+        with another degree threshold re-encodes the memoized raw
+        graphs, builds none and plans like a fresh runtime."""
+
+        def graphs_built(metrics):
+            counters = metrics.snapshot()["counters"]
+            return sum(
+                value for name, value in counters.items()
+                if name.startswith("analysis.fastpath.")
+            )
+
+        def encodings(plan):
+            return [
+                (kp.encoded.effective, kp.encoded.pattern,
+                 kp.encoded.encoded_bytes, kp.encoded.plain_bytes,
+                 kp.encoded.collapsed, kp.traffic, kp.grandparent_barrier)
+                for kp in plan.kernels if kp.encoded is not None
+            ] + [plan.graph_plain_bytes, plan.graph_encoded_bytes]
+
+        app = _gaussian_small()
+        metrics = MetricsRegistry()
+        runtime = BlockMaestroRuntime(metrics=metrics)
+        first = runtime.plan(app)
+        built = graphs_built(metrics)
+        assert built > 0
+        hardware = HardwareConfig(counter_bits=1)
+        assert hardware.degree_threshold != (
+            runtime.hardware_config.degree_threshold
+        )
+        plan = runtime.variant(hardware=hardware).plan(app)
+        assert graphs_built(metrics) == built
+        fresh = BlockMaestroRuntime(hardware=hardware).plan(app)
+        assert encodings(plan) == encodings(fresh) != encodings(first)
