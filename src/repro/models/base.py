@@ -79,7 +79,7 @@ from repro.obs.journal import EDGE_KINDS, edge_fields as _edge_fields
 from repro.sim.config import GPUConfig
 from repro.sim.device import Device, empty_device_slots
 from repro.sim.events import EventQueue
-from repro.sim.stats import KernelRecord, RunStats, TBRecord
+from repro.sim.stats import KernelRecord, RunStats, TBTable
 
 _INF = float("inf")
 
@@ -339,7 +339,7 @@ class ExecutionEngine:
         self.call_done_ns = [0.0] * len(plan.order)
         self.call_enqueued = [False] * len(plan.order)
         self.call_enqueued_ns = [0.0] * len(plan.order)
-        self.tb_records: List[TBRecord] = []
+        self.tb_records = TBTable()
         self.counters: Dict[str, float] = {
             "dispatch_passes": 0.0,
             "host_blocks": 0.0,
@@ -525,8 +525,9 @@ class ExecutionEngine:
         the stuck thread blocks and their unmet parents."""
         # the queue drained, so every dispatched TB has finished
         finished = {}
-        for record in self.tb_records:
-            finished.setdefault(record.kernel_index, set()).add(record.tb_id)
+        records = self.tb_records
+        for ki, tb in zip(records.kernel_index, records.tb_id):
+            finished.setdefault(ki, set()).add(tb)
         kernel_rows = []
         for ks in stuck_kernels:
             ki = ks.plan.kernel_index
@@ -957,6 +958,7 @@ class ExecutionEngine:
     def _dispatch(self):
         self._dispatch_passes += 1
         now = self.events.now
+        records = self.tb_records
         # a snapshot: kernels leave ``_active`` at their last dispatch
         if self._consumer_first:
             order = self._active[::-1]
@@ -987,10 +989,12 @@ class ExecutionEngine:
                     ks.first_tb_start_ns = now
                 finish = now + durations[tb]
                 ready_ns = self._tb_ready_time(ks, tb)
-                self.tb_records.append(TBRecord(
-                    ki, tb, now if now < ready_ns else ready_ns, now, finish,
-                    sm,
-                ))
+                records.kernel_index.append(ki)
+                records.tb_id.append(tb)
+                records.ready_ns.append(now if now < ready_ns else ready_ns)
+                records.start_ns.append(now)
+                records.finish_ns.append(finish)
+                records.sm.append(sm)
                 self.events.schedule(finish, self._tb_finished, ks, tb, sm)
 
     def _tb_ready_time(self, ks, tb):
@@ -1188,6 +1192,13 @@ def record_engine_metrics(metrics, stats, events_processed, peak_pending,
     m.set_gauge("engine.peak_pending_events", peak_pending)
     for name, value in counters.items():
         m.set_gauge("engine.{}".format(name), value)
-    for tb in stats.tb_records:
-        m.observe("engine.tb_stall_ns", tb.stall_ns)
-        m.observe("engine.tb_duration_ns", tb.duration_ns)
+    # TBRecord.stall_ns and duration_ns, read from the columns
+    records = stats.tb_records
+    if not records:
+        return
+    observe = m.histogram("engine.tb_stall_ns").observe
+    for ready, start in zip(records.ready_ns, records.start_ns):
+        observe(max(0.0, start - ready))
+    observe = m.histogram("engine.tb_duration_ns").observe
+    for start, finish in zip(records.start_ns, records.finish_ns):
+        observe(finish - start)

@@ -28,9 +28,9 @@ three steps per kernel:
   one runs an O(N log W) slot sweep whose pops replay the reference
   event order (ties broken by dispatch sequence, like the event queue's
   ``(time, seq)`` ordering);
-* **records** — each kernel's :class:`~repro.sim.stats.TBRecord` rows
-  are built in bulk, explicit-graph ready times straight from the
-  graph's ``children_of``.
+* **records** — each kernel's TBs extend the six columns of the run's
+  :class:`~repro.sim.stats.TBTable` in bulk, explicit-graph ready times
+  straight from the graph's ``children_of``.
 
 Host issue, command start, launch window, and in-order completion
 reduce to a forward max/plus scan over the program order.
@@ -68,7 +68,7 @@ from repro.models.base import (
 )
 from repro.obs import PID_DEVICE
 from repro.sim.device import empty_device_slots
-from repro.sim.stats import KernelRecord, RunStats, TBRecord
+from repro.sim.stats import KernelRecord, RunStats, TBTable
 
 #: TBs per numpy pass of :func:`_plan_durations`: enough to amortize
 #: numpy's per-call cost, few enough to keep the pass's arrays small
@@ -156,7 +156,7 @@ def _simulate(plan, config, options, tracer):
     # kernel indices follow program order, the order of the scan
     durations_of = _plan_durations(kernels)
 
-    tb_records = []
+    tb_records = TBTable()
     host_time = 0.0
     run_max_done = 0.0
     host_blocks = 0
@@ -549,7 +549,8 @@ def _extend_records(
     tb_records, ki, kp, ready_in, all_done, completed,
     t0, starts, finishes, sms, parent_finishes,
 ):
-    """Append this kernel's :class:`TBRecord` rows, in dispatch order.
+    """Append this kernel's TBs to the ``tb_records`` columns, in
+    dispatch order.
 
     A TB's ready time is the latest of its inputs, the barriers and —
     under an explicit graph — its parents' finishes, clamped to its
@@ -582,6 +583,9 @@ def _extend_records(
         readies = repeat(base, n)
     else:
         readies = [base if base < s else s for s in starts]
-    tb_records.extend(map(
-        TBRecord, repeat(ki, n), range(n), readies, starts, finishes, sms,
-    ))
+    tb_records.kernel_index.extend(repeat(ki, n))
+    tb_records.tb_id.extend(range(n))
+    tb_records.ready_ns.extend(readies)
+    tb_records.start_ns.extend(starts)
+    tb_records.finish_ns.extend(finishes)
+    tb_records.sm.extend(sms)

@@ -14,7 +14,7 @@ from repro.sim.config import GPUConfig
 from repro.sim.cost import CostModel
 from repro.sim.device import Device
 from repro.sim.events import EventQueue
-from repro.sim.stats import RunStats, TBRecord
+from repro.sim.stats import RunStats, TBRecord, TBTable
 
 __all__ = [
     "GPUConfig",
@@ -23,4 +23,5 @@ __all__ = [
     "EventQueue",
     "RunStats",
     "TBRecord",
+    "TBTable",
 ]

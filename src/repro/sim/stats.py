@@ -14,10 +14,16 @@ paper's metrics derive:
 * memory request overhead: dependency-tracking requests vs. kernel
   requests (Fig. 13);
 * dependency-graph storage: encoded vs. plain bytes (Table III).
+
+A run simulates thousands of thread blocks, and most runs read none of
+them one by one, so :class:`TBTable` keeps the lifecycles as six
+parallel columns the engines append to and builds a :class:`TBRecord`
+row only when one is read.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from operator import sub
+from typing import Dict, List
 
 from repro.obs.metrics import percentile
 
@@ -57,6 +63,57 @@ class TBRecord:
         return self.stall_ns / self.duration_ns
 
 
+#: the columns of a :class:`TBTable`, in :class:`TBRecord` field order
+TB_COLUMNS = ("kernel_index", "tb_id", "ready_ns", "start_ns", "finish_ns", "sm")
+
+
+class TBTable:
+    """Per-TB lifecycles of one run, as six parallel lists.
+
+    Engines append to the columns directly.  Iterating or indexing
+    yields :class:`TBRecord` rows built on the fly, and ``append`` takes
+    one, so hand-built tables read and write like a list of records.
+    """
+
+    __slots__ = TB_COLUMNS
+
+    def __init__(self, records=()):
+        for name in TB_COLUMNS:
+            setattr(self, name, [])
+        for record in records:
+            self.append(record)
+
+    def columns(self):
+        """The six lists, in :data:`TB_COLUMNS` order."""
+        return [getattr(self, name) for name in TB_COLUMNS]
+
+    def append(self, record):
+        for name, column in zip(TB_COLUMNS, self.columns()):
+            column.append(getattr(record, name))
+
+    def __len__(self):
+        return len(self.kernel_index)
+
+    def __iter__(self):
+        return map(TBRecord, *self.columns())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            part = TBTable()
+            for name, column in zip(TB_COLUMNS, self.columns()):
+                setattr(part, name, column[index])
+            return part
+        return TBRecord(*[column[index] for column in self.columns()])
+
+    def __eq__(self, other):
+        if not isinstance(other, TBTable):
+            return NotImplemented
+        return self.columns() == other.columns()
+
+    def __repr__(self):
+        return "TBTable(<{} rows>)".format(len(self))
+
+
 @dataclass
 class KernelRecord:
     """Lifecycle of one kernel launch."""
@@ -80,7 +137,7 @@ class RunStats:
     model: str
     application: str
     makespan_ns: float = 0.0
-    tb_records: List[TBRecord] = field(default_factory=list)
+    tb_records: TBTable = field(default_factory=TBTable)
     kernel_records: List[KernelRecord] = field(default_factory=list)
     #: integral over time of the number of concurrently running TBs
     concurrency_integral: float = 0.0
@@ -95,6 +152,10 @@ class RunStats:
     graph_encoded_bytes: int = 0
     #: free-form counters from models (deadlock retries, reorders, ...)
     counters: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.tb_records, TBTable):  # rows, built by hand
+            self.tb_records = TBTable(self.tb_records)
 
     # ------------------------------------------------------------------
     def speedup_over(self, baseline):
@@ -112,7 +173,14 @@ class RunStats:
 
     def normalized_stalls(self):
         """Per-TB dependency stall normalized to execution time."""
-        return [tb.normalized_stall for tb in self.tb_records]
+        t = self.tb_records
+        durations = map(sub, t.finish_ns, t.start_ns)
+        stalls = map(sub, t.start_ns, t.ready_ns)
+        # TBRecord.normalized_stall; ``s if s > 0.0 else 0.0`` is max(0.0, s)
+        return [
+            0.0 if d <= 0 else (s if s > 0.0 else 0.0) / d
+            for d, s in zip(durations, stalls)
+        ]
 
     def stall_quartiles(self):
         """(q1, median, q3) of the normalized stall distribution."""
@@ -182,14 +250,17 @@ class RunStats:
 
     def validate_invariants(self):
         """Sanity checks every correct simulation must satisfy."""
-        for tb in self.tb_records:
-            if tb.start_ns + 1e-9 < tb.ready_ns:
+        t = self.tb_records
+        for ki, tb, ready, start, finish in zip(
+            t.kernel_index, t.tb_id, t.ready_ns, t.start_ns, t.finish_ns
+        ):
+            if start + 1e-9 < ready:
                 raise AssertionError(
                     "TB {}:{} started before its dependencies resolved".format(
-                        tb.kernel_index, tb.tb_id
+                        ki, tb
                     )
                 )
-            if tb.finish_ns < tb.start_ns:
+            if finish < start:
                 raise AssertionError("negative TB duration")
         previous_completion = {}
         for kr in self.kernel_records:

@@ -75,6 +75,7 @@ CONTENDED = GPUConfig(num_sms=2, max_tbs_per_sm=4, max_threads_per_sm=768)
 
 def _digest(stats):
     payload = dataclasses.asdict(stats)
+    payload["tb_records"] = [dataclasses.asdict(r) for r in stats.tb_records]
     payload["simulated_signature"] = stats.simulated_signature()
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -7,7 +7,9 @@ tb_records=True)`` payload: the ``repro run W --model M --json
 TB's ``tb_record_dict`` row.  Cells: every registry workload at full
 size under ``baseline`` (the vectorized engine tier) and ``consumer3``
 (the scalar engine, or the vectorized tier for the fully connected
-graphs of gaussian and gramschm), on the default engine tier.
+graphs of gaussian and gramschm), on the default engine tier.  The
+payload's ``counters`` carry ``dispatch_passes``, which the vectorized
+tier reports as 0.0, so ``REPRO_ENGINE=reference`` gives other digests.
 
 Regenerate only for an intentional change of that output:
 ``PYTHONPATH=src python -m tests.regression.test_tb_records_json``.

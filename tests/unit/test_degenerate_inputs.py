@@ -192,6 +192,7 @@ def _complete_digest(stats):
     """sha256 of the complete RunStats; every number in it must be a
     plain Python int or float."""
     payload = dataclasses.asdict(stats)
+    payload["tb_records"] = [dataclasses.asdict(r) for r in stats.tb_records]
     pending = [payload]
     while pending:
         value = pending.pop()
