@@ -27,8 +27,6 @@ Regenerate only for an intentional change of simulated behaviour:
 ``PYTHONPATH=src python -m tests.regression.test_engine_records``.
 """
 
-import dataclasses
-import hashlib
 import json
 import os
 
@@ -54,6 +52,7 @@ from repro.workloads.base import AppBuilder
 from repro.workloads.streams import build_pipelines
 
 from tests.conftest import PRODUCE_SRC, make_chain_app
+from tests.digests import runstats_digest
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "engine_records.json")
 MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
@@ -71,14 +70,6 @@ GROUPS = REGISTRY + FUZZ + list(STREAM_APPS) + list(DEVICE_APPS)
 #: its block cap at 4, so even the small apps contend for slots and the
 #: TB scheduler's order decides who runs
 CONTENDED = GPUConfig(num_sms=2, max_tbs_per_sm=4, max_threads_per_sm=768)
-
-
-def _digest(stats):
-    payload = dataclasses.asdict(stats)
-    payload["tb_records"] = [dataclasses.asdict(r) for r in stats.tb_records]
-    payload["simulated_signature"] = stats.simulated_signature()
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _event_app():
@@ -218,7 +209,7 @@ def test_records_match_golden(golden, group):
         cell: digest for cell, digest in golden.items()
         if cell.split("/", 1)[0] == group
     }
-    actual = {cell: _digest(stats) for cell, stats in group_cells(group)}
+    actual = {cell: runstats_digest(stats) for cell, stats in group_cells(group)}
     assert set(actual) == set(expected)
     for cell in sorted(actual):
         assert actual[cell] == expected[cell], cell
@@ -226,7 +217,7 @@ def test_records_match_golden(golden, group):
 
 if __name__ == "__main__":
     records = {
-        cell: _digest(stats)
+        cell: runstats_digest(stats)
         for group in GROUPS
         for cell, stats in group_cells(group)
     }

@@ -10,8 +10,6 @@ zero-TB kernels decline to the reference so its behavior (including
 errors) is preserved verbatim.
 """
 
-import dataclasses
-import hashlib
 import json
 
 import pytest
@@ -23,6 +21,8 @@ from repro.sim.timeline import (
     render_concurrency_profile,
     render_kernel_timeline,
 )
+
+from tests.digests import payload_digest, runstats_payload
 
 ENGINE_MODES = ("reference", "vectorized", "auto")
 
@@ -191,8 +191,7 @@ class TestEngineDegeneratePlans:
 def _complete_digest(stats):
     """sha256 of the complete RunStats; every number in it must be a
     plain Python int or float."""
-    payload = dataclasses.asdict(stats)
-    payload["tb_records"] = [dataclasses.asdict(r) for r in stats.tb_records]
+    payload = runstats_payload(stats)
     pending = [payload]
     while pending:
         value = pending.pop()
@@ -202,8 +201,7 @@ def _complete_digest(stats):
             pending.extend(value)
         else:
             assert type(value) in (int, float, str, bool), repr(value)
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return payload_digest(payload)
 
 
 class TestSingleWaveEdges:
