@@ -126,8 +126,16 @@ class KernelPlan:
         base = self._base_duration_ns
         if not self._jitter:
             return [base] * n
-        index, jitter = self.kernel_index, self._jitter
-        return [base * jitter_factor(index, tb, jitter) for tb in range(n)]
+        # base * jitter_factor(kernel_index, tb, jitter) for every TB: the
+        # same integer hash and float operations, one pass per step
+        jitter = self._jitter
+        h0 = (self.kernel_index * 0x9E3779B1 + 0x165667B1) & 0xFFFFFFFF
+        hashes = [(h0 + tb * 0x85EBCA77) & 0xFFFFFFFF for tb in range(n)]
+        hashes = [((h ^ (h >> 16)) * 0x045D9F3B) & 0xFFFFFFFF for h in hashes]
+        return [
+            base * (1.0 + jitter * (2.0 * ((h ^ (h >> 16)) / 4294967296.0) - 1.0))
+            for h in hashes
+        ]
 
 
 @dataclass

@@ -40,9 +40,11 @@ Semantics implemented here:
   all its TBs finished and its predecessor completed (Section III-B.1).
 """
 
+import itertools
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
 from repro.core.policy import SchedulingPolicy
@@ -75,10 +77,8 @@ from repro.obs import (
     resolve_metrics,
     resolve_tracer,
 )
-from repro.obs.journal import EDGE_KINDS, edge_fields as _edge_fields
 from repro.sim.config import GPUConfig
 from repro.sim.device import Device, empty_device_slots
-from repro.sim.events import EventQueue
 from repro.sim.stats import KernelRecord, RunStats, TBTable
 
 _INF = float("inf")
@@ -87,7 +87,7 @@ _INF = float("inf")
 def first_bad_duration(durations):
     """Index of the first NaN, infinite or negative duration, else None.
 
-    The event queue cannot schedule a finish at such a time.  ``min``
+    The engine cannot schedule a finish at such a time.  ``min``
     misses a NaN after the first element and ``sum`` does not; a sum
     that overflows on finite durations rescans and finds none.
     """
@@ -272,10 +272,13 @@ class _KernelState:
     #: parent so far: each parent stamps its children as it finishes,
     #: and events run in time order
     parents_done_ns: Optional[List[float]] = None
+    #: a TB's ready time is its stamp or the input-ready time, whichever
+    #: is later: no grandparent barrier or cross-stream dependency adds
+    #: to it
+    ready_from_stamps: bool = False
     #: TBs whose counters resolved while the ready queue was at capacity
     deferred_ready: deque = field(default_factory=deque)
     first_tb_start_ns: Optional[float] = None
-    queued_ready: int = 0  # TBs pushed to ready (incl. dispatched)
     made_eligible: bool = False
     #: fine-grain, fully connected: no TB is ready before the parent
     #: kernel drains
@@ -302,6 +305,19 @@ class EngineDrainError(RuntimeError):
 
 
 class ExecutionEngine:
+    """The discrete-event simulation of one plan under one model.
+
+    The engine owns its event heap.  Events run in ``(time, seq)``
+    order, ``seq`` counting schedulings, so same-time events run in the
+    order they were scheduled and every run is deterministic.  A TB
+    finish is the heap entry ``(finish, seq, kernel state, tb, sm)``,
+    which the event loop hands to :meth:`_tb_finished`; every other
+    event is ``(time, seq, callback, args)`` (:meth:`schedule`).
+    """
+
+    #: events per run before the loop gives up on a livelock
+    max_events = 50_000_000
+
     def __init__(
         self,
         plan: RuntimePlan,
@@ -319,11 +335,23 @@ class ExecutionEngine:
         self.metrics = resolve_metrics(metrics)
         #: observation-only flight recorder of every engine event
         self.journal = journal
+        if journal is not None:
+            # imported here: an unobserved run builds no release edges
+            from repro.obs.journal import EDGE_KINDS, edge_fields
+
+            self._edge_kinds, self._edge_fields = EDGE_KINDS, edge_fields
         #: the event context: what kind of event is currently executing
         #: (the journal's release edges only — never consulted for
         #: scheduling)
         self._ctx = ("host",)
-        self.events = EventQueue()
+        self._heap = []
+        self._seq = itertools.count()
+        #: time of the event running now (of the last one, once drained)
+        self.now = 0.0
+        #: free observability counters, copied into the metrics registry
+        #: after the run
+        self.events_processed = 0
+        self.peak_pending = 0
         self.device = device if device is not None else Device(
             gpu_config, tracer=self.tracer, metrics=self.metrics
         )
@@ -397,6 +425,9 @@ class ExecutionEngine:
         #: scheduler's candidates on every dispatch pass
         self._active: List[int] = []
         self._consumer_first = options.policy.prefers_consumer
+        #: a released TB joins its ready queue with nothing to record
+        #: and no pending-buffer cap to check
+        self._plain_push = options.ready_capacity is None and journal is None
 
     # ------------------------------------------------------------------
     def _advance_done_prefix(self, stream):
@@ -451,8 +482,8 @@ class ExecutionEngine:
         if self.journal is not None:
             self.journal.begin(self)
         self._init_fine_grain()
-        self.events.schedule(0.0, self._host_resume)
-        makespan = self.events.run()
+        self.schedule(0.0, self._host_resume)
+        makespan = self._run_events()
         self.counters["dispatch_passes"] += self._dispatch_passes
         self.device.finalize(makespan)
         stats = RunStats(
@@ -481,6 +512,47 @@ class ExecutionEngine:
         self._record_metrics(stats)
         return stats
 
+    def schedule(self, time, callback, *args):
+        """Run ``callback(*args)`` at absolute simulated ``time``."""
+        if time < self.now:
+            raise ValueError(
+                "cannot schedule event at {} before now {}".format(
+                    time, self.now
+                )
+            )
+        heap = self._heap
+        heappush(heap, (float(time), next(self._seq), callback, args))
+        if len(heap) > self.peak_pending:
+            self.peak_pending = len(heap)
+
+    def _run_events(self):
+        """Run events until the heap drains; returns the last one's time.
+
+        Raises :class:`RuntimeError` on the event past ``max_events``.
+        """
+        heap = self._heap
+        pop = heappop
+        tb_finished = self._tb_finished
+        max_events = self.max_events
+        count = 0
+        try:
+            while heap:
+                entry = pop(heap)
+                count += 1
+                if len(entry) == 5:
+                    self.now, _seq, ks, tb, sm = entry
+                    tb_finished(ks, tb, sm)
+                else:
+                    self.now, _seq, callback, args = entry
+                    callback(*args)
+                if count > max_events:
+                    raise RuntimeError(
+                        "event cap exceeded; simulation livelock?"
+                    )
+        finally:
+            self.events_processed += count
+        return self.now
+
     def _journal_emit(self, kind, **fields):
         """Emit one flight-recorder event at the current engine time.
 
@@ -491,9 +563,9 @@ class ExecutionEngine:
         """
         if self.journal is None:
             return
-        if kind in EDGE_KINDS:
-            fields["edge"] = _edge_fields(self._ctx)
-        self.journal.emit(kind, self.events.now, **fields)
+        if kind in self._edge_kinds:
+            fields["edge"] = self._edge_fields(self._ctx)
+        self.journal.emit(kind, self.now, **fields)
 
     # ------------------------------------------------------------------
     # observability (pure observation: derived from the finished run's
@@ -508,8 +580,8 @@ class ExecutionEngine:
     def _record_metrics(self, stats: RunStats):
         record_engine_metrics(
             self.metrics, stats,
-            events_processed=self.events.processed,
-            peak_pending=self.events.peak_pending,
+            events_processed=self.events_processed,
+            peak_pending=self.peak_pending,
             counters=self.counters,
         )
 
@@ -631,6 +703,11 @@ class ExecutionEngine:
             # times are non-negative, so a TB without parents keeps its
             # input-ready time
             ks.parents_done_ns = [0.0] * graph.num_children
+            plan = ks.plan
+            ks.ready_from_stamps = not plan.cross_stream_deps and not (
+                plan.grandparent_barrier
+                and plan.chain_grandparent is not None
+            )
             if self.opts.fine_grain:
                 ks.pending_counters = list(graph.parent_counts)
 
@@ -641,7 +718,7 @@ class ExecutionEngine:
         while self._host_cursor < len(self.plan.order):
             position = self._host_cursor
             call = self.plan.order[position]
-            issue_at = max(self._host_time, self.events.now)
+            issue_at = max(self._host_time, self.now)
             enqueue_at = issue_at + self.opts.api_call_ns
             self._host_cursor += 1
             self._host_time = enqueue_at
@@ -653,7 +730,7 @@ class ExecutionEngine:
                 issue_ns=issue_at,
                 blocking=self._host_blocks_on(call),
             )
-            self.events.schedule(enqueue_at, self._enqueue, position)
+            self.schedule(enqueue_at, self._enqueue, position)
             if self._host_blocks_on(call):
                 self.counters["host_blocks"] += 1
                 # suspend: resume when this call completes
@@ -681,7 +758,7 @@ class ExecutionEngine:
     def _enqueue(self, position):
         self._ctx = ("enqueue", position)
         self.call_enqueued[position] = True
-        self.call_enqueued_ns[position] = self.events.now
+        self.call_enqueued_ns[position] = self.now
         call = self.plan.order[position]
         self._journal_emit(
             "call_enqueue",
@@ -692,7 +769,7 @@ class ExecutionEngine:
         if isinstance(call, KernelLaunchCall):
             # kernels go through the launch engine
             ki = self.plan.kernel_at_position[position]
-            self.kernels[ki].enqueued_ns = self.events.now
+            self.kernels[ki].enqueued_ns = self.now
         else:
             insort(self._waiting_calls, position)
         self._pump()
@@ -715,7 +792,7 @@ class ExecutionEngine:
         self._dispatch()
 
     def _start_command(self, position, call):
-        now = self.events.now
+        now = self.now
         self._journal_emit(
             "call_start",
             position=position,
@@ -728,7 +805,7 @@ class ExecutionEngine:
             duration = self.timing.memcpy_ns(call.bytes)
         else:  # synchronizes, events, waits: bookkeeping only
             duration = 0.0
-        self.events.schedule(
+        self.schedule(
             now + duration, self._scheduled_complete, position
         )
 
@@ -740,7 +817,7 @@ class ExecutionEngine:
         if self.call_done[position]:
             return
         self.call_done[position] = True
-        self.call_done_ns[position] = self.events.now
+        self.call_done_ns[position] = self.now
         call = self.plan.order[position]
         self._journal_emit(
             "call_complete",
@@ -780,15 +857,15 @@ class ExecutionEngine:
                 if self._stream_in_flight[stream] >= self.opts.window:
                     break
                 self._stream_in_flight[stream] += 1
-                ks.launch_begin_ns = self.events.now
+                ks.launch_begin_ns = self.now
                 ks.input_ready_ns = self._input_ready_ns(position)
                 self._journal_emit(
                     "kernel_launch", kernel=ki, name=ks.plan.name,
                     stream=stream,
                 )
                 self._stream_launch_cursor[stream] = cursor + 1
-                self.events.schedule(
-                    self.events.now + self.opts.launch_overhead_ns,
+                self.schedule(
+                    self.now + self.opts.launch_overhead_ns,
                     self._launch_done, ki,
                 )
 
@@ -835,7 +912,7 @@ class ExecutionEngine:
         ks = self.kernels[ki]
         ks.durations = self._tb_durations(ks)
         ks.resident = True
-        ks.resident_ns = self.events.now
+        ks.resident_ns = self.now
         if ks.dispatched < ks.num_tbs:
             insort(self._active, ki)
         self._journal_emit("kernel_resident", kernel=ki, name=ks.plan.name)
@@ -925,7 +1002,6 @@ class ExecutionEngine:
             ks.deferred_ready.append(tb)
             return
         ks.ready.append(tb)
-        ks.queued_ready += 1
         if self.journal is not None:
             self._journal_emit("tb_ready", kernel=ks.plan.kernel_index, tb=tb)
 
@@ -936,7 +1012,6 @@ class ExecutionEngine:
         ):
             tb = ks.deferred_ready.popleft()
             ks.ready.append(tb)
-            ks.queued_ready += 1
             if self.journal is not None:
                 self._journal_emit(
                     "tb_ready", kernel=ks.plan.kernel_index, tb=tb
@@ -957,21 +1032,24 @@ class ExecutionEngine:
 
     def _dispatch(self):
         self._dispatch_passes += 1
-        now = self.events.now
+        active = self._active
+        if not active:
+            return
+        now = self.now
         records = self.tb_records
+        heap = self._heap
+        seq = self._seq
+        try_place = self.device.try_place
         # a snapshot: kernels leave ``_active`` at their last dispatch
-        if self._consumer_first:
-            order = self._active[::-1]
-        else:
-            order = self._active[:]
-        for ki in order:
+        for ki in active[::-1] if self._consumer_first else active[:]:
             ks = self.kernels[ki]
             ready = ks.ready
             if not ready or not self._producer_gate_ok(ki):
                 continue
-            try_place = self.device.try_place
             threads = ks.threads_per_tb
             durations = ks.durations
+            stamps = ks.parents_done_ns if ks.ready_from_stamps else None
+            input_ready = ks.input_ready_ns
             while ready:
                 sm = try_place(threads, now)
                 if sm is None:
@@ -983,19 +1061,28 @@ class ExecutionEngine:
                     self._drain_deferred(ks)
                 ks.dispatched += 1
                 if ks.dispatched == ks.num_tbs:
-                    self._active.remove(ki)
+                    active.remove(ki)
                     self._advance_undispatched(ks.plan.stream)
                 if ks.first_tb_start_ns is None:
                     ks.first_tb_start_ns = now
                 finish = now + durations[tb]
-                ready_ns = self._tb_ready_time(ks, tb)
+                if stamps is None:
+                    ready_ns = self._tb_ready_time(ks, tb)
+                else:
+                    ready_ns = stamps[tb]
+                    if input_ready > ready_ns:
+                        ready_ns = input_ready
                 records.kernel_index.append(ki)
                 records.tb_id.append(tb)
                 records.ready_ns.append(now if now < ready_ns else ready_ns)
                 records.start_ns.append(now)
                 records.finish_ns.append(finish)
                 records.sm.append(sm)
-                self.events.schedule(finish, self._tb_finished, ks, tb, sm)
+                # durations are finite and non-negative: never in the past
+                heappush(heap, (finish, next(seq), ks, tb, sm))
+        # only pushes since the pass began: the heap is deepest now
+        if len(heap) > self.peak_pending:
+            self.peak_pending = len(heap)
 
     def _tb_ready_time(self, ks, tb):
         """Data-availability time for stall statistics (model independent:
@@ -1028,7 +1115,7 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------
     def _tb_finished(self, ks, tb, sm):
-        now = self.events.now
+        now = self.now
         ki = ks.index
         journal = self.journal
         if journal is not None:
@@ -1050,11 +1137,22 @@ class ExecutionEngine:
                 if counters is None:
                     for c in child.graph.children_of[tb]:
                         stamps[c] = now
+                elif not child.made_eligible:
+                    for c in child.graph.children_of[tb]:
+                        stamps[c] = now
+                        counters[c] -= 1
+                elif self._plain_push:
+                    ready = child.ready
+                    for c in child.graph.children_of[tb]:
+                        stamps[c] = now
+                        counters[c] -= 1
+                        if counters[c] == 0:
+                            ready.append(c)
                 else:
                     for c in child.graph.children_of[tb]:
                         stamps[c] = now
                         counters[c] -= 1
-                        if counters[c] == 0 and child.made_eligible:
+                        if counters[c] == 0:
                             self._push_ready(child, c)
         if ks.finished == ks.num_tbs:
             ks.all_tbs_done = True
@@ -1063,9 +1161,10 @@ class ExecutionEngine:
             self._on_all_tbs_done(ki)
             if journal is not None:
                 self._ctx = ("tb_finish", ki, tb)  # leaving the cascade
-        if child_ki is not None:
+        if child_ki is not None and child.resident:
             # a refresh changes nothing when nothing is deferred and the
-            # child is eligible already or waits for this whole kernel
+            # child is eligible already or waits for this whole kernel;
+            # a child not resident yet is not eligible at all
             if child.deferred_ready or not (
                 child.made_eligible
                 or (child.awaits_parent_drain and not ks.all_tbs_done)
@@ -1084,7 +1183,7 @@ class ExecutionEngine:
             if prev is not None and not self.kernels[prev].completed:
                 break
             ks.completed = True
-            ks.completed_ns = self.events.now
+            ks.completed_ns = self.now
             self._stream_in_flight[ks.plan.stream] -= 1
             self._ctx = ("completion", idx)
             self._journal_emit(

@@ -13,14 +13,12 @@ DESIGN.md ("Substitutions") for the fidelity discussion.
 from repro.sim.config import GPUConfig
 from repro.sim.cost import CostModel
 from repro.sim.device import Device
-from repro.sim.events import EventQueue
 from repro.sim.stats import RunStats, TBRecord, TBTable
 
 __all__ = [
     "GPUConfig",
     "CostModel",
     "Device",
-    "EventQueue",
     "RunStats",
     "TBRecord",
     "TBTable",

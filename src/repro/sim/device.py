@@ -96,15 +96,6 @@ class Device:
                 pid=PID_DEVICE,
             )
 
-    # ------------------------------------------------------------------
-    def _advance(self, now_ns):
-        dt = now_ns - self._last_event_ns
-        if dt > 0:
-            self.concurrency_integral += dt * self.running
-            if self.running > 0:
-                self.busy_ns += dt
-            self._last_event_ns = now_ns
-
     def free_slots(self, threads_per_tb):
         """Total blocks of the given size that could be placed right now."""
         per_tb = max(1, threads_per_tb)
@@ -115,6 +106,9 @@ class Device:
             total += max(0, min(by_tbs, by_threads))
         return total
 
+    # try_place, release and finalize each advance the concurrency
+    # integral to ``now_ns`` first: ``running`` blocks ran since the last
+    # event time, and same-time events add nothing
     def try_place(self, threads_per_tb, now_ns):
         """Place one block on the least-loaded SM it fits; returns the SM
         index or ``None`` when nothing fits."""
@@ -126,21 +120,51 @@ class Device:
             return None  # the least-threaded open SM has the most room
         del open_sms[0]
         sm = key & self._index_mask
-        if self.resident_tbs[sm] + 1 < self._max_tbs:
+        tbs = self.resident_tbs[sm] + 1
+        if tbs < self._max_tbs:
             insort(
                 open_sms,
                 key + (threads_per_tb << self._threads_shift) + self._one_tb,
             )
-        self._occupy(sm, threads_per_tb, now_ns)
+        running = self.running
+        dt = now_ns - self._last_event_ns
+        if dt > 0:
+            self.concurrency_integral += dt * running
+            if running > 0:
+                self.busy_ns += dt
+            self._last_event_ns = now_ns
+        self.resident_tbs[sm] = tbs
+        self.resident_threads[sm] += threads_per_tb
+        running += 1
+        self.running = running
+        self.placements += 1
+        if running > self.peak_concurrency:
+            self.peak_concurrency = running
+        if self.tracer.enabled:
+            self._sample_occupancy(now_ns, sm)
         return sm
 
     def release(self, sm_index, threads_per_tb, now_ns):
         tbs = self.resident_tbs[sm_index]
+        threads = self.resident_threads[sm_index]
+        if tbs <= 0 or threads < threads_per_tb:
+            raise RuntimeError("release without matching placement")
+        running = self.running
+        dt = now_ns - self._last_event_ns
+        if dt > 0:
+            self.concurrency_integral += dt * running
+            if running > 0:
+                self.busy_ns += dt
+            self._last_event_ns = now_ns
+        self.resident_tbs[sm_index] = tbs - 1
+        self.resident_threads[sm_index] = threads - threads_per_tb
+        self.running = running - 1
+        if self.tracer.enabled:
+            self._sample_occupancy(now_ns, sm_index)
         key = (
-            (self.resident_threads[sm_index] << self._threads_shift)
-            + (tbs << self._tbs_shift) + sm_index
+            (threads << self._threads_shift) + (tbs << self._tbs_shift)
+            + sm_index
         )
-        self._vacate(sm_index, threads_per_tb, now_ns)
         open_sms = self._open
         if tbs < self._max_tbs:
             del open_sms[bisect_left(open_sms, key)]
@@ -149,33 +173,14 @@ class Device:
             key - (threads_per_tb << self._threads_shift) - self._one_tb,
         )
 
-    def _occupy(self, sm, threads_per_tb, now_ns):
-        self._advance(now_ns)
-        self.resident_tbs[sm] += 1
-        self.resident_threads[sm] += threads_per_tb
-        self.running += 1
-        self.placements += 1
-        if self.running > self.peak_concurrency:
-            self.peak_concurrency = self.running
-        if self.tracer.enabled:
-            self._sample_occupancy(now_ns, sm)
-
-    def _vacate(self, sm, threads_per_tb, now_ns):
-        if (
-            self.resident_tbs[sm] <= 0
-            or self.resident_threads[sm] < threads_per_tb
-        ):
-            raise RuntimeError("release without matching placement")
-        self._advance(now_ns)
-        self.resident_tbs[sm] -= 1
-        self.resident_threads[sm] -= threads_per_tb
-        self.running -= 1
-        if self.tracer.enabled:
-            self._sample_occupancy(now_ns, sm)
-
     def finalize(self, now_ns):
         """Close the concurrency integral at end of simulation."""
-        self._advance(now_ns)
+        dt = now_ns - self._last_event_ns
+        if dt > 0:
+            self.concurrency_integral += dt * self.running
+            if self.running > 0:
+                self.busy_ns += dt
+            self._last_event_ns = now_ns
         m = self.metrics
         if m.enabled:
             m.set_gauge("device.peak_tb_concurrency", self.peak_concurrency)
@@ -195,15 +200,14 @@ class UnboundedDevice(Device):
 
     def __init__(self, config: GPUConfig, tracer=None, metrics=None):
         super().__init__(config, tracer=tracer, metrics=metrics)
+        # one SM without limits: its key, ``threads << 64 | tbs``, is
+        # always the one open entry, so placing and releasing stay O(1)
         self.resident_tbs = [0]
         self.resident_threads = [0]
+        self._max_tbs = self._max_threads = float("inf")
+        self._tbs_shift, self._threads_shift = 0, 64
+        self._index_mask, self._one_tb = 0, 1
+        self._open = [0]
 
     def free_slots(self, threads_per_tb):
         return 1 << 30
-
-    def try_place(self, threads_per_tb, now_ns):
-        self._occupy(0, threads_per_tb, now_ns)
-        return 0
-
-    def release(self, sm_index, threads_per_tb, now_ns):
-        self._vacate(sm_index, threads_per_tb, now_ns)

@@ -9,6 +9,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import GPUConfig
 
 from tests.conftest import PRODUCE_SRC, make_chain_app
+from repro.workloads import all_workloads
 from repro.workloads.base import AppBuilder
 
 
@@ -103,6 +104,27 @@ class TestDurations:
         plan = runtime.plan(make_chain_app(name="nj"), reorder=False)
         k = plan.kernels[0]
         assert k.tb_duration_ns(0) == k.tb_duration_ns(31)
+
+    def test_durations_match_jitter_factor_on_the_registry(self):
+        """``tb_durations_ns`` unrolls the hash over a kernel's TBs; every
+        TB of every full-size registry kernel must get exactly the bits
+        of ``base * jitter_factor``."""
+        runtime = BlockMaestroRuntime()
+        tbs = 0
+        for spec in all_workloads():
+            plan = runtime.plan(spec.build(), reorder=False)
+            for kp in plan.kernels:
+                assert kp._jitter == 0.15
+                expected = [
+                    kp._base_duration_ns
+                    * jitter_factor(kp.kernel_index, tb, kp._jitter)
+                    for tb in range(kp.num_tbs)
+                ]
+                assert [d.hex() for d in kp.tb_durations_ns()] == [
+                    d.hex() for d in expected
+                ], (spec.name, kp.kernel_index)
+                tbs += kp.num_tbs
+        assert tbs == 63992
 
 
 class TestGrandparentDetection:

@@ -1,18 +1,34 @@
-"""Unit tests for the simulator substrate: events, device, cost, stats."""
+"""Unit tests for the simulator substrate: the engine's event queue,
+device, cost, stats."""
 
 import pytest
 
+from repro.core.runtime import BlockMaestroRuntime
+from repro.models import BlockMaestroModel, SerializedBaseline
+from repro.models.base import ExecutionEngine
 from repro.sim.config import GPUConfig
 from repro.sim.cost import CostModel
 from repro.sim.device import Device
-from repro.sim.events import EventQueue
 from repro.obs.metrics import percentile
 from repro.sim.stats import KernelRecord, RunStats, TBRecord
+from repro.workloads.base import AppBuilder
+
+from tests.conftest import make_chain_app
 
 
 class TestEventQueue:
+    """The scalar engine's event heap, driven through
+    :meth:`ExecutionEngine.schedule` on an empty plan: besides the
+    events a test schedules, a run has only the host's start at 0."""
+
+    @staticmethod
+    def _engine():
+        plan = BlockMaestroRuntime().plan(AppBuilder("events").build())
+        model = SerializedBaseline()
+        return ExecutionEngine(plan, model.gpu_config, model.options())
+
     def test_fires_in_time_order(self):
-        q = EventQueue()
+        q = self._engine()
         log = []
         q.schedule(5.0, lambda: log.append("b"))
         q.schedule(1.0, lambda: log.append("a"))
@@ -21,7 +37,7 @@ class TestEventQueue:
         assert log == ["a", "b", "c"]
 
     def test_ties_fire_in_schedule_order(self):
-        q = EventQueue()
+        q = self._engine()
         log = []
         q.schedule(1.0, lambda: log.append(1))
         q.schedule(1.0, lambda: log.append(2))
@@ -29,60 +45,62 @@ class TestEventQueue:
         assert log == [1, 2]
 
     def test_now_advances(self):
-        q = EventQueue()
+        q = self._engine()
         seen = []
         q.schedule(3.0, lambda: seen.append(q.now))
-        q.run()
+        stats = q.run()
         assert seen == [3.0]
+        assert stats.makespan_ns == 3.0
 
     def test_schedule_in_past_rejected(self):
-        q = EventQueue()
+        q = self._engine()
         q.schedule(5.0, lambda: q.schedule(1.0, lambda: None))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="before now"):
             q.run()
 
     def test_schedule_after(self):
-        q = EventQueue()
+        q = self._engine()
         times = []
-        q.schedule(2.0, lambda: q.schedule_after(3.0, lambda: times.append(q.now)))
+        q.schedule(2.0, lambda: q.schedule(q.now + 3.0, lambda: times.append(q.now)))
         q.run()
         assert times == [5.0]
 
     def test_nested_scheduling(self):
-        q = EventQueue()
+        q = self._engine()
         count = [0]
 
         def tick():
             count[0] += 1
             if count[0] < 5:
-                q.schedule_after(1.0, tick)
+                q.schedule(q.now + 1.0, tick)
 
         q.schedule(0.0, tick)
-        end = q.run()
+        stats = q.run()
         assert count[0] == 5
-        assert end == 4.0
+        assert stats.makespan_ns == 4.0
 
     def test_event_cap(self):
-        q = EventQueue()
+        q = self._engine()
+        q.max_events = 100
 
         def forever():
-            q.schedule_after(1.0, forever)
+            q.schedule(q.now + 1.0, forever)
 
         q.schedule(0.0, forever)
         with pytest.raises(RuntimeError):
-            q.run(max_events=100)
+            q.run()
 
     def test_callback_arguments_arrive(self):
-        q = EventQueue()
+        q = self._engine()
         log = []
         q.schedule(2.0, lambda *args: log.append(args), "b", 2)
         q.schedule(1.0, log.append, "a")
-        q.schedule_after(3.0, lambda *args: log.append(args))
+        q.schedule(3.0, lambda *args: log.append(args))
         q.run()
         assert log == ["a", ("b", 2), ()]
 
     def test_ties_with_arguments_fire_in_schedule_order(self):
-        q = EventQueue()
+        q = self._engine()
         log = []
         for tag in (3, 1, 2):
             q.schedule(1.0, log.append, tag)
@@ -91,34 +109,60 @@ class TestEventQueue:
         assert log == [3, 1, 2, 0]
 
     def test_processed_and_peak_pending_are_exact(self):
-        q = EventQueue()
+        q = self._engine()
 
         def fan_out(depth):
             if depth:
                 for _ in range(3):
-                    q.schedule_after(1.0, fan_out, depth - 1)
+                    q.schedule(q.now + 1.0, fan_out, depth - 1)
 
         q.schedule(0.0, fan_out, 2)
         q.schedule(0.0, fan_out, 0)
-        q.run()
-        # 2 roots, 3 children of the first, 9 grandchildren
-        assert q.processed == 2 + 3 + 9
+        stats = q.run()
+        # the host's start, 2 roots, 3 children of the first, 9
+        # grandchildren
+        assert q.events_processed == 1 + 2 + 3 + 9
         # deepest heap: all 9 grandchildren, pending once the last child
         # has run (the roots and children were popped before)
         assert q.peak_pending == 9
-        assert q.now == 2.0
+        assert stats.makespan_ns == 2.0
 
     def test_event_cap_with_arguments(self):
-        q = EventQueue()
+        q = self._engine()
+        q.max_events = 100
 
         def forever(step):
-            q.schedule_after(1.0, forever, step + 1)
+            q.schedule(q.now + 1.0, forever, step + 1)
 
         q.schedule(0.0, forever, 0)
         with pytest.raises(RuntimeError, match="event cap"):
-            q.run(max_events=100)
+            q.run()
         # the capped run stops after the event past the cap
-        assert q.processed == 101
+        assert q.events_processed == 101
+
+    def test_processed_counts_every_event_of_a_run(self):
+        """The host's start, one enqueue per call, one completion per
+        non-kernel call, one launch per kernel and one finish per TB."""
+        app = make_chain_app(num_pairs=2, tbs=8, block=64, name="count")
+        plan = BlockMaestroRuntime().plan(app, reorder=True, window=2)
+        model = BlockMaestroModel(window=2)
+        q = ExecutionEngine(plan, model.gpu_config, model.options())
+        stats = q.run()
+        calls = len(plan.order)
+        kernels = len(plan.kernels)
+        assert q.events_processed == (
+            1 + calls + (calls - kernels) + kernels + len(stats.tb_records)
+        )
+
+    def test_event_cap_below_a_runs_events_raises(self):
+        app = make_chain_app(num_pairs=2, tbs=8, block=64, name="capped")
+        plan = BlockMaestroRuntime().plan(app, reorder=True, window=2)
+        model = BlockMaestroModel(window=2)
+        q = ExecutionEngine(plan, model.gpu_config, model.options())
+        q.max_events = 10
+        with pytest.raises(RuntimeError, match="event cap"):
+            q.run()
+        assert q.events_processed == 11
 
 
 class TestGPUConfig:
