@@ -1,6 +1,6 @@
 """Differential fuzzing harness: seeded cases, every tier vs the oracle.
 
-One fuzz *case* is a :class:`~repro.workloads.ptxgen.FuzzSpec`.  Per
+One fuzz *case* is a :class:`~repro.workloads.fuzzgen.FuzzSpec`.  Per
 case the harness runs the full pipeline (PTX parse → launch-time
 analysis → hardware encoding → discrete-event engine) once under the
 scalar ``reference`` oracle and once under every candidate
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.version import FUZZ_REPORT_SCHEMA_VERSION
-from repro.workloads.ptxgen import FuzzSpec, build_fuzz_app
+from repro.workloads.fuzzgen import FuzzSpec, build_fuzz_app
 
 FUZZ_REPORT_KIND = "repro-fuzz-report"
 

@@ -22,7 +22,7 @@ import os
 
 from repro.fuzz.runner import check_case
 from repro.version import CASE_SCHEMA_VERSION
-from repro.workloads.ptxgen import FuzzKernel, FuzzSpec
+from repro.workloads.fuzzgen import FuzzKernel, FuzzSpec
 
 CASE_KIND = "repro-fuzz-case"
 

@@ -12,7 +12,9 @@ Public surface:
 * :class:`~repro.ptx.isa.Instruction`, operand classes and opcode tables.
 * :class:`~repro.ptx.module.Kernel` / :class:`~repro.ptx.module.Module`.
 * :func:`~repro.ptx.parser.parse_module` — text to :class:`Module`.
-* :class:`~repro.ptx.builder.KernelBuilder` — programmatic construction.
+
+:class:`~repro.ptx.builder.KernelBuilder` (programmatic construction,
+for tests) is imported from its module; nothing in the program uses it.
 """
 
 from repro.ptx.errors import PTXError, PTXParseError, PTXValidationError
@@ -28,7 +30,6 @@ from repro.ptx.isa import (
 )
 from repro.ptx.module import Kernel, KernelParam, Module
 from repro.ptx.parser import parse_kernel, parse_module
-from repro.ptx.builder import KernelBuilder
 
 __all__ = [
     "PTXError",
@@ -47,5 +48,4 @@ __all__ = [
     "Module",
     "parse_kernel",
     "parse_module",
-    "KernelBuilder",
 ]

@@ -1,7 +1,8 @@
 """Workload registry: the paper's Table II benchmark suite by name."""
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple, Union
 
 
 class UnknownWorkloadError(KeyError):
@@ -11,28 +12,13 @@ class UnknownWorkloadError(KeyError):
     maps it to exit code 2 with a one-line message.
     """
 
-from repro.workloads.polybench import (
-    build_3mm,
-    build_bicg,
-    build_fdtd2d,
-    build_gramschm,
-    build_mvt,
-)
-from repro.workloads.rodinia import (
-    build_gaussian,
-    build_hotspot,
-    build_lud,
-    build_nw,
-    build_pathfinder,
-)
-from repro.workloads.shoc import build_fft
-from repro.workloads.tango import build_alexnet
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Registry entry: paper metadata plus the builder callable.
+    """Registry entry: paper metadata plus the builder.
 
+    ``builder`` is a callable or its ``"module:function"`` path; a path
+    is imported on the first build, so a run loads only its own suite.
     ``small_overrides`` are builder parameters for a scaled-down variant
     used by value-level validation and quick tests (the functional
     simulator executes every thread in Python).
@@ -43,16 +29,22 @@ class WorkloadSpec:
     suite: str
     paper_kernels: int
     paper_patterns: Tuple[int, ...]
-    builder: Callable
+    builder: Union[Callable, str]
     small_overrides: Dict[str, int] = field(default_factory=dict)
 
     def build(self, **overrides):
-        return self.builder(**overrides)
+        return self._builder()(**overrides)
 
     def build_small(self, **extra):
         params = dict(self.small_overrides)
         params.update(extra)
-        return self.builder(**params)
+        return self._builder()(**params)
+
+    def _builder(self):
+        if callable(self.builder):
+            return self.builder
+        module, _, name = self.builder.partition(":")
+        return getattr(importlib.import_module(module), name)
 
     def as_dict(self):
         """JSON-safe registry row (``repro list --json``, ``/workloads``)."""
@@ -67,11 +59,13 @@ class WorkloadSpec:
 
 _SPECS = (
     WorkloadSpec(
-        "3mm", "3 Matrix Multiplications", "PolyBench", 3, (2, 7), build_3mm,
+        "3mm", "3 Matrix Multiplications", "PolyBench", 3, (2, 7),
+        "repro.workloads.polybench:build_3mm",
         small_overrides={"elems": 2048},
     ),
     WorkloadSpec(
-        "alexnet", "AlexNet network", "Tango", 22, (1, 3, 4), build_alexnet,
+        "alexnet", "AlexNet network", "Tango", 22, (1, 3, 4),
+        "repro.workloads.tango:build_alexnet",
         small_overrides={"scale": 16384},
     ),
     WorkloadSpec(
@@ -80,7 +74,7 @@ _SPECS = (
         "PolyBench",
         2,
         (7,),
-        build_bicg,
+        "repro.workloads.polybench:build_bicg",
         small_overrides={"blocks": 2, "k": 16},
     ),
     WorkloadSpec(
@@ -89,15 +83,17 @@ _SPECS = (
         "PolyBench",
         24,
         (5, 7),
-        build_fdtd2d,
+        "repro.workloads.polybench:build_fdtd2d",
         small_overrides={"iterations": 2, "row_elems": 64, "rows_of_blocks": 4},
     ),
     WorkloadSpec(
-        "fft", "Fast Fourier Transform", "SHOC", 60, (3, 5, 7), build_fft,
+        "fft", "Fast Fourier Transform", "SHOC", 60, (3, 5, 7),
+        "repro.workloads.shoc:build_fft",
         small_overrides={"batches": 1, "stages": 4, "half_elems": 512},
     ),
     WorkloadSpec(
-        "gaussian", "Gaussian Elimination", "Rodinia", 510, (4, 5), build_gaussian,
+        "gaussian", "Gaussian Elimination", "Rodinia", 510, (4, 5),
+        "repro.workloads.rodinia:build_gaussian",
         small_overrides={"n": 8, "stride": 264},
     ),
     WorkloadSpec(
@@ -106,28 +102,32 @@ _SPECS = (
         "PolyBench",
         192,
         (1, 4, 5),
-        build_gramschm,
+        "repro.workloads.polybench:build_gramschm",
         small_overrides={"columns": 4, "col_blocks": 2},
     ),
     WorkloadSpec(
-        "hs", "Hotspot", "Rodinia", 10, (6,), build_hotspot,
+        "hs", "Hotspot", "Rodinia", 10, (6,),
+        "repro.workloads.rodinia:build_hotspot",
         small_overrides={"iterations": 3, "row_elems": 64, "rows_of_blocks": 4},
     ),
     WorkloadSpec(
-        "lud", "LU Decomposition", "Rodinia", 46, (3, 4, 5), build_lud,
+        "lud", "LU Decomposition", "Rodinia", 46, (3, 4, 5),
+        "repro.workloads.rodinia:build_lud",
         small_overrides={"tiles": 4, "tile_elems": 16},
     ),
     WorkloadSpec(
         "mvt", "Matrix Vector Product and Transpose", "PolyBench", 2, (7,),
-        build_mvt,
+        "repro.workloads.polybench:build_mvt",
         small_overrides={"blocks": 2, "k": 16},
     ),
     WorkloadSpec(
-        "nw", "Needleman-Wunsch", "Rodinia", 255, (4, 5), build_nw,
+        "nw", "Needleman-Wunsch", "Rodinia", 255, (4, 5),
+        "repro.workloads.rodinia:build_nw",
         small_overrides={"block_diagonals": 6, "block_threads": 16},
     ),
     WorkloadSpec(
-        "path", "Path Finder", "Rodinia", 5, (6,), build_pathfinder,
+        "path", "Path Finder", "Rodinia", 5, (6,),
+        "repro.workloads.rodinia:build_pathfinder",
         small_overrides={"iterations": 3, "cols_of_blocks": 4},
     ),
 )
@@ -147,7 +147,6 @@ def _extra_specs():
         # cheap, but keeping it out of module import also avoids any
         # future cycle through the registry.
         from repro.workloads.microbench import engine_specs
-        from repro.workloads.rodinia import build_backprop
 
         _EXTRAS = {spec.name: spec for spec in engine_specs()}
         # Rodinia's backprop is the paper's running example (Fig. 1)
@@ -157,7 +156,7 @@ def _extra_specs():
             "backprop",
             "Back Propagation: per-unit layer-forward reductions + "
             "weight adjustment (paper Fig. 1 running example)",
-            "Rodinia", 2, (4, 5), build_backprop,
+            "Rodinia", 2, (4, 5), "repro.workloads.rodinia:build_backprop",
             small_overrides={"in_blocks": 16, "hidden": 4},
         )
         _EXTRAS[backprop.name] = backprop
@@ -177,7 +176,7 @@ def get_workload(name) -> WorkloadSpec:
     """Look up a benchmark by name (case-insensitive: ``MVT`` == ``mvt``).
 
     ``fuzz-<seed>`` names resolve to seeded generator applications
-    (:func:`repro.workloads.ptxgen.fuzz_workload_spec`); like the other
+    (:func:`repro.workloads.fuzzgen.fuzz_workload_spec`); like the other
     hidden extras they never join ``all_workloads()``.
     """
     key = str(name).lower()
@@ -190,7 +189,7 @@ def get_workload(name) -> WorkloadSpec:
     except KeyError:
         pass
     if key.startswith("fuzz-") and key[len("fuzz-"):].isdigit():
-        from repro.workloads.ptxgen import fuzz_workload_spec
+        from repro.workloads.fuzzgen import fuzz_workload_spec
 
         return fuzz_workload_spec(int(key[len("fuzz-"):]))
     raise UnknownWorkloadError(

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.parallel import SuiteExecutor
 from repro.ptx.parser import parse_module
-from repro.workloads.ptxgen import (
+from repro.workloads.fuzzgen import (
     FuzzSpec,
     fuzz_module_digest,
     fuzz_module_source,
@@ -44,7 +44,7 @@ class TestWellFormed:
     @given(seeds_st)
     def test_every_seed_plans_under_the_oracle(self, seed):
         from repro.core.runtime import BlockMaestroRuntime
-        from repro.workloads.ptxgen import build_fuzz_app
+        from repro.workloads.fuzzgen import build_fuzz_app
 
         app = build_fuzz_app(FuzzSpec.from_seed(seed))
         plan = BlockMaestroRuntime(fastpath="reference").plan(
@@ -81,7 +81,7 @@ class TestDeterminism:
 _SUBPROCESS_SNIPPET = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.workloads.ptxgen import fuzz_module_digest
+from repro.workloads.fuzzgen import fuzz_module_digest
 print(fuzz_module_digest({seed!r}))
 """
 

@@ -30,7 +30,7 @@ from repro.fuzz import (
     validate_case,
     write_case,
 )
-from repro.workloads.ptxgen import FuzzSpec
+from repro.workloads.fuzzgen import FuzzSpec
 
 #: closed-form corpus seeds that trip the widened window (verified by
 #: running the harness under the patch; kept small to bound test cost)

@@ -1,4 +1,4 @@
-"""Unit tests for the seeded fuzz workload generator (ptxgen fuzz API).
+"""Unit tests for the seeded fuzz workload generator (repro.workloads.fuzzgen).
 
 The hypothesis suite (tests/property/test_prop_fuzzgen.py) covers the
 statistical contracts; these tests pin concrete behaviors: the hidden
@@ -8,7 +8,7 @@ weighted generator mix actually exercises every emitter family.
 
 import pytest
 
-from repro.workloads.ptxgen import (
+from repro.workloads.fuzzgen import (
     FUZZ_GENERATORS,
     FuzzKernel,
     FuzzSpec,

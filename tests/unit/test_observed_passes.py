@@ -15,7 +15,7 @@ def _reference_runs(metrics):
 
 def test_fuzz_self_checks_reuse_the_oracle_journal():
     from repro.fuzz import check_case
-    from repro.workloads.ptxgen import FuzzSpec
+    from repro.workloads.fuzzgen import FuzzSpec
 
     metrics = MetricsRegistry()
     with observed(metrics=metrics):
