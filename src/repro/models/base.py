@@ -1137,23 +1137,15 @@ class ExecutionEngine:
                 if counters is None:
                     for c in child.graph.children_of[tb]:
                         stamps[c] = now
-                elif not child.made_eligible:
-                    for c in child.graph.children_of[tb]:
-                        stamps[c] = now
-                        counters[c] -= 1
-                elif self._plain_push:
-                    ready = child.ready
-                    for c in child.graph.children_of[tb]:
-                        stamps[c] = now
-                        counters[c] -= 1
-                        if counters[c] == 0:
-                            ready.append(c)
                 else:
                     for c in child.graph.children_of[tb]:
                         stamps[c] = now
                         counters[c] -= 1
-                        if counters[c] == 0:
-                            self._push_ready(child, c)
+                        if counters[c] == 0 and child.made_eligible:
+                            if self._plain_push:
+                                child.ready.append(c)
+                            else:
+                                self._push_ready(child, c)
         if ks.finished == ks.num_tbs:
             ks.all_tbs_done = True
             ks.all_tbs_done_ns = now
