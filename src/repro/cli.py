@@ -62,7 +62,7 @@ Commands:
                                       (``docs/fuzzing.md``)
 
 ``run`` accepts ``--engine MODE`` to pin the simulation-engine tier
-(``auto`` | ``vectorized`` | ``reference``) for the invocation, over
+(``auto`` | ``reference``) for the invocation, over
 ``REPRO_ENGINE``.
 
 ``run``, ``compare``, ``critpath`` and ``telemetry`` are the operations
@@ -370,13 +370,13 @@ def cmd_critpath(args):
 
 def cmd_journal(args):
     from repro.obs import journal as jr
+    from repro.schema import assert_valid
 
     recorder, stats = jr.record_run(args.workload, args.model)
-    errors = jr.validate_journal(recorder.header(), recorder.events)
-    if errors:  # a recorder bug, not a user error — fail loudly
-        raise AssertionError(
-            "recorded journal is invalid: {}".format(errors[:3])
-        )
+    assert_valid(
+        "recorded journal",
+        jr.validate_journal(recorder.header(), recorder.events),
+    )
     out = args.out or "{}-{}.journal.jsonl".format(
         recorder.application, recorder.model
     )
@@ -594,6 +594,7 @@ def cmd_client(args):
 def cmd_fuzz(args):
     from repro import fuzz
     from repro.obs.log import get_logger
+    from repro.schema import assert_valid
 
     try:
         config = fuzz.resolve_fuzz_config(
@@ -611,11 +612,7 @@ def cmd_fuzz(args):
         print("error: {}".format(exc), file=sys.stderr)
         return 2
     report = fuzz.run_fuzz(config, log=get_logger("fuzz").info)
-    errors = fuzz.validate_fuzz_report(report)
-    if errors:  # a harness bug, not a user error — fail loudly
-        raise AssertionError(
-            "generated fuzz report is invalid: {}".format(errors[:3])
-        )
+    assert_valid("generated fuzz report", fuzz.validate_fuzz_report(report))
     exit_code = 1 if report["num_divergent"] else 0
     if args.json:
         _emit_json(report, args.json)
@@ -908,8 +905,7 @@ def build_parser():
     p_fuzz.add_argument(
         "--engines", nargs="+", default=None, metavar="TIER",
         help="engine tiers to check against the scalar oracle "
-             "(default: vectorized auto; 'none' disables the engine "
-             "sweep)",
+             "(default: auto; 'none' disables the engine sweep)",
     )
     p_fuzz.add_argument(
         "--model", choices=MODEL_CHOICES, default="consumer3"

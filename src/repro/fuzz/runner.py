@@ -39,6 +39,7 @@ import json
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro import schema
 from repro.version import FUZZ_REPORT_SCHEMA_VERSION
 from repro.workloads.fuzzgen import FuzzSpec, build_fuzz_app
 
@@ -47,7 +48,7 @@ FUZZ_REPORT_KIND = "repro-fuzz-report"
 #: candidate tiers checked against the always-implicit reference oracle
 DEFAULT_MODES = ("closed_form", "vectorized", "auto")
 #: candidate engine tiers checked against the scalar event-queue oracle
-DEFAULT_ENGINES = ("vectorized", "auto")
+DEFAULT_ENGINES = ("auto",)
 ORACLE_MODE = "reference"
 DEFAULT_MODEL = "consumer3"
 
@@ -451,48 +452,42 @@ def run_fuzz(config, log=None):
     }
 
 
+_REPORT = {
+    "kind": FUZZ_REPORT_KIND,
+    "schema_version": FUZZ_REPORT_SCHEMA_VERSION,
+    "count": int,
+    "modes": [str],
+    "engines": [str],
+    "cases": [{
+        "seed": int,
+        "digest": schema.SHA256,
+        "num_kernels": int,
+        "num_divergences": int,
+    }],
+    "num_divergent": int,
+    "divergences": list,
+    "repro_files": list,
+    "corpus_digest": str,
+}
+
+
 def validate_fuzz_report(report):
     """Structural + invariant validation; returns problem strings."""
-    errors = []
-    if not isinstance(report, dict):
-        return ["report: expected a JSON object"]
-    if report.get("kind") != FUZZ_REPORT_KIND:
-        errors.append("kind: expected {!r}".format(FUZZ_REPORT_KIND))
-    if report.get("schema_version") != FUZZ_REPORT_SCHEMA_VERSION:
-        errors.append("schema_version: expected {}".format(
-            FUZZ_REPORT_SCHEMA_VERSION
-        ))
-    cases = report.get("cases")
-    if not isinstance(cases, list):
-        return errors + ["cases: missing or not a list"]
-    if report.get("count") != len(cases):
+    errors = schema.check(report, _REPORT)
+    if errors:
+        return errors
+    cases = report["cases"]
+    if report["count"] != len(cases):
         errors.append("count: {} != {} cases".format(
-            report.get("count"), len(cases)
+            report["count"], len(cases)
         ))
-    divergent = 0
-    for i, case in enumerate(cases):
-        if not isinstance(case, dict):
-            errors.append("cases[{}]: not an object".format(i))
-            continue
-        digest = case.get("digest")
-        if not (isinstance(digest, str) and digest.startswith("sha256:")):
-            errors.append("cases[{}].digest: missing sha256".format(i))
-        if not isinstance(case.get("seed"), int):
-            errors.append("cases[{}].seed: missing".format(i))
-        if not isinstance(case.get("num_kernels"), int):
-            errors.append("cases[{}].num_kernels: missing".format(i))
-        if case.get("num_divergences"):
-            divergent += 1
-    if report.get("num_divergent") != divergent:
+    divergent = sum(1 for case in cases if case["num_divergences"])
+    if report["num_divergent"] != divergent:
         errors.append("num_divergent: {} != {} divergent cases".format(
-            report.get("num_divergent"), divergent
+            report["num_divergent"], divergent
         ))
-    expected = corpus_digest(cases) if not errors else None
-    if expected is not None and report.get("corpus_digest") != expected:
+    if report["corpus_digest"] != corpus_digest(cases):
         errors.append("corpus_digest: does not match the cases")
-    for key in ("divergences", "repro_files", "modes", "engines"):
-        if not isinstance(report.get(key), list):
-            errors.append("{}: missing or not a list".format(key))
     return errors
 
 

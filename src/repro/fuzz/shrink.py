@@ -20,6 +20,7 @@ is fixed (the planted-bug canary test machine-checks both directions).
 import json
 import os
 
+from repro import schema
 from repro.fuzz.runner import check_case
 from repro.version import CASE_SCHEMA_VERSION
 from repro.workloads.fuzzgen import FuzzKernel, FuzzSpec
@@ -188,41 +189,30 @@ def make_case(spec, divergences, modes, model, source_seed, engines=()):
     }
 
 
+_CASE = {
+    "kind": CASE_KIND,
+    "schema_version": CASE_SCHEMA_VERSION,
+    "source_seed": int,
+    "modes": [str],
+    # case files predating the engine sweep (schema additions are
+    # backward compatible) omit it
+    "engines": schema.Optional([str]),
+    "model": str,
+    "divergences": list,
+    "spec": dict,
+}
+
+
 def validate_case(case):
     """Structural validation; returns problem strings."""
-    errors = []
-    if not isinstance(case, dict):
-        return ["case: expected a JSON object"]
-    if case.get("kind") != CASE_KIND:
-        errors.append("kind: expected {!r}".format(CASE_KIND))
-    if case.get("schema_version") != CASE_SCHEMA_VERSION:
-        errors.append("schema_version: expected {}".format(
-            CASE_SCHEMA_VERSION
-        ))
-    if not isinstance(case.get("source_seed"), int):
-        errors.append("source_seed: missing")
-    if not isinstance(case.get("modes"), list):
-        errors.append("modes: missing or not a list")
-    # "engines" is optional: case files predating the engine sweep
-    # (schema additions are backward compatible) simply omit it
-    if "engines" in case and not isinstance(case["engines"], list):
-        errors.append("engines: not a list")
-    if not isinstance(case.get("model"), str):
-        errors.append("model: missing")
-    if not isinstance(case.get("divergences"), list):
-        errors.append("divergences: missing or not a list")
-    spec = case.get("spec")
-    if not isinstance(spec, dict):
-        errors.append("spec: missing or not an object")
-    else:
-        try:
-            parsed = FuzzSpec.from_dict(spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append("spec: not a FuzzSpec ({})".format(exc))
-        else:
-            if not parsed.kernels:
-                errors.append("spec.kernels: empty")
-    return errors
+    errors = schema.check(case, _CASE)
+    if errors:
+        return errors
+    try:
+        parsed = FuzzSpec.from_dict(case["spec"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return ["spec: not a FuzzSpec ({})".format(exc)]
+    return [] if parsed.kernels else ["spec.kernels: empty"]
 
 
 def write_case(case, directory="."):
@@ -262,6 +252,6 @@ def replay_case(case):
     spec = FuzzSpec.from_dict(case["spec"])
     result = check_case(
         spec, modes=tuple(case["modes"]), model=case["model"],
-        engines=tuple(case.get("engines", ())),
+        engines=tuple(case.get("engines") or ()),
     )
     return result["divergences"]

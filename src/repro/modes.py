@@ -13,7 +13,7 @@ import os
 FASTPATH_MODES = ("auto", "closed_form", "vectorized", "reference")
 
 #: Valid engine modes (``resolve_engine_mode`` normalizes aliases).
-ENGINE_MODES = ("auto", "vectorized", "reference")
+ENGINE_MODES = ("auto", "reference")
 
 #: Environment overrides consulted when no explicit mode is configured —
 #: this is how worker processes inherit a pinned tier.

@@ -42,6 +42,7 @@ import bisect
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro import schema
 from repro.host.api import KernelLaunchCall, MallocCall, MemcpyD2H, MemcpyH2D
 from repro.obs.tracer import PID_DEVICE, PID_HOST, PID_SM
 from repro.version import CRITPATH_SCHEMA_VERSION
@@ -620,83 +621,51 @@ def build_report(stats, journal, whatif=False, whatif_knobs=None,
     return report
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_REPORT = {
+    "kind": CRITPATH_KIND,
+    "schema_version": CRITPATH_SCHEMA_VERSION,
+    "workload": str,
+    "model": str,
+    "makespan_ns": schema.NUMBER,
+    "attribution_ns": {key: schema.NUMBER for key in COMPONENT_KEYS},
+    "attribution_fraction": dict,
+    "critical_path": {"segments": [{
+        "kind": schema.one_of(*COMPONENT_KEYS),
+        "t0_ns": schema.NUMBER,
+        "t1_ns": schema.NUMBER,
+    }]},
+    "whatif": schema.Optional(schema.Map({
+        "bound_makespan_ns": schema.NUMBER,
+        "speedup_bound": schema.NUMBER,
+    })),
+}
 
 
 def validate_critpath_report(report):
     """Structural + invariant validation; returns problem strings."""
-    errors = []
-    if not isinstance(report, dict):
-        return ["report: expected a JSON object"]
-    if report.get("kind") != CRITPATH_KIND:
-        errors.append("kind: expected {!r}".format(CRITPATH_KIND))
-    if report.get("schema_version") != CRITPATH_SCHEMA_VERSION:
-        errors.append("schema_version: expected {}".format(
-            CRITPATH_SCHEMA_VERSION))
-    for key in ("workload", "model"):
-        if not isinstance(report.get(key), str):
-            errors.append("{}: missing or not a string".format(key))
-    makespan = report.get("makespan_ns")
-    if not _is_number(makespan):
-        errors.append("makespan_ns: missing or not a number")
+    errors = schema.check(report, _REPORT)
+    if errors:
         return errors
-    attribution = report.get("attribution_ns")
-    if not isinstance(attribution, dict):
-        errors.append("attribution_ns: missing or not an object")
-        return errors
-    for key in COMPONENT_KEYS:
-        if not _is_number(attribution.get(key)):
-            errors.append("attribution_ns.{}: missing or not a number"
-                          .format(key))
+    makespan = report["makespan_ns"]
+    attribution = report["attribution_ns"]
     unknown = set(attribution) - set(COMPONENT_KEYS)
     if unknown:
         errors.append("attribution_ns: unknown components {}".format(
             sorted(unknown)))
-    total = sum(v for v in attribution.values() if _is_number(v))
+    total = sum(attribution[key] for key in COMPONENT_KEYS)
     tol = max(1e-3, 1e-9 * abs(makespan))
     if abs(total - makespan) > tol:
         errors.append(
             "attribution_ns: components sum to {} != makespan {}".format(
                 total, makespan))
-    fractions = report.get("attribution_fraction")
-    if not isinstance(fractions, dict):
-        errors.append("attribution_fraction: missing or not an object")
-    path = report.get("critical_path")
-    if not isinstance(path, dict) or not isinstance(
-        path.get("segments"), list
-    ):
-        errors.append("critical_path.segments: missing or not a list")
-    else:
-        for i, seg in enumerate(path["segments"]):
-            if not isinstance(seg, dict) or seg.get("kind") not in \
-                    COMPONENT_KEYS or not _is_number(seg.get("t0_ns")) \
-                    or not _is_number(seg.get("t1_ns")):
-                errors.append(
-                    "critical_path.segments[{}]: malformed".format(i))
-                break
-            if seg["t1_ns"] + 1e-6 < seg["t0_ns"]:
-                errors.append(
-                    "critical_path.segments[{}]: negative duration".format(i))
-    whatif = report.get("whatif")
-    if whatif is not None:
-        if not isinstance(whatif, dict):
-            errors.append("whatif: not an object")
-        else:
-            for knob, entry in whatif.items():
-                where = "whatif.{}".format(knob)
-                if not isinstance(entry, dict):
-                    errors.append("{}: not an object".format(where))
-                    continue
-                bound = entry.get("bound_makespan_ns")
-                if not _is_number(bound):
-                    errors.append("{}.bound_makespan_ns: missing".format(where))
-                elif bound > makespan + tol:
-                    errors.append(
-                        "{}: bound {} exceeds makespan {}".format(
-                            where, bound, makespan))
-                if not _is_number(entry.get("speedup_bound")):
-                    errors.append("{}.speedup_bound: missing".format(where))
+    for i, seg in enumerate(report["critical_path"]["segments"]):
+        if seg["t1_ns"] + 1e-6 < seg["t0_ns"]:
+            errors.append(
+                "critical_path.segments[{}]: negative duration".format(i))
+    for knob, entry in (report.get("whatif") or {}).items():
+        if entry["bound_makespan_ns"] > makespan + tol:
+            errors.append("whatif.{}: bound {} exceeds makespan {}".format(
+                knob, entry["bound_makespan_ns"], makespan))
     return errors
 
 

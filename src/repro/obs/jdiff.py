@@ -15,6 +15,7 @@ The report is schema-versioned (``repro-jdiff-report``) and drives the
 ``repro jdiff`` exit code: 0 when identical, 1 on divergence.
 """
 
+from repro import schema
 from repro.obs.journal import canonical_line, journal_digest
 
 JDIFF_KIND = "repro-jdiff-report"
@@ -215,30 +216,21 @@ def diff_journals(a_header, a_events, b_header, b_events,
     return report
 
 
+_REPORT = {
+    "kind": JDIFF_KIND,
+    "schema_version": JDIFF_SCHEMA_VERSION,
+    "a": dict,
+    "b": dict,
+    "identical": bool,
+    "first_divergence": schema.Optional({"index": int}),
+}
+
+
 def validate_jdiff_report(report):
     """Structural validation; returns problem strings."""
-    errors = []
-    if not isinstance(report, dict):
-        return ["report: expected a JSON object"]
-    if report.get("kind") != JDIFF_KIND:
-        errors.append("kind: expected {!r}".format(JDIFF_KIND))
-    if report.get("schema_version") != JDIFF_SCHEMA_VERSION:
-        errors.append(
-            "schema_version: expected {}".format(JDIFF_SCHEMA_VERSION)
-        )
-    for side in ("a", "b"):
-        if not isinstance(report.get(side), dict):
-            errors.append("{}: missing or not an object".format(side))
-    if not isinstance(report.get("identical"), bool):
-        errors.append("identical: missing or not a boolean")
-    divergence = report.get("first_divergence")
-    if report.get("identical") and divergence is not None:
+    errors = schema.check(report, _REPORT)
+    if not errors and report["identical"] and report.get("first_divergence"):
         errors.append("identical report carries a first_divergence")
-    if divergence is not None:
-        if not isinstance(divergence, dict):
-            errors.append("first_divergence: not an object")
-        elif not isinstance(divergence.get("index"), int):
-            errors.append("first_divergence.index: missing or not an int")
     return errors
 
 

@@ -38,6 +38,7 @@ at module load, and :func:`record_run` imports the engine.
 import hashlib
 import json
 
+from repro import schema
 from repro.version import JOURNAL_SCHEMA_VERSION
 
 JOURNAL_KIND = "repro-journal"
@@ -185,10 +186,10 @@ def write_journal(recorder, path):
 def load_journal(path):
     """Read a journal file back as ``(header, events)``.
 
-    Raises :class:`ValueError` when the file is not a journal, the
-    event count disagrees with the header, or the recomputed digest
-    does not match — a corrupt or hand-edited journal must not silently
-    feed the differ.
+    Raises :class:`ValueError` naming ``path`` and the first problem
+    when the file is not a journal or fails :func:`validate_journal`
+    (event count, digest, structure): a corrupt or hand-edited journal
+    must not reach the differ.
     """
     with open(path) as handle:
         lines = [line for line in handle.read().splitlines() if line.strip()]
@@ -206,116 +207,83 @@ def load_journal(path):
         events = [json.loads(line) for line in lines[1:]]
     except json.JSONDecodeError as exc:
         raise ValueError("{}: malformed event line: {}".format(path, exc))
-    if header.get("num_events") != len(events):
-        raise ValueError(
-            "{}: header claims {} events, file holds {}".format(
-                path, header.get("num_events"), len(events)
-            )
-        )
-    recomputed = journal_digest(events)
-    if header.get("digest") != recomputed:
-        raise ValueError(
-            "{}: digest mismatch (header {}, recomputed {}) — "
-            "journal is corrupt or was edited".format(
-                path, header.get("digest"), recomputed
-            )
-        )
+    errors = validate_journal(header, events)
+    if errors:
+        raise ValueError("{}: {}".format(path, errors[0]))
     return header, events
 
 
 # ----------------------------------------------------------------------
 # validation
 # ----------------------------------------------------------------------
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+_HEADER = {
+    "kind": JOURNAL_KIND,
+    "schema_version": JOURNAL_SCHEMA_VERSION,
+    "workload": str,
+    "model": str,
+    "options": dict,
+    "num_events": int,
+    "digest": schema.SHA256,
+}
 
+#: what every event carries; a release edge is always an object
+_EVENT = {"seq": int, "t_ns": schema.NUMBER, "kind": str,
+          "edge": schema.Optional(dict)}
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-#: per-kind required integer fields (beyond seq/t_ns/kind)
-_REQUIRED_FIELDS = {
-    "host_issue": ("position",),
-    "call_enqueue": ("position",),
-    "call_start": ("position",),
-    "call_complete": ("position",),
-    "kernel_launch": ("kernel",),
-    "kernel_resident": ("kernel",),
-    "tb_ready": ("kernel", "tb"),
-    "tb_dispatch": ("kernel", "tb", "sm"),
-    "tb_finish": ("kernel", "tb", "sm"),
-    "kernel_drain": ("kernel",),
-    "kernel_complete": ("kernel",),
+#: per-kind fields beyond seq/t_ns/kind
+_KIND_FIELDS = {
+    "host_issue": {"position": int},
+    "call_enqueue": {"position": int},
+    "call_start": {"position": int},
+    "call_complete": {"position": int},
+    "kernel_launch": {"kernel": int, "edge": dict},
+    "kernel_resident": {"kernel": int},
+    "tb_ready": {"kernel": int, "tb": int, "edge": dict},
+    "tb_dispatch": {"kernel": int, "tb": int, "sm": int, "edge": dict},
+    "tb_finish": {"kernel": int, "tb": int, "sm": int},
+    "kernel_drain": {"kernel": int},
+    "kernel_complete": {"kernel": int},
 }
 
 
+def _event_problems(index, event, previous_t):
+    where = "events[{}]".format(index)
+    problems = schema.check(event, _EVENT, where)
+    if problems:
+        return problems
+    if event["seq"] != index:
+        return ["{}: seq {} breaks contiguity".format(where, event["seq"])]
+    if event["t_ns"] + 1e-9 < previous_t:
+        return ["{}: t_ns {} goes backwards (previous {})".format(
+            where, event["t_ns"], previous_t)]
+    if event["kind"] not in _KIND_FIELDS:
+        return ["{}: unknown kind {!r}".format(where, event["kind"])]
+    return schema.check(event, _KIND_FIELDS[event["kind"]], where)
+
+
 def validate_journal(header, events):
-    """Structural + invariant validation; returns problem strings."""
-    errors = []
-    if not isinstance(header, dict):
-        return ["header: expected a JSON object"]
-    if header.get("kind") != JOURNAL_KIND:
-        errors.append("header.kind: expected {!r}".format(JOURNAL_KIND))
-    if header.get("schema_version") != JOURNAL_SCHEMA_VERSION:
-        errors.append(
-            "header.schema_version: expected {}".format(JOURNAL_SCHEMA_VERSION)
-        )
-    for key in ("workload", "model"):
-        if not isinstance(header.get(key), str):
-            errors.append("header.{}: missing or not a string".format(key))
-    if not isinstance(header.get("options"), dict):
-        errors.append("header.options: missing or not an object")
-    if header.get("num_events") != len(events):
-        errors.append(
-            "header.num_events: {} != {} events".format(
-                header.get("num_events"), len(events)
-            )
-        )
-    digest = header.get("digest")
-    if not isinstance(digest, str) or not digest.startswith("sha256:"):
-        errors.append("header.digest: missing or not a sha256: string")
-    elif digest != journal_digest(events):
-        errors.append("header.digest: does not match the event stream")
+    """Structural + invariant validation; returns problem strings.
+
+    Events are checked in order up to the first bad one.
+    """
+    errors = schema.check(header, _HEADER, "header")
+    errors += schema.check(events, list, "events")
+    if errors:
+        return errors
+    if header["num_events"] != len(events):
+        errors.append("header.num_events: {} != {} events".format(
+            header["num_events"], len(events)
+        ))
+    recomputed = journal_digest(events)
+    if header["digest"] != recomputed:
+        errors.append("header.digest: digest mismatch (the events hash to "
+                      "{}): corrupt or edited".format(recomputed))
     previous_t = 0.0
-    for i, event in enumerate(events):
-        where = "events[{}]".format(i)
-        if not isinstance(event, dict):
-            errors.append("{}: not an object".format(where))
-            break
-        if event.get("seq") != i:
-            errors.append(
-                "{}: seq {} breaks contiguity".format(where, event.get("seq"))
-            )
-            break
-        t_ns = event.get("t_ns")
-        if not _is_number(t_ns):
-            errors.append("{}: t_ns missing or not a number".format(where))
-            break
-        if t_ns + 1e-9 < previous_t:
-            errors.append(
-                "{}: t_ns {} goes backwards (previous {})".format(
-                    where, t_ns, previous_t
-                )
-            )
-            break
-        previous_t = t_ns
-        kind = event.get("kind")
-        if kind not in EVENT_KINDS:
-            errors.append("{}: unknown kind {!r}".format(where, kind))
-            break
-        missing = [
-            key for key in _REQUIRED_FIELDS[kind]
-            if not _is_int(event.get(key))
-        ]
-        if missing:
-            errors.append(
-                "{}: {} missing integer fields {}".format(where, kind, missing)
-            )
-            break
-        if kind in EDGE_KINDS and not isinstance(event.get("edge"), dict):
-            errors.append("{}: {} missing its edge".format(where, kind))
-            break
+    for index, event in enumerate(events):
+        problems = _event_problems(index, event, previous_t)
+        if problems:
+            return errors + problems
+        previous_t = event["t_ns"]
     return errors
 
 

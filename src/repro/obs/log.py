@@ -37,6 +37,7 @@ import os
 import sys
 import time
 
+from repro import schema
 from repro.version import STATUS_SCHEMA_VERSION
 
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40, "off": 100}
@@ -202,41 +203,25 @@ def write_status_snapshot(payload, path):
     return path
 
 
+_COUNT = schema.Check(int, lambda value: value >= 0, "a non-negative integer")
+
+_SNAPSHOT = {
+    "kind": STATUS_KIND,
+    "schema_version": STATUS_SCHEMA_VERSION,
+    "phase": str,
+    "completed": _COUNT,
+    "total": _COUNT,
+    "current": schema.Optional(str),
+    "elapsed_s": schema.NON_NEGATIVE,
+    "eta_s": schema.Optional(schema.NON_NEGATIVE),
+    "done": bool,
+    "pid": schema.Check(int, lambda value: value > 0, "a positive integer"),
+}
+
+
 def validate_status_snapshot(payload):
     """Schema-check a ``repro-status`` snapshot; returns error strings."""
-    errors = []
-    if not isinstance(payload, dict):
-        return ["snapshot is not an object"]
-    if payload.get("kind") != STATUS_KIND:
-        errors.append("kind: expected {!r}".format(STATUS_KIND))
-    if payload.get("schema_version") != STATUS_SCHEMA_VERSION:
-        errors.append(
-            "schema_version: expected {}".format(STATUS_SCHEMA_VERSION)
-        )
-    if not isinstance(payload.get("phase"), str):
-        errors.append("phase: expected a string")
-    for key in ("completed", "total"):
-        value = payload.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            errors.append("{}: expected a non-negative integer".format(key))
-    current = payload.get("current")
-    if current is not None and not isinstance(current, str):
-        errors.append("current: expected a string or null")
-    elapsed = payload.get("elapsed_s")
-    if not isinstance(elapsed, (int, float)) or isinstance(elapsed, bool) \
-            or elapsed < 0:
-        errors.append("elapsed_s: expected a non-negative number")
-    eta = payload.get("eta_s")
-    if eta is not None and (
-        not isinstance(eta, (int, float)) or isinstance(eta, bool) or eta < 0
-    ):
-        errors.append("eta_s: expected a non-negative number or null")
-    if not isinstance(payload.get("done"), bool):
-        errors.append("done: expected a boolean")
-    pid = payload.get("pid")
-    if not isinstance(pid, int) or isinstance(pid, bool) or pid <= 0:
-        errors.append("pid: expected a positive integer")
-    return errors
+    return schema.check(payload, _SNAPSHOT)
 
 
 class Heartbeat:

@@ -171,7 +171,6 @@ def _check_labels(raw):
     """Validate the inside of ``{...}``; returns an error or ``None``."""
     if raw == "":
         return "empty label braces"
-    depth_guard = raw.split(",")
     # label values may themselves contain commas inside quotes, so walk
     # pairs with a small scanner instead of a naive split
     pairs, current, in_quotes, escaped = [], "", False, False
@@ -196,7 +195,6 @@ def _check_labels(raw):
     if in_quotes:
         return "unterminated label value quote"
     pairs.append(current)
-    del depth_guard
     for pair in pairs:
         if not _LABEL_PAIR_RE.match(pair):
             return "bad label pair {!r}".format(pair)

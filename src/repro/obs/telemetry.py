@@ -49,6 +49,7 @@ render telemetry.
 
 import math
 
+from repro import schema
 from repro.version import TELEMETRY_SCHEMA_VERSION
 
 TELEMETRY_KIND = "repro-telemetry-report"
@@ -88,6 +89,9 @@ UTILIZATION_KEYS = (
     "sm_busy_fraction",
     "partial_idle_ns",
 )
+
+#: the internal-consistency errors, each within a tolerance
+CONSISTENCY_KEYS = ("busy_ns_error", "tiling_error_ns")
 
 #: tolerance for the internal-consistency gates (ns)
 _EPS = 1e-3
@@ -447,154 +451,69 @@ def build_report(stats, journal, max_samples=512):
 # ----------------------------------------------------------------------
 # validation
 # ----------------------------------------------------------------------
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_FRACTION = schema.Check(
+    schema.NUMBER, lambda v: -1e-9 <= v <= 1 + 1e-9, "a fraction in [0, 1]"
+)
+
+_REPORT = {
+    "kind": TELEMETRY_KIND,
+    "schema_version": TELEMETRY_SCHEMA_VERSION,
+    "workload": str,
+    "model": str,
+    "makespan_ns": schema.NON_NEGATIVE,
+    "series": dict(
+        {key: [schema.NUMBER] for key in SERIES_KEYS},
+        resident_tbs=schema.Map([schema.NUMBER]),
+    ),
+    "kernels": [{"index": int, "span_ns": schema.NUMBER}],
+    "overlap": {"pairs": [{
+        "a": int, "b": int, "overlap_ns": schema.NUMBER,
+        "overlap_fraction": _FRACTION, "tb_overlap_fraction": _FRACTION,
+    }]},
+    "bubbles": {"total_ns": schema.NUMBER, "spans": [{
+        "start_ns": schema.NUMBER, "end_ns": schema.NUMBER,
+        "blame": schema.one_of(*BUBBLE_BLAME_KINDS),
+    }]},
+    "utilization": {key: schema.NUMBER for key in UTILIZATION_KEYS},
+    "consistency": {key: schema.NUMBER for key in CONSISTENCY_KEYS},
+}
 
 
 def validate_telemetry_report(report):
     """Structural + invariant validation; returns problem strings."""
-    errors = []
-    if not isinstance(report, dict):
-        return ["report: expected a JSON object"]
-    if report.get("kind") != TELEMETRY_KIND:
-        errors.append("kind: expected {!r}".format(TELEMETRY_KIND))
-    if report.get("schema_version") != TELEMETRY_SCHEMA_VERSION:
-        errors.append(
-            "schema_version: expected {}".format(TELEMETRY_SCHEMA_VERSION)
-        )
-    for key in ("workload", "model"):
-        if not isinstance(report.get(key), str):
-            errors.append("{}: missing or not a string".format(key))
-    makespan = report.get("makespan_ns")
-    if not _is_number(makespan) or makespan < 0:
-        errors.append("makespan_ns: missing or negative")
-        makespan = 0.0
-    series = report.get("series")
-    if not isinstance(series, dict):
-        errors.append("series: missing or not an object")
-    else:
-        lengths = set()
-        for key in SERIES_KEYS:
-            column = series.get(key)
-            if not isinstance(column, list):
-                errors.append("series.{}: missing or not a list".format(key))
-                continue
-            lengths.add(len(column))
-            if any(not _is_number(v) for v in column):
-                errors.append("series.{}: non-numeric sample".format(key))
-        if len(lengths) > 1:
-            errors.append("series: columns have unequal lengths")
-        t_ns = series.get("t_ns") or []
-        if any(b < a for a, b in zip(t_ns, t_ns[1:])):
-            errors.append("series.t_ns: not sorted")
-        resident = series.get("resident_tbs")
-        if not isinstance(resident, dict):
-            errors.append("series.resident_tbs: missing or not an object")
-        else:
-            for key, column in resident.items():
-                if not isinstance(column, list) or (
-                    lengths and len(column) not in lengths
-                ):
-                    errors.append(
-                        "series.resident_tbs[{}]: wrong length".format(key)
-                    )
-    kernels = report.get("kernels")
-    spans = {}
-    if not isinstance(kernels, list):
-        errors.append("kernels: missing or not a list")
-    else:
-        for i, row in enumerate(kernels):
-            if not isinstance(row, dict) or not _is_number(
-                row.get("span_ns")
-            ):
-                errors.append("kernels[{}]: missing span_ns".format(i))
-            else:
-                spans[row.get("index")] = row["span_ns"]
-    overlap = report.get("overlap")
-    if not isinstance(overlap, dict) or not isinstance(
-        overlap.get("pairs"), list
-    ):
-        errors.append("overlap.pairs: missing or not a list")
-    else:
-        for i, pair in enumerate(overlap["pairs"]):
-            where = "overlap.pairs[{}]".format(i)
-            if not isinstance(pair, dict):
-                errors.append("{}: not an object".format(where))
-                continue
-            for key in (
-                "overlap_ns", "overlap_fraction", "tb_overlap_fraction"
-            ):
-                if not _is_number(pair.get(key)):
-                    errors.append("{}.{}: missing".format(where, key))
-            floor = min(
-                spans.get(pair.get("a"), float("inf")),
-                spans.get(pair.get("b"), float("inf")),
-            )
-            if (
-                _is_number(pair.get("overlap_ns"))
-                and floor != float("inf")
-                and pair["overlap_ns"] > floor + _EPS
-            ):
-                errors.append(
-                    "{}: overlap_ns {} exceeds min kernel span {}".format(
-                        where, pair["overlap_ns"], floor
-                    )
-                )
-            for key in ("overlap_fraction", "tb_overlap_fraction"):
-                value = pair.get(key)
-                if _is_number(value) and not -1e-9 <= value <= 1 + 1e-9:
-                    errors.append(
-                        "{}.{}: {} outside [0, 1]".format(where, key, value)
-                    )
-    bubbles = report.get("bubbles")
-    if not isinstance(bubbles, dict) or not isinstance(
-        bubbles.get("spans"), list
-    ):
-        errors.append("bubbles.spans: missing or not a list")
-    else:
-        previous_end = -float("inf")
-        total = 0.0
-        for i, span in enumerate(bubbles["spans"]):
-            where = "bubbles.spans[{}]".format(i)
-            if not isinstance(span, dict) or not (
-                _is_number(span.get("start_ns"))
-                and _is_number(span.get("end_ns"))
-            ):
-                errors.append("{}: malformed".format(where))
-                continue
-            if span.get("blame") not in BUBBLE_BLAME_KINDS:
-                errors.append(
-                    "{}: unknown blame {!r}".format(where, span.get("blame"))
-                )
-            if span["start_ns"] < previous_end - _EPS:
-                errors.append("{}: overlaps the previous span".format(where))
-            if span["end_ns"] > makespan + _EPS:
-                errors.append("{}: extends past the makespan".format(where))
-            previous_end = span["end_ns"]
-            total += span["end_ns"] - span["start_ns"]
-        if _is_number(bubbles.get("total_ns")) and abs(
-            bubbles["total_ns"] - total
-        ) > _EPS:
-            errors.append("bubbles.total_ns: does not match its spans")
-    utilization = report.get("utilization")
-    if not isinstance(utilization, dict):
-        errors.append("utilization: missing or not an object")
-    else:
-        for key in UTILIZATION_KEYS:
-            if not _is_number(utilization.get(key)):
-                errors.append("utilization.{}: missing".format(key))
-    consistency = report.get("consistency")
-    if not isinstance(consistency, dict):
-        errors.append("consistency: missing or not an object")
-    else:
-        for key in ("busy_ns_error", "tiling_error_ns"):
-            value = consistency.get(key)
-            if not _is_number(value):
-                errors.append("consistency.{}: missing".format(key))
-            elif value > max(_EPS, 1e-9 * makespan):
-                errors.append(
-                    "consistency.{}: {} exceeds tolerance".format(key, value)
-                )
+    errors = schema.check(report, _REPORT)
+    if errors:
+        return errors
+    makespan, series = report["makespan_ns"], report["series"]
+    columns = [series[key] for key in SERIES_KEYS]
+    columns += series["resident_tbs"].values()
+    if len({len(column) for column in columns}) > 1:
+        errors.append("series: columns have unequal lengths")
+    if any(b < a for a, b in zip(series["t_ns"], series["t_ns"][1:])):
+        errors.append("series.t_ns: not sorted")
+    spans = {row["index"]: row["span_ns"] for row in report["kernels"]}
+    for i, pair in enumerate(report["overlap"]["pairs"]):
+        floor = min(spans.get(pair["a"], math.inf),
+                    spans.get(pair["b"], math.inf))
+        if pair["overlap_ns"] > floor + _EPS:
+            errors.append("overlap.pairs[{}]: overlap_ns {} exceeds min "
+                          "kernel span {}".format(i, pair["overlap_ns"], floor))
+    previous_end, total = -math.inf, 0.0
+    for i, span in enumerate(report["bubbles"]["spans"]):
+        where = "bubbles.spans[{}]: ".format(i)
+        if span["start_ns"] < previous_end - _EPS:
+            errors.append(where + "overlaps the previous span")
+        if span["end_ns"] > makespan + _EPS:
+            errors.append(where + "extends past the makespan")
+        previous_end = span["end_ns"]
+        total += span["end_ns"] - span["start_ns"]
+    if abs(report["bubbles"]["total_ns"] - total) > _EPS:
+        errors.append("bubbles.total_ns: does not match its spans")
+    tolerance = max(_EPS, 1e-9 * makespan)
+    for key in CONSISTENCY_KEYS:
+        if report["consistency"][key] > tolerance:
+            errors.append("consistency.{}: {} exceeds tolerance".format(
+                key, report["consistency"][key]))
     return errors
 
 

@@ -37,13 +37,6 @@ def _context(context):
     return ExperimentContext()
 
 
-def _self_check(kind, errors):
-    if errors:  # an analyzer bug, not a user error — fail loudly
-        raise AssertionError(
-            "generated {} report is invalid: {}".format(kind, errors[:3])
-        )
-
-
 def _journaled(context, app, model):
     """One journaled run on the context's plan: ``(stats, journal)``."""
     from repro.obs.journal import JournalRecorder
@@ -113,22 +106,28 @@ def compare(workload, context=None, jobs=1):
 def critpath(workload, model="consumer3", whatif=False, context=None):
     """The critical-path report; ``whatif`` adds the speedup bounds."""
     from repro.obs import critpath as cp
+    from repro.schema import assert_valid
 
     context = _context(context)
     stats, journal = _journaled(context, context.app(workload), model)
     report = cp.build_report(stats, journal, whatif=whatif)
-    _self_check("critpath", cp.validate_critpath_report(report))
+    assert_valid(
+        "generated critpath report", cp.validate_critpath_report(report)
+    )
     return report, stats
 
 
 def telemetry(workload, model="consumer3", context=None):
     """The hardware telemetry report."""
     from repro.obs import telemetry as tm
+    from repro.schema import assert_valid
 
     context = _context(context)
     stats, journal = _journaled(context, context.app(workload), model)
     report = tm.build_report(stats, journal)
-    _self_check("telemetry", tm.validate_telemetry_report(report))
+    assert_valid(
+        "generated telemetry report", tm.validate_telemetry_report(report)
+    )
     return report, stats
 
 

@@ -26,7 +26,7 @@ from repro.sim.config import GPUConfig
 from repro.workloads import all_workloads, get_workload
 
 MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
-ENGINE_TIERS = ("vectorized", "auto")
+ENGINE_TIERS = ("auto",)
 
 
 def _run(app, model_name, engine, config=None, metrics=None):

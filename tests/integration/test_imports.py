@@ -50,8 +50,9 @@ with open(out, "w") as handle:
 #: what a cold ``repro run`` of a closed-form-only workload must not load;
 #: its fine-grain graphs decline the vectorized engine tier, whose
 #: module is imported only for a run the tier certifies.  Only a
-#: journaled run builds release edges, and the kernel builder and the
-#: fuzz generator serve the tests and ``repro fuzz``.
+#: journaled run builds release edges, the kernel builder and the
+#: fuzz generator serve the tests and ``repro fuzz``, and a run
+#: validates no document.
 RUN_UNLOADED = (
     "numpy",
     "asyncio",
@@ -61,6 +62,7 @@ RUN_UNLOADED = (
     "repro.obs.journal",
     "repro.ptx.builder",
     "repro.workloads.fuzzgen",
+    "repro.schema",
 )
 
 #: the registry's suite modules; a cold run loads only its workload's

@@ -24,7 +24,7 @@ from repro.sim.timeline import (
 
 from tests.digests import payload_digest, runstats_payload
 
-ENGINE_MODES = ("reference", "vectorized", "auto")
+ENGINE_MODES = ("reference", "auto")
 
 
 def _empty_stats():

@@ -36,12 +36,12 @@ class TestResolveEngineMode:
         assert resolve_engine_mode(None) == "auto"
 
     def test_env_is_consulted(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "vectorized")
-        assert resolve_engine_mode() == "vectorized"
+        monkeypatch.setenv(ENGINE_ENV, "reference")
+        assert resolve_engine_mode() == "reference"
 
     def test_explicit_value_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "vectorized")
-        assert resolve_engine_mode("reference") == "reference"
+        monkeypatch.setenv(ENGINE_ENV, "reference")
+        assert resolve_engine_mode("auto") == "auto"
 
     def test_empty_env_means_auto(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "")
@@ -53,13 +53,12 @@ class TestResolveEngineMode:
         ("oracle", "reference"),
         ("on", "auto"),
         ("  AUTO  ", "auto"),
-        ("Vectorized", "vectorized"),
     ])
     def test_aliases_and_normalization(self, alias, canonical):
         assert resolve_engine_mode(alias) == canonical
 
     @pytest.mark.parametrize(
-        "bad", ["fast", "none", "1", "turbo", "closed-form"]
+        "bad", ["fast", "none", "1", "turbo", "closed-form", "Vectorized"]
     )
     def test_unknown_mode_raises(self, bad):
         with pytest.raises(ValueError):
