@@ -419,15 +419,13 @@ def _segment_local_arange(reps):
 
 
 def _vectorized_graph(parent_summary, child_summary, pairs, max_explicit_edges):
-    """Tier 2: numpy join, or ``None`` to decline (no numpy/overflow).
+    """Tier 2: numpy join, or ``None`` to decline (overflow).
 
     numpy is imported here, at the first join that needs it, so plans
     whose pairs all take tier 1 never load it.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        return None
+    import numpy as np
+
     num_parents = parent_summary.num_tbs
     num_children = child_summary.num_tbs
     if num_parents * num_children >= _INT64_GUARD:

@@ -88,6 +88,7 @@ token.
 """
 
 import argparse
+import os
 import sys
 
 # Only what build_parser and the env-mode check read is imported here;
@@ -426,6 +427,7 @@ def cmd_report(args):
 def cmd_jdiff(args):
     from repro.obs import jdiff as jd
     from repro.obs import journal as jr
+    from repro.schema import assert_valid
 
     try:
         a_header, a_events = jr.load_journal(args.a)
@@ -437,6 +439,7 @@ def cmd_jdiff(args):
         a_header, a_events, b_header, b_events,
         window=args.window, a_label=args.a, b_label=args.b,
     )
+    assert_valid("generated jdiff report", jd.validate_jdiff_report(report))
     exit_code = 0 if report["identical"] else 1
     if args.json:
         _emit_json(report, args.json)
@@ -655,9 +658,9 @@ def build_parser():
         prog="repro", description="BlockMaestro reproduction toolkit"
     )
     parser.add_argument(
-        "--log", default=None, metavar="LEVEL[:SUBSYS,...]",
-        help="stderr log threshold, optionally scoped to subsystems "
-             "(e.g. debug or debug:fuzz,serve); overrides $REPRO_LOG",
+        "--log", default=None, metavar="LEVEL",
+        help="stderr log threshold: debug, info (default), warning, "
+             "error or off; overrides $REPRO_LOG",
     )
     parser.add_argument(
         "--log-json", action="store_true",
@@ -1083,16 +1086,33 @@ def _check_env_modes():
     return None
 
 
+def _configure_logging(args):
+    """Apply ``--log``/``--log-json``; an unknown level, as an error line.
+
+    The level is ``--log`` or else ``REPRO_LOG``.  Like
+    :func:`_check_env_modes`, it is checked once at entry, so a misspelt
+    level ends in one line and exit 2.  Returns ``None`` when it is
+    valid; with neither set, logging keeps its defaults and
+    :mod:`repro.obs.log` is not imported.
+    """
+    if args.log is not None:
+        level, source = args.log, "--log"
+    else:
+        level, source = os.environ.get("REPRO_LOG"), "REPRO_LOG"
+    if level is None and not args.log_json:
+        return None
+    from repro.obs.log import configure
+
+    try:
+        configure(level=level, json_lines=True if args.log_json else None)
+    except ValueError as exc:
+        return "{}: {}".format(source, exc)
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.log is not None or args.log_json:
-        from repro.obs.log import configure
-
-        configure(
-            spec=args.log,
-            json_lines=True if args.log_json else None,
-        )
-    env_error = _check_env_modes()
+    env_error = _configure_logging(args) or _check_env_modes()
     if env_error is not None:
         print("error: {}".format(env_error), file=sys.stderr)
         return 2

@@ -69,14 +69,7 @@ _BYPASSED_BARRIERS = (
     StreamWaitEvent,
 )
 from repro.modes import resolve_engine_mode
-from repro.obs import (
-    PID_DEVICE,
-    PID_HOST,
-    PID_RUNTIME,
-    PID_SM,
-    resolve_metrics,
-    resolve_tracer,
-)
+from repro.obs import PID_RUNTIME, resolve_metrics, resolve_tracer
 from repro.sim.config import GPUConfig
 from repro.sim.device import Device, empty_device_slots
 from repro.sim.stats import KernelRecord, RunStats, TBTable
@@ -188,9 +181,11 @@ class ExecutionModel:
         ``journal`` may be a :class:`repro.obs.journal.JournalRecorder`;
         the engine then emits every scheduling event, with its release
         edge, into the flight recorder — the one stream critical-path
-        and telemetry analysis are derived from.  Instrumentation is
-        observation only — results are identical whether or not a
-        tracer or journal is attached.
+        and telemetry analysis are derived from.  The tracer and the
+        registry see the finished run only: ``repro.obs.render``
+        derives the trace events and the ``engine.*`` and ``device.*``
+        metrics from its records, so results are identical whether or
+        not anything observes them.
 
         ``engine`` selects the simulation tier
         (:func:`repro.modes.resolve_engine_mode`; ``None`` reads
@@ -199,7 +194,9 @@ class ExecutionModel:
         :func:`certify_device_serial` accepts, and its module is
         imported only for those; a journal-carrying run silently uses
         the scalar reference engine, since the journal hooks per-event
-        injection points the batched tier skips.
+        injection points the batched tier skips.  Each run counts its
+        tier (``engine.tier.*``) and any decline (``engine.fallback.*``)
+        on ``metrics``, even on a disabled registry.
         """
         tracer = resolve_tracer(tracer)
         metrics = resolve_metrics(metrics)
@@ -211,6 +208,7 @@ class ExecutionModel:
             pid=PID_RUNTIME,
             args={"application": plan.application},
         ):
+            fast = None
             if mode != "reference":
                 if journal is not None:
                     reason = "observers"
@@ -218,28 +216,41 @@ class ExecutionModel:
                     reason = certify_device_serial(
                         plan, self.gpu_config, options
                     )
-                if reason is not None:
-                    metrics.inc("engine.fallback.%s" % reason)
-                else:
+                if reason is None:
                     # imported lazily: it builds on this module, and a
                     # declined run never needs it
                     from repro.models import fastengine
 
-                    stats = fastengine.run_fast(
-                        plan, self.gpu_config, options, tracer, metrics,
-                    )
-                    if stats is not None:
-                        return stats
-            metrics.inc("engine.tier.reference")
-            reference = ExecutionEngine(
-                plan,
-                self.gpu_config,
-                options,
-                tracer=tracer,
-                metrics=metrics,
-                journal=journal,
-            )
-            return reference.run()
+                    try:
+                        fast = fastengine.run_fast(
+                            plan, self.gpu_config, options
+                        )
+                    except fastengine.TierDecline as decline:
+                        reason = decline.reason
+                if reason is not None:
+                    metrics.inc("engine.fallback.%s" % reason)
+            if fast is not None:
+                metrics.inc("engine.tier.vectorized")
+                stats, enqueued_ns, done_ns = fast
+                events, pending = 0, 0  # the tier runs no event loop
+            else:
+                metrics.inc("engine.tier.reference")
+                reference = ExecutionEngine(
+                    plan, self.gpu_config, options, journal=journal
+                )
+                stats = reference.run()
+                enqueued_ns = reference.call_enqueued_ns
+                done_ns = reference.call_done_ns
+                events = reference.events_processed
+                pending = reference.peak_pending
+            if tracer.enabled or metrics.enabled:
+                from repro.obs.render import render_run
+
+                render_run(
+                    tracer, metrics, plan, stats, enqueued_ns, done_ns,
+                    events, pending,
+                )
+            return stats
 
 
 # ----------------------------------------------------------------------
@@ -323,16 +334,12 @@ class ExecutionEngine:
         plan: RuntimePlan,
         gpu_config: GPUConfig,
         options: EngineOptions,
-        tracer=None,
-        metrics=None,
         journal=None,
         device=None,
     ):
         self.plan = plan
         self.config = gpu_config
         self.opts = options
-        self.tracer = resolve_tracer(tracer)
-        self.metrics = resolve_metrics(metrics)
         #: observation-only flight recorder of every engine event
         self.journal = journal
         if journal is not None:
@@ -348,13 +355,11 @@ class ExecutionEngine:
         self._seq = itertools.count()
         #: time of the event running now (of the last one, once drained)
         self.now = 0.0
-        #: free observability counters, copied into the metrics registry
-        #: after the run
+        #: event-loop counts, rendered as ``engine.*`` gauges after the
+        #: run (:mod:`repro.obs.render`)
         self.events_processed = 0
         self.peak_pending = 0
-        self.device = device if device is not None else Device(
-            gpu_config, tracer=self.tracer, metrics=self.metrics
-        )
+        self.device = device if device is not None else Device(gpu_config)
         self.timing = gpu_config.timing
         self.kernels = [
             _KernelState(
@@ -508,8 +513,6 @@ class ExecutionEngine:
         stats.validate_invariants()
         if self.journal is not None:
             self.journal.finalize(self)
-        self._emit_trace(stats)
-        self._record_metrics(stats)
         return stats
 
     def schedule(self, time, callback, *args):
@@ -566,24 +569,6 @@ class ExecutionEngine:
         if kind in self._edge_kinds:
             fields["edge"] = self._edge_fields(self._ctx)
         self.journal.emit(kind, self.now, **fields)
-
-    # ------------------------------------------------------------------
-    # observability (pure observation: derived from the finished run's
-    # records, so tracing can never perturb simulated behaviour)
-    # ------------------------------------------------------------------
-    def _emit_trace(self, stats: RunStats):
-        emit_engine_trace(
-            self.tracer, self.plan, self.call_enqueued_ns,
-            self.call_done_ns, stats,
-        )
-
-    def _record_metrics(self, stats: RunStats):
-        record_engine_metrics(
-            self.metrics, stats,
-            events_processed=self.events_processed,
-            peak_pending=self.peak_pending,
-            counters=self.counters,
-        )
 
     def _check_all_complete(self):
         pending_calls = [p for p, done in enumerate(self.call_done) if not done]
@@ -1074,7 +1059,7 @@ class ExecutionEngine:
                         ready_ns = input_ready
                 records.kernel_index.append(ki)
                 records.tb_id.append(tb)
-                records.ready_ns.append(now if now < ready_ns else ready_ns)
+                records.ready_ns.append(ready_ns)
                 records.start_ns.append(now)
                 records.finish_ns.append(finish)
                 records.sm.append(sm)
@@ -1195,101 +1180,3 @@ class ExecutionEngine:
                 self._refresh_ready(dependent)
             idx = ks.plan.chain_next
         self._pump()
-
-
-# ----------------------------------------------------------------------
-# shared observability emitters (pure observation, derived from the
-# finished run's records — used by both the scalar engine above and the
-# batched tiers in repro.models.fastengine, so trace and metrics output
-# is identical whichever engine produced the stats)
-# ----------------------------------------------------------------------
-def emit_engine_trace(tracer, plan, call_enqueued_ns, call_done_ns, stats):
-    if not tracer.enabled:
-        return
-    # host command queue: one span per API call, enqueue → complete
-    for position, call in enumerate(plan.order):
-        tracer.name_thread(
-            PID_HOST, call.stream_id, "stream {}".format(call.stream_id)
-        )
-        tracer.sim_span(
-            call.trace_name,
-            call_enqueued_ns[position],
-            call_done_ns[position],
-            cat="host.queue",
-            pid=PID_HOST,
-            tid=call.stream_id,
-            args=call.trace_args(),
-        )
-    # kernel lifecycle phases: one thread row per kernel so phases of
-    # concurrently in-flight kernels never collide
-    for kr in stats.kernel_records:
-        tid = kr.index
-        tracer.name_thread(
-            PID_DEVICE, tid, "k{:02d} {} (s{})".format(kr.index, kr.name, kr.stream)
-        )
-        info = {"kernel": kr.name, "index": kr.index, "stream": kr.stream}
-        if kr.launch_begin_ns > kr.queued_ns:
-            tracer.sim_span(
-                "queued", kr.queued_ns, kr.launch_begin_ns,
-                cat="kernel.queued", pid=PID_DEVICE, tid=tid, args=info,
-            )
-        tracer.sim_span(
-            "launch", kr.launch_begin_ns, kr.resident_ns,
-            cat="kernel.launch", pid=PID_DEVICE, tid=tid, args=info,
-        )
-        first = kr.first_tb_start_ns or kr.resident_ns
-        if first > kr.resident_ns:
-            tracer.sim_span(
-                "stall", kr.resident_ns, first,
-                cat="kernel.stall", pid=PID_DEVICE, tid=tid, args=info,
-            )
-        tracer.sim_span(
-            "exec", first, kr.all_tbs_done_ns,
-            cat="kernel.exec", pid=PID_DEVICE, tid=tid,
-            args=dict(info, num_tbs=kr.num_tbs),
-        )
-        tracer.instant(
-            "complete", ts_us=kr.completed_ns / 1e3,
-            cat="kernel.complete", pid=PID_DEVICE, tid=tid, args=info,
-        )
-    # per-TB lifecycle on SM rows; async events because blocks of
-    # several kernels overlap on one SM
-    for tb in stats.tb_records:
-        tracer.name_thread(PID_SM, tb.sm, "SM {:02d}".format(tb.sm))
-        event_id = "k{}.tb{}".format(tb.kernel_index, tb.tb_id)
-        name = "k{}/tb{}".format(tb.kernel_index, tb.tb_id)
-        tracer.async_begin(
-            name, tb.start_ns / 1e3, event_id,
-            cat="tb", pid=PID_SM, tid=tb.sm,
-            args={
-                "kernel": tb.kernel_index,
-                "tb": tb.tb_id,
-                "ready_ns": tb.ready_ns,
-                "stall_ns": tb.stall_ns,
-            },
-        )
-        tracer.async_end(name, tb.finish_ns / 1e3, event_id, cat="tb",
-                         pid=PID_SM, tid=tb.sm)
-
-
-def record_engine_metrics(metrics, stats, events_processed, peak_pending,
-                          counters):
-    m = metrics
-    if not m.enabled:
-        return
-    m.set_gauge("engine.makespan_ns", stats.makespan_ns)
-    m.set_gauge("engine.avg_tb_concurrency", stats.avg_tb_concurrency())
-    m.set_gauge("engine.events_processed", events_processed)
-    m.set_gauge("engine.peak_pending_events", peak_pending)
-    for name, value in counters.items():
-        m.set_gauge("engine.{}".format(name), value)
-    # TBRecord.stall_ns and duration_ns, read from the columns
-    records = stats.tb_records
-    if not records:
-        return
-    observe = m.histogram("engine.tb_stall_ns").observe
-    for ready, start in zip(records.ready_ns, records.start_ns):
-        observe(max(0.0, start - ready))
-    observe = m.histogram("engine.tb_duration_ns").observe
-    for start, finish in zip(records.start_ns, records.finish_ns):
-        observe(finish - start)

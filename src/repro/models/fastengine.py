@@ -22,7 +22,7 @@ three steps per kernel:
 * **durations** — one numpy pass per few thousand TBs of the plan's
   plain jittered kernels (no duration or scale function), sliced per
   kernel as the scan reaches it; ``KernelPlan.tb_durations_ns`` serves
-  the rest and every kernel when numpy is missing;
+  the rest;
 * **placement** — a kernel that fits in one wave (``n <= W``) starts
   every TB at ``t0`` on SM ``i % num_sms`` and needs no heap; a wider
   one runs an O(N log W) slot sweep whose pops replay the reference
@@ -37,16 +37,17 @@ reduce to a forward max/plus scan over the program order.
 
 The tier replicates the reference bit-for-bit, including the float
 accumulation order of the device concurrency integral (one ``dt``
-advance per distinct event time), SM placement indices (round-robin
-layering; a freed slot's SM is re-won by the next dispatch), and the
-``min(ready, start)`` clamp on per-TB ready times.  Differential tests
+advance per distinct event time) and SM placement indices (round-robin
+layering; a freed slot's SM is re-won by the next dispatch).  Like the
+reference, it only simulates; ``ExecutionModel.run`` renders the trace
+and the gauges from what it returns.  Differential tests
 (``tests/integration/test_differential_engine.py``) and the fuzz
 harness hold it to byte-identical simulated signatures against the
 oracle, with and without duration jitter.
 
 Tier selection is per-run via ``REPRO_ENGINE``
 (:func:`repro.modes.resolve_engine_mode`) and reported through the
-``engine.tier.*`` and ``engine.fallback.*`` metrics counters.  Whenever
+``engine.tier.*`` and ``engine.fallback.*`` counters.  Whenever
 a journal is attached the dispatch seam keeps the scalar engine, since
 the journal hooks per-event injection points the batched tier skips.
 """
@@ -60,13 +61,7 @@ from repro.host.api import (
     MemcpyD2H,
     MemcpyH2D,
 )
-from repro.models.base import (
-    _BYPASSED_BARRIERS,
-    emit_engine_trace,
-    first_bad_duration,
-    record_engine_metrics,
-)
-from repro.obs import PID_DEVICE
+from repro.models.base import _BYPASSED_BARRIERS, first_bad_duration
 from repro.sim.device import empty_device_slots
 from repro.sim.stats import KernelRecord, RunStats, TBTable
 
@@ -78,58 +73,24 @@ _PASS_TBS = 4096
 # ----------------------------------------------------------------------
 # the fast run
 # ----------------------------------------------------------------------
-class _TierDecline(Exception):
-    """Internal: the tier discovered mid-flight it cannot replicate the
-    reference (a NaN, infinite or negative TB duration, which the
-    reference reports by kernel and TB)."""
+class TierDecline(Exception):
+    """The tier discovered mid-flight it cannot replicate the reference
+    (a NaN, infinite or negative TB duration, which the reference
+    reports by kernel and TB); ``reason`` names the decline."""
 
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
 
 
-def run_fast(plan, config, options, tracer, metrics):
+def run_fast(plan, config, options):
     """Run a certified device-serial ``plan`` through the vectorized tier.
 
-    Returns the :class:`RunStats` (bit-identical to the scalar oracle)
-    or ``None`` when the tier declines mid-flight — the caller then
-    falls back to the reference engine.
-    """
-    try:
-        stats, extras = _simulate(plan, config, options, tracer)
-    except _TierDecline as decline:
-        metrics.inc("engine.fallback.%s" % decline.reason)
-        return None
-    metrics.inc("engine.tier.vectorized")
-    _finalize_device_metrics(metrics, extras)
-    emit_engine_trace(
-        tracer, plan, extras["call_enqueued_ns"], extras["call_done_ns"],
-        stats,
-    )
-    record_engine_metrics(
-        metrics, stats, events_processed=0, peak_pending=0,
-        counters=stats.counters,
-    )
-    return stats
-
-
-def _finalize_device_metrics(metrics, extras):
-    """Mirror ``Device.finalize``'s gauges for the batched run."""
-    if not metrics.enabled:
-        return
-    metrics.set_gauge("device.peak_tb_concurrency", extras["peak"])
-    metrics.set_gauge("device.busy_ns", extras["busy_ns"])
-    metrics.set_gauge(
-        "device.concurrency_integral", extras["concurrency_integral"]
-    )
-    metrics.inc("device.tb_placements", extras["placements"])
-
-
-def _simulate(plan, config, options, tracer):
-    """Forward max/plus scan over the program order.
-
-    Returns ``(stats, extras)`` where ``extras`` carries the call
-    timestamp arrays and device gauge values.
+    A forward max/plus scan over the program order.  Returns ``(stats,
+    call_enqueued_ns, call_done_ns)``: the :class:`RunStats`
+    (bit-identical to the scalar oracle) and each API call's enqueue
+    and done times.  Raises :class:`TierDecline` when the tier declines
+    mid-flight; the caller then runs the reference engine.
     """
     timing = config.timing
     order = plan.order
@@ -137,7 +98,6 @@ def _simulate(plan, config, options, tracer):
     strict = options.strict_order
     window = options.window
     num_sms = config.num_sms
-    trace_occupancy = tracer.enabled
 
     num_calls = len(order)
     call_enqueued_ns = [0.0] * num_calls
@@ -166,9 +126,6 @@ def _simulate(plan, config, options, tracer):
     # one dt per distinct event time, running taken before the events)
     integral = 0.0
     busy = 0.0
-    peak = 0
-    placements = 0
-    occupancy_samples = [] if trace_occupancy else None
 
     for position, call in enumerate(order):
         enq = host_time + api
@@ -223,7 +180,7 @@ def _simulate(plan, config, options, tracer):
             n = kp.num_tbs
             durations = next(durations_of)
             if first_bad_duration(durations) is not None:
-                raise _TierDecline("bad_duration")
+                raise TierDecline("bad_duration")
             width = empty_device_slots(config, kp.threads_per_tb)
             if n <= width:
                 # one wave: every TB starts at t0 on SM i % num_sms
@@ -245,29 +202,20 @@ def _simulate(plan, config, options, tracer):
             call_done_ns[position] = done
             chain_seen += 1
 
-            # device accounting: walk the kernel's concurrency steps.
-            # Peak is exact wave math: the device never holds more than
-            # min(N, W_eff) of this kernel's blocks (release/place pairs
-            # replace one-for-one), and it holds exactly that many in
-            # the first wave.
-            if n <= width and occupancy_samples is None:
+            # device accounting: walk the kernel's concurrency steps
+            if n <= width:
                 integral, busy = _accumulate_wave(
                     t0, fin_sorted, integral, busy,
                 )
             else:
                 integral, busy = _accumulate_device(
                     t0, starts, fin_sorted, integral, busy,
-                    occupancy_samples,
                 )
-            k_peak = n if n < width else width
-            if k_peak > peak:
-                peak = k_peak
-            placements += n
 
             # per-TB records (dispatch order == TB id under FIFO ready)
             _extend_records(
                 tb_records, ki, kp, input_ready[ki], all_done, completed,
-                t0, starts, finishes, sms,
+                starts, finishes, sms,
                 tb_finishes[prev] if prev is not None else None,
             )
         else:
@@ -336,17 +284,7 @@ def _simulate(plan, config, options, tracer):
         },
     )
     stats.validate_invariants()
-    if trace_occupancy:
-        _emit_occupancy(tracer, occupancy_samples)
-    extras = {
-        "call_enqueued_ns": call_enqueued_ns,
-        "call_done_ns": call_done_ns,
-        "concurrency_integral": integral,
-        "busy_ns": busy,
-        "peak": peak,
-        "placements": placements,
-    }
-    return stats, extras
+    return stats, call_enqueued_ns, call_done_ns
 
 
 # ----------------------------------------------------------------------
@@ -365,13 +303,11 @@ def _plan_durations(kernels):
     """Each kernel's TB durations, in kernel order: an iterator of
     lists, each equal to ``kp.tb_durations_ns()``.
 
-    numpy is imported on first use; without it, and for every kernel
-    that is not plain jittered, ``tb_durations_ns`` serves.
+    numpy is imported on first use; ``tb_durations_ns`` serves every
+    kernel that is not plain jittered.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        return (kp.tb_durations_ns() for kp in kernels)
+    import numpy as np
+
     jittered = _jittered_durations(
         np, [kp for kp in kernels if _plain_jittered(kp)]
     )
@@ -473,7 +409,7 @@ def _slot_sweep(t0, n, width, durations, num_sms):
 
 
 def _accumulate_wave(t0, fin_sorted, integral, busy):
-    """:func:`_accumulate_device` for one wave, untraced.
+    """:func:`_accumulate_device` for one wave.
 
     All TBs start at ``t0`` and each finish drops the running count by
     one, so one left-to-right loop over the sorted finishes suffices:
@@ -492,7 +428,7 @@ def _accumulate_wave(t0, fin_sorted, integral, busy):
     return integral, busy
 
 
-def _accumulate_device(t0, starts, fin_sorted, integral, busy, samples):
+def _accumulate_device(t0, starts, fin_sorted, integral, busy):
     """Replicate ``Device._advance`` over one kernel's TB phase.
 
     Starts and (sorted) finishes interleave chronologically; at each
@@ -507,8 +443,6 @@ def _accumulate_device(t0, starts, fin_sorted, integral, busy, samples):
     running = 0
     si = 0
     fi = 0
-    if samples is not None:
-        samples.append((t0, 0))
     while fi < n:
         if si < n and starts[si] <= fin_sorted[fi]:
             now = starts[si]
@@ -526,35 +460,18 @@ def _accumulate_device(t0, starts, fin_sorted, integral, busy, samples):
         while fi < n and fin_sorted[fi] == now:
             running -= 1
             fi += 1
-        if samples is not None:
-            samples.append((now, running))
     return integral, busy
-
-
-def _emit_occupancy(tracer, samples):
-    """Coarse ``running_tbs`` counter track for the batched tier: one
-    sample per distinct event time (the reference samples every
-    placement and release; the step function is identical)."""
-    for now, running in samples:
-        tracer.counter(
-            "running_tbs",
-            {"running": running},
-            ts_us=now / 1e3,
-            cat="device",
-            pid=PID_DEVICE,
-        )
 
 
 def _extend_records(
     tb_records, ki, kp, ready_in, all_done, completed,
-    t0, starts, finishes, sms, parent_finishes,
+    starts, finishes, sms, parent_finishes,
 ):
     """Append this kernel's TBs to the ``tb_records`` columns, in
     dispatch order.
 
     A TB's ready time is the latest of its inputs, the barriers and —
-    under an explicit graph — its parents' finishes, clamped to its
-    start (``starts`` never precede ``t0``).
+    under an explicit graph — its parents' finishes.
     """
     n = len(finishes)
     prev = kp.chain_prev
@@ -572,17 +489,14 @@ def _extend_records(
         if completed[gp] > base:
             base = completed[gp]
     if explicit:
-        ready = [base] * n
+        readies = [base] * n
         for finish, children in zip(parent_finishes, graph.children_of):
             if finish > base:
                 for c in children:
-                    if finish > ready[c]:
-                        ready[c] = finish
-        readies = [r if r < s else s for r, s in zip(ready, starts)]
-    elif base <= t0:
-        readies = repeat(base, n)
+                    if finish > readies[c]:
+                        readies[c] = finish
     else:
-        readies = [base if base < s else s for s in starts]
+        readies = repeat(base, n)
     tb_records.kernel_index.extend(repeat(ki, n))
     tb_records.tb_id.extend(range(n))
     tb_records.ready_ns.extend(readies)

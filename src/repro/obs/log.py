@@ -7,25 +7,18 @@ configuration the output is byte-identical to the old ad-hoc prints
 tests, shell pipelines, CI greps — notices the switch.  Two knobs
 change that:
 
-* ``REPRO_LOG`` — ``level`` or ``level:subsys1,subsys2`` (for example
-  ``debug`` or ``debug:fuzz,serve``).  Levels: ``debug`` < ``info``
-  (default) < ``warning`` < ``error`` < ``off``.  A subsystem list
-  restricts *debug-level* verbosity to those subsystems; info and above
-  always pass the level filter alone.
+* ``REPRO_LOG`` (or the CLI's ``--log``) — the threshold level:
+  ``debug`` < ``info`` (default) < ``warning`` < ``error`` < ``off``.
+  Any other name raises :class:`ValueError` (the CLI exits 2).
 * ``REPRO_LOG_JSON=1`` (or the CLI's ``--log-json``) — each record
   becomes one JSON object per line (``ts``/``level``/``subsystem``/
-  ``msg`` + context fields), machine-parseable for CI and the future
+  ``msg`` + the record's fields), machine-parseable for CI and
   ``repro serve``.
-
-:func:`set_context` attaches ambient key/value pairs (for example
-``worker=<pid>`` inside pool workers) to every subsequent record from
-this process — that is the per-worker forwarding story: workers inherit
-the parent's stderr, and the context field says who wrote each line.
 
 :class:`Heartbeat` is the live-progress half: long ``repro
 experiments`` invocations tick it once per completed experiment.
-On a TTY it redraws a single status line (current cell, ETA, cache hit
-rate); on a non-TTY it stays silent so logs remain clean.  Either way
+On a TTY it redraws a single status line (current cell, ETA); on a
+non-TTY it stays silent so logs remain clean.  Either way
 every tick atomically rewrites a machine-readable JSON status file
 (``REPRO_STATUS_FILE`` or ``--status-file``) that an external watcher —
 eventually ``repro serve`` — can poll.
@@ -48,33 +41,28 @@ STATUS_FILE_ENV = "REPRO_STATUS_FILE"
 #: module state; one process-wide configuration (workers fork it)
 _state = {
     "level": None,          # numeric threshold, resolved lazily
-    "subsystems": None,     # frozenset or None = all
     "json": None,           # bool, resolved lazily
     "stream": None,         # defaults to sys.stderr at emit time
-    "context": {},
 }
 
 
-def parse_spec(spec):
-    """``"debug:fuzz,serve"`` -> (numeric level, subsystem set)."""
-    spec = (spec or "").strip()
-    if not spec:
-        return LEVELS["info"], None
-    name, _, subsys = spec.partition(":")
-    level = LEVELS.get(name.strip().lower())
-    if level is None:
-        level = LEVELS["info"]
-    names = frozenset(
-        part.strip() for part in subsys.split(",") if part.strip()
-    )
-    return level, (names or None)
+def parse_level(name):
+    """A level name -> its numeric threshold; empty or ``None`` is
+    ``info``, and an unknown name raises :class:`ValueError`."""
+    key = (name or "info").strip().lower()
+    if key not in LEVELS:
+        raise ValueError(
+            "unknown log level {!r} (expected one of {})".format(
+                name, ", ".join(LEVELS)
+            )
+        )
+    return LEVELS[key]
 
 
-def configure(spec=None, json_lines=None, stream=None):
+def configure(level=None, json_lines=None, stream=None):
     """Pin the process-wide config (CLI flags beat environment)."""
-    if spec is not None:
-        level, subsystems = parse_spec(spec)
-        _state["level"], _state["subsystems"] = level, subsystems
+    if level is not None:
+        _state["level"] = parse_level(level)
     if json_lines is not None:
         _state["json"] = bool(json_lines)
     if stream is not None:
@@ -82,25 +70,13 @@ def configure(spec=None, json_lines=None, stream=None):
 
 
 def reset():
-    """Drop all configuration and context (tests call this)."""
-    _state.update(
-        level=None, subsystems=None, json=None, stream=None, context={}
-    )
-
-
-def set_context(**fields):
-    """Attach ambient fields to every subsequent record (None deletes)."""
-    for key, value in fields.items():
-        if value is None:
-            _state["context"].pop(key, None)
-        else:
-            _state["context"][key] = value
+    """Drop all configuration (tests call this)."""
+    _state.update(level=None, json=None, stream=None)
 
 
 def _resolved_level():
     if _state["level"] is None:
-        level, subsystems = parse_spec(os.environ.get(LOG_ENV))
-        _state["level"], _state["subsystems"] = level, subsystems
+        _state["level"] = parse_level(os.environ.get(LOG_ENV))
     return _state["level"]
 
 
@@ -115,24 +91,13 @@ def _stream():
 
 
 class Logger:
-    """Leveled, per-subsystem record emitter (see module docstring)."""
+    """Leveled record emitter for one subsystem (see module docstring)."""
 
     def __init__(self, subsystem):
         self.subsystem = subsystem
 
     def enabled(self, level_name):
-        threshold = _resolved_level()
-        level = LEVELS[level_name]
-        if level < threshold:
-            return False
-        subsystems = _state["subsystems"]
-        if (
-            level_name == "debug"
-            and subsystems is not None
-            and self.subsystem not in subsystems
-        ):
-            return False
-        return True
+        return LEVELS[level_name] >= _resolved_level()
 
     def log(self, level_name, msg, **fields):
         if not self.enabled(level_name):
@@ -145,7 +110,6 @@ class Logger:
                 "subsystem": self.subsystem,
                 "msg": msg,
             }
-            record.update(_state["context"])
             record.update(fields)
             stream.write(
                 json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -220,7 +184,7 @@ class Heartbeat:
 
     ``total`` is the number of cells; :meth:`tick` is called once per
     completed cell with a human label for the *next* work (or the one
-    just finished) plus optional counters.  ETA is linear extrapolation
+    just finished).  ETA is linear extrapolation
     from elapsed/completed — crude but monotone, and honest about being
     absent until the first cell lands.
     """
@@ -239,22 +203,20 @@ class Heartbeat:
         self._start = clock()
         self.completed = 0
         self.current = None
-        self.extra = {}
         self._tty = bool(getattr(self._stream, "isatty", lambda: False)())
         self._live = False  # a live line is currently on screen
 
     # -- progress ------------------------------------------------------
-    def tick(self, current=None, completed=None, **extra):
+    def tick(self, current=None, completed=None):
         if completed is not None:
             self.completed = int(completed)
         if current is not None:
             self.current = current
-        self.extra.update(extra)
         self._write_status()
         self._draw()
 
-    def advance(self, current=None, **extra):
-        self.tick(current=current, completed=self.completed + 1, **extra)
+    def advance(self, current=None):
+        self.tick(current=current, completed=self.completed + 1)
 
     def finish(self):
         """Clear the live line and write the terminal status snapshot."""
@@ -277,7 +239,7 @@ class Heartbeat:
         return per_cell * (self.total - self.completed)
 
     def snapshot(self, done=False):
-        payload = {
+        return {
             "kind": STATUS_KIND,
             "schema_version": STATUS_SCHEMA_VERSION,
             "phase": self.phase,
@@ -291,8 +253,6 @@ class Heartbeat:
             "done": bool(done or self.completed >= self.total),
             "pid": os.getpid(),
         }
-        payload.update(self.extra)
-        return payload
 
     def _write_status(self, done=False):
         if not self.status_path:
@@ -309,9 +269,6 @@ class Heartbeat:
         eta = self.eta_s()
         if eta is not None:
             bits.append("eta {:.0f}s".format(eta))
-        hit_rate = self.extra.get("cache_hit_rate")
-        if hit_rate is not None:
-            bits.append("cache {:.0%}".format(hit_rate))
         self._stream.write("\r\x1b[K" + "  ".join(bits))
         self._stream.flush()
         self._live = True

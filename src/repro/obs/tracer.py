@@ -93,7 +93,7 @@ class Tracer:
 
     def __init__(self, clock=None, per_sm_counters=False):
         self._clock = clock or time.perf_counter
-        #: opt-in: the device also samples per-SM ``running_tbs[sm=i]``
+        #: opt-in: a rendered run also gets per-SM ``running_tbs[sm=i]``
         #: counters (off by default to keep trace size bounded)
         self.per_sm_counters = per_sm_counters
         self._epoch = self._clock()

@@ -24,14 +24,8 @@ Workers run ``fn(item)`` — both must be picklable (module-level
 function, plain-data items).  Simulated results in this codebase are
 deterministic, so a retried task returns the same value the first
 attempt would have.
-
-Every pooled task runs inside :func:`_worker_task`, which tags the
-worker's :mod:`repro.obs.log` context with its pid — workers inherit
-the parent's stderr, so the ``worker`` field on a JSON log record says
-*who* wrote each interleaved line.
 """
 
-import os
 from typing import Callable, List, Sequence
 
 #: per-task wall-clock budget before the parent gives up on the worker
@@ -50,14 +44,6 @@ class TaskFailure(RuntimeError):
         super().__init__(
             "task {} failed after {} attempt(s): {!r}".format(index, attempts, cause)
         )
-
-
-def _worker_task(fn, item):
-    """Pool entry point: tag this worker's log context, then run."""
-    from repro.obs.log import set_context
-
-    set_context(worker=os.getpid())
-    return fn(item)
 
 
 class SuiteExecutor:
@@ -125,7 +111,7 @@ class SuiteExecutor:
             max_workers=min(self.jobs, len(items)), mp_context=ctx
         )
         try:
-            futures = [pool.submit(_worker_task, fn, item) for item in items]
+            futures = [pool.submit(fn, item) for item in items]
             # collect strictly in index order: merge order (and therefore
             # the caller-visible output) never depends on completion order
             for index, future in enumerate(futures):

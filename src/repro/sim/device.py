@@ -19,7 +19,6 @@ it, thread count on top — so integer order is exactly the tuple order.
 
 from bisect import bisect_left, insort
 
-from repro.obs import PID_DEVICE, resolve_metrics, resolve_tracer
 from repro.sim.config import GPUConfig
 
 
@@ -41,18 +40,10 @@ def empty_device_slots(config: GPUConfig, threads_per_tb: int) -> int:
 
 
 class Device:
-    """Occupancy bookkeeping plus the running-TB concurrency integral.
+    """Occupancy bookkeeping plus the running-TB concurrency integral."""
 
-    With a tracer attached, every placement/release also emits a
-    ``running_tbs`` counter sample on the simulated clock, so Perfetto
-    renders the SM-occupancy profile alongside the kernel spans.
-    Tracing is observation only and never changes placement decisions.
-    """
-
-    def __init__(self, config: GPUConfig, tracer=None, metrics=None):
+    def __init__(self, config: GPUConfig):
         self.config = config
-        self.tracer = resolve_tracer(tracer)
-        self.metrics = resolve_metrics(metrics)
         num_sms = config.num_sms
         self._max_tbs = config.max_tbs_per_sm
         self._max_threads = config.max_threads_per_sm
@@ -76,25 +67,6 @@ class Device:
         self._last_event_ns = 0.0
         self.concurrency_integral = 0.0
         self.busy_ns = 0.0
-        self.peak_concurrency = 0
-        self.placements = 0
-
-    def _sample_occupancy(self, now_ns, sm):
-        self.tracer.counter(
-            "running_tbs",
-            {"running": self.running},
-            ts_us=now_ns / 1e3,
-            cat="device",
-            pid=PID_DEVICE,
-        )
-        if getattr(self.tracer, "per_sm_counters", False):
-            self.tracer.counter(
-                "running_tbs[sm={:02d}]".format(sm),
-                {"running": self.resident_tbs[sm]},
-                ts_us=now_ns / 1e3,
-                cat="device.sm",
-                pid=PID_DEVICE,
-            )
 
     def free_slots(self, threads_per_tb):
         """Total blocks of the given size that could be placed right now."""
@@ -135,13 +107,7 @@ class Device:
             self._last_event_ns = now_ns
         self.resident_tbs[sm] = tbs
         self.resident_threads[sm] += threads_per_tb
-        running += 1
-        self.running = running
-        self.placements += 1
-        if running > self.peak_concurrency:
-            self.peak_concurrency = running
-        if self.tracer.enabled:
-            self._sample_occupancy(now_ns, sm)
+        self.running = running + 1
         return sm
 
     def release(self, sm_index, threads_per_tb, now_ns):
@@ -159,8 +125,6 @@ class Device:
         self.resident_tbs[sm_index] = tbs - 1
         self.resident_threads[sm_index] = threads - threads_per_tb
         self.running = running - 1
-        if self.tracer.enabled:
-            self._sample_occupancy(now_ns, sm_index)
         key = (
             (threads << self._threads_shift) + (tbs << self._tbs_shift)
             + sm_index
@@ -181,12 +145,6 @@ class Device:
             if self.running > 0:
                 self.busy_ns += dt
             self._last_event_ns = now_ns
-        m = self.metrics
-        if m.enabled:
-            m.set_gauge("device.peak_tb_concurrency", self.peak_concurrency)
-            m.set_gauge("device.busy_ns", self.busy_ns)
-            m.set_gauge("device.concurrency_integral", self.concurrency_integral)
-            m.inc("device.tb_placements", self.placements)
 
 
 class UnboundedDevice(Device):
@@ -195,11 +153,11 @@ class UnboundedDevice(Device):
     Used by the what-if analyzer's ``infinite_sms`` replay: placement is
     O(1) (everything lands on SM 0), so the replay needs no artificially
     huge SM array and no placement order.  Accounting
-    (concurrency integral, busy time, counters) matches :class:`Device`.
+    (concurrency integral, busy time) matches :class:`Device`.
     """
 
-    def __init__(self, config: GPUConfig, tracer=None, metrics=None):
-        super().__init__(config, tracer=tracer, metrics=metrics)
+    def __init__(self, config: GPUConfig):
+        super().__init__(config)
         # one SM without limits: its key, ``threads << 64 | tbs``, is
         # always the one open entry, so placing and releasing stay O(1)
         self.resident_tbs = [0]

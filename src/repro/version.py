@@ -36,10 +36,8 @@ __version__ = "1.0.0"
 
 def package_version():
     """The installed distribution version, else the source fallback."""
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-    except ImportError:  # pragma: no cover - Python < 3.8
-        return __version__
+    from importlib.metadata import PackageNotFoundError, version
+
     try:
         return version("repro")
     except PackageNotFoundError:

@@ -84,6 +84,31 @@ class TestErrorExits:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "env, argv, source, level",
+        [
+            pytest.param(None, ["--log", "chatty", "list"], "--log",
+                         "chatty", id="flag"),
+            pytest.param("bogus", ["fuzz", "--count", "1"], "REPRO_LOG",
+                         "bogus", id="env"),
+            pytest.param("bogus", ["--log", "info:fuzz", "list"], "--log",
+                         "info:fuzz", id="flag-with-subsystems"),
+        ],
+    )
+    def test_unknown_log_level_exits_2(self, env, argv, source, level,
+                                       monkeypatch, capsys):
+        if env is None:
+            monkeypatch.delenv("REPRO_LOG", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_LOG", env)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: {}: unknown log level {!r}".format(source, level)
+        )
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             pytest.param(["analyze", "mvt", "--window", "0"],

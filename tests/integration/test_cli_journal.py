@@ -83,6 +83,22 @@ class TestJdiffCommand:
         assert validate_jdiff_report(report) == []
         assert report["identical"] is True
 
+    def test_invalid_report_is_never_written(self, tmp_path, capsys,
+                                             monkeypatch):
+        from repro.obs import jdiff
+
+        a = _record(tmp_path, "a.journal.jsonl")
+        diff = jdiff.diff_journals
+        # a generator bug: a field of the wrong type
+        monkeypatch.setattr(
+            jdiff, "diff_journals",
+            lambda *args, **kwargs: dict(diff(*args, **kwargs), identical=1),
+        )
+        out = tmp_path / "report.json"
+        with pytest.raises(AssertionError, match="jdiff report is invalid"):
+            main(["jdiff", str(a), str(a), "--json", str(out)])
+        assert not out.exists()
+
     def test_corrupt_journal_exits_two(self, tmp_path, capsys):
         a = _record(tmp_path, "a.journal.jsonl")
         bad = tmp_path / "bad.journal.jsonl"

@@ -21,9 +21,12 @@ from repro.experiments.common import (
     _make_model,
     _model_plan_params,
 )
+from repro.obs import PID_DEVICE, PID_HOST, PID_SM, Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import GPUConfig
 from repro.workloads import all_workloads, get_workload
+
+from tests.digests import runstats_digest
 
 MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
 ENGINE_TIERS = ("auto",)
@@ -149,3 +152,53 @@ def test_env_variable_selects_tier(monkeypatch):
         )
         assert metrics.snapshot()["counters"].get(expected) == 1
     assert surfaces["auto"] == surfaces["reference"]
+
+
+def _observed(app, model_name, engine):
+    """One traced run (per-SM counters, a metrics registry) and one
+    bare run of the same plan, whose RunStats must agree: returns the
+    simulated-clock trace events, the ``device.*`` metrics, the
+    counters and the traced run's RunStats."""
+    reorder, window = _model_plan_params(model_name)
+    runtime = BlockMaestroRuntime()
+    plan = runtime.plan(app, reorder=reorder, window=window)
+    model = _make_model(model_name, runtime.config)
+    tracer, metrics = Tracer(per_sm_counters=True), MetricsRegistry()
+    traced = model.run(plan, tracer=tracer, metrics=metrics, engine=engine)
+    bare = model.run(plan, engine=engine)
+    assert runstats_digest(traced) == runstats_digest(bare), engine
+    snapshot = metrics.snapshot()
+    device = {
+        name: value
+        for kind in ("counters", "gauges")
+        for name, value in snapshot[kind].items()
+        if name.startswith("device.")
+    }
+    events = [
+        e for e in tracer.events() if e["pid"] in (PID_HOST, PID_DEVICE, PID_SM)
+    ]
+    return events, device, snapshot["counters"], traced
+
+
+def test_traced_device_serial_cell_renders_alike_on_both_tiers():
+    """Both tiers only simulate; the trace and the device metrics are
+    rendered from their records, so a traced device-serial cell writes
+    the same simulated-clock events (counter tracks included) and the
+    same ``device.*`` metrics on either tier."""
+    app = get_workload("nw").build_small()
+    events, device, counters, stats = _observed(app, "baseline", "auto")
+    ref_events, ref_device, ref_counters, _ = _observed(
+        app, "baseline", "reference"
+    )
+    assert counters.get("engine.tier.vectorized") == 1
+    assert ref_counters.get("engine.tier.reference") == 1
+    assert events == ref_events
+    assert device == ref_device
+    records = stats.tb_records
+    times = set(records.start_ns) | set(records.finish_ns)
+    running = [e for e in events if e["name"] == "running_tbs"]
+    assert len(running) == len(times)
+    sms = {e["name"] for e in events if e["name"].startswith("running_tbs[sm=")}
+    assert len(sms) == len(set(records.sm)) > 1
+    assert device["device.tb_placements"] == len(records)
+    assert 0 < device["device.peak_tb_concurrency"] <= len(records)

@@ -31,8 +31,6 @@ class OracleDevice:
         self.last = 0.0
         self.integral = 0.0
         self.busy = 0.0
-        self.peak = 0
-        self.placements = 0
 
     def advance(self, now):
         dt = now - self.last
@@ -60,8 +58,6 @@ class OracleDevice:
         self.tbs[sm] += 1
         self.threads[sm] += threads
         self.running += 1
-        self.placements += 1
-        self.peak = max(self.peak, self.running)
         return sm
 
     def release(self, sm, threads, now):
@@ -101,8 +97,6 @@ op_st = st.tuples(
 
 def _assert_same(device, oracle, threads):
     assert device.running == oracle.running
-    assert device.peak_concurrency == oracle.peak
-    assert device.placements == oracle.placements
     assert device.concurrency_integral == oracle.integral
     assert device.busy_ns == oracle.busy
     for size in (threads, 32, 512):

@@ -7,6 +7,7 @@ import pytest
 from repro.core.policy import SchedulingPolicy
 from repro.core.runtime import BlockMaestroRuntime
 from repro.models import BlockMaestroModel, SerializedBaseline
+from repro.models.base import ExecutionEngine
 from repro.sim.config import GPUConfig
 from repro.workloads.base import AppBuilder
 from repro.workloads import ptxgen
@@ -165,6 +166,29 @@ class TestBadDurations:
         )
         with pytest.raises(ValueError, match=message):
             model.run(plan, engine=engine)
+
+
+class TestRecordedReadyTimes:
+    """The engine records each TB's ready time as computed, so
+    ``RunStats.validate_invariants`` judges it: a run that records a TB
+    as ready after its start fails."""
+
+    def test_ready_after_start_fails_the_run(self, monkeypatch):
+        app = make_chain_app(num_pairs=2, tbs=8, block=64, name="late")
+        model = SerializedBaseline()
+        plan = BlockMaestroRuntime(model.gpu_config).plan(
+            app, reorder=False, window=1
+        )
+        assert model.run(plan, engine="reference").tb_records
+        # every TB the helper serves turns ready 1 ns after it starts
+        monkeypatch.setattr(
+            ExecutionEngine, "_tb_ready_time",
+            lambda engine, ks, tb: engine.now + 1.0,
+        )
+        with pytest.raises(
+            AssertionError, match="started before its dependencies resolved"
+        ):
+            model.run(plan, engine="reference")
 
 
 class TestPublicAPI:

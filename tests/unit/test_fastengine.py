@@ -10,7 +10,6 @@ is byte-identical to the unobserved fast-tier run.
 
 import dataclasses
 import json
-import sys
 
 import pytest
 
@@ -142,7 +141,7 @@ class TestCertificate:
 
 class TestPlanDurations:
     """The per-plan duration pass equals ``tb_durations_ns`` kernel by
-    kernel, with numpy and without it."""
+    kernel."""
 
     @pytest.fixture(scope="class")
     def plans(self):
@@ -168,10 +167,7 @@ class TestPlanDurations:
             sum(kp.num_tbs for kp in plan.kernels) for plan in plans
         ) > 4 * _PASS_TBS
 
-    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "no-numpy"])
-    def test_pass_equals_per_kernel_durations(self, plans, numpy, monkeypatch):
-        if not numpy:
-            monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+    def test_pass_equals_per_kernel_durations(self, plans):
         for plan in plans:
             expected = [kp.tb_durations_ns() for kp in plan.kernels]
             assert list(_plan_durations(plan.kernels)) == expected, (

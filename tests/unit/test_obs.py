@@ -303,11 +303,25 @@ class TestInstrumentedPipeline:
         assert len(tb_begins) == len(stats.tb_records)
 
     def test_occupancy_counter_events(self, traced_run):
-        _plan, stats, tracer, _metrics = traced_run
+        _plan, stats, tracer, metrics = traced_run
         samples = [e for e in tracer.events(ph="C") if e["name"] == "running_tbs"]
-        # one sample per placement and one per release
-        assert len(samples) == 2 * len(stats.tb_records)
-        assert all("running" in e["args"] for e in samples)
+        # one sample per distinct TB start or finish time, in time order
+        records = stats.tb_records
+        times = sorted(set(records.start_ns) | set(records.finish_ns))
+        assert [e["ts"] for e in samples] == [
+            round(t / 1e3, 3) for t in times
+        ]
+        running = [e["args"]["running"] for e in samples]
+        assert running[-1] == 0
+        assert max(running) == (
+            metrics.snapshot()["gauges"]["device.peak_tb_concurrency"]
+        )
+        # the running count at each time, from the TB table directly
+        for sample, t in zip(running, times):
+            assert sample == sum(
+                start <= t < finish
+                for start, finish in zip(records.start_ns, records.finish_ns)
+            )
 
     def test_metrics_capture_pipeline_counters(self, traced_run):
         _plan, stats, _tracer, metrics = traced_run

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.obs import log as obslog
-from repro.obs.log import Heartbeat, get_logger, parse_spec
+from repro.obs.log import Heartbeat, get_logger, parse_level
 
 
 @pytest.fixture(autouse=True)
@@ -21,20 +21,18 @@ def clean_state(monkeypatch):
 
 class TestParseSpec:
     def test_defaults_to_info(self):
-        assert parse_spec("") == (obslog.LEVELS["info"], None)
-        assert parse_spec(None) == (obslog.LEVELS["info"], None)
+        assert parse_level("") == obslog.LEVELS["info"]
+        assert parse_level(None) == obslog.LEVELS["info"]
 
     def test_level_only(self):
-        assert parse_spec("debug") == (obslog.LEVELS["debug"], None)
-        assert parse_spec("off") == (obslog.LEVELS["off"], None)
+        assert parse_level("debug") == obslog.LEVELS["debug"]
+        assert parse_level(" OFF ") == obslog.LEVELS["off"]
 
-    def test_level_with_subsystems(self):
-        level, subsystems = parse_spec("debug:bench, parallel")
-        assert level == obslog.LEVELS["debug"]
-        assert subsystems == frozenset({"bench", "parallel"})
-
-    def test_unknown_level_falls_back_to_info(self):
-        assert parse_spec("chatty")[0] == obslog.LEVELS["info"]
+    def test_unknown_level_raises(self):
+        # a subsystem list is not a level either
+        for name in ("chatty", "debug:fuzz,serve"):
+            with pytest.raises(ValueError, match="unknown log level"):
+                parse_level(name)
 
 
 class TestLogger:
@@ -57,18 +55,9 @@ class TestLogger:
         get_logger("bench").debug("detail")
         assert stream.getvalue() == "detail\n"
 
-    def test_subsystem_scope_limits_debug_only(self, monkeypatch):
-        monkeypatch.setenv(obslog.LOG_ENV, "debug:bench")
-        stream = io.StringIO()
-        obslog.configure(stream=stream)
-        get_logger("parallel").debug("hidden")
-        get_logger("bench").debug("shown")
-        get_logger("parallel").info("info always passes")
-        assert stream.getvalue() == "shown\ninfo always passes\n"
-
     def test_off_silences_everything(self):
         stream = io.StringIO()
-        obslog.configure(spec="off", stream=stream)
+        obslog.configure(level="off", stream=stream)
         get_logger("bench").error("even errors")
         assert stream.getvalue() == ""
 
@@ -83,23 +72,10 @@ class TestLogger:
         assert record["cell"] == "mvt x baseline"
         assert isinstance(record["ts"], float)
 
-    def test_context_attached_and_removable(self):
-        stream = io.StringIO()
-        obslog.configure(json_lines=True, stream=stream)
-        obslog.set_context(worker=4242)
-        get_logger("parallel").info("from a worker")
-        obslog.set_context(worker=None)
-        get_logger("parallel").info("from the parent")
-        first, second = (
-            json.loads(line) for line in stream.getvalue().splitlines()
-        )
-        assert first["worker"] == 4242
-        assert "worker" not in second
-
     def test_cli_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv(obslog.LOG_ENV, "debug")
         stream = io.StringIO()
-        obslog.configure(spec="error", stream=stream)
+        obslog.configure(level="error", stream=stream)
         get_logger("bench").info("suppressed")
         get_logger("bench").error("kept")
         assert stream.getvalue() == "kept\n"
@@ -119,13 +95,12 @@ class TestHeartbeat:
             stream=io.StringIO(), clock=lambda: now["t"],
         )
         now["t"] = 10.0
-        hb.advance(current="mvt x baseline", cache_hit_rate=0.5)
+        hb.advance(current="mvt x baseline")
         payload = json.loads(path.read_text())
         assert payload["kind"] == obslog.STATUS_KIND
         assert payload["completed"] == 1
         assert payload["total"] == 4
         assert payload["current"] == "mvt x baseline"
-        assert payload["cache_hit_rate"] == 0.5
         assert payload["done"] is False
         # 10s for 1 of 4 cells -> 30s remaining
         assert payload["eta_s"] == pytest.approx(30.0)
@@ -151,12 +126,11 @@ class TestHeartbeat:
         hb = Heartbeat(2, phase="bench", stream=stream,
                        clock=lambda: now["t"])
         now["t"] = 5.0
-        hb.advance(current="mvt x baseline", cache_hit_rate=0.25)
+        hb.advance(current="mvt x baseline")
         out = stream.getvalue()
         assert "bench: 1/2" in out
         assert "mvt x baseline" in out
         assert "eta" in out
-        assert "cache 25%" in out
         hb.finish()
         assert stream.getvalue().endswith("\r\x1b[K")
 

@@ -234,7 +234,6 @@ class TestDevice:
         # 2 TBs for 10ns + 1 TB for 10ns = 30 TB*ns over 20ns busy
         assert device.concurrency_integral == pytest.approx(30.0)
         assert device.busy_ns == pytest.approx(20.0)
-        assert device.peak_concurrency == 2
 
 
 class TestCostModel:

@@ -19,9 +19,9 @@ from repro.experiments.common import (
     _make_model,
     _model_plan_params,
 )
-from repro.models.base import record_engine_metrics
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import Histogram, percentile
+from repro.obs.render import record_engine_metrics
 from repro.sim.stats import TB_COLUMNS, RunStats, TBRecord, TBTable
 
 ROWS = [
@@ -225,14 +225,14 @@ def test_histograms_of_hand_built_rows():
     rows = TestNormalizedStalls.CASES
     metrics = MetricsRegistry()
     record_engine_metrics(metrics, _stats(rows), events_processed=0,
-                          peak_pending=0, counters={})
+                          peak_pending=0)
     assert _histograms(metrics) == _histograms(_row_fed(rows))
 
 
 def test_empty_run_creates_no_histograms():
     metrics = MetricsRegistry()
     record_engine_metrics(metrics, RunStats(model="m", application="a"),
-                          events_processed=0, peak_pending=0, counters={})
+                          events_processed=0, peak_pending=0)
     assert metrics.snapshot()["histograms"] == {}
 
 
