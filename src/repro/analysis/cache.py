@@ -40,7 +40,7 @@ import os
 import pickle
 import tempfile
 
-from repro.obs import resolve_metrics
+from repro.obs import NULL_METRICS
 
 #: bump when KernelSummary / EncodedGraph pickle shapes change
 CACHE_SCHEMA_VERSION = 1
@@ -75,7 +75,7 @@ class AnalysisCache:
 
     def __init__(self, directory=None, metrics=None):
         self.directory = directory or default_cache_dir()
-        self.metrics = resolve_metrics(metrics)
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self._root = os.path.join(
             self.directory, "v{}".format(CACHE_SCHEMA_VERSION)
         )

@@ -59,7 +59,6 @@ class Unknown:
 
 UNKNOWN_ARITH = Unknown("arith")
 UNKNOWN_MEMORY = Unknown("memory")
-UNKNOWN_WIDEN = Unknown("widen")
 
 _SHIFT_CAP = 64
 

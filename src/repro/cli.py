@@ -82,9 +82,9 @@ Wall-clock benchmarking lives outside the CLI, in ``benchmarks/e2e``
 (``docs/benchmarking.md``).
 
 ``repro --version`` prints the package version plus every report
-schema version this build emits (critpath, fuzz, journal, serve,
-status, telemetry); the ``serve`` entry is the client/daemon handshake
-token.
+schema version this build emits (critpath, fuzz, fuzz_case, jdiff,
+journal, serve, status, telemetry); the ``serve`` entry is the
+client/daemon handshake token.
 """
 
 import argparse
@@ -288,16 +288,22 @@ def _traced_run(workload, model_name, per_sm=False, journal=None):
 
     Returns ``(app, stats, tracer, metrics)`` — shared by ``trace`` and
     ``blame``; ``journal`` optionally records the run for the
-    critical-path and telemetry overlays.
+    critical-path and telemetry overlays.  The context's runtime
+    carries the tracer and the registry, so they see the build and the
+    plan as well as the run.
     """
-    from repro.experiments.common import simulate_cell
+    from repro.core.runtime import BlockMaestroRuntime
+    from repro.experiments.common import ExperimentContext
     from repro.obs import MetricsRegistry, Tracer
 
     tracer = Tracer(per_sm_counters=per_sm)
     metrics = MetricsRegistry()
-    app, stats = simulate_cell(
-        workload, model_name, tracer=tracer, metrics=metrics,
-        journal=journal,
+    context = ExperimentContext(
+        runtime=BlockMaestroRuntime(tracer=tracer, metrics=metrics)
+    )
+    app = context.app(workload)
+    stats = context.simulate(
+        app, model_name, journal=journal, tracer=tracer, metrics=metrics
     )
     return app, stats, tracer, metrics
 
@@ -320,7 +326,7 @@ def cmd_trace(args):
     if args.telemetry:
         from repro.obs import telemetry as tm
 
-        tm.emit_telemetry_counters(tracer, tm.build_report(stats, journal))
+        tm.emit_telemetry_counters(tracer, tm.checked_report(stats, journal))
     out = args.output or "{}-trace.json".format(app.name)
     tracer.write(out)
     sidecar = args.metrics_out or (
@@ -605,7 +611,6 @@ def cmd_fuzz(args):
             count=args.count,
             seed=args.seed,
             modes=args.modes,
-            engines=args.engines,
             model=args.model,
             jobs=args.jobs,
             out_dir=args.out,
@@ -900,11 +905,6 @@ def build_parser():
         "--modes", nargs="+", default=None, metavar="MODE",
         help="fastpath modes to check against the reference oracle "
              "(default: closed_form vectorized auto)",
-    )
-    p_fuzz.add_argument(
-        "--engines", nargs="+", default=None, metavar="TIER",
-        help="engine tiers to check against the scalar oracle "
-             "(default: auto; 'none' disables the engine sweep)",
     )
     p_fuzz.add_argument(
         "--model", choices=MODEL_CHOICES, default="consumer3"

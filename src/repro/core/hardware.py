@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.dependency_graph import BipartiteGraph, GraphKind
-from repro.obs import resolve_metrics
+from repro.obs import NULL_METRICS
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class DependencyHardware:
 
     def __init__(self, config: HardwareConfig = None, metrics=None):
         self.config = config or HardwareConfig()
-        self.metrics = resolve_metrics(metrics)
+        self.metrics = NULL_METRICS if metrics is None else metrics
 
     def pair_traffic(self, graph: BipartiteGraph) -> PairTraffic:
         """Requests to resolve one parent/child kernel pair.
@@ -160,6 +160,3 @@ class DependencyHardware:
         if out_degree <= 0:
             return 1
         return math.ceil(out_degree / self.config.children_per_entry)
-
-    def counter_fits(self, in_degree):
-        return in_degree <= self.config.degree_threshold

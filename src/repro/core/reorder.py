@@ -70,11 +70,3 @@ def reorder_trace(trace: APITrace):
     if len(order) != n:
         raise RuntimeError("dependency cycle in API trace (bug)")
     return order
-
-
-def reorder_distance(original_calls, reordered_calls):
-    """Total displacement of calls, a simple effectiveness metric."""
-    position = {id(call): i for i, call in enumerate(original_calls)}
-    return sum(
-        abs(position[id(call)] - j) for j, call in enumerate(reordered_calls)
-    )

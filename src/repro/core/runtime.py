@@ -36,7 +36,7 @@ from repro.core.hardware import DependencyHardware, HardwareConfig, PairTraffic
 from repro.core.reorder import reorder_trace
 from repro.host.api import KernelLaunchCall, kernel_param_directions
 from repro.host.trace import compute_true_dependencies
-from repro.obs import resolve_metrics, resolve_tracer
+from repro.obs import NULL_METRICS, NULL_TRACER
 from repro.sim.config import GPUConfig
 from repro.sim.cost import CostModel
 
@@ -190,8 +190,8 @@ class BlockMaestroRuntime:
     ):
         self.config = config or GPUConfig()
         self.hardware_config = hardware or HardwareConfig()
-        self.tracer = resolve_tracer(tracer)
-        self.metrics = resolve_metrics(metrics)
+        self.tracer = NULL_TRACER if tracer is None else tracer
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self.hardware = DependencyHardware(self.hardware_config, metrics=self.metrics)
         self.cost_model = CostModel(self.config)
         self.hazards = tuple(hazards)

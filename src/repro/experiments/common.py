@@ -46,6 +46,7 @@ def canonical_model_name(name):
 
 
 def _make_model(name, gpu_config):
+    """The roster model ``name`` names, with its row's window."""
     from repro.core.policy import SchedulingPolicy
     from repro.models import (
         BlockMaestroModel,
@@ -55,36 +56,26 @@ def _make_model(name, gpu_config):
     )
 
     name = canonical_model_name(name)
+    _reorder, window = _model_plan_params(name)
     if name == "baseline":
         return SerializedBaseline(gpu_config)
     if name == "ideal":
         return IdealBaseline(gpu_config)
     if name == "prelaunch":
-        return PrelaunchOnly(gpu_config, window=2)
-    if name == "producer":
-        return BlockMaestroModel(
-            gpu_config,
-            window=2,
-            policy=SchedulingPolicy.PRODUCER_PRIORITY,
-            name="producer",
-        )
-    if name.startswith("consumer"):
-        try:
-            window = int(name[len("consumer"):])
-        except ValueError:
-            raise _unknown_model(name) from None
-        return BlockMaestroModel(
-            gpu_config,
-            window=window,
-            policy=SchedulingPolicy.CONSUMER_PRIORITY,
-            name=name,
-        )
-    raise _unknown_model(name)
+        return PrelaunchOnly(gpu_config, window=window)
+    policy = (
+        SchedulingPolicy.PRODUCER_PRIORITY if name == "producer"
+        else SchedulingPolicy.CONSUMER_PRIORITY
+    )
+    return BlockMaestroModel(
+        gpu_config, window=window, policy=policy, name=name
+    )
 
 
 @dataclass
 class ExperimentContext:
-    """The one build -> plan -> run path of every paper artifact.
+    """The one build -> plan -> run path: every paper artifact, every
+    operation and every observed run of one (workload, model) cell.
 
     An application is built once per registry name and overrides,
     planned once per (reorder, window) pair, and each roster model's
@@ -92,7 +83,8 @@ class ExperimentContext:
     object, and each entry pins it: apps that share a name (a registry
     app and its overridden build, or two sweep points of one builder)
     never share a plan.  :meth:`variant` gives the same apps under other
-    timing, hardware or hazards.
+    timing, hardware or hazards.  The runtime's tracer, if it has one,
+    also times each build (``workload.build:<name>``).
     """
 
     gpu_config: "GPUConfig" = None
@@ -127,7 +119,10 @@ class ExperimentContext:
         if overrides:
             key = "{}|{}".format(key, sorted(overrides.items()))
         if key not in self._apps:
-            self._apps[key] = spec.build(**overrides)
+            with self.runtime.tracer.span(
+                "workload.build:{}".format(spec.name), cat="ptx"
+            ):
+                self._apps[key] = spec.build(**overrides)
         return self._apps[key]
 
     def variant(self, gpu_config=None, hardware=None, hazards=None):
@@ -161,16 +156,22 @@ class ExperimentContext:
             )
         return self._plans[key][1]
 
-    def simulate(self, app, model_name, engine=None, journal=None):
+    def simulate(self, app, model_name, engine=None, journal=None,
+                 tracer=None, metrics=None):
         """Run one roster model on the app's memoized plan, unmemoized.
 
-        ``engine`` pins the simulation tier and ``journal`` records the
-        run, as in :meth:`~repro.models.base.ExecutionModel.run`.
+        ``engine`` pins the simulation tier, ``journal`` records the run
+        and ``tracer``/``metrics`` observe it, as in
+        :meth:`~repro.models.base.ExecutionModel.run`, which gets them
+        all by keyword.
         """
         reorder, window = _model_plan_params(model_name)
         plan = self.plan_for(app, reorder, window)
         model = _make_model(model_name, self.gpu_config)
-        return model.run(plan, journal=journal, engine=engine)
+        return model.run(
+            plan, tracer=tracer, metrics=metrics, journal=journal,
+            engine=engine,
+        )
 
     def run_model(self, app, model_name):
         """Run one roster model on one app, memoized."""
@@ -179,32 +180,6 @@ class ExperimentContext:
         if key not in self._runs:
             self._runs[key] = (app, self.simulate(app, model_name))
         return self._runs[key][1]
-
-
-def simulate_cell(workload, model_name, build_small=False, tracer=None,
-                  metrics=None, journal=None):
-    """Build, plan and simulate one (workload, model) cell from scratch.
-
-    The one cold pipeline behind :func:`repro.obs.journal.record_run`
-    and the traced run of ``repro trace`` and ``repro blame``.
-    ``tracer`` and ``metrics`` observe every stage, and ``journal``
-    records the run.  Returns ``(app, stats)``.
-    """
-    from repro.core.runtime import BlockMaestroRuntime
-    from repro.obs import resolve_tracer
-    from repro.workloads import get_workload
-
-    spec = get_workload(workload)
-    with resolve_tracer(tracer).span(
-        "workload.build:{}".format(spec.name), cat="ptx"
-    ):
-        app = spec.build_small() if build_small else spec.build()
-    reorder, window = _model_plan_params(model_name)
-    runtime = BlockMaestroRuntime(tracer=tracer, metrics=metrics)
-    plan = runtime.plan(app, reorder=reorder, window=window)
-    model = _make_model(model_name, runtime.config)
-    stats = model.run(plan, tracer=tracer, metrics=metrics, journal=journal)
-    return app, stats
 
 
 def _model_plan_params(model_name):

@@ -20,13 +20,12 @@ scalar ``reference`` oracle and once under every candidate
   the oracle run's journal, and that journal-carrying run must match a
   bare reference run's signature (observation only).
 
-Alongside the ``REPRO_FASTPATH`` sweep, every candidate
-``REPRO_ENGINE`` tier (:mod:`repro.models.fastengine`) is swept on the
-oracle plan — **engine** checks compare each tier's simulated
-signature *and* full per-thread-block records against the scalar
-event-queue engine, on the case's model and (when different) the
-always-eligible ``baseline`` model, observer-free so the fast tier
-actually engages.
+Alongside the ``REPRO_FASTPATH`` sweep, the ``auto`` engine tier
+(:mod:`repro.models.fastengine` where it is certified) is swept on the
+oracle plan — **engine** checks compare its simulated signature *and*
+full per-thread-block records against the scalar event-queue engine,
+on the case's model and (when different) the always-eligible
+``baseline`` model, observer-free so the fast tier actually engages.
 
 Everything a case produces is deterministic — no wall clock, no
 hash-order dependence — so a per-case content digest and the corpus
@@ -47,7 +46,7 @@ FUZZ_REPORT_KIND = "repro-fuzz-report"
 
 #: candidate tiers checked against the always-implicit reference oracle
 DEFAULT_MODES = ("closed_form", "vectorized", "auto")
-#: candidate engine tiers checked against the scalar event-queue oracle
+#: the engine tiers checked against the scalar event-queue oracle
 DEFAULT_ENGINES = ("auto",)
 ORACLE_MODE = "reference"
 DEFAULT_MODEL = "consumer3"
@@ -60,28 +59,24 @@ class FuzzConfig:
     count: int = 50
     seed: int = 0
     modes: Tuple[str, ...] = DEFAULT_MODES
-    engines: Tuple[str, ...] = DEFAULT_ENGINES
     model: str = DEFAULT_MODEL
     jobs: int = 1
     out_dir: str = "."
     shrink: bool = True
 
 
-def resolve_fuzz_config(count=None, seed=None, modes=None, engines=None,
-                        model=None, jobs=None, out_dir=None, shrink=True):
+def resolve_fuzz_config(count=None, seed=None, modes=None, model=None,
+                        jobs=None, out_dir=None, shrink=True):
     """Fold CLI-ish arguments into a :class:`FuzzConfig`.
 
-    Raises ``ValueError`` on bad counts/seeds/modes/engines and
+    Raises ``ValueError`` on bad counts/seeds/modes and
     :class:`~repro.experiments.common.UnknownModelError` on bad model
     names, so the CLI fails with exit code 2 before any work is done.
-    ``reference`` in ``modes``/``engines`` is redundant (it is the
-    oracle every tier is checked against) and is dropped; unlike
-    ``modes``, ``engines`` may resolve to nothing (``--engines none``)
-    to skip the engine sweep entirely.
+    ``reference`` in ``modes`` is redundant (it is the oracle every
+    tier is checked against) and is dropped.
     """
     from repro.analysis.fastpath import resolve_fastpath_mode
     from repro.experiments.common import _model_plan_params, canonical_model_name
-    from repro.modes import resolve_engine_mode
 
     count = 50 if count is None else int(count)
     if count < 1:
@@ -99,18 +94,10 @@ def resolve_fuzz_config(count=None, seed=None, modes=None, engines=None,
         raise ValueError(
             "--modes needs at least one non-reference fastpath mode"
         )
-    resolved_engines = []
-    engine_args = engines if engines is not None else DEFAULT_ENGINES
-    if list(engine_args) != ["none"]:
-        for tier in engine_args:
-            tier = resolve_engine_mode(tier)  # ValueError on unknown names
-            if tier != ORACLE_MODE and tier not in resolved_engines:
-                resolved_engines.append(tier)
     model = canonical_model_name(model or DEFAULT_MODEL)
     _model_plan_params(model)  # raises UnknownModelError
     return FuzzConfig(
-        count=count, seed=seed, modes=tuple(resolved),
-        engines=tuple(resolved_engines), model=model,
+        count=count, seed=seed, modes=tuple(resolved), model=model,
         jobs=jobs, out_dir=out_dir or ".", shrink=bool(shrink),
     )
 
@@ -355,10 +342,8 @@ def _oracle_self_checks(journal, stats, bare):
 
 def _case_worker(item):
     """SuiteExecutor worker: module-level so fork/pickle dispatch works."""
-    seed, modes, engines, model = item
-    return check_case(
-        FuzzSpec.from_seed(seed), modes=modes, model=model, engines=engines
-    )
+    seed, modes, model = item
+    return check_case(FuzzSpec.from_seed(seed), modes=modes, model=model)
 
 
 def corpus_digest(cases):
@@ -382,13 +367,13 @@ def run_fuzz(config, log=None):
 
     say = log or (lambda *_args, **_kwargs: None)
     items = [
-        (config.seed + i, config.modes, config.engines, config.model)
+        (config.seed + i, config.modes, config.model)
         for i in range(config.count)
     ]
     say("fuzz: {} cases (seeds {}..{}), modes {}, engines {}, model {}, "
         "{} job(s)".format(
             config.count, config.seed, config.seed + config.count - 1,
-            "/".join(config.modes), "/".join(config.engines) or "none",
+            "/".join(config.modes), "/".join(DEFAULT_ENGINES),
             config.model, config.jobs,
         ))
     executor = SuiteExecutor(jobs=config.jobs, log=log)
@@ -412,13 +397,13 @@ def run_fuzz(config, log=None):
                 case["seed"], target["check"], target["mode"]
             ))
             minimized, final_divs = shrink_case(
-                spec, target, modes=config.modes, engines=config.engines,
+                spec, target, modes=config.modes, engines=DEFAULT_ENGINES,
                 model=config.model,
             )
             repro = make_case(
                 minimized, final_divs or case["divergences"],
                 modes=config.modes, model=config.model,
-                source_seed=case["seed"], engines=config.engines,
+                source_seed=case["seed"], engines=DEFAULT_ENGINES,
             )
             path = write_case(repro, directory=config.out_dir)
             repro_files.append(path)
@@ -432,7 +417,7 @@ def run_fuzz(config, log=None):
         "seed": config.seed,
         "count": config.count,
         "modes": list(config.modes),
-        "engines": list(config.engines),
+        "engines": list(DEFAULT_ENGINES),
         "model": config.model,
         "cases": [
             {
@@ -504,8 +489,7 @@ def format_fuzz(report, limit=10):
         ", ".join(report["modes"]), ORACLE_MODE
     ))
     lines.append("engines     : {} (vs {} oracle)".format(
-        ", ".join(report.get("engines", [])) or "(sweep disabled)",
-        ORACLE_MODE,
+        ", ".join(report["engines"]), ORACLE_MODE
     ))
     lines.append("model       : {}".format(report["model"]))
     lines.append("corpus      : {}".format(report["corpus_digest"]))

@@ -69,7 +69,7 @@ _BYPASSED_BARRIERS = (
     StreamWaitEvent,
 )
 from repro.modes import resolve_engine_mode
-from repro.obs import PID_RUNTIME, resolve_metrics, resolve_tracer
+from repro.obs import NULL_METRICS, NULL_TRACER, PID_RUNTIME
 from repro.sim.config import GPUConfig
 from repro.sim.device import Device, empty_device_slots
 from repro.sim.stats import KernelRecord, RunStats, TBTable
@@ -198,8 +198,8 @@ class ExecutionModel:
         tier (``engine.tier.*``) and any decline (``engine.fallback.*``)
         on ``metrics``, even on a disabled registry.
         """
-        tracer = resolve_tracer(tracer)
-        metrics = resolve_metrics(metrics)
+        tracer = NULL_TRACER if tracer is None else tracer
+        metrics = NULL_METRICS if metrics is None else metrics
         options = self.options()
         mode = resolve_engine_mode(engine)
         with tracer.span(
@@ -710,7 +710,7 @@ class ExecutionEngine:
             self._journal_emit(
                 "host_issue",
                 position=position,
-                op=getattr(call, "trace_name", type(call).__name__),
+                op=call.trace_name,
                 stream=call.stream_id,
                 issue_ns=issue_at,
                 blocking=self._host_blocks_on(call),
@@ -748,7 +748,7 @@ class ExecutionEngine:
         self._journal_emit(
             "call_enqueue",
             position=position,
-            op=getattr(call, "trace_name", type(call).__name__),
+            op=call.trace_name,
             stream=call.stream_id,
         )
         if isinstance(call, KernelLaunchCall):
@@ -781,7 +781,7 @@ class ExecutionEngine:
         self._journal_emit(
             "call_start",
             position=position,
-            op=getattr(call, "trace_name", type(call).__name__),
+            op=call.trace_name,
             stream=call.stream_id,
         )
         if isinstance(call, MallocCall):
@@ -807,7 +807,7 @@ class ExecutionEngine:
         self._journal_emit(
             "call_complete",
             position=position,
-            op=getattr(call, "trace_name", type(call).__name__),
+            op=call.trace_name,
             stream=call.stream_id,
         )
         self._advance_done_prefix(self.plan.order[position].stream_id)

@@ -12,19 +12,16 @@ The package has three parts:
   and per-experiment report artifacts.
 
 Every instrumented component takes optional ``tracer=`` / ``metrics=``
-arguments.  When omitted they resolve — via :func:`resolve_tracer` /
-:func:`resolve_metrics` — to the ambient instances (no-op by default),
-so instrumentation has zero cost and zero behavioural effect unless a
-caller opts in, either explicitly or with :func:`observed`::
+arguments; when omitted they are the no-op :data:`NULL_TRACER` /
+:data:`NULL_METRICS`, so instrumentation has zero cost and zero
+behavioural effect unless a caller passes an observer::
 
-    with observed(Tracer(), MetricsRegistry()) as (tracer, metrics):
-        plan = BlockMaestroRuntime().plan(app)   # traced implicitly
+    tracer, metrics = Tracer(), MetricsRegistry()
+    plan = BlockMaestroRuntime(tracer=tracer, metrics=metrics).plan(app)
 
 Tracing is observation only: enabling it must never change simulated
 results (tests assert makespan equality with tracing on and off).
 """
-
-from contextlib import contextmanager
 
 from repro.obs.metrics import (
     Counter,
@@ -45,40 +42,6 @@ from repro.obs.tracer import (
     Tracer,
 )
 
-_ambient_tracer = NULL_TRACER
-_ambient_metrics = NULL_METRICS
-
-
-def resolve_tracer(tracer):
-    """``tracer`` if given, else the ambient (default: no-op) tracer."""
-    return _ambient_tracer if tracer is None else tracer
-
-
-def resolve_metrics(metrics):
-    """``metrics`` if given, else the ambient (default: no-op) registry."""
-    return _ambient_metrics if metrics is None else metrics
-
-
-def set_ambient(tracer=None, metrics=None):
-    """Install ambient instances; ``None`` resets to the no-op twins."""
-    global _ambient_tracer, _ambient_metrics
-    _ambient_tracer = NULL_TRACER if tracer is None else tracer
-    _ambient_metrics = NULL_METRICS if metrics is None else metrics
-
-
-@contextmanager
-def observed(tracer=None, metrics=None):
-    """Scope with the given tracer/metrics as the ambient default."""
-    tracer = Tracer() if tracer is None else tracer
-    metrics = MetricsRegistry() if metrics is None else metrics
-    previous = (_ambient_tracer, _ambient_metrics)
-    set_ambient(tracer, metrics)
-    try:
-        yield tracer, metrics
-    finally:
-        set_ambient(*previous)
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -93,9 +56,5 @@ __all__ = [
     "PID_RUNTIME",
     "PID_SM",
     "Tracer",
-    "observed",
     "percentile",
-    "resolve_metrics",
-    "resolve_tracer",
-    "set_ambient",
 ]

@@ -310,7 +310,7 @@ class _Walker:
             # completion point — hand off to the kernel-side walk
             return ("kernel_complete", self._call_of_kernel(p))
         start = self.records.call_start_ns.get(p, done)
-        via = getattr(call, "trace_name", type(call).__name__)
+        via = call.trace_name
         if isinstance(call, (MemcpyH2D, MemcpyD2H)):
             self._emit(start, self.cursor, "copy", via,
                        node_kind="call", position=p, stream=call.stream_id)
@@ -353,8 +353,7 @@ class _Walker:
         issue = max(0.0, enq - self.api_call_ns)
         call = self.plan.order[p]
         self._emit(issue, self.cursor, "host",
-                   "issue {}".format(getattr(call, "trace_name",
-                                             type(call).__name__)),
+                   "issue {}".format(call.trace_name),
                    node_kind="host_issue", position=p,
                    stream=call.stream_id)
         if p == 0 or self.cursor <= _EPS:
@@ -667,6 +666,16 @@ def validate_critpath_report(report):
             errors.append("whatif.{}: bound {} exceeds makespan {}".format(
                 knob, entry["bound_makespan_ns"], makespan))
     return errors
+
+
+def checked_report(stats, journal, whatif=False):
+    """:func:`build_report`, checked by :func:`validate_critpath_report`
+    before anything renders it; a problem raises ``AssertionError``."""
+    report = build_report(stats, journal, whatif=whatif)
+    schema.assert_valid(
+        "generated critpath report", validate_critpath_report(report)
+    )
+    return report
 
 
 def _bar(fraction, width=24):

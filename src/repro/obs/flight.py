@@ -20,10 +20,7 @@ Import note: like the journal, this module must not be imported from
 import html
 import json
 
-from repro.obs.telemetry import (
-    BUBBLE_BLAME_KINDS,
-    build_report as build_telemetry_report,
-)
+from repro.obs.telemetry import BUBBLE_BLAME_KINDS
 
 def build_flight_data(workload, model="consumer3", build_small=False):
     """Run once with the journal attached; return the stitched data.
@@ -34,7 +31,7 @@ def build_flight_data(workload, model="consumer3", build_small=False):
     """
     # Imported lazily: the engine imports repro.obs at module load.
     from repro.experiments.common import canonical_model_name
-    from repro.obs.critpath import build_report as build_critpath_report
+    from repro.obs import critpath, telemetry
     from repro.obs.journal import record_run
     from repro.obs.report import kernel_blame_rows
     from repro.workloads import get_workload
@@ -44,8 +41,8 @@ def build_flight_data(workload, model="consumer3", build_small=False):
         "workload": get_workload(workload).name,
         "model": canonical_model_name(model),
         "stats": stats,
-        "telemetry": build_telemetry_report(stats, journal),
-        "critpath": build_critpath_report(stats, journal),
+        "telemetry": telemetry.checked_report(stats, journal),
+        "critpath": critpath.checked_report(stats, journal),
         "journal_header": journal.header(),
         "blame_rows": kernel_blame_rows(stats),
     }

@@ -17,9 +17,9 @@ The report is schema-versioned (``repro-jdiff-report``) and drives the
 
 from repro import schema
 from repro.obs.journal import canonical_line, journal_digest
+from repro.version import JDIFF_SCHEMA_VERSION
 
 JDIFF_KIND = "repro-jdiff-report"
-JDIFF_SCHEMA_VERSION = 1
 
 #: header fields whose disagreement makes two journals non-comparable
 _HEADER_KEYS = ("workload", "model", "schema_version")

@@ -43,20 +43,33 @@ from repro.version import JOURNAL_SCHEMA_VERSION
 
 JOURNAL_KIND = "repro-journal"
 
-#: every event kind the engine emits, in rough lifecycle order
-EVENT_KINDS = (
-    "host_issue",       # the host issued one API call (+api_call_ns)
-    "call_enqueue",     # the call landed in the command queue
-    "call_start",       # a non-kernel command began (copy, malloc, ...)
-    "call_complete",    # a command completed (kernels: in-order point)
-    "kernel_launch",    # launch overhead began on the launch engine
-    "kernel_resident",  # launch overhead paid; TBs are dispatchable
-    "tb_ready",         # a thread block entered the ready queue
-    "tb_dispatch",      # a ready block was placed on an SM
-    "tb_finish",        # a block finished and released its SM slot
-    "kernel_drain",     # a kernel finished its last thread block
-    "kernel_complete",  # the in-order completion barrier opened
-)
+#: every event kind the engine emits, in rough lifecycle order, and the
+#: fields it carries beyond seq/t_ns/kind
+_KIND_FIELDS = {
+    # the host issued one API call (+api_call_ns)
+    "host_issue": {"position": int},
+    # the call landed in the command queue
+    "call_enqueue": {"position": int},
+    # a non-kernel command began (copy, malloc, ...)
+    "call_start": {"position": int},
+    # a command completed (kernels: in-order point)
+    "call_complete": {"position": int},
+    # launch overhead began on the launch engine
+    "kernel_launch": {"kernel": int, "edge": dict},
+    # launch overhead paid; TBs are dispatchable
+    "kernel_resident": {"kernel": int},
+    # a thread block entered the ready queue
+    "tb_ready": {"kernel": int, "tb": int, "edge": dict},
+    # a ready block was placed on an SM
+    "tb_dispatch": {"kernel": int, "tb": int, "sm": int, "edge": dict},
+    # a block finished and released its SM slot
+    "tb_finish": {"kernel": int, "tb": int, "sm": int},
+    # a kernel finished its last thread block
+    "kernel_drain": {"kernel": int},
+    # the in-order completion barrier opened
+    "kernel_complete": {"kernel": int},
+}
+EVENT_KINDS = tuple(_KIND_FIELDS)
 
 #: events carrying a release edge (what caused this state change)
 EDGE_KINDS = ("kernel_launch", "tb_ready", "tb_dispatch")
@@ -230,21 +243,6 @@ _HEADER = {
 _EVENT = {"seq": int, "t_ns": schema.NUMBER, "kind": str,
           "edge": schema.Optional(dict)}
 
-#: per-kind fields beyond seq/t_ns/kind
-_KIND_FIELDS = {
-    "host_issue": {"position": int},
-    "call_enqueue": {"position": int},
-    "call_start": {"position": int},
-    "call_complete": {"position": int},
-    "kernel_launch": {"kernel": int, "edge": dict},
-    "kernel_resident": {"kernel": int},
-    "tb_ready": {"kernel": int, "tb": int, "edge": dict},
-    "tb_dispatch": {"kernel": int, "tb": int, "sm": int, "edge": dict},
-    "tb_finish": {"kernel": int, "tb": int, "sm": int},
-    "kernel_drain": {"kernel": int},
-    "kernel_complete": {"kernel": int},
-}
-
 
 def _event_problems(index, event, previous_t):
     where = "events[{}]".format(index)
@@ -295,14 +293,18 @@ def record_run(workload, model="consumer3", build_small=False):
 
     Returns ``(recorder, stats)``: the cold observed run behind ``repro
     journal`` and ``repro report``, the observer goldens and the
-    determinism tests.
+    determinism tests, on a fresh
+    :class:`~repro.experiments.common.ExperimentContext`.
     """
     # Imported lazily: the engine imports repro.obs at module load, so a
     # module-level import here would be a cycle.
-    from repro.experiments.common import simulate_cell
+    from repro.experiments.common import ExperimentContext
+    from repro.workloads import get_workload
 
+    overrides = get_workload(workload).small_overrides if build_small else {}
+    context = ExperimentContext()
     recorder = JournalRecorder()
-    _app, stats = simulate_cell(
-        workload, model, build_small=build_small, journal=recorder
+    stats = context.simulate(
+        context.app(workload, **overrides), model, journal=recorder
     )
     return recorder, stats

@@ -32,7 +32,6 @@ SUMMARY_QUANTILES = ((0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99"))
 VALID_TYPES = ("counter", "gauge", "summary", "histogram", "untyped")
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _SAMPLE_RE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)(?: (-?\d+))?$"
 )

@@ -10,18 +10,20 @@ output is identical whichever tier produced them, and observation can
 never perturb the simulation.
 
 The device's occupancy is the step function of the TB table: one
-sample per distinct TB start or finish time, holding the TBs resident
+step per distinct TB start or finish time, holding the TBs resident
 once every start and finish at that time has happened
-(:func:`occupancy_steps`).  It gives the ``running_tbs`` counter track,
-the opt-in per-SM ``running_tbs[sm=NN]`` tracks and the
-``device.peak_tb_concurrency`` gauge.
+(:func:`occupancy_steps`).  It gives the ``running_tbs`` counter track
+and the opt-in per-SM ``running_tbs[sm=NN]`` tracks, with one sample
+per track per rendered timestamp (the trace keeps 1 ns, and TB times
+carry sub-ns jitter), and the ``device.peak_tb_concurrency`` gauge,
+the maximum over the unrounded steps.
 """
 
 from collections import defaultdict
 from itertools import chain, groupby, repeat
 from operator import itemgetter
 
-from repro.obs.tracer import PID_DEVICE, PID_HOST, PID_SM
+from repro.obs.tracer import PID_DEVICE, PID_HOST, PID_SM, trace_us
 
 
 def render_run(tracer, metrics, plan, stats, call_enqueued_ns, call_done_ns,
@@ -131,19 +133,29 @@ def emit_engine_trace(tracer, plan, call_enqueued_ns, call_done_ns, stats,
         )
         tracer.async_end(name, tb.finish_ns / 1e3, event_id, cat="tb",
                          pid=PID_SM, tid=tb.sm)
-    # SM occupancy: the device's running-TB count, and per SM on request
+    emit_occupancy_counters(tracer, steps)
+
+
+def emit_occupancy_counters(tracer, steps):
+    """The ``running_tbs`` track, and per SM on request, from
+    :func:`occupancy_steps`: steps that share a rendered timestamp give
+    one sample per track, the state after the last of them."""
     per_sm = tracer.per_sm_counters
-    for now, running, sms in steps:
-        ts_us = now / 1e3
+    for ts_us, group in groupby(
+        steps, key=lambda step: trace_us(step[0] / 1e3)
+    ):
+        resident = {}
+        for _now, running, sms in group:
+            resident.update(sms)
         tracer.counter(
             "running_tbs", {"running": running}, ts_us=ts_us, cat="device",
             pid=PID_DEVICE,
         )
         if per_sm:
-            for sm, resident in sms:
+            for sm in sorted(resident):
                 tracer.counter(
                     "running_tbs[sm={:02d}]".format(sm),
-                    {"running": resident}, ts_us=ts_us, cat="device.sm",
+                    {"running": resident[sm]}, ts_us=ts_us, cat="device.sm",
                     pid=PID_DEVICE,
                 )
 

@@ -517,6 +517,16 @@ def validate_telemetry_report(report):
     return errors
 
 
+def checked_report(stats, journal):
+    """:func:`build_report`, checked by :func:`validate_telemetry_report`
+    before anything renders it; a problem raises ``AssertionError``."""
+    report = build_report(stats, journal)
+    schema.assert_valid(
+        "generated telemetry report", validate_telemetry_report(report)
+    )
+    return report
+
+
 # ----------------------------------------------------------------------
 # text / Perfetto / Prometheus renderings
 # ----------------------------------------------------------------------

@@ -42,6 +42,12 @@ _PROCESS_NAMES = {
 }
 
 
+def trace_us(us):
+    """A timestamp or duration as the trace writes it: microseconds,
+    rounded to 1 ns."""
+    return round(float(us), 3)
+
+
 class _SpanHandle:
     """Context manager for one wall-clock span."""
 
@@ -117,7 +123,7 @@ class Tracer:
         event = {
             "name": name,
             "ph": ph,
-            "ts": round(float(ts), 3),
+            "ts": trace_us(ts),
             "pid": pid,
             "tid": tid,
         }
@@ -152,7 +158,7 @@ class Tracer:
     def complete(self, name, ts_us, dur_us, cat="", pid=PID_RUNTIME, tid=0, args=None):
         """A ``ph:"X"`` complete event at an explicit timestamp (us)."""
         self._event(
-            name, "X", ts_us, pid, tid, cat, args, dur=round(float(dur_us), 3)
+            name, "X", ts_us, pid, tid, cat, args, dur=trace_us(dur_us)
         )
 
     def sim_span(self, name, start_ns, end_ns, cat="", pid=PID_DEVICE, tid=0, args=None):

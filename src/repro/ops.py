@@ -88,29 +88,19 @@ def compare(workload, context=None):
 def critpath(workload, model="consumer3", whatif=False, context=None):
     """The critical-path report; ``whatif`` adds the speedup bounds."""
     from repro.obs import critpath as cp
-    from repro.schema import assert_valid
 
     context = _context(context)
     stats, journal = _journaled(context, context.app(workload), model)
-    report = cp.build_report(stats, journal, whatif=whatif)
-    assert_valid(
-        "generated critpath report", cp.validate_critpath_report(report)
-    )
-    return report, stats
+    return cp.checked_report(stats, journal, whatif=whatif), stats
 
 
 def telemetry(workload, model="consumer3", context=None):
     """The hardware telemetry report."""
     from repro.obs import telemetry as tm
-    from repro.schema import assert_valid
 
     context = _context(context)
     stats, journal = _journaled(context, context.app(workload), model)
-    report = tm.build_report(stats, journal)
-    assert_valid(
-        "generated telemetry report", tm.validate_telemetry_report(report)
-    )
-    return report, stats
+    return tm.checked_report(stats, journal), stats
 
 
 #: a parameter with no default: the request must carry it

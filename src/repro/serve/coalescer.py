@@ -24,7 +24,7 @@ import hashlib
 import json
 from collections import OrderedDict
 
-from repro.obs import resolve_metrics
+from repro.obs import NULL_METRICS
 
 
 def request_key(endpoint, params):
@@ -54,7 +54,7 @@ class ResponseCache:
 
     def __init__(self, capacity=1024, metrics=None):
         self.capacity = max(0, int(capacity))
-        self.metrics = resolve_metrics(metrics)
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self._entries = OrderedDict()
 
     def __len__(self):
@@ -88,7 +88,7 @@ class Coalescer:
     """Fold concurrent identical requests into one computation."""
 
     def __init__(self, metrics=None):
-        self.metrics = resolve_metrics(metrics)
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self._inflight = {}
 
     @property

@@ -17,7 +17,7 @@ invalid request fails fast with a :class:`ServeRequestError` instead of
 poisoning the cache.
 """
 
-from repro.experiments.common import MODEL_ALIASES, canonical_model_name
+from repro.experiments.common import _unknown_model, canonical_model_name
 from repro.ops import MODEL_NAMES, OPS, REQUIRED
 from repro.workloads import UnknownWorkloadError, all_workloads, get_workload
 
@@ -37,11 +37,7 @@ _TYPE_NAMES = {str: "string", bool: "boolean"}
 def _validate_model(name):
     resolved = canonical_model_name(name)
     if resolved not in MODEL_NAMES:
-        roster = ", ".join(MODEL_NAMES + sorted(MODEL_ALIASES))
-        raise ServeRequestError(
-            "unknown model {!r}; available: {}".format(name, roster),
-            status=404,
-        )
+        raise ServeRequestError(_unknown_model(name).args[0], status=404)
     return resolved
 
 

@@ -52,7 +52,3 @@ class GPUConfig:
     @property
     def cycle_ns(self):
         return 1.0 / self.clock_ghz
-
-    @property
-    def total_tb_slots(self):
-        return self.num_sms * self.max_tbs_per_sm

@@ -7,6 +7,7 @@ here so one flag (and the serve daemon's ``/version`` endpoint) answers
 * ``critpath``  — ``repro-critpath-report`` (``repro.obs.critpath``)
 * ``fuzz``      — ``repro-fuzz-report`` (``repro.fuzz.runner``)
 * ``fuzz_case`` — ``repro-fuzz-case`` (``repro.fuzz.shrink``)
+* ``jdiff``     — ``repro-jdiff-report`` (``repro.obs.jdiff``)
 * ``journal``   — ``repro-journal`` (``repro.obs.journal``)
 * ``serve``     — the serve daemon's request/response envelope
 * ``status``    — ``repro-status`` snapshots (``repro.obs.log``)
@@ -22,6 +23,7 @@ with a clear error instead of mis-parsing responses.
 CRITPATH_SCHEMA_VERSION = 1
 FUZZ_REPORT_SCHEMA_VERSION = 1
 CASE_SCHEMA_VERSION = 1
+JDIFF_SCHEMA_VERSION = 1
 JOURNAL_SCHEMA_VERSION = 1
 #: client/daemon handshake token: bump on any incompatible change to
 #: the request/response envelope or an endpoint's result shape
@@ -50,6 +52,7 @@ def schema_versions():
         "critpath": CRITPATH_SCHEMA_VERSION,
         "fuzz": FUZZ_REPORT_SCHEMA_VERSION,
         "fuzz_case": CASE_SCHEMA_VERSION,
+        "jdiff": JDIFF_SCHEMA_VERSION,
         "journal": JOURNAL_SCHEMA_VERSION,
         "serve": SERVE_SCHEMA_VERSION,
         "status": STATUS_SCHEMA_VERSION,

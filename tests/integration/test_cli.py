@@ -139,6 +139,10 @@ class TestErrorExits:
             pytest.param(["experiments", "tab1", "--jobs", "2"],
                          "unrecognized arguments: --jobs 2",
                          id="experiments-jobs-removed"),
+            # the engine sweep always checks auto against the oracle
+            pytest.param(["fuzz", "--count", "1", "--engines", "none"],
+                         "unrecognized arguments: --engines none",
+                         id="fuzz-engines-removed"),
             pytest.param(["dot", "mvt", "--pair", "-4"],
                          "--pair: must be >= 0 (got -4)",
                          id="dot-pair-negative"),

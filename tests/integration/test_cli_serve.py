@@ -96,7 +96,7 @@ class TestVersionFlag:
             token.split("=") for token in out[1].split()[1:]
         )
         assert sorted(schemas) == ["critpath", "fuzz", "fuzz_case",
-                                   "journal", "serve", "status",
+                                   "jdiff", "journal", "serve", "status",
                                    "telemetry"]
         assert schemas["serve"] == str(SERVE_SCHEMA_VERSION)
 

@@ -7,6 +7,7 @@ Covers ``repro telemetry`` (text, ``--json`` schema validation,
 behavior every ``--out``-style flag shares through the atomic writer.
 """
 
+import importlib
 import json
 import re
 
@@ -95,6 +96,35 @@ class TestTraceTelemetry:
         assert "telemetry.occupancy" in tracks
         assert "telemetry.queues" in tracks
         assert "telemetry.dependency_hw" in tracks
+
+
+class TestReportsAreCheckedBeforeRendering:
+    """A generator bug in either journal report fails the command before
+    it writes any file."""
+
+    @pytest.mark.parametrize("module, argv", [
+        pytest.param("telemetry", ["report", "mvt", "--out"],
+                     id="report-telemetry"),
+        pytest.param("critpath", ["report", "mvt", "--out"],
+                     id="report-critpath"),
+        pytest.param("telemetry", ["trace", "mvt", "--telemetry", "-o"],
+                     id="trace-telemetry"),
+    ])
+    def test_invalid_report_is_never_rendered(self, module, argv, tmp_path,
+                                              monkeypatch):
+        reports = importlib.import_module("repro.obs." + module)
+        build = reports.build_report
+        # a field of the wrong type
+        monkeypatch.setattr(
+            reports, "build_report",
+            lambda *args, **kwargs: dict(
+                build(*args, **kwargs), makespan_ns="late"
+            ),
+        )
+        with pytest.raises(AssertionError,
+                           match="{} report is invalid".format(module)):
+            main(argv + [str(tmp_path / "out.json")])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestListSizes:

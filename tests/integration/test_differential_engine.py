@@ -23,6 +23,7 @@ from repro.experiments.common import (
 )
 from repro.obs import PID_DEVICE, PID_HOST, PID_SM, Tracer
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import trace_us
 from repro.sim.config import GPUConfig
 from repro.workloads import all_workloads, get_workload
 
@@ -197,7 +198,10 @@ def test_traced_device_serial_cell_renders_alike_on_both_tiers():
     records = stats.tb_records
     times = set(records.start_ns) | set(records.finish_ns)
     running = [e for e in events if e["name"] == "running_tbs"]
-    assert len(running) == len(times)
+    # one sample per distinct rendered start or finish time
+    assert len(running) == len({trace_us(t / 1e3) for t in times})
+    counters = [(e["name"], e["ts"]) for e in events if e["ph"] == "C"]
+    assert len(counters) == len(set(counters))
     sms = {e["name"] for e in events if e["name"].startswith("running_tbs[sm=")}
     assert len(sms) == len(set(records.sm)) > 1
     assert device["device.tb_placements"] == len(records)

@@ -4,7 +4,7 @@ Every Table II workload flows through build -> reorder -> analysis ->
 graph construction -> encoding -> simulation under multiple execution
 models, with cross-model invariants checked.  Workloads with large
 kernel counts use scaled-down parameters to keep the suite fast; the
-full-size runs live in benchmarks/.
+full-size runs are the paper artifacts in tests/regression/.
 """
 
 import pytest

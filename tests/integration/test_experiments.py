@@ -2,8 +2,8 @@
 
 Each paper artifact's ``run()`` executes on reduced configurations and
 the output rows are checked for the paper's qualitative *shapes* (who
-wins, orderings, convergence points) — the actual full-size rows are
-produced by benchmarks/.
+wins, orderings, convergence points) — the full-size rows are checked
+by tests/regression/test_artifact_shapes.py.
 """
 
 import pytest

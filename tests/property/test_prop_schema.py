@@ -24,6 +24,7 @@ from repro.obs.jdiff import diff_journals, validate_jdiff_report
 from repro.obs.journal import record_run, validate_journal
 from repro.obs.log import Heartbeat, validate_status_snapshot
 from repro.schema import NON_NEGATIVE, Map, Optional, check, one_of
+from repro.version import schema_versions
 from repro.workloads.fuzzgen import FuzzSpec
 
 #: one table with every form of the checker
@@ -154,3 +155,13 @@ def test_values_that_used_to_raise(documents, name, path, value):
     problems = VALIDATORS[name](_set(documents[name], path, value))
     _assert_problem_list(problems)
     assert problems
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATORS))
+def test_every_document_kind_lists_its_schema_version(documents, name):
+    # ``repro --version`` and ``/version`` name the fuzz report "fuzz"
+    family = {"fuzz_report": "fuzz"}.get(name, name)
+    document = documents[name]
+    if name == "journal":
+        document = document["header"]
+    assert schema_versions()[family] == document["schema_version"]

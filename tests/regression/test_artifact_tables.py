@@ -7,7 +7,9 @@ the only test that pins the numbers of Fig. 12, Fig. 14, the streams
 study and the ablations, so a refactor of how the artifacts are planned
 and simulated must leave every digest unchanged.  Replace an entry only
 for an intentional change of that one artifact; a failing run prints
-the new digests.
+the new digests.  Both commands run once per session
+(``conftest.py``); ``test_artifact_shapes.py`` checks the same runs'
+rows against the paper's shapes.
 """
 
 import hashlib
@@ -17,7 +19,6 @@ import re
 
 import pytest
 
-from repro.cli import main
 from repro.experiments.ablations import ABLATIONS
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "artifact_tables.json")
@@ -34,9 +35,8 @@ def golden():
         return json.load(handle)
 
 
-def test_experiment_tables_match_golden(golden, capsys):
-    assert main(["experiments"]) == 0
-    parts = FOOTER.split(capsys.readouterr().out)
+def test_experiment_tables_match_golden(golden, experiments_run):
+    parts = FOOTER.split(experiments_run.stdout)
     assert parts[-1] == ""
     tables = {
         name: _digest(table) for table, name in zip(parts[0::2], parts[1::2])
@@ -44,9 +44,8 @@ def test_experiment_tables_match_golden(golden, capsys):
     assert tables == golden["experiments"]
 
 
-def test_ablation_tables_match_golden(golden, capsys):
-    assert main(["ablations"]) == 0
-    parts = capsys.readouterr().out.split("\n\n")
+def test_ablation_tables_match_golden(golden, ablations_run):
+    parts = ablations_run.stdout.split("\n\n")
     assert parts[-1] == ""
     tables = {name: _digest(table) for name, table in zip(ABLATIONS, parts)}
     assert len(parts) - 1 == len(ABLATIONS)

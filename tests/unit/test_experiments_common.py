@@ -7,7 +7,9 @@ import pytest
 from repro.experiments.common import (
     ExperimentContext,
     STANDARD_MODELS,
+    UnknownModelError,
     _make_model,
+    _model_plan_params,
     format_table,
     geomean,
 )
@@ -55,6 +57,20 @@ class TestModelFactory:
     def test_consumer_window_parsed(self, gpu_config):
         model = _make_model("consumer3", gpu_config)
         assert model.options().window == 3
+
+    @pytest.mark.parametrize("name", ["consumer7", "consumer", "consumerX"])
+    def test_only_roster_rows_build(self, name, gpu_config):
+        # a consumer window outside the roster is as unknown to the
+        # factory as to the planner
+        with pytest.raises(UnknownModelError, match="unknown model"):
+            _make_model(name, gpu_config)
+        with pytest.raises(UnknownModelError):
+            _model_plan_params(name)
+
+    @pytest.mark.parametrize("name, reorder, window", STANDARD_MODELS)
+    def test_models_take_their_row_window(self, name, reorder, window,
+                                          gpu_config):
+        assert _make_model(name, gpu_config).options().window == window
 
 
 class TestExperimentContext:

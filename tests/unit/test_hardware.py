@@ -74,8 +74,3 @@ class TestBufferModel:
         assert hw.dlb_entries_for(4) == 1
         assert hw.dlb_entries_for(5) == 2
         assert hw.dlb_entries_for(9) == 3
-
-    def test_counter_fits(self):
-        hw = DependencyHardware()
-        assert hw.counter_fits(64)
-        assert not hw.counter_fits(65)

@@ -16,16 +16,16 @@ from repro.obs import (
     PID_DEVICE,
     PID_RUNTIME,
     Tracer,
-    observed,
-    resolve_metrics,
-    resolve_tracer,
 )
+from repro.obs.render import emit_occupancy_counters, occupancy_steps
 from repro.obs.report import (
     format_blame,
     kernel_blame_rows,
     run_stats_dict,
     write_experiment_report,
 )
+from repro.obs.tracer import trace_us
+from repro.sim.stats import TBRecord, TBTable
 from repro.workloads import get_workload
 
 from tests.conftest import make_chain_app
@@ -150,57 +150,21 @@ class TestNullTwins:
             "histograms": {},
         }
 
-    def test_resolvers_default_to_null(self):
-        assert resolve_tracer(None) is NULL_TRACER
-        assert resolve_metrics(None) is NULL_METRICS
-        tracer = Tracer(clock=FakeClock())
-        assert resolve_tracer(tracer) is tracer
+    def test_components_default_to_null_observers(self, tmp_path):
+        from repro.analysis.cache import AnalysisCache
+        from repro.serve.coalescer import Coalescer, ResponseCache
 
-    def test_observed_scopes_ambient(self):
-        tracer = Tracer(clock=FakeClock())
-        registry = MetricsRegistry()
-        with observed(tracer, registry) as (t, m):
-            assert t is tracer and m is registry
-            assert resolve_tracer(None) is tracer
-            assert resolve_metrics(None) is registry
-        assert resolve_tracer(None) is NULL_TRACER
-        assert resolve_metrics(None) is NULL_METRICS
-
-    def test_observed_nesting_restores_each_level(self):
-        outer_t, outer_m = Tracer(clock=FakeClock()), MetricsRegistry()
-        inner_t, inner_m = Tracer(clock=FakeClock()), MetricsRegistry()
-        with observed(outer_t, outer_m):
-            with observed(inner_t, inner_m):
-                assert resolve_tracer(None) is inner_t
-                assert resolve_metrics(None) is inner_m
-            # popping the inner scope restores the outer pair, not null
-            assert resolve_tracer(None) is outer_t
-            assert resolve_metrics(None) is outer_m
-        assert resolve_tracer(None) is NULL_TRACER
-        assert resolve_metrics(None) is NULL_METRICS
-
-    def test_observed_restores_after_exception(self):
-        with pytest.raises(RuntimeError):
-            with observed(Tracer(clock=FakeClock()), MetricsRegistry()):
-                raise RuntimeError("boom")
-        assert resolve_tracer(None) is NULL_TRACER
-        assert resolve_metrics(None) is NULL_METRICS
-
-    def test_observed_nested_exception_restores_outer(self):
-        outer_t, outer_m = Tracer(clock=FakeClock()), MetricsRegistry()
-        with observed(outer_t, outer_m):
-            with pytest.raises(ValueError):
-                with observed(Tracer(clock=FakeClock()), MetricsRegistry()):
-                    raise ValueError("inner boom")
-            assert resolve_tracer(None) is outer_t
-            assert resolve_metrics(None) is outer_m
-        assert resolve_tracer(None) is NULL_TRACER
-
-    def test_observed_defaults_construct_fresh_instances(self):
-        with observed() as (tracer, metrics):
-            assert isinstance(tracer, Tracer)
-            assert isinstance(metrics, MetricsRegistry)
-        assert resolve_tracer(None) is NULL_TRACER
+        runtime = BlockMaestroRuntime()
+        assert runtime.tracer is NULL_TRACER
+        assert runtime.metrics is NULL_METRICS
+        assert runtime.hardware.metrics is NULL_METRICS
+        assert AnalysisCache(str(tmp_path)).metrics is NULL_METRICS
+        assert Coalescer().metrics is NULL_METRICS
+        assert ResponseCache().metrics is NULL_METRICS
+        # an explicit observer is used as given
+        tracer, registry = Tracer(clock=FakeClock()), MetricsRegistry()
+        runtime = BlockMaestroRuntime(tracer=tracer, metrics=registry)
+        assert runtime.tracer is tracer and runtime.metrics is registry
 
 
 class TestMetricsRegistry:
@@ -305,23 +269,55 @@ class TestInstrumentedPipeline:
     def test_occupancy_counter_events(self, traced_run):
         _plan, stats, tracer, metrics = traced_run
         samples = [e for e in tracer.events(ph="C") if e["name"] == "running_tbs"]
-        # one sample per distinct TB start or finish time, in time order
+        # one sample per distinct rendered TB start or finish time, in
+        # time order, for the last simulated time rendered there
         records = stats.tb_records
         times = sorted(set(records.start_ns) | set(records.finish_ns))
-        assert [e["ts"] for e in samples] == [
-            round(t / 1e3, 3) for t in times
-        ]
+        last_time = {trace_us(t / 1e3): t for t in times}
+        assert [e["ts"] for e in samples] == list(last_time)
         running = [e["args"]["running"] for e in samples]
         assert running[-1] == 0
-        assert max(running) == (
-            metrics.snapshot()["gauges"]["device.peak_tb_concurrency"]
-        )
-        # the running count at each time, from the TB table directly
-        for sample, t in zip(running, times):
-            assert sample == sum(
+
+        # the running count at a time, from the TB table directly
+        def resident(t):
+            return sum(
                 start <= t < finish
                 for start, finish in zip(records.start_ns, records.finish_ns)
             )
+
+        for sample, t in zip(running, last_time.values()):
+            assert sample == resident(t)
+        # the gauge is the peak over every unrounded time
+        assert metrics.snapshot()["gauges"]["device.peak_tb_concurrency"] == (
+            max(resident(t) for t in times)
+        )
+
+    def test_counter_samples_collide_at_one_nanosecond(self):
+        """Times 0.4 ns apart render at one ``ts``: each track gets one
+        sample there, holding the state after the later time."""
+        table = TBTable([
+            TBRecord(0, 0, 0.0, 1000.0, 2000.0, 0),
+            TBRecord(0, 1, 0.0, 1000.4, 3000.0, 1),
+            TBRecord(0, 2, 0.0, 2000.2, 3000.0, 0),
+        ])
+        steps = list(occupancy_steps(table))
+        assert len(steps) == 5
+        tracer = Tracer(clock=FakeClock(), per_sm_counters=True)
+        emit_occupancy_counters(tracer, steps)
+        samples = [
+            (e["name"], e["ts"], e["args"]["running"])
+            for e in tracer.events(ph="C")
+        ]
+        assert samples == [
+            ("running_tbs", 1.0, 2),
+            ("running_tbs[sm=00]", 1.0, 1),
+            ("running_tbs[sm=01]", 1.0, 1),
+            ("running_tbs", 2.0, 2),
+            ("running_tbs[sm=00]", 2.0, 1),
+            ("running_tbs", 3.0, 0),
+            ("running_tbs[sm=00]", 3.0, 0),
+            ("running_tbs[sm=01]", 3.0, 0),
+        ]
 
     def test_metrics_capture_pipeline_counters(self, traced_run):
         _plan, stats, _tracer, metrics = traced_run

@@ -1,6 +1,6 @@
 """Unit tests for command-queue reordering (Fig. 5)."""
 
-from repro.core.reorder import reorder_distance, reorder_trace
+from repro.core.reorder import reorder_trace
 from repro.host.api import (
     DeviceSynchronize,
     KernelLaunchCall,
@@ -103,12 +103,3 @@ class TestReorderTrace:
         first = [id(c) for c in reorder_trace(chain_app.trace)]
         second = [id(c) for c in reorder_trace(chain_app.trace)]
         assert first == second
-
-    def test_reorder_distance_zero_for_identity(self, chain_app):
-        calls = chain_app.trace.calls
-        assert reorder_distance(calls, calls) == 0
-
-    def test_reorder_distance_positive_when_moved(self):
-        app = build_figure5_app()
-        order = reorder_trace(app.trace)
-        assert reorder_distance(app.trace.calls, order) > 0

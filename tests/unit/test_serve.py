@@ -231,6 +231,11 @@ class TestNormalizeParams:
         with pytest.raises(ServeRequestError) as err:
             normalize_params("run", {"workload": "mvt", "model": "gpt5"})
         assert err.value.status == 404
+        # the CLI's wording, roster and aliases included
+        assert str(err.value) == (
+            "unknown model 'gpt5'; available: baseline, ideal, prelaunch, "
+            "producer, consumer2, consumer3, consumer4, blockmaestro, bm"
+        )
 
     def test_bad_engine_400(self):
         for engine in ("warp-drive", "closed_form"):
@@ -346,7 +351,7 @@ class TestVersionSurface:
 
         schemas = schema_versions()
         assert sorted(schemas) == ["critpath", "fuzz", "fuzz_case",
-                                   "journal", "serve", "status",
+                                   "jdiff", "journal", "serve", "status",
                                    "telemetry"]
         assert all(isinstance(value, int) for value in schemas.values())
 

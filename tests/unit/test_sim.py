@@ -166,9 +166,6 @@ class TestEventQueue:
 
 
 class TestGPUConfig:
-    def test_total_slots(self):
-        assert GPUConfig().total_tb_slots == 28 * 32
-
     def test_occupancy_thread_limited(self):
         cfg = GPUConfig()
         assert empty_device_slots(cfg, 256) == 28 * 8
