@@ -24,6 +24,7 @@ dependency edges derived from them can only be extra, never missing —
 pre-launched kernels therefore never start a thread block early.
 """
 
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Optional, Tuple
@@ -215,27 +216,15 @@ def analyze_kernel(
     ``metrics`` counts how each loop's trip count was found:
     ``analysis.tripcount.closed_form`` or ``analysis.tripcount.simulated``.
     """
-    if run_algorithm1:
-        for index, _inst in kernel.global_accesses():
-            try:
-                result = backward_slice(kernel, index)
-            except NonStaticAccess as exc:
-                return KernelSummary(
-                    kernel_name=kernel.name,
-                    launch=launch,
-                    fallback="non_static",
-                    fallback_detail=str(exc),
-                    dynamic_mix=_static_mix(kernel),
-                )
-            if not result.fully_resolved:
-                return KernelSummary(
-                    kernel_name=kernel.name,
-                    launch=launch,
-                    fallback="unresolved",
-                    fallback_detail="registers %s undefined at kernel entry"
-                    % (result.unresolved,),
-                    dynamic_mix=_static_mix(kernel),
-                )
+    verdict = _algorithm1(kernel) if run_algorithm1 else ()
+    if verdict:
+        return KernelSummary(
+            kernel_name=kernel.name,
+            launch=launch,
+            fallback=verdict[0],
+            fallback_detail=verdict[1],
+            dynamic_mix=_static_mix(kernel),
+        )
     interp = _Interpreter(kernel, launch, max_intervals, metrics)
     try:
         records, dynamic_mix = interp.run()
@@ -257,6 +246,38 @@ def analyze_kernel(
         dynamic_mix=dynamic_mix,
         access_sets=sets,
     )
+
+
+#: Algorithm 1's verdict per kernel object; see _algorithm1
+_ALGORITHM1 = weakref.WeakKeyDictionary()
+
+
+def _algorithm1(kernel):
+    """Algorithm 1's verdict on a kernel body: ``()`` when every global
+    access's address slice is static and resolved, else the
+    ``(fallback, detail)`` of the first access whose slice is not.
+
+    It reads the body alone, so it runs once per kernel object (kernels
+    hash by identity); the memo holds no kernel alive.
+    """
+    verdict = _ALGORITHM1.get(kernel)
+    if verdict is not None:
+        return verdict
+    verdict = ()
+    for index, _inst in kernel.global_accesses():
+        try:
+            result = backward_slice(kernel, index)
+        except NonStaticAccess as exc:
+            verdict = ("non_static", str(exc))
+            break
+        if not result.fully_resolved:
+            verdict = (
+                "unresolved",
+                "registers %s undefined at kernel entry" % (result.unresolved,),
+            )
+            break
+    _ALGORITHM1[kernel] = verdict
+    return verdict
 
 
 def _static_mix(kernel):

@@ -25,7 +25,7 @@ ignore the fine-grain information except for statistics.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.analyzer import KernelSummary, LaunchConfig, analyze_kernel
@@ -219,6 +219,9 @@ class BlockMaestroRuntime:
         self._graph_cache = {}
         #: the degree thresholds _graph_cache holds encodings for
         self._graph_thresholds = set()
+        #: (id(application), reorder) -> (application, {window:
+        #: RuntimePlan}); see plan.  Never shared with a variant.
+        self._plans = {}
 
     def variant(self, config=None, hardware=None, hazards=None):
         """This runtime under other timing, hardware or hazards.
@@ -226,7 +229,7 @@ class BlockMaestroRuntime:
         Unset arguments keep this runtime's values.  The variant shares
         this runtime's summary and pair-graph memos: each is keyed on
         everything its entries depend on, so one memo serves every
-        configuration of a sweep.
+        configuration of a sweep.  Its plans are its own.
         """
         other = BlockMaestroRuntime(
             config or self.config,
@@ -246,15 +249,59 @@ class BlockMaestroRuntime:
 
     # ------------------------------------------------------------------
     def plan(self, application, reorder=True, window=None) -> RuntimePlan:
-        """Analyze an application (anything with ``.name`` and ``.trace``)."""
+        """Analyze an application (anything with ``.name`` and ``.trace``).
+
+        Memoized per (application object, reorder): a repeated window
+        returns its plan, and a new window copies the first plan's
+        kernels and decides only their grandparent barriers, the one
+        field the window sets.  The entry pins the application, so its
+        id stays its own.  An application with a ``dependency_override``
+        launch is planned in full every time: the override is an
+        arbitrary callable no memo can vouch for.
+        """
         window = window if window is not None else self.window
+        key = (id(application), reorder)
+        entry = self._plans.get(key)
+        if entry is not None:
+            plans = entry[1]
+            if window not in plans:
+                first = next(iter(plans.values()))
+                plans[window] = self._window_variant(first, window)
+            return plans[window]
+        plan = self._plan(application, reorder, window)
+        if all(
+            call.dependency_override is None
+            for call in application.trace.kernel_calls
+        ):
+            self._plans[key] = (application, {window: plan})
+        return plan
+
+    def _window_variant(self, first, window):
+        """``first`` under another pre-launch window: its kernels copied,
+        their grandparent barriers decided again."""
+        start = time.perf_counter()
+        with self._plan_span(first.application, first.reordered, window):
+            # copied through __init__: on CPython 3.11 an instance made by
+            # copy.copy keeps a materialized __dict__, and the engine's
+            # per-TB reads of its fields run measurably slower
+            kernels = [replace(kp) for kp in first.kernels]
+            self._decide_barriers(kernels, window)
+        self.metrics.inc("plan.window_variants")
+        return replace(
+            first, kernels=kernels, analysis_seconds=time.perf_counter() - start
+        )
+
+    def _plan_span(self, name, reorder, window):
+        return self.tracer.span(
+            "plan:{}".format(name),
+            cat="plan",
+            args={"application": name, "reorder": reorder, "window": window},
+        )
+
+    def _plan(self, application, reorder, window):
         tracer, metrics = self.tracer, self.metrics
         analysis_start = time.perf_counter()
-        with tracer.span(
-            "plan:{}".format(application.name),
-            cat="plan",
-            args={"application": application.name, "reorder": reorder, "window": window},
-        ):
+        with self._plan_span(application.name, reorder, window):
             trace = application.trace
             with tracer.span("plan.validate", cat="plan"):
                 trace.validate()
@@ -312,6 +359,7 @@ class BlockMaestroRuntime:
             plain_total = 0
             encoded_total = 0
             with tracer.span("plan.graphs", cat="plan"):
+                self._decide_barriers(kernels, window)
                 for plan in kernels:
                     if plan.chain_prev is None:
                         continue
@@ -322,9 +370,6 @@ class BlockMaestroRuntime:
                     plan.traffic = self.hardware.pair_traffic(encoded.effective)
                     plain_total += encoded.plain_bytes
                     encoded_total += encoded.encoded_bytes
-                    plan.grandparent_barrier = self._has_grandparent_dep(
-                        kernels, plan.kernel_index, window
-                    )
                     metrics.inc("plan.graphs_built")
                     if encoded.collapsed:
                         metrics.inc("plan.graphs_collapsed")
@@ -503,6 +548,14 @@ class BlockMaestroRuntime:
                 )
             )
         return graph
+
+    def _decide_barriers(self, kernels, window):
+        """Set every chained kernel's grandparent barrier for ``window``."""
+        for plan in kernels:
+            if plan.chain_prev is not None:
+                plan.grandparent_barrier = self._has_grandparent_dep(
+                    kernels, plan.kernel_index, window
+                )
 
     def _has_grandparent_dep(self, kernels, i, window):
         """Does kernel ``i`` read data written by a same-stream kernel

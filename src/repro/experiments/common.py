@@ -1,4 +1,4 @@
-"""Shared experiment machinery: model roster, plan caching, tables.
+"""Shared experiment machinery: model roster, the context, tables.
 
 The roster and the table formatter import nothing heavy, so the CLI's
 parser and ``repro list`` use them without loading the models or the
@@ -77,33 +77,33 @@ class ExperimentContext:
     """The one build -> plan -> run path: every paper artifact, every
     operation and every observed run of one (workload, model) cell.
 
-    An application is built once per registry name and overrides,
-    planned once per (reorder, window) pair, and each roster model's
-    run on it is memoized.  Plans and runs are keyed on the application
-    object, and each entry pins it: apps that share a name (a registry
-    app and its overridden build, or two sweep points of one builder)
-    never share a plan.  :meth:`variant` gives the same apps under other
-    timing, hardware or hazards.  The runtime's tracer, if it has one,
-    also times each build (``workload.build:<name>``).
+    An application is built once per registry name and overrides, the
+    runtime memoizes its plans, and each roster model's run on it is
+    memoized.  Plans and runs are keyed on the application object, and
+    each entry pins it: apps that share a name (a registry app and its
+    overridden build, or two sweep points of one builder) never share a
+    plan.  :meth:`variant` gives the same apps under other timing,
+    hardware or hazards.  The runtime's tracer, if it has one, also
+    times each build (``workload.build:<name>``).
+
+    ``gpu_config`` is always the runtime's config, so a context plans
+    and simulates on one device.
     """
 
     gpu_config: "GPUConfig" = None
     runtime: "BlockMaestroRuntime" = None
     _apps: Dict[str, object] = field(default_factory=dict)
-    #: (id(app), reorder, window) -> (app, RuntimePlan)
-    _plans: Dict[Tuple[int, bool, int], tuple] = field(default_factory=dict)
     #: (id(app), model name) -> (app, RunStats)
     _runs: Dict[Tuple[int, str], tuple] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.gpu_config is None:
-            from repro.sim.config import GPUConfig
-
-            self.gpu_config = GPUConfig()
         if self.runtime is None:
             from repro.core.runtime import BlockMaestroRuntime
 
             self.runtime = BlockMaestroRuntime(self.gpu_config)
+        elif self.gpu_config not in (None, self.runtime.config):
+            raise ValueError("gpu_config differs from the runtime's config")
+        self.gpu_config = self.runtime.config
 
     # ------------------------------------------------------------------
     def app(self, name, **overrides):
@@ -143,18 +143,12 @@ class ExperimentContext:
         ):
             return self
         return ExperimentContext(
-            gpu_config=gpu_config,
             runtime=runtime.variant(gpu_config, hardware, hazards),
             _apps=self._apps,
         )
 
     def plan_for(self, app, reorder, window):
-        key = (id(app), reorder, window)
-        if key not in self._plans:
-            self._plans[key] = (
-                app, self.runtime.plan(app, reorder=reorder, window=window)
-            )
-        return self._plans[key][1]
+        return self.runtime.plan(app, reorder=reorder, window=window)
 
     def simulate(self, app, model_name, engine=None, journal=None,
                  tracer=None, metrics=None):

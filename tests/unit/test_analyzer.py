@@ -1,16 +1,23 @@
 """Unit tests for the launch-time value-range analyzer."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.analysis import analyzer
 from repro.analysis.analyzer import (
     AnalysisError,
     LaunchConfig,
     analyze_kernel,
 )
 from repro.analysis.intervals import Interval, IntervalSet
+from repro.core.runtime import BlockMaestroRuntime
 from repro.obs import MetricsRegistry
 from repro.ptx.parser import parse_kernel
-from repro.workloads import ptxgen
+from repro.workloads import get_workload, ptxgen
+
+from tests.conftest import INDIRECT_SRC
 
 
 class TestLaunchConfig:
@@ -231,3 +238,64 @@ class TestSpecialRegisters:
         summary = analyze_kernel(kernel, launch)
         assert summary.fallback is None
         assert summary.tb_writes(0) == IntervalSet([Interval(0, 32 * 4)])
+
+
+class TestAlgorithm1Memo:
+    """Algorithm 1 reads the kernel body alone, so its verdict is kept
+    per kernel object and every other launch of that body reuses it."""
+
+    @pytest.fixture
+    def slices(self, monkeypatch):
+        """The access index of every backward slice the analyzer runs."""
+        calls = []
+        backward_slice = analyzer.backward_slice
+
+        def counted(kernel, index):
+            calls.append(index)
+            return backward_slice(kernel, index)
+
+        monkeypatch.setattr(analyzer, "backward_slice", counted)
+        return calls
+
+    def test_one_slice_per_access_of_each_body(self, slices):
+        app = get_workload("gaussian").build_small()
+        bodies = {id(c.kernel): c.kernel for c in app.trace.kernel_calls}
+        assert len(bodies) == 2 and app.num_kernel_launches > 2
+        plan = BlockMaestroRuntime().plan(app)
+        assert all(kp.summary.exact for kp in plan.kernels)
+        assert len(slices) == sum(
+            len(list(kernel.global_accesses())) for kernel in bodies.values()
+        )
+
+    def test_non_static_verdict_reused_across_launches(self, slices):
+        kernel = parse_kernel(
+            INDIRECT_SRC.replace(".param .u64 OUT)", ".param .u64 OUT, .param .u32 N)")
+        )
+        first, second = (
+            LaunchConfig.create(
+                grid=1,
+                block=32,
+                args={"DATA": 0, "IDX": 1 << 16, "OUT": 1 << 17, "N": n},
+            )
+            for n in (32, 96)
+        )
+        a = analyze_kernel(kernel, first)
+        sliced = len(slices)
+        b = analyze_kernel(kernel, second)
+        assert a.fallback == b.fallback == "non_static"
+        assert a.fallback_detail == b.fallback_detail
+        assert sliced > 0 and len(slices) == sliced
+
+    def test_memo_holds_no_kernel_alive(self):
+        kernel = parse_kernel(INDIRECT_SRC)
+        launch = LaunchConfig.create(
+            grid=1, block=32, args={"DATA": 0, "IDX": 1 << 16, "OUT": 1 << 17}
+        )
+        analyze_kernel(kernel, launch)
+        assert kernel in analyzer._ALGORITHM1
+        entries = len(analyzer._ALGORITHM1)
+        alive = weakref.ref(kernel)
+        del kernel
+        gc.collect()
+        assert alive() is None
+        assert len(analyzer._ALGORITHM1) < entries

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.core.runtime import BlockMaestroRuntime
 from repro.experiments.common import (
     ExperimentContext,
     STANDARD_MODELS,
@@ -13,6 +14,7 @@ from repro.experiments.common import (
     format_table,
     geomean,
 )
+from repro.sim.config import GPUConfig
 
 
 class TestGeomean:
@@ -97,6 +99,22 @@ class TestExperimentContext:
         p3 = ctx.plan_for(app, reorder=True, window=3)
         assert p1 is p2
         assert p1 is not p3
+
+    def test_gpu_config_is_the_runtimes(self):
+        """A context given only a runtime plans and simulates on the
+        runtime's device."""
+        ctx = ExperimentContext(
+            runtime=BlockMaestroRuntime(GPUConfig(num_sms=4))
+        )
+        assert ctx.gpu_config.num_sms == 4
+        stats = ctx.run_model(ctx.app("mvt"), "consumer3")
+        assert set(stats.tb_records.sm) == {0, 1, 2, 3}
+
+    def test_conflicting_gpu_config_rejected(self):
+        with pytest.raises(ValueError, match="runtime's config"):
+            ExperimentContext(
+                gpu_config=GPUConfig(num_sms=4), runtime=BlockMaestroRuntime()
+            )
 
     def test_runs_memoized(self):
         ctx = ExperimentContext()
