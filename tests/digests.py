@@ -1,11 +1,14 @@
-"""The one canonical hash of a complete :class:`~repro.sim.stats.RunStats`.
+"""The canonical hashes of a complete :class:`~repro.sim.stats.RunStats`
+and of a :class:`~repro.analysis.analyzer.KernelSummary`.
 
-The payload is ``dataclasses.asdict(stats)`` with the TB records as a
+The RunStats payload is ``dataclasses.asdict(stats)`` with the TB records as a
 list of row dicts (:class:`~repro.sim.stats.TBTable` holds columns,
 which ``asdict`` cannot walk) plus ``simulated_signature()``; the digest
 is the sha256 of its canonical JSON (sorted keys, compact separators).
 ``tests/regression/engine_records.json`` pins this format, so changing it
-means regenerating that golden.
+means regenerating that golden.  A summary's payload is its kernel name,
+launch, access records, dynamic mix, fallback and fallback detail
+(``tests/regression/analysis_summaries.json`` pins it).
 """
 
 import dataclasses
@@ -29,3 +32,25 @@ def payload_digest(payload):
 def runstats_digest(stats):
     """``sha256:<hex>`` of the complete RunStats."""
     return payload_digest(runstats_payload(stats))
+
+
+def summary_payload(summary):
+    """One launch's analysis as plain JSON-ready data."""
+    launch = summary.launch
+    return {
+        "kernel": summary.kernel_name,
+        "launch": {
+            "grid": list(launch.grid),
+            "block": list(launch.block),
+            "args": [list(item) for item in launch.args],
+        },
+        "records": [dataclasses.asdict(r) for r in summary.records],
+        "dynamic_mix": summary.dynamic_mix,
+        "fallback": summary.fallback,
+        "fallback_detail": summary.fallback_detail,
+    }
+
+
+def summary_digest(summary):
+    """``sha256:<hex>`` of one launch's analysis."""
+    return payload_digest(summary_payload(summary))
