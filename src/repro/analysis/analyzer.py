@@ -285,9 +285,253 @@ def _static_mix(kernel):
 
 
 # ----------------------------------------------------------------------
+# kernel bodies, decoded once
+# ----------------------------------------------------------------------
+#: a straight-line step's effect: apply a transfer function to one, two
+#: or three source values, yield a constant, record a global access,
+#: load a parameter, or raise
+_ALG1, _ALG2, _ALG3, _CONST, _ACCESS, _PARAM, _RAISE = range(7)
+#: a terminator's effect: an unguarded one ends the range, a guarded
+#: one is skipped
+_RET, _SKIP = range(7, 9)
+
+_TID_X, _TID_Y, _TID_Z = TID("x"), TID("y"), TID("z")
+_MINUS_ONE = AffineExpr(-1)
+
+
+def _first(alg, a):
+    return a
+
+
+def _abs(alg, a):
+    return alg.max_(a, alg.neg(a))
+
+
+def _not(alg, a):
+    return alg.sub(_MINUS_ONE, a)
+
+
+def _float_cvt(alg, a):
+    return taint_of(a) if is_unknown(a) else UNKNOWN_ARITH
+
+
+#: ``opcode -> (arity, transfer)``: the transfer function of each
+#: value-producing opcode, called with the launch's ValueAlgebra and the
+#: first ``arity`` source values; ``None`` leaves the result untracked
+_TRANSFERS = {
+    Opcode.MOV: (1, _first),
+    Opcode.ADD: (2, ValueAlgebra.add),
+    Opcode.SUB: (2, ValueAlgebra.sub),
+    Opcode.MUL_LO: (2, ValueAlgebra.mul),
+    Opcode.MUL_WIDE: (2, ValueAlgebra.mul),
+    Opcode.MUL: (2, ValueAlgebra.mul),
+    Opcode.MAD_LO: (3, ValueAlgebra.mad),
+    Opcode.MAD_WIDE: (3, ValueAlgebra.mad),
+    Opcode.MAD: (3, ValueAlgebra.mad),
+    Opcode.FMA: (3, ValueAlgebra.mad),
+    Opcode.DIV: (2, ValueAlgebra.div),
+    Opcode.REM: (2, ValueAlgebra.rem),
+    Opcode.NEG: (1, ValueAlgebra.neg),
+    Opcode.ABS: (1, _abs),
+    Opcode.MIN: (2, ValueAlgebra.min_),
+    Opcode.MAX: (2, ValueAlgebra.max_),
+    Opcode.SHL: (2, ValueAlgebra.shl),
+    Opcode.SHR: (2, ValueAlgebra.shr),
+    Opcode.AND: (2, ValueAlgebra.and_),
+    Opcode.OR: (2, ValueAlgebra.or_),
+    Opcode.XOR: (2, ValueAlgebra.xor),
+    Opcode.NOT: (1, _not),
+    Opcode.CVT: (1, _first),
+    Opcode.CVTA: (1, _first),
+    Opcode.SETP: (0, None),
+    Opcode.SELP: (2, ValueAlgebra.join),
+    Opcode.SQRT: (0, None),
+    Opcode.RSQRT: (0, None),
+    Opcode.EX2: (0, None),
+    Opcode.LG2: (0, None),
+    Opcode.RCP: (0, None),
+}
+
+#: each kernel body decoded once; see _decode
+_DECODED = weakref.WeakKeyDictionary()
+
+
+def _decode(kernel):
+    """The kernel body as a :class:`_Body`.
+
+    It depends on the body alone, so it is decoded once per kernel
+    object (kernels hash by identity); the memo holds no kernel alive.
+    """
+    body = _DECODED.get(kernel)
+    if body is None:
+        body = _DECODED[kernel] = _Body(kernel)
+    return body
+
+
+class _Body:
+    """What the forward interpreter needs of a (validated) kernel body,
+    decided once per body.
+
+    A launch's state is one list: a slot per register named in the body
+    (``slots``, the first ``nregs``), then one per distinct integer
+    immediate and special register.  ``template`` holds the registers'
+    entry value and the immediates' values; each launch copies it and
+    evaluates its ``specials`` (``(slot, special register)``) once.
+
+    ``steps[i]`` is instruction ``i`` as ``(loop, key, dst, guarded,
+    effect, arg, a, b, c)``:
+
+    * ``loop``: the loop headed at ``i``, or ``None``;
+    * ``key``: the dynamic-mix key, ``None`` for a terminator, whose
+      ``effect`` is then ``_RET`` or ``_SKIP``;
+    * ``dst``: the written register's slot or ``None``; a ``guarded``
+      write joins with the register's old value;
+    * ``effect`` and ``arg``: ``_ALG1``/``_ALG2``/``_ALG3`` apply the
+      transfer function ``arg`` to the values in slots ``a``, ``b``,
+      ``c``; ``_CONST`` yields ``arg``; ``_ACCESS`` records the global
+      access ``arg``; ``_PARAM`` loads parameter ``a`` plus ``b`` bytes;
+      ``_RAISE`` raises ``arg()``, the error the instruction always
+      raises (an operand with no value, an unsupported opcode).
+
+    ``counted`` maps each loop header to its :class:`_CountedLoop` or
+    ``None``.  A body with irreducible loops keeps only the
+    ``irreducible`` detail.
+    """
+
+    def __init__(self, kernel):
+        self.irreducible = None
+        try:
+            self.loops = find_loops(kernel)
+        except IrreducibleControlFlow as exc:
+            self.irreducible = str(exc)
+            return
+        self.counted = {
+            loop.header: _CountedLoop.match(kernel, loop) for loop in self.loops
+        }
+        loop_by_header = {loop.header: loop for loop in self.loops}
+        slots = self.slots = {}
+        for inst in kernel.instructions:
+            for reg in inst.written_registers() + inst.read_registers():
+                slots.setdefault(reg, len(slots))
+        self.nregs = len(slots)
+        self.template = [UNKNOWN_ARITH] * self.nregs
+        self.specials = []
+        self._operand_slots = {}
+        self.steps = tuple(
+            self._step(inst, loop_by_header.get(index))
+            for index, inst in enumerate(kernel.instructions)
+        )
+
+    def _step(self, inst, loop):
+        if inst.is_terminator:
+            return (loop, None, None, False, _RET if inst.guard is None else _SKIP,
+                    None, 0, 0, 0)
+        key = _mix_key(inst)
+        if inst.is_branch:
+            # Forward branches are ignored: both paths execute
+            # abstractly, over-approximating the access sets.
+            return (loop, key, None, False, _CONST, None, 0, 0, 0)
+        regs = inst.written_registers()
+        dst = self.slots[regs[0]] if regs else None
+        effect, arg, operands = self._effect(inst)
+        a, b, c = (tuple(operands) + (0, 0, 0))[:3]
+        return (loop, key, dst, inst.guard is not None, effect, arg, a, b, c)
+
+    def _effect(self, inst):
+        """``(effect, arg, operands)``, deciding in the order the
+        interpreter acts: memory and untracked opcodes first, then each
+        source operand, then the opcode's transfer function."""
+        op = inst.opcode
+        if op is Opcode.LD_PARAM:
+            addr = inst.address_operand()
+            return _PARAM, None, (addr.base.name, addr.offset)
+        if op is Opcode.LD_GLOBAL:
+            return _ACCESS, self._access(inst, ("read",)), ()
+        if op is Opcode.ST_GLOBAL:
+            return _ACCESS, self._access(inst, ("write",)), ()
+        if op is Opcode.ATOM_ADD:
+            return _ACCESS, self._access(inst, ("read", "write")), ()
+        if op is Opcode.LD_SHARED:
+            return _CONST, UNKNOWN_MEMORY, ()
+        if op in (Opcode.ST_SHARED, Opcode.BAR_SYNC):
+            return _CONST, None, ()
+        if _is_float_type(inst.dtype) and op not in (Opcode.MOV, Opcode.SELP):
+            return _CONST, UNKNOWN_ARITH, ()
+        operands = []
+        for src in inst.srcs:
+            slot = self._operand_slot(src)
+            if isinstance(slot, str):
+                return _RAISE, partial(AnalysisError, slot), ()
+            operands.append(slot)
+        if op not in _TRANSFERS:
+            return _RAISE, partial(_Fallback, "unsupported", "opcode %s" % op), ()
+        arity, transfer = _TRANSFERS[op]
+        if len(operands) < arity:
+            return _RAISE, partial(IndexError, "list index out of range"), ()
+        if transfer is None:
+            return _CONST, UNKNOWN_ARITH, ()
+        if op in (Opcode.CVT, Opcode.CVTA) and (
+            _is_float_type(inst.dtype) or _is_float_type(inst.src_dtype)
+        ):
+            transfer = _float_cvt
+        return (_ALG1, _ALG2, _ALG3)[arity - 1], transfer, operands[:arity]
+
+    def _operand_slot(self, op):
+        """The state slot holding a source operand's value, or the
+        message of the AnalysisError that reading it raises."""
+        if isinstance(op, Register):
+            return self.slots[op]
+        if isinstance(op, SpecialRegister):
+            key = value = op
+        elif isinstance(op, Immediate):
+            if isinstance(op.value, int):
+                key, value = ("int", op.value), AffineExpr(op.value)
+            else:
+                key, value = "float", UNKNOWN_ARITH
+        elif isinstance(op, (Label, ParamRef)):
+            return "operand %r has no runtime value" % (op,)
+        elif isinstance(op, MemOperand):
+            return "memory operand in value position"
+        else:
+            return "unknown operand %r" % (op,)
+        slot = self._operand_slots.get(key)
+        if slot is None:
+            slot = self._operand_slots[key] = len(self.template)
+            if isinstance(op, SpecialRegister):
+                self.specials.append((slot, op))
+                value = None
+            self.template.append(value)
+        return slot
+
+    def _access(self, inst, kinds):
+        """``(kinds, base slot or None, offset, width, line, inst)``"""
+        addr = inst.address_operand()
+        base = self.slots[addr.base] if isinstance(addr.base, Register) else None
+        line = inst.line if inst.line is not None else -1
+        return kinds, base, addr.offset, inst.access_width or 4, line, inst
+
+
+def _mix_key(inst):
+    if inst.is_global_access:
+        return "mem_global"
+    if inst.opcode in (Opcode.LD_SHARED, Opcode.ST_SHARED):
+        return "mem_shared"
+    if inst.opcode is Opcode.LD_PARAM:
+        return "mem_param"
+    if inst.is_branch or inst.is_terminator:
+        return "control"
+    if inst.is_barrier:
+        return "barrier"
+    return "alu"
+
+
+# ----------------------------------------------------------------------
 # forward abstract interpreter
 # ----------------------------------------------------------------------
 class _Interpreter:
+    """Runs a decoded body for one launch: the special registers, the
+    parameter loads, the value algebra and the access records."""
+
     def __init__(self, kernel, launch, max_intervals, metrics=NULL_METRICS):
         self.kernel = kernel
         self.launch = launch
@@ -295,20 +539,20 @@ class _Interpreter:
         self.metrics = metrics
         tx, ty, tz = launch.block
         ranges = {
-            TID("x"): (0, tx - 1),
-            TID("y"): (0, ty - 1),
-            TID("z"): (0, tz - 1),
+            _TID_X: (0, tx - 1),
+            _TID_Y: (0, ty - 1),
+            _TID_Z: (0, tz - 1),
         }
         self.algebra = ValueAlgebra(ranges)
         self.args = launch.args_dict
-        try:
-            self.loops = find_loops(kernel)
-        except IrreducibleControlFlow as exc:
-            raise _Fallback("irreducible", str(exc))
-        self.loop_by_header = {}
-        for loop in self.loops:
-            self.loop_by_header[loop.header] = loop
-        self.state: Dict[Register, object] = {}
+        body = _decode(kernel)
+        if body.irreducible is not None:
+            raise _Fallback("irreducible", body.irreducible)
+        self.body = body
+        self.loops = body.loops
+        self.state = list(body.template)
+        for slot, sreg in body.specials:
+            self.state[slot] = self._special_value(sreg)
         self.records = []
         self.recording = False
         self.multiplier = 1.0
@@ -325,63 +569,80 @@ class _Interpreter:
     # ------------------------------------------------------------------
     def run(self):
         self.recording = True
-        self._exec_range(0, len(self.kernel.instructions))
+        self._exec_range(0, len(self.body.steps))
         self.dyn_mix["total"] = sum(self.dyn_mix.values())
         return self.records, dict(self.dyn_mix)
 
     # ------------------------------------------------------------------
     def _exec_range(self, start, end):
+        # a nested loop restores the recording flag and the multiplier,
+        # and updates the state, the records and the mix in place
+        steps = self.body.steps
+        state = self.state
+        alg = self.algebra
+        mix = self.dyn_mix
+        recording = self.recording
+        multiplier = self.multiplier
         i = start
         while i < end:
-            loop = self.loop_by_header.get(i)
+            loop, key, dst, guarded, effect, arg, a, b, c = steps[i]
             if loop is not None and loop.latch < end:
                 self._exec_loop(loop)
                 i = loop.latch + 1
                 continue
-            inst = self.kernel.instructions[i]
-            if inst.is_terminator:
-                if inst.guard is None:
-                    return "ret"
-                i += 1
-                continue
-            if inst.is_branch:
-                # Forward branches are ignored: both paths execute
-                # abstractly, over-approximating the access sets.
-                self._count(inst)
-                i += 1
-                continue
-            self._transfer(inst)
             i += 1
-        return None
+            if key is None:
+                if effect == _RET:
+                    return
+                continue
+            if recording:
+                mix[key] += multiplier
+            if effect == _ALG2:
+                value = arg(alg, state[a], state[b])
+            elif effect == _ALG1:
+                value = arg(alg, state[a])
+            elif effect == _CONST:
+                value = arg
+            elif effect == _ALG3:
+                value = arg(alg, state[a], state[b], state[c])
+            elif effect == _ACCESS:
+                value = self._access(arg) if recording else UNKNOWN_MEMORY
+            elif effect == _PARAM:
+                value = self._param_value(a, b)
+            else:
+                raise arg()
+            if dst is not None:
+                if guarded:
+                    value = alg.join(state[dst], value)
+                state[dst] = value
 
     # ------------------------------------------------------------------
     # loop handling
     # ------------------------------------------------------------------
     def _exec_loop(self, loop):
-        state0 = dict(self.state)
+        state = self.state
+        state0 = state[:]
         # discovery pass: find induction registers (no recording)
         saved_recording, self.recording = self.recording, False
         self._exec_range(loop.header, loop.latch)
-        state1 = dict(self.state)
+        state1 = state[:]
         self.recording = saved_recording
-        self.state = dict(state0)
+        state[:] = state0
 
-        changed = set(state0) | set(state1)
         inductions = {}
         widened = {}
-        for reg in changed:
-            v0 = state0.get(reg, UNKNOWN_ARITH)
-            v1 = state1.get(reg, UNKNOWN_ARITH)
-            if _values_equal(v0, v1):
+        for slot in range(self.body.nregs):
+            v0, v1 = state0[slot], state1[slot]
+            if v0 is v1 or _values_equal(v0, v1):
                 continue
             if isinstance(v0, AffineExpr) and isinstance(v1, AffineExpr):
                 delta = v1 - v0
                 if delta.is_constant and delta.const != 0:
-                    inductions[reg] = delta.const
+                    inductions[slot] = delta.const
                     continue
-            widened[reg] = _widen_value(v1)
+            widened[slot] = _widen_value(v1)
 
-        trip = self._trip_count(loop, state0)
+        trip = self._trip_count(loop, self._registers(state0))
         if trip is None:
             raise _Fallback(
                 "loop_bounds",
@@ -389,20 +650,17 @@ class _Interpreter:
             )
         if trip == 0:
             # body never executes: state unchanged, nothing recorded
-            self.state = dict(state0)
             return
 
         attempts = len(inductions) + 1
         for _attempt in range(attempts):
             loop_sym = LOOP(next(self._loop_ids))
             self.algebra.symbol_ranges[loop_sym] = (0, trip - 1)
-            self.state = dict(state0)
-            for reg, step in inductions.items():
-                self.state[reg] = state0.get(
-                    reg, AffineExpr(0)
-                ) + AffineExpr.symbol(loop_sym, step)
-            for reg, value in widened.items():
-                self.state[reg] = value
+            state[:] = state0
+            for slot, step in inductions.items():
+                state[slot] = state0[slot] + AffineExpr.symbol(loop_sym, step)
+            for slot, value in widened.items():
+                state[slot] = value
             checkpoint = len(self.records)
             mix_checkpoint = dict(self.dyn_mix)
             saved_multiplier = self.multiplier
@@ -415,32 +673,36 @@ class _Interpreter:
             # not a clean induction after all: widen and retry — rolling
             # back both the recorded accesses and the dynamic counts
             del self.records[checkpoint:]
-            self.dyn_mix = mix_checkpoint
+            self.dyn_mix.update(mix_checkpoint)
             inductions.pop(bad)
-            widened[bad] = _widen_value(state1.get(bad, UNKNOWN_ARITH))
+            widened[bad] = _widen_value(state1[bad])
         else:
             raise _Fallback("loop_bounds", "induction discovery did not converge")
 
         # exit state: inductions take their post-loop value
-        for reg, step in inductions.items():
-            self.state[reg] = state0.get(reg, AffineExpr(0)) + AffineExpr(step * trip)
-        for reg, value in widened.items():
-            self.state[reg] = value
+        for slot, step in inductions.items():
+            state[slot] = state0[slot] + AffineExpr(step * trip)
+        for slot, value in widened.items():
+            state[slot] = value
 
     def _verify_inductions(self, loop_sym, state0, inductions):
         """After the symbolic body pass, each induction register must have
-        advanced by exactly its step.  Return an offending register, or
+        advanced by exactly its step.  Return an offending slot, or
         ``None`` when all verify."""
-        for reg, step in inductions.items():
+        for slot, step in inductions.items():
             expected = (
-                state0.get(reg, AffineExpr(0))
+                state0[slot]
                 + AffineExpr.symbol(loop_sym, step)
                 + AffineExpr(step)
             )
-            actual = self.state.get(reg, UNKNOWN_ARITH)
+            actual = self.state[slot]
             if not (isinstance(actual, AffineExpr) and actual == expected):
-                return reg
+                return slot
         return None
+
+    def _registers(self, state):
+        """``state`` keyed by register, as the trip-count solvers read it."""
+        return {reg: state[slot] for reg, slot in self.body.slots.items()}
 
     # ------------------------------------------------------------------
     def _trip_count(self, loop, state0):
@@ -467,7 +729,7 @@ class _Interpreter:
                     extended[sym] = bound
                     new.append(extended)
             corners = new
-        counted = _CountedLoop.match(self.kernel, loop)
+        counted = self.body.counted[loop.header]
         if counted is not None:
             self.metrics.inc("analysis.tripcount.closed_form")
             solve = partial(counted.trips, self.launch, state0)
@@ -490,40 +752,8 @@ class _Interpreter:
         return sim.run_loop(loop)
 
     # ------------------------------------------------------------------
-    # transfer functions
+    # launch-dependent values
     # ------------------------------------------------------------------
-    def _count(self, inst):
-        if not self.recording:
-            return
-        if inst.is_global_access:
-            key = "mem_global"
-        elif inst.opcode in (Opcode.LD_SHARED, Opcode.ST_SHARED):
-            key = "mem_shared"
-        elif inst.opcode is Opcode.LD_PARAM:
-            key = "mem_param"
-        elif inst.is_branch or inst.is_terminator:
-            key = "control"
-        elif inst.is_barrier:
-            key = "barrier"
-        else:
-            key = "alu"
-        self.dyn_mix[key] += self.multiplier
-
-    def _operand_value(self, op):
-        if isinstance(op, Register):
-            return self.state.get(op, UNKNOWN_ARITH)
-        if isinstance(op, SpecialRegister):
-            return self._special_value(op)
-        if isinstance(op, Immediate):
-            if isinstance(op.value, int):
-                return AffineExpr(op.value)
-            return UNKNOWN_ARITH
-        if isinstance(op, (Label, ParamRef)):
-            raise AnalysisError("operand %r has no runtime value" % (op,))
-        if isinstance(op, MemOperand):
-            raise AnalysisError("memory operand in value position")
-        raise AnalysisError("unknown operand %r" % (op,))
-
     def _special_value(self, sreg):
         gx, gy, gz = self.launch.grid
         tx, ty, tz = self.launch.block
@@ -542,139 +772,56 @@ class _Interpreter:
             return SInterval(0, warps - 1)
         raise AnalysisError("unhandled special register %s" % sreg)
 
-    def _set(self, inst, value):
-        """Write the destination register; guarded writes merge."""
-        regs = inst.written_registers()
-        if not regs:
-            return
-        reg = regs[0]
-        if inst.guard is not None:
-            value = self.algebra.join(self.state.get(reg, UNKNOWN_ARITH), value)
-        self.state[reg] = value
-
-    def _transfer(self, inst):
-        self._count(inst)
-        op = inst.opcode
-        alg = self.algebra
-        if op is Opcode.LD_PARAM:
-            self._set(inst, self._param_value(inst))
-            return
-        if op is Opcode.LD_GLOBAL:
-            self._record_access(inst, "read")
-            self._set(inst, UNKNOWN_MEMORY)
-            return
-        if op is Opcode.ST_GLOBAL:
-            self._record_access(inst, "write")
-            return
-        if op is Opcode.ATOM_ADD:
-            self._record_access(inst, "read")
-            self._record_access(inst, "write")
-            self._set(inst, UNKNOWN_MEMORY)
-            return
-        if op is Opcode.LD_SHARED:
-            self._set(inst, UNKNOWN_MEMORY)
-            return
-        if op in (Opcode.ST_SHARED, Opcode.BAR_SYNC):
-            return
-        if _is_float_type(inst.dtype) and op not in (Opcode.MOV, Opcode.SELP):
-            self._set(inst, UNKNOWN_ARITH)
-            return
-        srcs = [self._operand_value(s) for s in inst.srcs]
-        if op is Opcode.MOV:
-            self._set(inst, srcs[0])
-        elif op is Opcode.ADD:
-            self._set(inst, alg.add(srcs[0], srcs[1]))
-        elif op is Opcode.SUB:
-            self._set(inst, alg.sub(srcs[0], srcs[1]))
-        elif op in (Opcode.MUL_LO, Opcode.MUL_WIDE, Opcode.MUL):
-            self._set(inst, alg.mul(srcs[0], srcs[1]))
-        elif op in (Opcode.MAD_LO, Opcode.MAD_WIDE, Opcode.MAD, Opcode.FMA):
-            self._set(inst, alg.mad(srcs[0], srcs[1], srcs[2]))
-        elif op is Opcode.DIV:
-            self._set(inst, alg.div(srcs[0], srcs[1]))
-        elif op is Opcode.REM:
-            self._set(inst, alg.rem(srcs[0], srcs[1]))
-        elif op is Opcode.NEG:
-            self._set(inst, alg.neg(srcs[0]))
-        elif op is Opcode.ABS:
-            self._set(inst, alg.max_(srcs[0], alg.neg(srcs[0])))
-        elif op is Opcode.MIN:
-            self._set(inst, alg.min_(srcs[0], srcs[1]))
-        elif op is Opcode.MAX:
-            self._set(inst, alg.max_(srcs[0], srcs[1]))
-        elif op is Opcode.SHL:
-            self._set(inst, alg.shl(srcs[0], srcs[1]))
-        elif op is Opcode.SHR:
-            self._set(inst, alg.shr(srcs[0], srcs[1]))
-        elif op is Opcode.AND:
-            self._set(inst, alg.and_(srcs[0], srcs[1]))
-        elif op is Opcode.OR:
-            self._set(inst, alg.or_(srcs[0], srcs[1]))
-        elif op is Opcode.XOR:
-            self._set(inst, alg.xor(srcs[0], srcs[1]))
-        elif op is Opcode.NOT:
-            self._set(inst, alg.sub(AffineExpr(-1), srcs[0]))
-        elif op in (Opcode.CVT, Opcode.CVTA):
-            value = srcs[0]
-            if _is_float_type(inst.dtype) or _is_float_type(inst.src_dtype):
-                value = taint_of(value) if is_unknown(value) else UNKNOWN_ARITH
-            self._set(inst, value)
-        elif op is Opcode.SETP:
-            self._set(inst, UNKNOWN_ARITH)
-        elif op is Opcode.SELP:
-            self._set(inst, alg.join(srcs[0], srcs[1]))
-        elif op in (Opcode.SQRT, Opcode.RSQRT, Opcode.EX2, Opcode.LG2, Opcode.RCP):
-            self._set(inst, UNKNOWN_ARITH)
-        else:
-            raise _Fallback("unsupported", "opcode %s" % op)
-
-    def _param_value(self, inst):
-        addr = inst.address_operand()
-        name = addr.base.name
+    def _param_value(self, name, offset):
         if name not in self.args:
             raise _Fallback("missing_arg", "no value bound for parameter %r" % name)
-        return AffineExpr(int(self.args[name]) + addr.offset)
+        return AffineExpr(int(self.args[name]) + offset)
 
     # ------------------------------------------------------------------
-    def _record_access(self, inst, kind):
-        if not self.recording:
-            return
-        addr_op = inst.address_operand()
-        base_value = self.state.get(addr_op.base, UNKNOWN_ARITH) if isinstance(
-            addr_op.base, Register
-        ) else UNKNOWN_ARITH
-        address = self.algebra.add(base_value, AffineExpr(addr_op.offset))
-        width = inst.access_width or 4
-        if isinstance(address, AffineExpr):
-            record = self._record_from_affine(inst, kind, address, width)
-        elif isinstance(address, SInterval):
+    def _access(self, access):
+        """Record a global access; the value it loads is unknown."""
+        kinds, base, offset, width, line, inst = access
+        value = UNKNOWN_ARITH if base is None else self.state[base]
+        for kind in kinds:
+            self.records.append(
+                self._record(kind, value, offset, width, line, inst)
+            )
+        return UNKNOWN_MEMORY
+
+    def _record(self, kind, value, offset, width, line, inst):
+        """The record of an access at address ``value + offset``."""
+        if isinstance(value, AffineExpr):
+            return self._record_from_affine(
+                kind, value.const + offset, value.terms, width, line, inst
+            )
+        address = self.algebra.add(value, AffineExpr(offset))
+        if isinstance(address, SInterval):
             count = (address.hi - address.lo) // address.stride + 1
-            record = AccessRecord.normalized(
+            return AccessRecord.normalized(
                 kind,
-                inst.line if inst.line is not None else -1,
+                line,
                 width,
                 address.lo,
                 (0, 0, 0),
                 [(address.stride, count)],
                 thread_stride=None,  # inter-thread layout unknown
             )
-        else:
-            reason = address.reason if isinstance(address, Unknown) else "arith"
-            raise _Fallback(
-                "non_static" if reason == "memory" else "unknown_address",
-                "address of %s is %s" % (inst, address),
-            )
-        self.records.append(record)
+        reason = address.reason if isinstance(address, Unknown) else "arith"
+        raise _Fallback(
+            "non_static" if reason == "memory" else "unknown_address",
+            "address of %s is %s" % (inst, address),
+        )
 
-    def _record_from_affine(self, inst, kind, address, width):
-        base = address.const
+    def _record_from_affine(self, kind, base, terms, width, line, inst):
+        """The record of an access at ``base + sum(coeff * sym)``."""
         ctaid = [0, 0, 0]
         dims = []
-        for sym, coeff in address.terms.items():
+        ranges = self.algebra.symbol_ranges
+        for sym, coeff in terms.items():
             if sym.kind == "ctaid":
                 ctaid["xyz".index(sym.name)] += coeff
                 continue
-            lo, hi = self.algebra.symbol_ranges.get(sym, (None, None))
+            lo, hi = ranges.get(sym, (None, None))
             if lo is None:
                 raise _Fallback(
                     "unknown_address", "symbol %s has no range in %s" % (sym, inst)
@@ -683,12 +830,12 @@ class _Interpreter:
             dims.append((coeff, hi - lo + 1))
         return AccessRecord.normalized(
             kind,
-            inst.line if inst.line is not None else -1,
+            line,
             width,
             base,
             tuple(ctaid),
             dims,
-            thread_stride=address.coefficient(TID("x")),
+            thread_stride=terms.get(_TID_X, 0),
         )
 
 

@@ -11,8 +11,8 @@ slice as Algorithm 1, but stopping at ``ld.param`` to attribute each
 global access to the parameter its base pointer came from.
 """
 
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Optional, Tuple, Union
 
 from repro.analysis.dataflow import NonStaticAccess, backward_slice
@@ -35,10 +35,24 @@ class ParamDirections:
     exact: bool = True
 
 
-@lru_cache(maxsize=1024)
+#: each kernel body's directions; see kernel_param_directions
+_DIRECTIONS = weakref.WeakKeyDictionary()
+
+
 def kernel_param_directions(kernel: Kernel) -> ParamDirections:
     """Attribute each global access to the pointer parameter(s) feeding
-    its address; conservative on failure."""
+    its address; conservative on failure.
+
+    The answer depends on the body alone, so it is kept per kernel
+    object (kernels hash by identity); the memo holds no kernel alive.
+    """
+    directions = _DIRECTIONS.get(kernel)
+    if directions is None:
+        directions = _DIRECTIONS[kernel] = _param_directions(kernel)
+    return directions
+
+
+def _param_directions(kernel):
     pointer_names = frozenset(p.name for p in kernel.pointer_params)
     reads, writes = set(), set()
     exact = True

@@ -1,5 +1,6 @@
 """Unit tests for the launch-time value-range analyzer."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -13,11 +14,13 @@ from repro.analysis.analyzer import (
 )
 from repro.analysis.intervals import Interval, IntervalSet
 from repro.core.runtime import BlockMaestroRuntime
+from repro.host import api
 from repro.obs import MetricsRegistry
 from repro.ptx.parser import parse_kernel
 from repro.workloads import get_workload, ptxgen
 
 from tests.conftest import INDIRECT_SRC
+from tests.digests import summary_digest
 
 
 class TestLaunchConfig:
@@ -299,3 +302,203 @@ class TestAlgorithm1Memo:
         gc.collect()
         assert alive() is None
         assert len(analyzer._ALGORITHM1) < entries
+
+
+#: kernels for the body-memo checks: each names what it exercises, and
+#: ``N`` goes unbound in the second launch of the last two
+MEMO_KERNELS = {
+    "guarded_write": """
+        .visible .entry guarded (.param .u64 A, .param .u32 N)
+        {
+            ld.param.u64 %rd0, [A];
+            ld.param.u32 %r1, [N];
+            mov.u32 %r2, %tid.x;
+            setp.lt.u32 %p1, %r2, %r1;
+            mov.u32 %r3, %r2;
+            @%p1 add.u32 %r3, %r2, %r1;
+            mul.wide.u32 %rd1, %r3, 4;
+            add.u64 %rd2, %rd0, %rd1;
+            st.global.u32 [%rd2], %r2;
+            ret;
+        }
+    """,
+    "loop": """
+        .visible .entry rows (.param .u64 A, .param .u64 OUT, .param .u32 N)
+        {
+            ld.param.u64 %rd0, [A];
+            ld.param.u64 %rd9, [OUT];
+            ld.param.u32 %r1, [N];
+            mov.u32 %r2, %ctaid.x;
+            mov.u32 %r3, 0;
+        LOOP:
+            mad.lo.u32 %r5, %r2, %r1, %r3;
+            mul.wide.u32 %rd1, %r5, 4;
+            add.u64 %rd2, %rd0, %rd1;
+            ld.global.f32 %f1, [%rd2];
+            add.u32 %r3, %r3, 1;
+            setp.lt.u32 %p1, %r3, %r1;
+            @%p1 bra LOOP;
+            add.u32 %r6, %r3, %r2;
+            mul.wide.u32 %rd3, %r6, 4;
+            add.u64 %rd4, %rd9, %rd3;
+            st.global.f32 [%rd4], %f1;
+            ret;
+        }
+    """,
+    "special_register": """
+        .visible .entry special (.param .u64 A)
+        {
+            ld.param.u64 %rd0, [A];
+            mov.u32 %r1, %ctaid.x;
+            mov.u32 %r2, %ntid.x;
+            mad.lo.u32 %r3, %r1, %r2, %tid.x;
+            mov.u32 %r4, %nctaid.x;
+            mad.lo.u32 %r5, %r4, %r2, %r3;
+            mul.wide.u32 %rd1, %r5, 4;
+            add.u64 %rd2, %rd0, %rd1;
+            st.global.u32 [%rd2], %r1;
+            mov.u32 %r6, %warpid;
+            mul.wide.u32 %rd3, %r6, 4;
+            add.u64 %rd4, %rd0, %rd3;
+            ld.global.u32 %r7, [%rd4];
+            ret;
+        }
+    """,
+    # the label operand comes after N's load and before an address
+    # loaded from memory, so the error falls between two fallbacks
+    "label_operand": """
+        .visible .entry label (.param .u64 A, .param .u32 N)
+        {
+            ld.param.u64 %rd0, [A];
+            ld.param.u32 %r1, [N];
+            add.u32 %r2, %r1, DONE;
+            mul.wide.u32 %rd1, %r1, 4;
+            add.u64 %rd2, %rd0, %rd1;
+            ld.global.u32 %r3, [%rd2];
+            ld.shared.u32 %r4, [%rd0];
+            mul.wide.u32 %rd3, %r4, 4;
+            add.u64 %rd4, %rd0, %rd3;
+            st.global.u32 [%rd4], %r3;
+            ret;
+        DONE:
+        }
+    """,
+    # instruction 2 becomes the non-ISA opcode ``popc``: after N's load,
+    # before an operand with no value
+    "unsupported_opcode": """
+        .visible .entry unsupported (.param .u64 A, .param .u32 N)
+        {
+            ld.param.u64 %rd0, [A];
+            ld.param.u32 %r1, [N];
+            add.u32 %r2, %r1, 1;
+            add.u32 %r3, %r1, DONE;
+            mul.wide.u32 %rd1, %r1, 4;
+            add.u64 %rd2, %rd0, %rd1;
+            st.global.u32 [%rd2], %r2;
+            ret;
+        DONE:
+        }
+    """,
+}
+
+
+def _memo_kernel(name):
+    kernel = parse_kernel(MEMO_KERNELS[name])
+    if name == "unsupported_opcode":
+        kernel.instructions[2] = dataclasses.replace(
+            kernel.instructions[2], opcode="popc"
+        )
+    return kernel
+
+
+def _memo_launches(name):
+    """Two launches of one kernel that differ in everything a launch sets."""
+    first = LaunchConfig.create(
+        grid=4, block=64, args={"A": 0, "OUT": 1 << 20, "N": 8}
+    )
+    second = {"A": 1 << 16, "OUT": 1 << 21, "N": 3}
+    if name in ("label_operand", "unsupported_opcode"):
+        del second["N"]
+    return first, LaunchConfig.create(grid=(2, 3), block=(96, 2), args=second)
+
+
+def _outcome(kernel, launch):
+    """The summary's digest, or the AnalysisError the launch raises."""
+    try:
+        return summary_digest(analyze_kernel(kernel, launch))
+    except AnalysisError as exc:
+        return "AnalysisError: {}".format(exc)
+
+
+class TestBodyMemos:
+    """The per-body memos (Algorithm 1's verdict, the decoded body, the
+    parameter directions) depend on the body alone and hold no kernel
+    alive."""
+
+    @pytest.mark.parametrize("name", sorted(MEMO_KERNELS))
+    def test_decoded_body_holds_nothing_launch_specific(self, name):
+        kernel = _memo_kernel(name)
+        first, second = _memo_launches(name)
+        outcomes = [_outcome(kernel, launch) for launch in (first, second, first)]
+        fresh = [
+            _outcome(_memo_kernel(name), launch) for launch in (first, second, first)
+        ]
+        assert kernel in analyzer._DECODED
+        assert outcomes == fresh
+        assert outcomes[0] != outcomes[1]
+
+    @pytest.mark.parametrize(
+        "name, first, second",
+        [
+            (
+                "label_operand",
+                "AnalysisError: operand Label(name='DONE') has no runtime value",
+                "missing_arg",
+            ),
+            ("unsupported_opcode", "unsupported", "missing_arg"),
+        ],
+    )
+    def test_errors_keep_their_order(self, name, first, second):
+        """Each launch stops at the first instruction that raises: N's
+        load when N is unbound, else the label operand or the opcode."""
+        kernel = _memo_kernel(name)
+        launches = _memo_launches(name)
+        stops = []
+        for launch in launches + launches:
+            try:
+                summary = analyze_kernel(kernel, launch)
+            except AnalysisError as exc:
+                stops.append("AnalysisError: {}".format(exc))
+            else:
+                stops.append(summary.fallback)
+        assert stops == [first, second] * 2
+        if name == "unsupported_opcode":
+            summary = analyze_kernel(kernel, launches[0])
+            assert summary.fallback_detail == "opcode popc"
+
+    def test_one_decode_per_body(self, monkeypatch):
+        decoded = []
+
+        class Counted(analyzer._Body):
+            def __init__(self, kernel):
+                decoded.append(kernel.name)
+                super().__init__(kernel)
+
+        monkeypatch.setattr(analyzer, "_Body", Counted)
+        app = get_workload("gaussian").build_small()
+        BlockMaestroRuntime().plan(app)
+        assert sorted(decoded) == ["gauss_fan1", "gauss_fan2"]
+        assert app.num_kernel_launches > 2
+
+    def test_dropped_app_kernels_are_collected(self):
+        app = get_workload("mvt").build_small()
+        runtime = BlockMaestroRuntime()
+        runtime.plan(app)
+        kernels = list({id(c.kernel): c.kernel for c in app.trace.kernel_calls}
+                       .values())
+        for memo in (analyzer._ALGORITHM1, analyzer._DECODED, api._DIRECTIONS):
+            assert all(kernel in memo for kernel in kernels)
+        alive = [weakref.ref(kernel) for kernel in kernels]
+        del app, runtime, kernels
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * len(alive)
