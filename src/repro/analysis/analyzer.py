@@ -426,7 +426,7 @@ class _Body:
         if inst.is_terminator:
             return (loop, None, None, False, _RET if inst.guard is None else _SKIP,
                     None, 0, 0, 0)
-        key = _mix_key(inst)
+        key = inst.mix_class
         if inst.is_branch:
             # Forward branches are ignored: both paths execute
             # abstractly, over-approximating the access sets.
@@ -482,7 +482,7 @@ class _Body:
         if isinstance(op, Register):
             return self.slots[op]
         if isinstance(op, SpecialRegister):
-            key = value = op
+            key, value = op, None  # evaluated once per launch
         elif isinstance(op, Immediate):
             if isinstance(op.value, int):
                 key, value = ("int", op.value), AffineExpr(op.value)
@@ -497,32 +497,18 @@ class _Body:
         slot = self._operand_slots.get(key)
         if slot is None:
             slot = self._operand_slots[key] = len(self.template)
-            if isinstance(op, SpecialRegister):
-                self.specials.append((slot, op))
-                value = None
             self.template.append(value)
+            if value is None:
+                self.specials.append((slot, op))
         return slot
 
     def _access(self, inst, kinds):
-        """``(kinds, base slot or None, offset, width, line, inst)``"""
+        """The access ``arg``: ``(kinds, base slot, offset, width, line,
+        inst)``; the base slot is ``None`` when the base is no register."""
         addr = inst.address_operand()
         base = self.slots[addr.base] if isinstance(addr.base, Register) else None
         line = inst.line if inst.line is not None else -1
         return kinds, base, addr.offset, inst.access_width or 4, line, inst
-
-
-def _mix_key(inst):
-    if inst.is_global_access:
-        return "mem_global"
-    if inst.opcode in (Opcode.LD_SHARED, Opcode.ST_SHARED):
-        return "mem_shared"
-    if inst.opcode is Opcode.LD_PARAM:
-        return "mem_param"
-    if inst.is_branch or inst.is_terminator:
-        return "control"
-    if inst.is_barrier:
-        return "barrier"
-    return "alu"
 
 
 # ----------------------------------------------------------------------

@@ -267,6 +267,23 @@ class Instruction:
         return self.opcode is Opcode.BAR_SYNC
 
     @property
+    def mix_class(self):
+        """The coarse class the cost model counts this instruction under:
+        ``mem_global``, ``mem_shared``, ``mem_param``, ``control``,
+        ``barrier`` or ``alu``."""
+        if self.is_global_access:
+            return "mem_global"
+        if self.opcode in (Opcode.LD_SHARED, Opcode.ST_SHARED):
+            return "mem_shared"
+        if self.opcode is Opcode.LD_PARAM:
+            return "mem_param"
+        if self.opcode in CONTROL_FLOW_OPCODES:
+            return "control"
+        if self.is_barrier:
+            return "barrier"
+        return "alu"
+
+    @property
     def writes_register(self):
         return self.opcode in REGISTER_WRITING_OPCODES and bool(self.dsts)
 

@@ -5,7 +5,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ptx.errors import PTXValidationError
 from repro.ptx.isa import (
-    CONTROL_FLOW_OPCODES,
     Instruction,
     Label,
     MemOperand,
@@ -94,18 +93,7 @@ class Kernel:
             "barrier": 0,
         }
         for inst in self.instructions:
-            if inst.is_global_access:
-                mix["mem_global"] += 1
-            elif inst.opcode in (Opcode.LD_SHARED, Opcode.ST_SHARED):
-                mix["mem_shared"] += 1
-            elif inst.opcode is Opcode.LD_PARAM:
-                mix["mem_param"] += 1
-            elif inst.opcode in CONTROL_FLOW_OPCODES:
-                mix["control"] += 1
-            elif inst.is_barrier:
-                mix["barrier"] += 1
-            else:
-                mix["alu"] += 1
+            mix[inst.mix_class] += 1
         mix["total"] = sum(mix.values())
         return mix
 
