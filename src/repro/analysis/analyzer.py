@@ -15,7 +15,9 @@ PTX→SASS JIT), the analyzer:
    registers, computing trip counts at every corner of the live symbol
    ranges (in closed form for canonical counted loops, by concrete
    simulation otherwise), and binding inductions to fresh loop symbols
-   with known ranges;
+   with known ranges.  What depends on the body alone is decoded once
+   per kernel object (:func:`_decode`), so a launch runs only its
+   special registers, parameter loads, value algebra and records;
 3. packages the result as a :class:`KernelSummary` exposing per-thread-
    block read/write interval sets.
 
