@@ -345,6 +345,30 @@ MEMO_KERNELS = {
             ret;
         }
     """,
+    # %r6 advances by %r3, which itself advances: a constant step in the
+    # discovery pass, so the symbolic pass fails to verify it, rolls
+    # back its records and mix, and retries with %r6 widened
+    "loop_retry": """
+        .visible .entry retry (.param .u64 A, .param .u32 N)
+        {
+            ld.param.u64 %rd0, [A];
+            ld.param.u32 %r1, [N];
+            mov.u32 %r3, 1;
+            mov.u32 %r6, 0;
+        LOOP:
+            add.u32 %r6, %r6, %r3;
+            mul.wide.u32 %rd3, %r3, 4;
+            add.u64 %rd4, %rd0, %rd3;
+            st.global.u32 [%rd4], %r6;
+            add.u32 %r3, %r3, 1;
+            setp.lt.u32 %p1, %r3, %r1;
+            @%p1 bra LOOP;
+            mul.wide.u32 %rd5, %r3, 4;
+            add.u64 %rd6, %rd0, %rd5;
+            st.global.u32 [%rd6], %r6;
+            ret;
+        }
+    """,
     "special_register": """
         .visible .entry special (.param .u64 A)
         {
@@ -475,6 +499,29 @@ class TestBodyMemos:
         if name == "unsupported_opcode":
             summary = analyze_kernel(kernel, launches[0])
             assert summary.fallback_detail == "opcode popc"
+
+    def test_failed_induction_retry_rolls_back(self, monkeypatch):
+        """A failed induction is widened and the body re-run: only the
+        verified pass's records and mix remain."""
+        failed = []
+        verify = analyzer._Interpreter._verify_inductions
+
+        def counted(interp, *args):
+            bad = verify(interp, *args)
+            failed.append(bad is not None)
+            return bad
+
+        monkeypatch.setattr(analyzer._Interpreter, "_verify_inductions", counted)
+        first, _ = _memo_launches("loop_retry")
+        summary = analyze_kernel(_memo_kernel("loop_retry"), first)
+        assert failed == [True, False]
+        assert summary.exact
+        assert [(r.kind, r.base, r.dims) for r in summary.records] == [
+            ("write", 4, ((4, 7),)),
+            ("write", 32, ()),
+        ]
+        assert summary.dynamic_mix["mem_global"] == 8.0
+        assert summary.dynamic_mix["total"] == 49.0
 
     def test_one_decode_per_body(self, monkeypatch):
         decoded = []
