@@ -60,8 +60,10 @@ from repro.ptx.isa import (
     Opcode,
     ParamRef,
     Register,
+    SOURCE_ARITY,
     SpecialRegister,
 )
+from repro.ptx.errors import PTXValidationError
 
 #: Hard cap on simulated loop iterations during trip-count discovery.
 TRIP_COUNT_CAP = 1 << 22
@@ -227,9 +229,10 @@ def analyze_kernel(
             fallback_detail=verdict[1],
             dynamic_mix=_static_mix(kernel),
         )
-    interp = _Interpreter(kernel, launch, max_intervals, metrics)
     try:
-        records, dynamic_mix = interp.run()
+        records, dynamic_mix = _Interpreter(
+            kernel, launch, max_intervals, metrics
+        ).run()
     except _Fallback as exc:
         return KernelSummary(
             kernel_name=kernel.name,
@@ -317,41 +320,45 @@ def _float_cvt(alg, a):
     return taint_of(a) if is_unknown(a) else UNKNOWN_ARITH
 
 
-#: ``opcode -> (arity, transfer)``: the transfer function of each
-#: value-producing opcode, called with the launch's ValueAlgebra and the
-#: first ``arity`` source values; ``None`` leaves the result untracked
+def _selp(alg, a, b, _predicate):
+    return alg.join(a, b)
+
+
+#: ``opcode -> transfer``: the transfer function of each value-producing
+#: opcode, called with the launch's ValueAlgebra and the opcode's
+#: ``SOURCE_ARITY`` source values; ``None`` leaves the result untracked
 _TRANSFERS = {
-    Opcode.MOV: (1, _first),
-    Opcode.ADD: (2, ValueAlgebra.add),
-    Opcode.SUB: (2, ValueAlgebra.sub),
-    Opcode.MUL_LO: (2, ValueAlgebra.mul),
-    Opcode.MUL_WIDE: (2, ValueAlgebra.mul),
-    Opcode.MUL: (2, ValueAlgebra.mul),
-    Opcode.MAD_LO: (3, ValueAlgebra.mad),
-    Opcode.MAD_WIDE: (3, ValueAlgebra.mad),
-    Opcode.MAD: (3, ValueAlgebra.mad),
-    Opcode.FMA: (3, ValueAlgebra.mad),
-    Opcode.DIV: (2, ValueAlgebra.div),
-    Opcode.REM: (2, ValueAlgebra.rem),
-    Opcode.NEG: (1, ValueAlgebra.neg),
-    Opcode.ABS: (1, _abs),
-    Opcode.MIN: (2, ValueAlgebra.min_),
-    Opcode.MAX: (2, ValueAlgebra.max_),
-    Opcode.SHL: (2, ValueAlgebra.shl),
-    Opcode.SHR: (2, ValueAlgebra.shr),
-    Opcode.AND: (2, ValueAlgebra.and_),
-    Opcode.OR: (2, ValueAlgebra.or_),
-    Opcode.XOR: (2, ValueAlgebra.xor),
-    Opcode.NOT: (1, _not),
-    Opcode.CVT: (1, _first),
-    Opcode.CVTA: (1, _first),
-    Opcode.SETP: (0, None),
-    Opcode.SELP: (2, ValueAlgebra.join),
-    Opcode.SQRT: (0, None),
-    Opcode.RSQRT: (0, None),
-    Opcode.EX2: (0, None),
-    Opcode.LG2: (0, None),
-    Opcode.RCP: (0, None),
+    Opcode.MOV: _first,
+    Opcode.ADD: ValueAlgebra.add,
+    Opcode.SUB: ValueAlgebra.sub,
+    Opcode.MUL_LO: ValueAlgebra.mul,
+    Opcode.MUL_WIDE: ValueAlgebra.mul,
+    Opcode.MUL: ValueAlgebra.mul,
+    Opcode.MAD_LO: ValueAlgebra.mad,
+    Opcode.MAD_WIDE: ValueAlgebra.mad,
+    Opcode.MAD: ValueAlgebra.mad,
+    Opcode.FMA: ValueAlgebra.mad,
+    Opcode.DIV: ValueAlgebra.div,
+    Opcode.REM: ValueAlgebra.rem,
+    Opcode.NEG: ValueAlgebra.neg,
+    Opcode.ABS: _abs,
+    Opcode.MIN: ValueAlgebra.min_,
+    Opcode.MAX: ValueAlgebra.max_,
+    Opcode.SHL: ValueAlgebra.shl,
+    Opcode.SHR: ValueAlgebra.shr,
+    Opcode.AND: ValueAlgebra.and_,
+    Opcode.OR: ValueAlgebra.or_,
+    Opcode.XOR: ValueAlgebra.xor,
+    Opcode.NOT: _not,
+    Opcode.CVT: _first,
+    Opcode.CVTA: _first,
+    Opcode.SETP: None,
+    Opcode.SELP: _selp,
+    Opcode.SQRT: None,
+    Opcode.RSQRT: None,
+    Opcode.EX2: None,
+    Opcode.LG2: None,
+    Opcode.RCP: None,
 }
 
 #: each kernel body decoded once; see _decode
@@ -467,9 +474,15 @@ class _Body:
             operands.append(slot)
         if op not in _TRANSFERS:
             return _RAISE, partial(_Fallback, "unsupported", "opcode %s" % op), ()
-        arity, transfer = _TRANSFERS[op]
+        arity, transfer = SOURCE_ARITY[op], _TRANSFERS[op]
         if len(operands) < arity:
-            return _RAISE, partial(IndexError, "list index out of range"), ()
+            # Kernel.validate rejects this; a body built unvalidated
+            # fails the same way when the instruction runs
+            return _RAISE, partial(
+                PTXValidationError,
+                "%s reads %d source operands, got %d: %s"
+                % (op, arity, len(operands), inst),
+            ), ()
         if transfer is None:
             return _CONST, UNKNOWN_ARITH, ()
         if op in (Opcode.CVT, Opcode.CVTA) and (

@@ -1,48 +1,53 @@
-"""Two-tier fast path for bipartite dependency-graph construction.
+"""Closed-form construction of bipartite dependency graphs.
 
 :func:`repro.core.dependency_graph.build_bipartite_graph` — the scalar
 reference — lowers per-thread-block footprints one block at a time in
 pure Python and probes each child block against a sorted parent interval
 index.  That is exact but O(N·M-ish) interpreter work on large grids.
-This module computes the *same* graph two cheaper ways and falls back to
-the reference (kept as the oracle) whenever it cannot:
+This module computes the *same* graph analytically; the reference stays
+as its oracle and as its fallback for pairs whose footprint shapes are
+too fragmented (``_MAX_DOMAIN_PAIRS``).
 
-**Tier 1 — closed form** (:func:`_closed_form_graph`).  Every
-:class:`~repro.analysis.access.AccessRecord` lowers to a fixed interval
-*shape* translated per block by ``block_base`` (see
-:meth:`AccessRecord.expansion`).  When all relevant records of a kernel
-share one translation that is *linear in the linearized TB id* ``t``
-(``shift(t) = k·t``), the whole per-TB footprint is a single shape
-sliding at rate ``k``.  Overlap between parent block ``p`` and child
-block ``c`` then depends only on the scalar ``d = k_c·c − k_p·p``:
-precompute the set ``D`` of displacements at which the two shapes
-intersect, and the Table-I graphs drop out analytically — O(1) for
-independent / fully-connected (``k_p = k_c = 0``), O(N) contiguous
-child-ranges per parent for 1-to-1 / 1-to-n / n-to-1 / bounded-overlap
-windows — without materializing a single per-TB ``IntervalSet``.
+Every :class:`~repro.analysis.access.AccessRecord` lowers to a fixed
+interval *shape* translated per block by ``block_base`` (see
+:meth:`AccessRecord.expansion`).  Records with the same ``ctaid``
+coefficients (axes of extent 1 zeroed: they add nothing) translate
+together, so a kernel's per-TB footprint is the union of a few
+*groups*, each one merged block-``(0, 0, 0)`` shape shifted by
+``cx·bx + cy·by + cz·bz``.  Parent block ``p`` and child block ``c``
+overlap iff, for some parent group ``g`` and child group ``h``,
+``shift_h(c) − shift_g(p)`` lies in the set of displacements at which
+the two shapes intersect (:func:`_overlap_domain`: a few closed
+windows).  For one parent block each window bounds the child group's
+shift, which selects
 
-**Tier 2 — vectorized** (:func:`_vectorized_graph`).  When the prover
-declines (e.g. 2-D-grid group patterns whose shift is not linear in
-``t``), lower *all* blocks at once as numpy ``(lo, hi, tb)`` arrays
-(batched affine evaluation of ``block_base`` replacing the per-TB
-``_lower`` loop) and compute the join with a sort + ``np.searchsorted``
-prefix-max sweep — the exact vector analogue of the reference's
-``_ParentIntervalIndex`` walk.
+* one contiguous range of TB ids when the child group slides linearly
+  in the x-major TB id ``t`` (``shift = k·t``: every 1-D grid and every
+  row-major 2-D/3-D layout);
+* otherwise one ``bx`` range per child ``(by, bz)`` row (2-D group
+  layouts, such as ``cx = 0`` with ``cy != 0``).
 
-Both tiers replicate the reference's semantics precisely: the
+The ranges of all group pairs merge into the parent's sorted child
+ranges; when no parent group's shift depends on the block, one list
+serves every parent.  Independent, fully connected and Table-I explicit
+graphs all drop out of these ranges without materializing a single
+per-TB ``IntervalSet``.
+
+The construction replicates the reference's semantics precisely: the
 kernel-level disjointness prefilter, the union-of-hazard-kinds probe
 sets, the ``max_explicit_edges`` collapse to fully connected, and the
 ``explicit()`` canonicalization rules.  Differential tests
 (``tests/integration/test_differential_fastpath.py``) and a hypothesis
-property test hold them to bit-identical graphs; because the graphs are
+property test hold it to bit-identical graphs; because the graphs are
 identical, :class:`repro.analysis.cache.AnalysisCache` entries written
-by either path interoperate with no key or schema change.
+by either builder interoperate with no key or schema change.
 
-Tier selection is reported through the ``analysis.fastpath.*`` metrics
-counters (see :func:`repro.core.runtime.BlockMaestroRuntime`).
+The builder that served each pair is reported through the
+``analysis.fastpath.*`` metrics counters (see
+:func:`repro.core.runtime.BlockMaestroRuntime`).
 """
 
-from typing import Optional, Tuple
+from itertools import product
 
 from repro.analysis.intervals import IntervalSet
 from repro.core.dependency_graph import (
@@ -52,19 +57,10 @@ from repro.core.dependency_graph import (
 )
 from repro.modes import FASTPATH_ENV, resolve_fastpath_mode  # noqa: F401 - public
 
-#: Tier-1 gives up when the parent×child shape product would make the
-#: displacement-domain construction itself quadratic-ish; tier 2 still
-#: handles those exactly.
+#: The closed form gives up when the parent×child shape products would
+#: make the displacement-domain construction itself quadratic-ish; the
+#: reference builder handles those.
 _MAX_DOMAIN_PAIRS = 4096
-
-#: Tier-2 candidate pairs are enumerated in bounded chunks so peak
-#: memory stays flat on adversarial overlap structures.
-_JOIN_CHUNK = 1 << 22
-
-#: Up to this many parent×child cells, tier 2 dedups edges with a flat
-#: boolean bitmap (one byte per cell — cheap, and ``flatnonzero`` hands
-#: back sorted keys); beyond it, chunked ``np.unique`` keeps memory flat.
-_BITMAP_LIMIT = 1 << 26
 
 
 def build_graph_fast(
@@ -74,43 +70,23 @@ def build_graph_fast(
     max_explicit_edges=DEFAULT_MAX_EXPLICIT_EDGES,
     mode="auto",
 ):
-    """Build the pair graph via the cheapest applicable tier.
+    """Build the pair graph, in closed form unless told or forced not to.
 
-    Returns ``(graph, tier)`` where ``tier`` is one of ``closed_form``,
-    ``vectorized`` or ``reference``; the graph is always ``==`` the one
-    :func:`build_bipartite_graph` would produce for the same inputs.
+    Returns ``(graph, tier)`` where ``tier`` is ``closed_form`` or
+    ``reference``; the graph is always ``==`` the one
+    :func:`build_bipartite_graph` would produce for the same inputs.  A
+    fallen-back summary (Algorithm 1's bail-out) takes the reference's
+    O(1) fully connected verdict.
     """
-    mode = resolve_fastpath_mode(mode)
-    if mode == "reference":
-        graph = build_bipartite_graph(
-            parent_summary, child_summary, hazards, max_explicit_edges
-        )
-        return graph, "reference"
-
-    pairs = _hazard_pairs(hazards)
-    num_parents = parent_summary.num_tbs
-    num_children = child_summary.num_tbs
-    if parent_summary.fallback or child_summary.fallback:
-        # Algorithm-1 bail-out: same conservative verdict as the oracle.
-        graph = BipartiteGraph.fully_connected(num_parents, num_children)
-        return graph, "reference"
-
-    if not _prefilter_relevant(parent_summary, child_summary, pairs):
-        graph = BipartiteGraph.independent(num_parents, num_children)
-        return graph, ("vectorized" if mode == "vectorized" else "closed_form")
-
-    if mode in ("auto", "closed_form"):
+    if resolve_fastpath_mode(mode) == "auto" and not (
+        parent_summary.fallback or child_summary.fallback
+    ):
         graph = _closed_form_graph(
-            parent_summary, child_summary, pairs, max_explicit_edges
+            parent_summary, child_summary, _hazard_pairs(hazards),
+            max_explicit_edges,
         )
         if graph is not None:
             return graph, "closed_form"
-    if mode in ("auto", "vectorized"):
-        graph = _vectorized_graph(
-            parent_summary, child_summary, pairs, max_explicit_edges
-        )
-        if graph is not None:
-            return graph, "vectorized"
     graph = build_bipartite_graph(
         parent_summary, child_summary, hazards, max_explicit_edges
     )
@@ -158,7 +134,7 @@ def _prefilter_relevant(parent_summary, child_summary, pairs):
 
 
 # ----------------------------------------------------------------------
-# tier 1: closed form
+# footprint groups
 # ----------------------------------------------------------------------
 def _linear_stride(coeffs, grid):
     """``k`` such that ``block_base`` shifts by ``k·t`` over the
@@ -168,7 +144,7 @@ def _linear_stride(coeffs, grid):
     cz·bz`` equals ``k·t`` on the whole grid iff the coefficients match
     along every axis of extent > 1 (axes of extent 1 contribute
     nothing).  A 2-D group pattern (``cx = 0``, ``cy != 0``) has no such
-    ``k`` and lands in tier 2.
+    ``k`` and slides row by row instead (:func:`_slide`).
     """
     cx, cy, cz = coeffs
     gx, gy, gz = grid
@@ -187,33 +163,51 @@ def _linear_stride(coeffs, grid):
     return k
 
 
-def _linear_profile(summary, kinds):
-    """``(shape, k)`` when every relevant record slides linearly.
+def _groups(summary, kinds):
+    """The relevant records of a kernel as ``[(coeffs, shape)]``.
 
-    ``shape`` is the merged footprint of block ``(0, 0, 0)`` as
-    ``(lo, hi)`` tuples; block ``t``'s footprint is exactly ``shape``
-    translated by ``k·t``.  ``None`` when the records disagree on ``k``
-    or some record's shift is not linear in ``t``.
+    Records are grouped by their ``ctaid`` coefficients, axes of extent
+    1 zeroed; ``shape`` is the group's merged block-``(0, 0, 0)``
+    footprint as ``(lo, hi)`` tuples, and block ``(bx, by, bz)`` covers
+    exactly ``shape`` translated by ``cx·bx + cy·by + cz·bz``.
     """
     access = summary.access_sets
-    records = [r for r in access.records if r.kind in kinds]
-    if not records:
-        return (), 0
-    stride = None
-    for record in records:
-        k = _linear_stride(record.ctaid_coeffs, access.grid)
-        if k is None:
-            return None
-        if stride is None:
-            stride = k
-        elif k != stride:
-            return None
-    intervals = []
-    for record in records:
+    grid = access.grid
+    intervals_of = {}
+    for record in access.records:
+        if record.kind not in kinds:
+            continue
+        coeffs = tuple(
+            c if extent > 1 else 0
+            for c, extent in zip(record.ctaid_coeffs, grid)
+        )
         ivs, _ = record.footprint(0, 0, 0, access.max_intervals)
-        intervals.extend(ivs)
-    shape = IntervalSet(intervals)
-    return tuple((iv.lo, iv.hi) for iv in shape), stride
+        intervals_of.setdefault(coeffs, []).extend(ivs)
+    return [
+        (coeffs, tuple((iv.lo, iv.hi) for iv in IntervalSet(ivs)))
+        for coeffs, ivs in intervals_of.items()
+    ]
+
+
+def _slide(coeffs, grid):
+    """How a child group's shift walks the TB ids: ``(k, n, rows)``.
+
+    For each row ``(r, t0)``, block ``t0 + i`` (``0 <= i < n``) is
+    shifted by ``k·i + r``.  A group sliding linearly in the TB id is
+    one row over the whole grid; any other is one row per ``(by, bz)``,
+    walked by ``bx``.
+    """
+    k = _linear_stride(coeffs, grid)
+    gx, gy, gz = grid
+    if k is not None:
+        return k, gx * gy * gz, ((0, 0),)
+    _, cy, cz = coeffs
+    rows = tuple(
+        (cy * by + cz * bz, gx * (by + gy * bz))
+        for bz in range(gz)
+        for by in range(gy)
+    )
+    return coeffs[0], gx, rows
 
 
 def _merge_closed(windows):
@@ -245,71 +239,74 @@ def _overlap_domain(parent_shape, child_shape):
     return _merge_closed(windows)
 
 
-def _domain_contains(domain, d):
-    for dlo, dhi in domain:
-        if dlo <= d <= dhi:
-            return True
-    return False
-
-
 def _ceil_div(a, b):
     return -((-a) // b)
 
 
+# ----------------------------------------------------------------------
+# the closed form
+# ----------------------------------------------------------------------
 def _closed_form_graph(parent_summary, child_summary, pairs, max_explicit_edges):
-    """Tier 1: the analytic Table-I graph, or ``None`` to decline."""
-    parent_kinds = {pk for pk, _ in pairs}
-    child_kinds = {ck for _, ck in pairs}
-    parent_profile = _linear_profile(parent_summary, parent_kinds)
-    child_profile = _linear_profile(child_summary, child_kinds)
-    if parent_profile is None or child_profile is None:
-        return None
-    parent_shape, kp = parent_profile
-    child_shape, kc = child_profile
+    """The pair graph in closed form, or ``None`` to decline."""
     num_parents = parent_summary.num_tbs
     num_children = child_summary.num_tbs
-    if not parent_shape or not child_shape:
+    if not _prefilter_relevant(parent_summary, child_summary, pairs):
         return BipartiteGraph.independent(num_parents, num_children)
-    if len(parent_shape) * len(child_shape) > _MAX_DOMAIN_PAIRS:
+    parent_groups = _groups(parent_summary, {pk for pk, _ in pairs})
+    child_groups = _groups(child_summary, {ck for _, ck in pairs})
+    if sum(
+        len(parent_shape) * len(child_shape)
+        for _, parent_shape in parent_groups
+        for _, child_shape in child_groups
+    ) > _MAX_DOMAIN_PAIRS:
         return None
-    domain = _overlap_domain(parent_shape, child_shape)
+    child_grid = child_summary.access_sets.grid
+    # one (parent coefficients, child slide, domain) per group pair
+    terms = [
+        (
+            parent_coeffs,
+            _slide(child_coeffs, child_grid),
+            _overlap_domain(parent_shape, child_shape),
+        )
+        for parent_coeffs, parent_shape in parent_groups
+        for child_coeffs, child_shape in child_groups
+    ]
 
-    if kp == 0 and kc == 0:
-        # every block covers the same bytes on both sides: O(1) verdict
-        if _domain_contains(domain, 0):
-            return BipartiteGraph.fully_connected(num_parents, num_children)
-        return BipartiteGraph.independent(num_parents, num_children)
-
-    # edge(p, c)  iff  kc·c − kp·p ∈ domain: per parent, each domain
-    # window projects to one contiguous child range
-    ranges_of = []
-    total = 0
-    shared = None  # kp == 0 makes the ranges parent-independent
-    for p in range(num_parents):
-        if shared is not None:
-            ranges_of.append(shared)
-            total += sum(hi - lo + 1 for lo, hi in shared)
-            continue
+    def child_ranges(px, py, pz):
+        # edge(p, c) iff shift_h(c) − shift_g(p) ∈ domain(g, h): each
+        # domain window bounds the child shift, one TB range per row
         windows = []
-        for dlo, dhi in domain:
-            lo2, hi2 = dlo + kp * p, dhi + kp * p
-            if kc == 0:
-                # d is fixed at −kp·p: all children or none
-                if lo2 <= 0 <= hi2:
-                    windows.append((0, num_children - 1))
-                continue
-            if kc > 0:
-                clo, chi = _ceil_div(lo2, kc), hi2 // kc
-            else:
-                clo, chi = _ceil_div(hi2, kc), lo2 // kc
-            clo, chi = max(clo, 0), min(chi, num_children - 1)
-            if clo <= chi:
-                windows.append((clo, chi))
-        merged = tuple(_merge_closed(windows))
-        if kp == 0:
-            shared = merged
-        ranges_of.append(merged)
-        total += sum(hi - lo + 1 for lo, hi in merged)
+        for (cx, cy, cz), (k, n, rows), domain in terms:
+            shift = cx * px + cy * py + cz * pz
+            for dlo, dhi in domain:
+                for r, t0 in rows:
+                    lo, hi = dlo + shift - r, dhi + shift - r
+                    if k > 0:
+                        first, last = _ceil_div(lo, k), hi // k
+                    elif k < 0:
+                        first, last = _ceil_div(hi, k), lo // k
+                    elif lo <= 0 <= hi:
+                        first, last = 0, n - 1  # fixed shift: all or none
+                    else:
+                        continue
+                    if first < 0:
+                        first = 0
+                    if last >= n:
+                        last = n - 1
+                    if first <= last:
+                        windows.append((t0 + first, t0 + last))
+        return tuple(_merge_closed(windows))
+
+    if all(coeffs == (0, 0, 0) for coeffs, _ in parent_groups):
+        # no parent shift depends on the block: one list for all
+        ranges_of = [child_ranges(0, 0, 0)] * num_parents
+    else:
+        gx, gy, gz = parent_summary.access_sets.grid
+        ranges_of = [
+            child_ranges(px, py, pz)
+            for pz, py, px in product(range(gz), range(gy), range(gx))
+        ]
+    total = sum(hi - lo + 1 for ranges in ranges_of for lo, hi in ranges)
 
     if total == 0:
         return BipartiteGraph.independent(num_parents, num_children)
@@ -339,172 +336,4 @@ def _closed_form_graph(parent_summary, child_summary, pairs, max_explicit_edges)
         counts.append(running)
     return BipartiteGraph.explicit_prebuilt(
         num_parents, num_children, tuple(children_of), tuple(counts), total
-    )
-
-
-# ----------------------------------------------------------------------
-# tier 2: vectorized lowering + join
-# ----------------------------------------------------------------------
-_INT64_GUARD = 1 << 62
-
-
-def _fits_int64(record, grid):
-    # bound every *partial* sum, not just the corner addresses — int64
-    # overflow wraps silently inside numpy elementwise arithmetic
-    gx, gy, gz = grid
-    cx, cy, cz = record.ctaid_coeffs
-    reach = (
-        abs(record.base)
-        + abs(cx) * (gx - 1)
-        + abs(cy) * (gy - 1)
-        + abs(cz) * (gz - 1)
-        + record.span_bytes()
-    )
-    return reach < _INT64_GUARD
-
-
-def _lowered_arrays(summary, kinds):
-    """Batched :meth:`TBAccessSets._lower` over the whole grid.
-
-    Returns ``(lo, hi, tb)`` int64 arrays covering every interval of
-    every block for the requested kinds, or ``None`` when some address
-    could overflow int64 (the scalar oracle, on python ints, handles
-    those).
-    """
-    import numpy as np
-
-    access = summary.access_sets
-    gx, gy, gz = access.grid
-    t = np.arange(access.num_tbs, dtype=np.int64)
-    bx = t % gx
-    by = (t // gx) % gy
-    bz = t // (gx * gy)
-    los, his, tbs = [], [], []
-    for record in access.records:
-        if record.kind not in kinds:
-            continue
-        if not _fits_int64(record, access.grid):
-            return None
-        cx, cy, cz = record.ctaid_coeffs
-        bases = record.base + cx * bx + cy * by + cz * bz
-        offsets, run, _exact = record.expansion(access.max_intervals)
-        if len(offsets) == 1:
-            lo = bases + offsets[0]
-            los.append(lo)
-            his.append(lo + run)
-            tbs.append(t)
-            continue
-        offs = np.asarray(offsets, dtype=np.int64)
-        lo = (bases[:, None] + offs[None, :]).reshape(-1)
-        los.append(lo)
-        his.append(lo + run)
-        tbs.append(np.repeat(t, offs.size))
-    if not los:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    return (
-        np.concatenate(los),
-        np.concatenate(his),
-        np.concatenate(tbs),
-    )
-
-
-def _segment_local_arange(reps):
-    """``concatenate([arange(r) for r in reps])`` without the loop."""
-    import numpy as np
-
-    out = np.arange(int(reps.sum()), dtype=np.int64)
-    seg_starts = np.cumsum(reps) - reps
-    return out - np.repeat(seg_starts, reps)
-
-
-def _vectorized_graph(parent_summary, child_summary, pairs, max_explicit_edges):
-    """Tier 2: numpy join, or ``None`` to decline (overflow).
-
-    numpy is imported here, at the first join that needs it, so plans
-    whose pairs all take tier 1 never load it.
-    """
-    import numpy as np
-
-    num_parents = parent_summary.num_tbs
-    num_children = child_summary.num_tbs
-    if num_parents * num_children >= _INT64_GUARD:
-        return None
-    parent_kinds = {pk for pk, _ in pairs}
-    child_kinds = {ck for _, ck in pairs}
-    parent_arrays = _lowered_arrays(parent_summary, parent_kinds)
-    child_arrays = _lowered_arrays(child_summary, child_kinds)
-    if parent_arrays is None or child_arrays is None:
-        return None
-    plo, phi, ptb = parent_arrays
-    clo, chi, ctb = child_arrays
-    if plo.size == 0 or clo.size == 0:
-        return BipartiteGraph.independent(num_parents, num_children)
-
-    order = np.argsort(plo, kind="stable")
-    plo, phi, ptb = plo[order], phi[order], ptb[order]
-    prefix_max_hi = np.maximum.accumulate(phi)
-
-    # candidate window per probe: the same entries the reference's
-    # prefix-max walk visits — [first j with prefmax > probe.lo,
-    # first j with lo >= probe.hi)
-    ends = np.searchsorted(plo, chi, side="left")
-    starts = np.searchsorted(prefix_max_hi, clo, side="right")
-    counts = np.maximum(ends - starts, 0)
-
-    probe_ids = np.nonzero(counts)[0]
-    bitmap = None
-    if num_parents * num_children <= _BITMAP_LIMIT:
-        bitmap = np.zeros(num_parents * num_children, dtype=bool)
-    keys = np.empty(0, dtype=np.int64)
-    if probe_ids.size:
-        cumulative = np.cumsum(counts[probe_ids])
-        chunk_start = 0
-        while chunk_start < probe_ids.size:
-            consumed = cumulative[chunk_start - 1] if chunk_start else 0
-            chunk_end = int(
-                np.searchsorted(cumulative, consumed + _JOIN_CHUNK, side="right")
-            )
-            chunk_end = max(chunk_end, chunk_start + 1)
-            probes = probe_ids[chunk_start:chunk_end]
-            reps = counts[probes]
-            entry = np.repeat(starts[probes], reps) + _segment_local_arange(reps)
-            hit = phi[entry] > np.repeat(clo[probes], reps)
-            pair_keys = (
-                ptb[entry][hit] * num_children + np.repeat(ctb[probes], reps)[hit]
-            )
-            if pair_keys.size:
-                if bitmap is not None:
-                    bitmap[pair_keys] = True
-                else:
-                    keys = np.unique(np.concatenate((keys, np.unique(pair_keys))))
-                    if keys.size > max_explicit_edges:
-                        return BipartiteGraph.fully_connected(
-                            num_parents, num_children
-                        )
-            chunk_start = chunk_end
-    if bitmap is not None:
-        keys = np.flatnonzero(bitmap).astype(np.int64, copy=False)
-        if keys.size > max_explicit_edges:
-            return BipartiteGraph.fully_connected(num_parents, num_children)
-
-    total = int(keys.size)
-    if total == 0:
-        return BipartiteGraph.independent(num_parents, num_children)
-    if total == num_parents * num_children:
-        return BipartiteGraph.fully_connected(num_parents, num_children)
-    parent_of_edge = keys // num_children
-    child_of_edge = keys % num_children
-    bounds = np.searchsorted(
-        parent_of_edge, np.arange(num_parents + 1, dtype=np.int64)
-    )
-    # .tolist() yields python ints so graphs compare/pickle exactly
-    # like reference-built ones
-    children_of = tuple(
-        tuple(child_of_edge[bounds[p] : bounds[p + 1]].tolist())
-        for p in range(num_parents)
-    )
-    counts_arr = np.bincount(child_of_edge, minlength=num_children)
-    return BipartiteGraph.explicit_prebuilt(
-        num_parents, num_children, children_of, tuple(counts_arr.tolist()), total
     )

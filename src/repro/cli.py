@@ -610,14 +610,13 @@ def cmd_fuzz(args):
         config = fuzz.resolve_fuzz_config(
             count=args.count,
             seed=args.seed,
-            modes=args.modes,
             model=args.model,
             jobs=args.jobs,
             out_dir=args.out,
             shrink=not args.no_shrink,
         )
     except ValueError as exc:
-        # bad count/seed/mode: one line, exit 2, like unknown names
+        # bad count/seed: one line, exit 2, like unknown names
         print("error: {}".format(exc), file=sys.stderr)
         return 2
     report = fuzz.run_fuzz(config, log=get_logger("fuzz").info)
@@ -902,11 +901,6 @@ def build_parser():
         help="first case seed; case i uses seed S+i (default: 0)",
     )
     p_fuzz.add_argument(
-        "--modes", nargs="+", default=None, metavar="MODE",
-        help="fastpath modes to check against the reference oracle "
-             "(default: closed_form vectorized auto)",
-    )
-    p_fuzz.add_argument(
         "--model", choices=MODEL_CHOICES, default="consumer3"
     )
     p_fuzz.add_argument(
@@ -1140,6 +1134,14 @@ def main(argv=None):
         if not isinstance(exc, WriteError):
             raise
         # an output path that cannot be written: one line, exit 2
+        print("error: {}".format(exc), file=sys.stderr)
+        return 2
+    except Exception as exc:
+        from repro.ptx.errors import PTXError
+
+        if not isinstance(exc, PTXError):
+            raise
+        # a workload's kernel source is malformed: one line, exit 2
         print("error: {}".format(exc), file=sys.stderr)
         return 2
     return 0

@@ -77,8 +77,8 @@ class BipartiteGraph:
 
         ``children_of`` must be a tuple of sorted, duplicate-free tuples
         of in-range python ints, ``parent_counts`` the matching
-        in-degree tuple and ``total`` the edge count — the closed-form /
-        vectorized graph builders produce adjacency in exactly this form
+        in-degree tuple and ``total`` the edge count — the closed-form
+        graph builder produces adjacency in exactly this form
         and skip :meth:`explicit`'s O(E log E) re-canonicalization.  The
         same collapse rules apply, so the result is indistinguishable
         from :meth:`explicit` on equivalent input.

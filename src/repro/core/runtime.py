@@ -90,6 +90,11 @@ class KernelPlan:
     _duration_fn: Optional[Callable[[int], float]] = None
     _duration_scale_fn: Optional[Callable[[int], float]] = None
     _jitter: float = 0.0
+    #: tb_durations_ns(), kept from its first call; a window variant's
+    #: copy carries it over
+    _durations: Optional[List[float]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def graph(self) -> Optional[BipartiteGraph]:
@@ -119,7 +124,16 @@ class KernelPlan:
         return duration
 
     def tb_durations_ns(self):
-        """:meth:`tb_duration_ns` of every TB, in TB order."""
+        """:meth:`tb_duration_ns` of every TB, in TB order.
+
+        Computed once per plan kernel, and the same list is returned to
+        every caller (both engine tiers read it): do not mutate it.
+        """
+        if self._durations is None:
+            self._durations = self._compute_durations()
+        return self._durations
+
+    def _compute_durations(self):
         n = self.num_tbs
         if self._duration_fn is not None or self._duration_scale_fn is not None:
             return [self.tb_duration_ns(tb) for tb in range(n)]
@@ -200,11 +214,12 @@ class BlockMaestroRuntime:
         #: optional persistent AnalysisCache (repro.analysis.cache);
         #: content-addressed, so sharing one across configs is safe
         self.cache = cache
-        #: graph-construction tier policy (repro.analysis.fastpath);
-        #: ``None`` consults REPRO_FASTPATH, defaulting to "auto".  The
-        #: tiers are differential-tested to produce identical graphs, so
-        #: the mode never changes a plan — only how fast it is built —
-        #: and cache entries interoperate across modes.
+        #: graph-construction policy (repro.analysis.fastpath): the
+        #: closed form ("auto") or the scalar builder ("reference");
+        #: ``None`` consults REPRO_FASTPATH, defaulting to "auto".  Both
+        #: are differential-tested to produce identical graphs, so the
+        #: mode never changes a plan — only how fast it is built — and
+        #: cache entries interoperate across modes.
         # imported lazily: repro.analysis.fastpath builds on
         # repro.core.dependency_graph, whose package init loads this
         # module — a module-level import here would cycle

@@ -3,11 +3,12 @@
 One fuzz *case* is a :class:`~repro.workloads.fuzzgen.FuzzSpec`.  Per
 case the harness runs the full pipeline (PTX parse → launch-time
 analysis → hardware encoding → discrete-event engine) once under the
-scalar ``reference`` oracle and once under every candidate
-``REPRO_FASTPATH`` mode, then cross-checks four surfaces:
+scalar ``reference`` oracle and once under the ``auto``
+``REPRO_FASTPATH`` mode (the closed-form pair graphs), then
+cross-checks four surfaces:
 
 * **graph** — every kernel pair's effective graph, encoded size and
-  detected pattern must match the oracle's exactly (the fastpath tiers'
+  detected pattern must match the oracle's exactly (the fast path's
   core contract);
 * **signature** — ``RunStats.simulated_signature()`` must be
   bit-identical per mode (plans equal ⇒ simulations equal);
@@ -36,7 +37,6 @@ digest over all cases are reproducible across runs, worker counts and
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro import schema
 from repro.version import FUZZ_REPORT_SCHEMA_VERSION
@@ -44,8 +44,8 @@ from repro.workloads.fuzzgen import FuzzSpec, build_fuzz_app
 
 FUZZ_REPORT_KIND = "repro-fuzz-report"
 
-#: candidate tiers checked against the always-implicit reference oracle
-DEFAULT_MODES = ("closed_form", "vectorized", "auto")
+#: the fastpath mode checked against the always-implicit reference oracle
+DEFAULT_MODES = ("auto",)
 #: the engine tiers checked against the scalar event-queue oracle
 DEFAULT_ENGINES = ("auto",)
 ORACLE_MODE = "reference"
@@ -58,24 +58,20 @@ class FuzzConfig:
 
     count: int = 50
     seed: int = 0
-    modes: Tuple[str, ...] = DEFAULT_MODES
     model: str = DEFAULT_MODEL
     jobs: int = 1
     out_dir: str = "."
     shrink: bool = True
 
 
-def resolve_fuzz_config(count=None, seed=None, modes=None, model=None,
-                        jobs=None, out_dir=None, shrink=True):
+def resolve_fuzz_config(count=None, seed=None, model=None, jobs=None,
+                        out_dir=None, shrink=True):
     """Fold CLI-ish arguments into a :class:`FuzzConfig`.
 
-    Raises ``ValueError`` on bad counts/seeds/modes and
+    Raises ``ValueError`` on bad counts/seeds and
     :class:`~repro.experiments.common.UnknownModelError` on bad model
     names, so the CLI fails with exit code 2 before any work is done.
-    ``reference`` in ``modes`` is redundant (it is the oracle every
-    tier is checked against) and is dropped.
     """
-    from repro.analysis.fastpath import resolve_fastpath_mode
     from repro.experiments.common import _model_plan_params, canonical_model_name
 
     count = 50 if count is None else int(count)
@@ -85,20 +81,11 @@ def resolve_fuzz_config(count=None, seed=None, modes=None, model=None,
     if seed < 0:
         raise ValueError("--seed must be >= 0 (got {})".format(seed))
     jobs = 1 if jobs is None else max(1, int(jobs))
-    resolved = []
-    for mode in (modes if modes is not None else DEFAULT_MODES):
-        mode = resolve_fastpath_mode(mode)  # ValueError on unknown names
-        if mode != ORACLE_MODE and mode not in resolved:
-            resolved.append(mode)
-    if not resolved:
-        raise ValueError(
-            "--modes needs at least one non-reference fastpath mode"
-        )
     model = canonical_model_name(model or DEFAULT_MODEL)
     _model_plan_params(model)  # raises UnknownModelError
     return FuzzConfig(
-        count=count, seed=seed, modes=tuple(resolved), model=model,
-        jobs=jobs, out_dir=out_dir or ".", shrink=bool(shrink),
+        count=count, seed=seed, model=model, jobs=jobs,
+        out_dir=out_dir or ".", shrink=bool(shrink),
     )
 
 
@@ -342,8 +329,8 @@ def _oracle_self_checks(journal, stats, bare):
 
 def _case_worker(item):
     """SuiteExecutor worker: module-level so fork/pickle dispatch works."""
-    seed, modes, model = item
-    return check_case(FuzzSpec.from_seed(seed), modes=modes, model=model)
+    seed, model = item
+    return check_case(FuzzSpec.from_seed(seed), model=model)
 
 
 def corpus_digest(cases):
@@ -366,14 +353,11 @@ def run_fuzz(config, log=None):
     from repro.parallel import SuiteExecutor
 
     say = log or (lambda *_args, **_kwargs: None)
-    items = [
-        (config.seed + i, config.modes, config.model)
-        for i in range(config.count)
-    ]
+    items = [(config.seed + i, config.model) for i in range(config.count)]
     say("fuzz: {} cases (seeds {}..{}), modes {}, engines {}, model {}, "
         "{} job(s)".format(
             config.count, config.seed, config.seed + config.count - 1,
-            "/".join(config.modes), "/".join(DEFAULT_ENGINES),
+            "/".join(DEFAULT_MODES), "/".join(DEFAULT_ENGINES),
             config.model, config.jobs,
         ))
     executor = SuiteExecutor(jobs=config.jobs, log=log)
@@ -397,12 +381,12 @@ def run_fuzz(config, log=None):
                 case["seed"], target["check"], target["mode"]
             ))
             minimized, final_divs = shrink_case(
-                spec, target, modes=config.modes, engines=DEFAULT_ENGINES,
+                spec, target, modes=DEFAULT_MODES, engines=DEFAULT_ENGINES,
                 model=config.model,
             )
             repro = make_case(
                 minimized, final_divs or case["divergences"],
-                modes=config.modes, model=config.model,
+                modes=DEFAULT_MODES, model=config.model,
                 source_seed=case["seed"], engines=DEFAULT_ENGINES,
             )
             path = write_case(repro, directory=config.out_dir)
@@ -416,7 +400,7 @@ def run_fuzz(config, log=None):
         "schema_version": FUZZ_REPORT_SCHEMA_VERSION,
         "seed": config.seed,
         "count": config.count,
-        "modes": list(config.modes),
+        "modes": list(DEFAULT_MODES),
         "engines": list(DEFAULT_ENGINES),
         "model": config.model,
         "cases": [

@@ -240,15 +240,22 @@ def load_case(path):
     return case
 
 
+#: fastpath tiers of older case files, now the one closed form of
+#: ``auto``
+_RETIRED_MODES = {"closed_form": "auto", "vectorized": "auto"}
+
+
 def replay_case(case):
     """Re-run a minimized case; returns its current divergence records.
 
     Empty means the bug the case was minimized for no longer exists
-    (the regression loader asserts exactly that).
+    (the regression loader asserts exactly that).  A case recorded
+    under a retired fastpath tier replays under ``auto``.
     """
     spec = FuzzSpec.from_dict(case["spec"])
+    modes = dict.fromkeys(_RETIRED_MODES.get(m, m) for m in case["modes"])
     result = check_case(
-        spec, modes=tuple(case["modes"]), model=case["model"],
+        spec, modes=tuple(modes), model=case["model"],
         engines=tuple(case.get("engines") or ()),
     )
     return result["divergences"]

@@ -19,10 +19,9 @@ device-serial plan the device is exactly a FIFO queue over ``W``
 indistinguishable slots, so the scalar per-event heap loop collapses to
 three steps per kernel:
 
-* **durations** — one numpy pass per few thousand TBs of the plan's
-  plain jittered kernels (no duration or scale function), sliced per
-  kernel as the scan reaches it; ``KernelPlan.tb_durations_ns`` serves
-  the rest;
+* **durations** — the plan's own list per kernel
+  (``KernelPlan.tb_durations_ns``, computed once per plan kernel and
+  read by both tiers);
 * **placement** — a kernel that fits in one wave (``n <= W``) starts
   every TB at ``t0`` on SM ``i % num_sms`` and needs no heap; a wider
   one runs an O(N log W) slot sweep whose pops replay the reference
@@ -53,7 +52,7 @@ the journal hooks per-event injection points the batched tier skips.
 """
 
 import heapq
-from itertools import accumulate, cycle, islice, repeat
+from itertools import cycle, islice, repeat
 
 from repro.host.api import (
     KernelLaunchCall,
@@ -64,10 +63,6 @@ from repro.host.api import (
 from repro.models.base import _BYPASSED_BARRIERS, first_bad_duration
 from repro.sim.device import empty_device_slots
 from repro.sim.stats import KernelRecord, RunStats, TBTable
-
-#: TBs per numpy pass of :func:`_plan_durations`: enough to amortize
-#: numpy's per-call cost, few enough to keep the pass's arrays small
-_PASS_TBS = 4096
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +108,6 @@ def run_fast(plan, config, options):
     all_done = [0.0] * num_kernels
     completed = [0.0] * num_kernels
     tb_finishes = [None] * num_kernels
-    # kernel indices follow program order, the order of the scan
-    durations_of = _plan_durations(kernels)
 
     tb_records = TBTable()
     host_time = 0.0
@@ -178,7 +171,7 @@ def run_fast(plan, config, options):
             first_start[ki] = t0
 
             n = kp.num_tbs
-            durations = next(durations_of)
+            durations = kp.tb_durations_ns()
             if first_bad_duration(durations) is not None:
                 raise TierDecline("bad_duration")
             width = empty_device_slots(config, kp.threads_per_tb)
@@ -285,96 +278,6 @@ def run_fast(plan, config, options):
     )
     stats.validate_invariants()
     return stats, call_enqueued_ns, call_done_ns
-
-
-# ----------------------------------------------------------------------
-# durations
-# ----------------------------------------------------------------------
-def _plain_jittered(kp):
-    """Does the numpy pass compute this kernel's durations?"""
-    return (
-        kp._jitter
-        and kp._duration_fn is None
-        and kp._duration_scale_fn is None
-    )
-
-
-def _plan_durations(kernels):
-    """Each kernel's TB durations, in kernel order: an iterator of
-    lists, each equal to ``kp.tb_durations_ns()``.
-
-    numpy is imported on first use; ``tb_durations_ns`` serves every
-    kernel that is not plain jittered.
-    """
-    import numpy as np
-
-    jittered = _jittered_durations(
-        np, [kp for kp in kernels if _plain_jittered(kp)]
-    )
-    return (
-        next(jittered) if _plain_jittered(kp) else kp.tb_durations_ns()
-        for kp in kernels
-    )
-
-
-def _jittered_durations(np, kps):
-    """Yield the durations of the plain jittered kernels ``kps``, one
-    list per kernel.
-
-    One numpy pass serves each run of consecutive kernels that reaches
-    ``_PASS_TBS`` TBs, so its arrays stay small, and each kernel's
-    Python floats are made only when the scan reaches it.  The pass
-    computes ``base * jitter_factor(kernel_index, tb, jitter)`` per TB
-    with the same integer hash (its low 32 bits are exact in uint64)
-    and the same float operations in the same order, every step after
-    the first in place.
-    """
-    mask = np.uint64(0xFFFFFFFF)
-    shift = np.uint64(16)
-    stop = 0
-    while stop < len(kps):
-        start = stop
-        tbs = 0
-        while stop < len(kps) and tbs < _PASS_TBS:
-            tbs += kps[stop].num_tbs
-            stop += 1
-        batch = kps[start:stop]
-        counts = [kp.num_tbs for kp in batch]
-        h = np.arange(tbs, dtype=np.uint64)  # TB ids, made per-kernel
-        h -= _per_tb(
-            np, counts, list(accumulate(counts[:-1], initial=0)), np.uint64
-        )
-        h *= np.uint64(0x85EBCA77)
-        h += _per_tb(
-            np, counts,
-            [(kp.kernel_index * 0x9E3779B1 + 0x165667B1) & 0xFFFFFFFF
-             for kp in batch],
-            np.uint64,
-        )
-        h &= mask
-        h ^= h >> shift
-        h *= np.uint64(0x045D9F3B)
-        h &= mask
-        h ^= h >> shift
-        values = h.astype(np.float64)
-        del h
-        values /= float(1 << 32)
-        values *= 2.0
-        values -= 1.0
-        values *= _per_tb(np, counts, [kp._jitter for kp in batch], np.float64)
-        values += 1.0
-        values *= _per_tb(
-            np, counts, [kp._base_duration_ns for kp in batch], np.float64
-        )
-        offset = 0
-        for count in counts:
-            yield values[offset:offset + count].tolist()
-            offset += count
-
-
-def _per_tb(np, counts, values, dtype):
-    """One array holding each kernel's value once per TB."""
-    return np.repeat(np.array(values, dtype=dtype), counts)
 
 
 # ----------------------------------------------------------------------

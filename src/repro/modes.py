@@ -1,16 +1,17 @@
 """Tier-selection modes for the graph fast path and the simulation engine.
 
-``REPRO_FASTPATH`` picks the pair-graph tier
-(:mod:`repro.analysis.fastpath`) and ``REPRO_ENGINE`` the simulation
-tier (:mod:`repro.models.fastengine`).  Both tables and their one
-resolver live here, apart from numpy and the models, so the CLI can
+``REPRO_FASTPATH`` picks the pair-graph builder
+(:mod:`repro.analysis.fastpath`: the closed form or the scalar
+reference) and ``REPRO_ENGINE`` the simulation tier
+(:mod:`repro.models.fastengine`).  Both tables and their one resolver
+live here, apart from the analysis and the models, so the CLI can
 reject a bad value before it imports either.
 """
 
 import os
 
 #: Valid fast-path modes (``resolve_fastpath_mode`` normalizes aliases).
-FASTPATH_MODES = ("auto", "closed_form", "vectorized", "reference")
+FASTPATH_MODES = ("auto", "reference")
 
 #: Valid engine modes (``resolve_engine_mode`` normalizes aliases).
 ENGINE_MODES = ("auto", "reference")

@@ -84,6 +84,44 @@ GLOBAL_MEMORY_OPCODES = frozenset(
 #: Opcodes that terminate or redirect control flow.
 CONTROL_FLOW_OPCODES = frozenset((Opcode.BRA, Opcode.RET, Opcode.EXIT))
 
+#: Source operands each value-producing opcode reads, in order (``selp``
+#: reads two values and the selecting predicate).  An instruction with
+#: fewer is malformed (:meth:`repro.ptx.module.Kernel.validate`); the
+#: analyzer's transfer functions take exactly this many values.
+SOURCE_ARITY = {
+    Opcode.MOV: 1,
+    Opcode.ADD: 2,
+    Opcode.SUB: 2,
+    Opcode.MUL_LO: 2,
+    Opcode.MUL_WIDE: 2,
+    Opcode.MUL: 2,
+    Opcode.MAD_LO: 3,
+    Opcode.MAD_WIDE: 3,
+    Opcode.MAD: 3,
+    Opcode.FMA: 3,
+    Opcode.DIV: 2,
+    Opcode.REM: 2,
+    Opcode.NEG: 1,
+    Opcode.ABS: 1,
+    Opcode.MIN: 2,
+    Opcode.MAX: 2,
+    Opcode.SHL: 2,
+    Opcode.SHR: 2,
+    Opcode.AND: 2,
+    Opcode.OR: 2,
+    Opcode.XOR: 2,
+    Opcode.NOT: 1,
+    Opcode.CVT: 1,
+    Opcode.CVTA: 1,
+    Opcode.SETP: 2,
+    Opcode.SELP: 3,
+    Opcode.SQRT: 1,
+    Opcode.RSQRT: 1,
+    Opcode.EX2: 1,
+    Opcode.LG2: 1,
+    Opcode.RCP: 1,
+}
+
 #: Recognised scalar types, mapping to their width in bytes.
 TYPE_WIDTHS = {
     "pred": 1,

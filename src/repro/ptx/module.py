@@ -10,6 +10,7 @@ from repro.ptx.isa import (
     MemOperand,
     Opcode,
     ParamRef,
+    SOURCE_ARITY,
     type_width,
 )
 
@@ -104,9 +105,19 @@ class Kernel:
         * every branch targets a declared label;
         * every ``ld.param`` names a declared parameter;
         * stores carry exactly one source value and a memory destination;
-        * memory instructions have an address operand.
+        * memory instructions have an address operand;
+        * a value-producing instruction has every source operand its
+          opcode reads (:data:`~repro.ptx.isa.SOURCE_ARITY`).
         """
         for inst in self.instructions:
+            arity = SOURCE_ARITY.get(inst.opcode, 0)
+            if len(inst.srcs) < arity:
+                raise PTXValidationError(
+                    "{}: {} reads {} source operand{}, got {}: {}".format(
+                        self.name, inst.opcode, arity,
+                        "" if arity == 1 else "s", len(inst.srcs), inst,
+                    )
+                )
             if inst.is_branch:
                 targets = [op for op in inst.srcs if isinstance(op, Label)]
                 if len(targets) != 1:

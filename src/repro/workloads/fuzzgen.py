@@ -26,9 +26,10 @@ from repro.workloads.ptxgen import (
 )
 
 #: generator families the fuzzer draws from, with draw weights.  The mix
-#: is biased toward the affine shapes (tier-1 closed form) with regular
-#: visits to the 2-D group shape (tier 2) and the indirect shape
-#: (Algorithm-1 fallback), so every fastpath tier is exercised.
+#: is biased toward the affine shapes (one TB range per window in the
+#: closed form) with regular visits to the 2-D group shape (one range per
+#: row) and the indirect shape (Algorithm-1 fallback), so every path of
+#: the pair-graph construction is exercised.
 FUZZ_GENERATORS = (
     ("elementwise", 4),
     ("stencil", 2),

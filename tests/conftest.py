@@ -97,6 +97,22 @@ PRODUCE_SRC = """
 }
 """
 
+#: two loops whose bodies overlap without nesting: irreducible
+OVERLAPPING_LOOPS_SRC = """
+.visible .entry k (.param .u64 A)
+{
+L1:
+    mov.u32 %a, 0;
+L2:
+    add.u32 %a, %a, 1;
+    setp.lt.u32 %p1, %a, 4;
+    @%p1 bra L1;
+    setp.lt.u32 %p2, %a, 8;
+    @%p2 bra L2;
+    ret;
+}
+"""
+
 
 @pytest.fixture(scope="session")
 def vecadd_kernel():

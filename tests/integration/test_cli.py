@@ -143,6 +143,10 @@ class TestErrorExits:
             pytest.param(["fuzz", "--count", "1", "--engines", "none"],
                          "unrecognized arguments: --engines none",
                          id="fuzz-engines-removed"),
+            # and the mode sweep checks the one fast path, auto
+            pytest.param(["fuzz", "--count", "1", "--modes", "auto"],
+                         "unrecognized arguments: --modes auto",
+                         id="fuzz-modes-removed"),
             pytest.param(["dot", "mvt", "--pair", "-4"],
                          "--pair: must be >= 0 (got -4)",
                          id="dot-pair-negative"),

@@ -43,7 +43,7 @@ class TestExitCodes:
         _plant_overlap_bug(monkeypatch)
         code = main([
             "fuzz", "--count", COUNT, "--seed", "0",
-            "--modes", "closed_form", "--out", str(tmp_path),
+            "--out", str(tmp_path),
         ])
         assert code == 1
         out = capsys.readouterr().out
@@ -55,8 +55,6 @@ class TestExitCodes:
         [
             ["fuzz", "--count", "0"],
             ["fuzz", "--seed", "-1"],
-            ["fuzz", "--modes", "bogus"],
-            ["fuzz", "--modes", "reference"],  # oracle-only: nothing to diff
         ],
     )
     def test_bad_arguments_exit_two(self, argv, capsys):

@@ -1,16 +1,19 @@
 """Differential harness: the graph fast path must change nothing.
 
-The :mod:`repro.analysis.fastpath` tiers are pure wall-clock
-optimizations over the scalar reference builder — by construction they
+The :mod:`repro.analysis.fastpath` closed form is a pure wall-clock
+optimization over the scalar reference builder — by construction it
 may not perturb a single edge.  Two gates:
 
 * **graph identity** — for every registry workload (small variants) and
-  every hazard set, the graph each tier produces for every consecutive
-  kernel pair must be ``==`` the reference builder's, and the tier must
-  be the one ``auto`` mode advertises through the metrics counters;
+  every hazard set, the graph each mode produces for every consecutive
+  kernel pair must be ``==`` the reference builder's, and on the
+  registry every pair graph comes from the closed form;
 * **signature identity** — a full simulation pass under ``auto`` must
   produce byte-identical :meth:`RunStats.simulated_signature` output to
   one under ``REPRO_FASTPATH=off``.
+
+:func:`closed_form_census` runs the graph-identity check on any apps; CI
+runs it on the full-size registry and ``fuzz-0..199``.
 """
 
 import json
@@ -27,17 +30,42 @@ HAZARD_SETS = (("raw",), ("raw", "waw"), ("raw", "war", "waw"))
 
 
 def _kernel_pairs(app, hazards):
-    """Consecutive same-stream kernel summary pairs of ``app``."""
+    """Distinct consecutive same-stream kernel summary pairs of ``app``."""
     runtime = BlockMaestroRuntime(hazards=hazards)
     plan = runtime.plan(app)
-    pairs = []
+    pairs = {}
     for kernel in plan.kernels:
         if kernel.chain_prev is None:
             continue
-        pairs.append(
-            (plan.kernels[kernel.chain_prev].summary, kernel.summary)
-        )
-    return pairs
+        parent = plan.kernels[kernel.chain_prev].summary
+        pairs[id(parent), id(kernel.summary)] = (parent, kernel.summary)
+    return list(pairs.values())
+
+
+def closed_form_census(apps):
+    """The closed form against the scalar builder on every distinct pair
+    of ``apps`` under every hazard set.
+
+    Returns ``(pairs, mismatches, declines)``: the pairs checked, the
+    ``(app, hazards, parent, child)`` of each graph that differs, and
+    how many pairs of two analyzed summaries left the closed form.
+    """
+    checked, mismatches, declines = 0, [], 0
+    for app in apps:
+        for hazards in HAZARD_SETS:
+            for parent, child in _kernel_pairs(app, hazards):
+                graph, tier = build_graph_fast(parent, child, hazards=hazards)
+                checked += 1
+                if tier != "closed_form" and not (
+                    parent.fallback or child.fallback
+                ):
+                    declines += 1
+                if graph != build_bipartite_graph(parent, child, hazards):
+                    mismatches.append((
+                        app.name, hazards, parent.kernel_name,
+                        child.kernel_name,
+                    ))
+    return checked, mismatches, declines
 
 
 @pytest.mark.parametrize("hazards", HAZARD_SETS, ids=["-".join(h) for h in HAZARD_SETS])
@@ -46,7 +74,7 @@ def test_every_tier_matches_reference(wname, hazards):
     app = get_workload(wname).build_small()
     for parent, child in _kernel_pairs(app, hazards):
         oracle = build_bipartite_graph(parent, child, hazards)
-        for mode in ("auto", "closed_form", "vectorized", "reference"):
+        for mode in ("auto", "reference"):
             graph, tier = build_graph_fast(
                 parent, child, hazards=hazards, mode=mode
             )
@@ -74,8 +102,8 @@ def test_simulated_signature_identical_across_modes(wname, monkeypatch):
 
 
 def test_auto_mode_uses_fast_tiers_on_registry():
-    """The counters must show fast tiers actually serving real work."""
-    fast_totals = {"closed_form": 0, "vectorized": 0, "reference": 0}
+    """The counters must show the closed form serving every pair graph."""
+    fast_totals = {"closed_form": 0, "reference": 0}
     for spec in all_workloads():
         metrics = MetricsRegistry()
         runtime = BlockMaestroRuntime(metrics=metrics, fastpath="auto")
@@ -85,4 +113,13 @@ def test_auto_mode_uses_fast_tiers_on_registry():
             if name.startswith(prefix):
                 fast_totals[name[len(prefix):]] += int(value)
     assert fast_totals["closed_form"] > 0
-    assert fast_totals["vectorized"] > 0
+    assert fast_totals["reference"] == 0
+
+
+def test_closed_form_census_on_small_fuzz_apps():
+    apps = (get_workload("fuzz-{}".format(seed)).build_small()
+            for seed in range(20))
+    pairs, mismatches, declines = closed_form_census(apps)
+    assert pairs > 0
+    assert mismatches == []
+    assert declines == 0

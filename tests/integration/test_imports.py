@@ -48,11 +48,12 @@ with open(out, "w") as handle:
     json.dump({"code": code, "modules": sorted(sys.modules)}, handle)
 """
 
-#: what a cold ``repro run`` of a closed-form-only workload must not load;
-#: its fine-grain graphs decline the vectorized engine tier, whose
-#: module is imported only for a run the tier certifies.  Only a
-#: journaled run builds release edges, the fuzz generator serves the
-#: tests and ``repro fuzz``, and a run validates no document.
+#: what a cold fine-grain ``repro run`` must not load: its pair graphs
+#: come from the closed form, and its fine-grain graphs decline the
+#: vectorized engine tier, whose module is imported only for a run the
+#: tier certifies.  Only a journaled run builds release edges, the fuzz
+#: generator serves the tests and ``repro fuzz``, and a run validates no
+#: document.
 RUN_UNLOADED = (
     "numpy",
     "asyncio",
@@ -136,7 +137,10 @@ def test_every_module_imports_on_its_own():
     assert result.stdout == "", "modules that fail alone:\n" + result.stdout
 
 
-@pytest.mark.parametrize("workload", ["mvt", "bicg", "path", "hs", "fdtd-2d"])
+#: the cli-cold workloads of ``benchmarks/e2e``
+@pytest.mark.parametrize(
+    "workload", ["mvt", "bicg", "path", "hs", "fdtd-2d", "3mm", "lud"]
+)
 def test_cold_run_loads_no_numpy_or_daemon(workload, tmp_path):
     code, modules = _probe(
         tmp_path, ["run", workload, "--model", "consumer3", "--json", "-"]
@@ -146,6 +150,19 @@ def test_cold_run_loads_no_numpy_or_daemon(workload, tmp_path):
     assert own in modules
     others = tuple(suite for suite in SUITES if suite != own)
     assert _loaded(modules, RUN_UNLOADED + others) == []
+
+
+def test_device_serial_cold_run_loads_no_numpy(tmp_path):
+    # the vectorized engine tier runs on the plan's own durations
+    code, modules = _probe(
+        tmp_path, ["run", "gaussian", "--model", "baseline", "--json", "-"]
+    )
+    assert code == 0
+    assert "repro.models.fastengine" in modules
+    unloaded = tuple(
+        name for name in RUN_UNLOADED if name != "repro.models.fastengine"
+    )
+    assert _loaded(modules, unloaded) == []
 
 
 @pytest.mark.parametrize(

@@ -57,10 +57,10 @@ def _pairs(plan):
 
 
 def _constructed(counters):
-    """Pair graphs the fast-path tiers built."""
+    """Pair graphs the fast path built."""
     return sum(
         counters.get("analysis.fastpath." + tier, 0)
-        for tier in ("closed_form", "vectorized", "reference")
+        for tier in ("closed_form", "reference")
     )
 
 

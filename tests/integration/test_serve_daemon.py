@@ -157,16 +157,33 @@ class TestCachingAndCoalescing:
         assert alias["source"] == "cached"
 
     def test_concurrent_identical_requests_simulate_once(
-        self, daemon, client
+        self, daemon, client, monkeypatch
     ):
         """The tentpole contract: N concurrent identical requests ->
         exactly one simulation, proven by sources AND counters."""
+        from repro.serve import server
+
         workload, model = "lud", "prelaunch"     # a cold key
         burst = 6
         before = client.statusz()
-        sim_runs_before = daemon.server.metrics.snapshot()[
-            "counters"
-        ].get("serve.sim.run", 0)
+
+        def counter(name):
+            return daemon.server.metrics.snapshot()["counters"].get(name, 0)
+
+        sim_runs_before = counter("serve.sim.run")
+        followers = counter("serve.coalesce.followers") + burst - 1
+        compute = server.op_result
+
+        def held(*args):
+            # the leader computes only once every follower has joined:
+            # a follower arriving after it finished would hit the cache
+            deadline = time.monotonic() + 30.0
+            while (counter("serve.coalesce.followers") < followers
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            return compute(*args)
+
+        monkeypatch.setattr(server, "op_result", held)
         results = []
         barrier = threading.Barrier(burst)
 

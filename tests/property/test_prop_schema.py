@@ -86,7 +86,7 @@ def documents():
         "jdiff": diff_journals(header, events, header, events[:-1]),
         "fuzz_report": run_fuzz(resolve_fuzz_config(count=2, seed=5)),
         "fuzz_case": make_case(
-            FuzzSpec.from_seed(3), [], modes=("closed_form",),
+            FuzzSpec.from_seed(3), [], modes=("auto",),
             model="consumer3", source_seed=3,
         ),
         "status": Heartbeat(3, status_path="").snapshot(),

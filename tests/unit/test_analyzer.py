@@ -19,7 +19,7 @@ from repro.obs import MetricsRegistry
 from repro.ptx.parser import parse_kernel
 from repro.workloads import get_workload, ptxgen
 
-from tests.conftest import INDIRECT_SRC
+from tests.conftest import INDIRECT_SRC, OVERLAPPING_LOOPS_SRC
 from tests.digests import summary_digest
 
 
@@ -189,6 +189,17 @@ class TestFallbacks:
         )
         summary = analyze_kernel(kernel, launch)
         assert summary.fallback == "non_static"
+
+    def test_irreducible_body_is_a_fallback(self):
+        # the body is decoded inside the fallback handler: irreducible
+        # loops give a summary, not an exception
+        kernel = parse_kernel(OVERLAPPING_LOOPS_SRC)
+        summary = analyze_kernel(
+            kernel, LaunchConfig.create(grid=2, block=32, args={"A": 0})
+        )
+        assert summary.fallback == "irreducible"
+        assert "overlap" in summary.fallback_detail
+        assert summary.dynamic_mix["control"] == 3  # two bra, one ret
 
     def test_fallback_keeps_static_mix(self, indirect_kernel):
         launch = LaunchConfig.create(

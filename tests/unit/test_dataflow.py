@@ -11,7 +11,12 @@ from repro.analysis.dataflow import (
 )
 from repro.ptx.parser import parse_kernel
 
-from tests.conftest import INDIRECT_SRC, ROWSUM_SRC, VECADD_SRC
+from tests.conftest import (
+    INDIRECT_SRC,
+    OVERLAPPING_LOOPS_SRC,
+    ROWSUM_SRC,
+    VECADD_SRC,
+)
 
 
 class TestBackwardSlice:
@@ -141,22 +146,7 @@ class TestLoops:
         assert inner.parent is not None
 
     def test_overlapping_loops_rejected(self):
-        kernel = parse_kernel(
-            """
-            .visible .entry k (.param .u64 A)
-            {
-            L1:
-                mov.u32 %a, 0;
-            L2:
-                add.u32 %a, %a, 1;
-                setp.lt.u32 %p1, %a, 4;
-                @%p1 bra L1;
-                setp.lt.u32 %p2, %a, 8;
-                @%p2 bra L2;
-                ret;
-            }
-            """
-        )
+        kernel = parse_kernel(OVERLAPPING_LOOPS_SRC)
         with pytest.raises(IrreducibleControlFlow):
             find_loops(kernel)
 

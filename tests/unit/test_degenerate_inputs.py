@@ -7,7 +7,8 @@ The engine fast tier (:mod:`repro.models.fastengine`) must treat the
 same degenerate plans exactly like the scalar oracle: empty plans and
 single-TB kernels simulate identically under every engine mode, and
 zero-TB kernels decline to the reference so its behavior (including
-errors) is preserved verbatim.
+errors) is preserved verbatim.  An instruction short of the source
+operands its opcode reads is malformed PTX, rejected in one line.
 """
 
 import json
@@ -15,6 +16,8 @@ import json
 import pytest
 
 from repro.obs.metrics import Histogram, percentile
+from repro.ptx.errors import PTXValidationError
+from repro.ptx.parser import parse_kernel
 from repro.sim.stats import KernelRecord, RunStats, TBRecord
 from repro.sim.timeline import (
     compare_timelines,
@@ -264,3 +267,65 @@ class TestSingleWaveEdges:
         assert fast.counters.pop("dispatch_passes") == 0.0
         oracle.counters.pop("dispatch_passes")
         assert _complete_digest(fast) == _complete_digest(oracle)
+
+
+# ----------------------------------------------------------------------
+# malformed PTX: an instruction short of its source operands
+# ----------------------------------------------------------------------
+SHORT_ADD_SRC = """
+.visible .entry short_add (.param .u64 A)
+{
+    ld.param.u64 %rd1, [A];
+    add.u32 %r1, %r1;
+    ret;
+}
+"""
+
+SHORT_ADD_ERROR = (
+    "short_add: add reads 2 source operands, got 1: add.u32 %r1, %r1;"
+)
+
+
+def _short_add_app():
+    from repro.workloads.base import AppBuilder
+
+    builder = AppBuilder("short-add")
+    data = builder.alloc("A", 4096)
+    builder.launch(SHORT_ADD_SRC, grid=1, block=32, args={"A": data})
+    return builder.build()
+
+
+class TestShortSourceOperands:
+    """``Kernel.validate`` checks every instruction against the opcode
+    arity table the analyzer's decode reads (``SOURCE_ARITY``)."""
+
+    def test_parse_rejects(self):
+        with pytest.raises(PTXValidationError) as info:
+            parse_kernel(SHORT_ADD_SRC)
+        assert str(info.value) == SHORT_ADD_ERROR
+
+    def test_app_builder_launch_rejects(self):
+        with pytest.raises(PTXValidationError, match=r"reads 2 source"):
+            _short_add_app()
+
+    @pytest.mark.parametrize(
+        "line", ["selp.u32 %r1, %r2, %r3;", "setp.lt.u32 %p1, %r2;",
+                 "mad.lo.u32 %r1, %r2, %r3;", "mov.u32 %r1;"],
+    )
+    def test_every_short_opcode_rejected(self, line):
+        source = SHORT_ADD_SRC.replace("add.u32 %r1, %r1;", line)
+        with pytest.raises(PTXValidationError, match=r"source operand"):
+            parse_kernel(source)
+
+    def test_cli_exits_2_with_one_line(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.workloads import registry
+
+        spec = registry.WorkloadSpec(
+            "short-add", "malformed PTX", "test", 1, (1,),
+            _short_add_app,
+        )
+        monkeypatch.setitem(registry._extra_specs(), spec.name, spec)
+        assert main(["run", "short-add", "--json", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: {}\n".format(SHORT_ADD_ERROR)

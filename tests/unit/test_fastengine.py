@@ -1,8 +1,8 @@
 """Unit coverage of the simulation-engine fast path seams.
 
 Mode normalization, the device-serial certificate's decline reasons,
-the per-plan duration pass against ``KernelPlan.tb_durations_ns``, and
-the observer-fallback rule: with a journal/provenance/telemetry
+the one duration list per plan kernel both tiers read, and the
+observer-fallback rule: with a journal/provenance/telemetry
 hook attached, ``auto`` silently keeps the scalar reference engine and
 says so through the metrics counters — and the observed run's signature
 is byte-identical to the unobserved fast-tier run.
@@ -16,7 +16,6 @@ import pytest
 from repro.core.runtime import BlockMaestroRuntime
 from repro.experiments.common import _make_model
 from repro.models.base import certify_device_serial
-from repro.models.fastengine import _PASS_TBS, _plan_durations
 from repro.modes import ENGINE_ENV, resolve_engine_mode
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import GPUConfig
@@ -140,39 +139,55 @@ class TestCertificate:
 
 
 class TestPlanDurations:
-    """The per-plan duration pass equals ``tb_durations_ns`` kernel by
-    kernel."""
+    """A plan kernel computes its TB durations once: its window
+    variants and both engine tiers read that one list."""
 
-    @pytest.fixture(scope="class")
-    def plans(self):
-        runtime = BlockMaestroRuntime()
-        names = [spec.name for spec in all_workloads()]
-        names += ["fuzz-{}".format(seed) for seed in range(50)]
-        plans = [runtime.plan(get_workload(name).build()) for name in names]
-        # kernels wider than a pass, with a duration and a scale function
-        # between the jittered ones, with and without jitter
-        mixed = get_workload("eng-chain").build_small(
-            num_kernels=4, num_tbs=_PASS_TBS + 1
+    @pytest.fixture
+    def mixed(self):
+        # a duration and a scale function between jittered kernels
+        app = get_workload("eng-chain").build_small(
+            num_kernels=4, num_tbs=600
         )
-        calls = mixed.trace.kernel_calls
+        calls = app.trace.kernel_calls
         calls[1].tb_duration_fn = lambda tb: 10.0 + tb
         calls[2].tb_duration_scale_fn = lambda tb: 1.0 + tb % 3
-        plans.append(runtime.plan(mixed))
-        jitter_free = BlockMaestroRuntime(GPUConfig(duration_jitter=0.0))
-        plans.append(jitter_free.plan(mixed))
-        return plans
+        return app
 
-    def test_plans_span_several_passes(self, plans):
-        assert max(
-            sum(kp.num_tbs for kp in plan.kernels) for plan in plans
-        ) > 4 * _PASS_TBS
+    @pytest.mark.parametrize("jitter", [0.15, 0.0])
+    def test_one_list_per_plan_kernel(self, mixed, jitter):
+        runtime = BlockMaestroRuntime(GPUConfig(duration_jitter=jitter))
+        plan = runtime.plan(mixed, reorder=True, window=2)
+        for kp in plan.kernels:
+            durations = kp.tb_durations_ns()
+            assert durations == [
+                kp.tb_duration_ns(tb) for tb in range(kp.num_tbs)
+            ]
+            assert kp.tb_durations_ns() is durations
+        variant = runtime.plan(mixed, reorder=True, window=3)
+        assert variant is not plan
+        for kp, copied in zip(plan.kernels, variant.kernels):
+            assert copied.tb_durations_ns() is kp.tb_durations_ns()
 
-    def test_pass_equals_per_kernel_durations(self, plans):
-        for plan in plans:
-            expected = [kp.tb_durations_ns() for kp in plan.kernels]
-            assert list(_plan_durations(plan.kernels)) == expected, (
-                plan.application
-            )
+    def test_both_tiers_compute_once(self, mixed, monkeypatch):
+        from repro.core.runtime import KernelPlan
+
+        computed = []
+        compute = KernelPlan._compute_durations
+
+        def counting(kp):
+            computed.append(kp.kernel_index)
+            return compute(kp)
+
+        monkeypatch.setattr(KernelPlan, "_compute_durations", counting)
+        runtime = BlockMaestroRuntime()
+        plan = runtime.plan(mixed, reorder=False, window=1)
+        model = _make_model("baseline", runtime.config)
+        metrics = MetricsRegistry()
+        fast = model.run(plan, metrics=metrics, engine="auto")
+        assert _counters(metrics).get("engine.tier.vectorized") == 1
+        reference = model.run(plan, engine="reference")
+        assert fast.simulated_signature() == reference.simulated_signature()
+        assert sorted(computed) == [kp.kernel_index for kp in plan.kernels]
 
 
 class TestObserverFallback:

@@ -1,8 +1,7 @@
-"""Unit tests for the two-tier dependency-graph fast path."""
+"""Unit tests for the closed-form dependency-graph fast path."""
 
 import pytest
 
-from repro.analysis import fastpath
 from repro.analysis.access import AccessRecord, TBAccessSets
 from repro.analysis.analyzer import KernelSummary, LaunchConfig, analyze_kernel
 from repro.analysis.fastpath import (
@@ -12,7 +11,7 @@ from repro.analysis.fastpath import (
     _linear_stride,
     _merge_closed,
     _overlap_domain,
-    _vectorized_graph,
+    _slide,
     build_graph_fast,
     resolve_fastpath_mode,
 )
@@ -67,13 +66,14 @@ class TestModeResolution:
         assert resolve_fastpath_mode("scalar") == "reference"
         assert resolve_fastpath_mode("oracle") == "reference"
         assert resolve_fastpath_mode("on") == "auto"
-        assert resolve_fastpath_mode("CLOSED-FORM") == "closed_form"
+        assert resolve_fastpath_mode(" Reference ") == "reference"
 
     def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            resolve_fastpath_mode("warp-speed")
-        with pytest.raises(ValueError):
-            resolve_fastpath_mode("")
+        # the closed form is the only fast tier: its retired siblings'
+        # names are unknown modes now
+        for mode in ("warp-speed", "", "closed_form", "vectorized"):
+            with pytest.raises(ValueError):
+                resolve_fastpath_mode(mode)
 
 
 class TestHazardPairs:
@@ -112,6 +112,15 @@ class TestLinearStride:
         # gx == 1: the y coefficient is the stride
         assert _linear_stride((999, 8, 0), (1, 4, 1)) == 8
 
+    def test_slide_linear_is_one_row(self):
+        assert _slide((4, 16, 0), (4, 8, 1)) == (4, 32, ((0, 0),))
+
+    def test_slide_group_pattern_walks_rows(self):
+        # cx = 0, cy = 64: four rows of bx, each shifted by 64·by
+        assert _slide((0, 64, 0), (3, 4, 1)) == (
+            0, 3, ((0, 0), (64, 3), (128, 6), (192, 9)),
+        )
+
 
 class TestOverlapDomain:
     def test_merge_closed_fuses_touching(self):
@@ -134,7 +143,7 @@ def _assert_identical(parent, child, hazards=("raw",), budget=None):
     oracle = build_bipartite_graph(
         parent, child, hazards, budget if budget is not None else 4_000_000
     )
-    for mode in ("auto", "closed_form", "vectorized", "reference"):
+    for mode in ("auto", "reference"):
         graph, tier = build_graph_fast(
             parent, child, hazards=hazards, mode=mode, **kwargs
         )
@@ -177,13 +186,6 @@ class TestBuildGraphFast:
         assert tier == "closed_form"
         _assert_identical(parent, child)
 
-    def test_prefilter_tier_label_in_vectorized_mode(self):
-        parent = make_summary([record("write", 0, width=64)], (4,))
-        child = make_summary([record("read", 1 << 20, width=64)], (6,))
-        graph, tier = build_graph_fast(parent, child, mode="vectorized")
-        assert graph.is_independent
-        assert tier == "vectorized"
-
     def test_fallback_summary_is_reference_fc(self):
         parent, child = one_to_one_pair()
         broken = KernelSummary(
@@ -195,8 +197,9 @@ class TestBuildGraphFast:
         assert tier == "reference"
         assert graph.is_fully_connected
 
-    def test_nonlinear_shift_lands_in_vectorized(self):
-        # 2-D group layout: cx = 0 on the reads, so tier 1 declines
+    def test_nonlinear_shift_slides_row_by_row(self):
+        # 2-D group layout: cx = 0 on the reads, so no stride over the
+        # TB id exists; each child row (by) is reached as a whole
         parent = make_summary(
             [record("write", 0, (64, 256, 0), width=64)], (4, 4)
         )
@@ -204,8 +207,30 @@ class TestBuildGraphFast:
             [record("read", 0, (0, 256, 0), width=256)], (4, 4)
         )
         graph, tier = build_graph_fast(parent, child)
-        assert tier == "vectorized"
+        assert tier == "closed_form"
+        # parent (bx, by) writes row by's bytes: child row by reads them
+        assert graph.children(4 * 2 + 1) == (8, 9, 10, 11)
         _assert_identical(parent, child)
+
+    def test_3d_grid_with_mixed_groups(self):
+        parent = make_summary(
+            [
+                record("write", 0, (16, 64, 256), width=16),
+                record("write", 1 << 16, (0, 0, 512), width=512, inst=1),
+            ],
+            (4, 4, 2),
+        )
+        child = make_summary(
+            [
+                record("read", 0, (0, 64, 256), width=64),
+                record("read", 1 << 16, (32, 0, 0), width=32, inst=1),
+            ],
+            (2, 4, 2),
+        )
+        graph, tier = build_graph_fast(parent, child)
+        assert tier == "closed_form"
+        for hazards in (("raw",), ("raw", "war", "waw")):
+            _assert_identical(parent, child, hazards=hazards)
 
     def test_reference_mode_bypasses_tiers(self):
         parent, child = one_to_one_pair()
@@ -262,7 +287,9 @@ class TestBuildGraphFast:
         oracle = _assert_identical(parent, child)
         assert oracle.num_edges == 8
 
-    def test_mismatched_strides_within_kernel_decline_tier1(self):
+    def test_mismatched_strides_within_kernel(self):
+        # two parent groups sliding at different rates: each group pair
+        # contributes its own child ranges
         parent = make_summary(
             [
                 record("write", 0, (128, 0, 0), width=128),
@@ -272,55 +299,8 @@ class TestBuildGraphFast:
         )
         child = make_summary([record("read", 0, (128, 0, 0), width=128)], (8,))
         pairs = _hazard_pairs(("raw",))
-        assert _closed_form_graph(parent, child, pairs, 4_000_000) is None
-        _assert_identical(parent, child)
-
-
-class TestVectorizedInternals:
-    def test_huge_grid_product_declines(self):
-        parent, child = one_to_one_pair()
-        big = KernelSummary(
-            kernel_name="big",
-            launch=LaunchConfig.create((1 << 31, 1 << 31, 1), 32, {}),
-            access_sets=TBAccessSets(
-                grid=(1 << 31, 1 << 31, 1), records=parent.access_sets.records
-            ),
-        )
-        pairs = _hazard_pairs(("raw",))
-        assert _vectorized_graph(big, big, pairs, 4_000_000) is None
-
-    def test_overflow_risk_declines(self):
-        near = (1 << 62) - 1
-        parent = make_summary(
-            [record("write", near, (128, 0, 0), width=128)], (8,)
-        )
-        child = make_summary(
-            [record("read", near, (128, 0, 0), width=128)], (8,)
-        )
-        pairs = _hazard_pairs(("raw",))
-        assert _vectorized_graph(parent, child, pairs, 4_000_000) is None
-        # ...but the overall entry point still answers via the oracle
-        graph, tier = build_graph_fast(parent, child, mode="vectorized")
-        assert tier == "reference"
-        assert graph == build_bipartite_graph(parent, child)
-
-    def test_unique_dedup_path_matches_bitmap(self, monkeypatch):
-        # force the chunked np.unique dedup (bitmap disabled) and tiny
-        # chunks so the enumeration loop takes several iterations
-        parent = make_summary([record("write", 0, (64, 0, 0), width=64)], (8,))
-        child = make_summary(
-            [record("read", -64, (64, 0, 0), width=192)], (8,)
-        )
-        pairs = _hazard_pairs(("raw",))
-        expected = _vectorized_graph(parent, child, pairs, 4_000_000)
-        monkeypatch.setattr(fastpath, "_BITMAP_LIMIT", 0)
-        monkeypatch.setattr(fastpath, "_JOIN_CHUNK", 2)
-        graph = _vectorized_graph(parent, child, pairs, 4_000_000)
-        assert graph == expected
-        assert graph == build_bipartite_graph(parent, child)
-        # the budget check also fires mid-loop on the unique path
-        collapsed = _vectorized_graph(parent, child, pairs, 3)
-        assert collapsed.is_fully_connected
+        graph = _closed_form_graph(parent, child, pairs, 4_000_000)
+        assert graph == _assert_identical(parent, child)
 
     def test_multi_interval_expansion(self):
         rec = record(
@@ -331,8 +311,31 @@ class TestVectorizedInternals:
             [record("read", 0, (8192, 0, 0), width=4, dims=((2048, 3),))],
             (6,),
         )
-        pairs = _hazard_pairs(("raw",))
-        graph = _vectorized_graph(parent, child, pairs, 4_000_000)
+        graph, tier = build_graph_fast(parent, child)
+        assert tier == "closed_form"
+        assert graph == build_bipartite_graph(parent, child)
+
+    def test_addresses_past_int64_stay_exact(self):
+        # python ints: no overflow guard, no decline
+        near = (1 << 63) - 1
+        parent = make_summary(
+            [record("write", near, (128, 0, 0), width=128)], (8,)
+        )
+        child = make_summary(
+            [record("read", near, (128, 0, 0), width=128)], (8,)
+        )
+        graph, tier = build_graph_fast(parent, child)
+        assert tier == "closed_form"
+        assert graph == build_bipartite_graph(parent, child)
+        assert graph.num_edges == 8
+
+    def test_fragmented_shapes_fall_back_to_the_reference(self, monkeypatch):
+        parent, child = one_to_one_pair()
+        monkeypatch.setattr(
+            "repro.analysis.fastpath._MAX_DOMAIN_PAIRS", 0
+        )
+        graph, tier = build_graph_fast(parent, child)
+        assert tier == "reference"
         assert graph == build_bipartite_graph(parent, child)
 
 

@@ -32,10 +32,10 @@ from repro.fuzz import (
 )
 from repro.workloads.fuzzgen import FuzzSpec
 
-#: closed-form corpus seeds that trip the widened window (verified by
-#: running the harness under the patch; kept small to bound test cost)
+#: corpus seeds that trip the widened window (verified by running the
+#: harness under the patch; kept small to bound test cost)
 CANARY_SEED = 3
-MODES = ("closed_form",)
+MODES = ("auto",)
 
 
 def _widened_overlap_domain(parent_shape, child_shape):
@@ -61,11 +61,11 @@ class TestDetection:
     def test_planted_bug_is_detected(self, planted_bug):
         result = check_case(FuzzSpec.from_seed(CANARY_SEED), modes=MODES)
         checks = {(d["check"], d["mode"]) for d in result["divergences"]}
-        assert ("graph", "closed_form") in checks
+        assert ("graph", "auto") in checks
 
     def test_run_fuzz_flags_and_writes_repro(self, planted_bug, tmp_path):
         config = resolve_fuzz_config(
-            count=6, seed=0, modes=MODES, jobs=1, out_dir=str(tmp_path)
+            count=6, seed=0, jobs=1, out_dir=str(tmp_path)
         )
         report = run_fuzz(config)
         assert report["num_divergent"] >= 1
@@ -87,7 +87,7 @@ class TestShrinking:
         # on a clean tree nothing reproduces: shrink must hand the spec
         # back untouched instead of minimizing noise
         spec = FuzzSpec.from_seed(CANARY_SEED)
-        target = {"check": "graph", "mode": "closed_form"}
+        target = {"check": "graph", "mode": "auto"}
         minimized, divergences = shrink_case(spec, target, modes=MODES)
         assert minimized == spec
         assert divergences == []
