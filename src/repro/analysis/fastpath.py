@@ -201,13 +201,13 @@ def _slide(coeffs, grid):
     gx, gy, gz = grid
     if k is not None:
         return k, gx * gy * gz, ((0, 0),)
-    _, cy, cz = coeffs
+    cx, cy, cz = coeffs
     rows = tuple(
         (cy * by + cz * bz, gx * (by + gy * bz))
         for bz in range(gz)
         for by in range(gy)
     )
-    return coeffs[0], gx, rows
+    return cx, gx, rows
 
 
 def _merge_closed(windows):

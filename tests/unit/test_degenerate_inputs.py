@@ -317,6 +317,22 @@ class TestShortSourceOperands:
         with pytest.raises(PTXValidationError, match=r"source operand"):
             parse_kernel(source)
 
+    def test_unvalidated_body_fails_the_same_way(self):
+        # a body built without Kernel.validate reaches the analyzer's
+        # decode, which reads the same arity table
+        import dataclasses
+
+        from repro.analysis.analyzer import LaunchConfig, analyze_kernel
+
+        kernel = parse_kernel(
+            SHORT_ADD_SRC.replace("%r1, %r1;", "%r1, %r1, 1;")
+        )
+        add = kernel.instructions[1]
+        kernel.instructions[1] = dataclasses.replace(add, srcs=add.srcs[:1])
+        launch = LaunchConfig.create(grid=1, block=32, args={"A": 0})
+        with pytest.raises(PTXValidationError, match=r"reads 2 source"):
+            analyze_kernel(kernel, launch)
+
     def test_cli_exits_2_with_one_line(self, monkeypatch, capsys):
         from repro.cli import main
         from repro.workloads import registry
