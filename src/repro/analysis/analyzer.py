@@ -62,6 +62,7 @@ from repro.ptx.isa import (
     Register,
     SOURCE_ARITY,
     SpecialRegister,
+    source_arity_problem,
 )
 from repro.ptx.errors import PTXValidationError
 
@@ -474,15 +475,12 @@ class _Body:
             operands.append(slot)
         if op not in _TRANSFERS:
             return _RAISE, partial(_Fallback, "unsupported", "opcode %s" % op), ()
-        arity, transfer = SOURCE_ARITY[op], _TRANSFERS[op]
-        if len(operands) < arity:
+        problem = source_arity_problem(inst)
+        if problem is not None:
             # Kernel.validate rejects this; a body built unvalidated
             # fails the same way when the instruction runs
-            return _RAISE, partial(
-                PTXValidationError,
-                "%s reads %d source operands, got %d: %s"
-                % (op, arity, len(operands), inst),
-            ), ()
+            return _RAISE, partial(PTXValidationError, problem), ()
+        arity, transfer = SOURCE_ARITY[op], _TRANSFERS[op]
         if transfer is None:
             return _CONST, UNKNOWN_ARITH, ()
         if op in (Opcode.CVT, Opcode.CVTA) and (

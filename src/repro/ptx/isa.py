@@ -122,6 +122,17 @@ SOURCE_ARITY = {
     Opcode.RCP: 1,
 }
 
+
+def source_arity_problem(inst):
+    """Why ``inst`` has fewer source operands than its opcode reads
+    (:data:`SOURCE_ARITY`), or ``None`` when it has them all."""
+    arity = SOURCE_ARITY.get(inst.opcode, 0)
+    if len(inst.srcs) >= arity:
+        return None
+    return "{} reads {} source operand{}, got {}: {}".format(
+        inst.opcode, arity, "" if arity == 1 else "s", len(inst.srcs), inst
+    )
+
 #: Recognised scalar types, mapping to their width in bytes.
 TYPE_WIDTHS = {
     "pred": 1,

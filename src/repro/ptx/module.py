@@ -10,7 +10,7 @@ from repro.ptx.isa import (
     MemOperand,
     Opcode,
     ParamRef,
-    SOURCE_ARITY,
+    source_arity_problem,
     type_width,
 )
 
@@ -110,14 +110,9 @@ class Kernel:
           opcode reads (:data:`~repro.ptx.isa.SOURCE_ARITY`).
         """
         for inst in self.instructions:
-            arity = SOURCE_ARITY.get(inst.opcode, 0)
-            if len(inst.srcs) < arity:
-                raise PTXValidationError(
-                    "{}: {} reads {} source operand{}, got {}: {}".format(
-                        self.name, inst.opcode, arity,
-                        "" if arity == 1 else "s", len(inst.srcs), inst,
-                    )
-                )
+            problem = source_arity_problem(inst)
+            if problem is not None:
+                raise PTXValidationError("{}: {}".format(self.name, problem))
             if inst.is_branch:
                 targets = [op for op in inst.srcs if isinstance(op, Label)]
                 if len(targets) != 1:
