@@ -139,21 +139,6 @@ class AffineExpr:
 
     __rmul__ = __mul__
 
-    def substitute(self, bindings):
-        """Replace symbols with integers or other affine expressions.
-
-        ``bindings`` maps :class:`Sym` to ``int`` or :class:`AffineExpr`.
-        Unbound symbols are kept.
-        """
-        result = AffineExpr(self.const)
-        for sym, coeff in self.terms.items():
-            if sym in bindings:
-                replacement = _coerce(bindings[sym])
-                result = result + replacement.scale(coeff)
-            else:
-                result = result + AffineExpr.symbol(sym, coeff)
-        return result
-
     def evaluate(self, bindings):
         """Fully evaluate with integer bindings for every symbol."""
         value = self.const

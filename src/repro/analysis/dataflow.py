@@ -10,13 +10,12 @@ Two facilities live here:
   conservatively making the whole kernel dependent on its predecessor;
   we surface that as :class:`NonStaticAccess`.
 
-* :func:`build_cfg` / :func:`find_loops` — basic-block construction and
-  structured-loop discovery used by the forward value-range interpreter
-  to reason about loop trip counts.
+* :func:`find_loops` — structured-loop discovery used by the forward
+  value-range interpreter to reason about loop trip counts.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.ptx.isa import Label, Opcode, Register
 
@@ -88,34 +87,6 @@ def backward_slice(kernel, access_index):
     )
 
 
-# ----------------------------------------------------------------------
-# control flow graph
-# ----------------------------------------------------------------------
-@dataclass
-class BasicBlock:
-    """A maximal straight-line instruction range ``[start, end)``."""
-
-    index: int
-    start: int
-    end: int
-    successors: List[int] = field(default_factory=list)
-    predecessors: List[int] = field(default_factory=list)
-
-    def __contains__(self, inst_index):
-        return self.start <= inst_index < self.end
-
-
-@dataclass
-class ControlFlowGraph:
-    blocks: List[BasicBlock]
-
-    def block_of(self, inst_index):
-        for block in self.blocks:
-            if inst_index in block:
-                return block
-        raise IndexError("no block contains instruction %d" % inst_index)
-
-
 def _branch_target_index(kernel, inst):
     for op in inst.srcs:
         if isinstance(op, Label):
@@ -123,59 +94,18 @@ def _branch_target_index(kernel, inst):
     raise ValueError("branch without label: %s" % inst)
 
 
-def build_cfg(kernel):
-    """Build basic blocks and edges for a kernel."""
-    n = len(kernel.instructions)
-    leaders = {0, n}
-    for i, inst in enumerate(kernel.instructions):
-        if inst.is_branch:
-            leaders.add(_branch_target_index(kernel, inst))
-            leaders.add(i + 1)
-        elif inst.is_terminator:
-            leaders.add(i + 1)
-    ordered = sorted(x for x in leaders if 0 <= x <= n)
-    blocks = []
-    starts = {}
-    for bi in range(len(ordered) - 1):
-        start, end = ordered[bi], ordered[bi + 1]
-        if start == end:
-            continue
-        block = BasicBlock(index=len(blocks), start=start, end=end)
-        starts[start] = block.index
-        blocks.append(block)
-    for block in blocks:
-        last = kernel.instructions[block.end - 1]
-        if last.is_terminator:
-            continue
-        if last.is_branch:
-            target = _branch_target_index(kernel, last)
-            if target < len(kernel.instructions):
-                block.successors.append(starts[target])
-            if last.guard is not None and block.end < len(kernel.instructions):
-                block.successors.append(starts[block.end])
-        elif block.end < len(kernel.instructions):
-            block.successors.append(starts[block.end])
-    for block in blocks:
-        for succ in block.successors:
-            blocks[succ].predecessors.append(block.index)
-    return ControlFlowGraph(blocks)
-
-
 @dataclass
 class Loop:
     """A structured loop: contiguous body ``[header, latch]``.
 
     ``header`` is the instruction index branched back to; ``latch`` is
-    the index of the backedge branch itself.  ``depth`` is the nesting
-    level (0 = outermost).  The forward interpreter only supports this
-    structured shape; anything else triggers the conservative
-    whole-kernel fallback.
+    the index of the backedge branch itself.  The forward interpreter
+    only supports this structured shape; anything else triggers the
+    conservative whole-kernel fallback.
     """
 
     header: int
     latch: int
-    depth: int = 0
-    parent: Optional[int] = None  # index into the loop list
 
     def __contains__(self, inst_index):
         return self.header <= inst_index <= self.latch
@@ -215,13 +145,4 @@ def find_loops(kernel):
                 raise IrreducibleControlFlow(
                     "multiple backedges to header %d" % a.header
                 )
-    # assign nesting depth and parents
-    for i, loop in enumerate(loops):
-        for j, outer in enumerate(loops):
-            if outer is loop:
-                continue
-            if outer.header <= loop.header and loop.latch <= outer.latch:
-                loop.depth += 1
-                if loop.parent is None or loops[loop.parent].header < outer.header:
-                    loop.parent = j
     return loops

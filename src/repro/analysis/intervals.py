@@ -159,32 +159,3 @@ class IntervalSet:
 
 
 _EMPTY = IntervalSet(())
-
-
-def strided_intervals(base, stride, count, width, max_intervals):
-    """Lower a strided access ``{base + stride*k : 0 <= k < count}`` of
-    ``width`` bytes per element to a list of dense intervals.
-
-    When the stride equals the access width the footprint is a single
-    dense interval.  Otherwise the access expands to ``count`` intervals;
-    if that exceeds ``max_intervals`` the *bounding* interval is returned
-    instead — an over-approximation, which is safe for dependency
-    detection (it can only add edges, never miss one).
-
-    Returns ``(intervals, exact)``.
-    """
-    if count <= 0:
-        return [], True
-    if stride < 0:
-        base = base + stride * (count - 1)
-        stride = -stride
-    if count == 1 or stride == 0:
-        return [Interval(base, base + width)], True
-    if stride <= width:
-        return [Interval(base, base + stride * (count - 1) + width)], True
-    if count <= max_intervals:
-        return (
-            [Interval(base + stride * k, base + stride * k + width) for k in range(count)],
-            True,
-        )
-    return [Interval(base, base + stride * (count - 1) + width)], False

@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.access import DEFAULT_MAX_INTERVALS
 from repro.analysis.analyzer import KernelSummary, LaunchConfig, analyze_kernel
 from repro.analysis.intervals import IntervalSet
 from repro.core.dependency_graph import BipartiteGraph
@@ -39,6 +40,8 @@ from repro.host.trace import compute_true_dependencies
 from repro.obs import NULL_METRICS, NULL_TRACER
 from repro.sim.config import GPUConfig
 from repro.sim.cost import CostModel
+
+_INF = float("inf")
 
 
 def jitter_factor(kernel_index, tb_id, jitter):
@@ -126,11 +129,30 @@ class KernelPlan:
     def tb_durations_ns(self):
         """:meth:`tb_duration_ns` of every TB, in TB order.
 
-        Computed once per plan kernel, and the same list is returned to
-        every caller (both engine tiers read it): do not mutate it.
+        Computed and checked once per plan kernel, and the same list is
+        returned to every caller (both engine tiers read it): do not
+        mutate it.  A NaN, infinite or negative duration (from the
+        launch's ``tb_duration_fn`` or ``tb_duration_scale_fn``) raises
+        ``ValueError`` naming the kernel and the TB: no engine can
+        schedule a finish at such a time.
         """
         if self._durations is None:
-            self._durations = self._compute_durations()
+            durations = self._compute_durations()
+            # min() misses a NaN after the first element and sum() does
+            # not; a sum that overflows on finite durations rescans and
+            # finds none
+            if durations and not (
+                min(durations) >= 0.0 and sum(durations) < _INF
+            ):
+                for tb, duration in enumerate(durations):
+                    if not 0.0 <= duration < _INF:
+                        raise ValueError(
+                            "kernel {} ({}) TB {}: duration {!r} ns is not "
+                            "a finite non-negative number".format(
+                                self.kernel_index, self.name, tb, duration
+                            )
+                        )
+            self._durations = durations
         return self._durations
 
     def _compute_durations(self):
@@ -196,7 +218,6 @@ class BlockMaestroRuntime:
         hardware: HardwareConfig = None,
         hazards=("raw",),
         window: int = 2,
-        max_intervals: int = 64,
         tracer=None,
         metrics=None,
         cache=None,
@@ -210,7 +231,6 @@ class BlockMaestroRuntime:
         self.cost_model = CostModel(self.config)
         self.hazards = tuple(hazards)
         self.window = window
-        self.max_intervals = max_intervals
         #: optional persistent AnalysisCache (repro.analysis.cache);
         #: content-addressed, so sharing one across configs is safe
         self.cache = cache
@@ -251,7 +271,6 @@ class BlockMaestroRuntime:
             hardware or self.hardware_config,
             hazards or self.hazards,
             window=self.window,
-            max_intervals=self.max_intervals,
             tracer=self.tracer,
             metrics=self.metrics,
             cache=self.cache,
@@ -270,9 +289,7 @@ class BlockMaestroRuntime:
         returns its plan, and a new window copies the first plan's
         kernels and decides only their grandparent barriers, the one
         field the window sets.  The entry pins the application, so its
-        id stays its own.  An application with a ``dependency_override``
-        launch is planned in full every time: the override is an
-        arbitrary callable no memo can vouch for.
+        id stays its own.
         """
         window = window if window is not None else self.window
         key = (id(application), reorder)
@@ -284,11 +301,7 @@ class BlockMaestroRuntime:
                 plans[window] = self._window_variant(first, window)
             return plans[window]
         plan = self._plan(application, reorder, window)
-        if all(
-            call.dependency_override is None
-            for call in application.trace.kernel_calls
-        ):
-            self._plans[key] = (application, {window: plan})
+        self._plans[key] = (application, {window: plan})
         return plan
 
     def _window_variant(self, first, window):
@@ -437,18 +450,13 @@ class BlockMaestroRuntime:
         disk_key = None
         if self.cache is not None:
             disk_key = self.cache.summary_key(
-                call.kernel, launch, self.max_intervals
+                call.kernel, launch, DEFAULT_MAX_INTERVALS
             )
             summary = self.cache.get_summary(disk_key)
             if summary is not None:
                 self._summary_cache[key] = (call.kernel, summary)
                 return summary
-        summary = analyze_kernel(
-            call.kernel,
-            launch,
-            max_intervals=self.max_intervals,
-            metrics=self.metrics,
-        )
+        summary = analyze_kernel(call.kernel, launch, metrics=self.metrics)
         self._summary_cache[key] = (call.kernel, summary)
         if disk_key is not None:
             self.cache.put_summary(disk_key, summary)
@@ -469,12 +477,8 @@ class BlockMaestroRuntime:
         its variants.  Only the encoding depends on the threshold, so a
         new threshold re-encodes the raw graph of an entry for another
         one rather than building it again.  The entry pins both
-        summaries, so their ids stay theirs.  Launches with an explicit
-        ``dependency_override`` bypass both caches: the override is an
-        arbitrary callable whose content neither can address.
+        summaries, so their ids stay theirs.
         """
-        if child_plan.call.dependency_override is not None:
-            return self._encode(self._graph_for(parent_plan, child_plan))
         parent, child = parent_plan.summary, child_plan.summary
         threshold = self.hardware_config.degree_threshold
         key = (id(parent), id(child), self.hazards, threshold)
@@ -486,10 +490,10 @@ class BlockMaestroRuntime:
         if self.cache is not None:
             graph_key = self.cache.graph_key(
                 self.cache.summary_key(
-                    parent_plan.call.kernel, parent.launch, self.max_intervals
+                    parent_plan.call.kernel, parent.launch, DEFAULT_MAX_INTERVALS
                 ),
                 self.cache.summary_key(
-                    child_plan.call.kernel, child.launch, self.max_intervals
+                    child_plan.call.kernel, child.launch, DEFAULT_MAX_INTERVALS
                 ),
                 self.hazards,
                 threshold,
@@ -498,10 +502,15 @@ class BlockMaestroRuntime:
         if encoded is None:
             graph = self._memoized_raw_graph(parent, child)
             if graph is None:
-                graph = self._graph_for(parent_plan, child_plan)
+                from repro.analysis.fastpath import build_graph_fast
+
+                graph, tier = build_graph_fast(
+                    parent, child, hazards=self.hazards, mode=self.fastpath
+                )
+                self.metrics.inc("analysis.fastpath.%s" % tier)
             else:
                 self.metrics.inc("plan.graph_cache_hits")
-            encoded = self._encode(graph)
+            encoded = encode_graph(graph, degree_threshold=threshold)
             if graph_key is not None:
                 self.cache.put_graph(graph_key, encoded)
         self._graph_cache[key] = (parent, child, encoded)
@@ -518,51 +527,6 @@ class BlockMaestroRuntime:
             if entry is not None:
                 return entry[2].original
         return None
-
-    def _encode(self, graph):
-        return encode_graph(
-            graph, degree_threshold=self.hardware_config.degree_threshold
-        )
-
-    def _graph_for(self, parent_plan, child_plan):
-        """The child's dependency graph vs. its same-stream predecessor:
-        analysis-derived, or the launch's explicit override."""
-        override = child_plan.call.dependency_override
-        if override is None:
-            from repro.analysis.fastpath import build_graph_fast
-
-            graph, tier = build_graph_fast(
-                parent_plan.summary,
-                child_plan.summary,
-                hazards=self.hazards,
-                mode=self.fastpath,
-            )
-            self.metrics.inc("analysis.fastpath.%s" % tier)
-            return graph
-        graph = (
-            override(parent_plan.summary, child_plan.summary)
-            if callable(override)
-            else override
-        )
-        if not isinstance(graph, BipartiteGraph):
-            raise TypeError(
-                "dependency_override must yield a BipartiteGraph, got %r"
-                % (type(graph),)
-            )
-        if (
-            graph.num_parents != parent_plan.num_tbs
-            or graph.num_children != child_plan.num_tbs
-        ):
-            raise ValueError(
-                "dependency_override shape {}x{} does not match kernels "
-                "{}x{}".format(
-                    graph.num_parents,
-                    graph.num_children,
-                    parent_plan.num_tbs,
-                    child_plan.num_tbs,
-                )
-            )
-        return graph
 
     def _decide_barriers(self, kernels, window):
         """Set every chained kernel's grandparent barrier for ``window``."""

@@ -298,17 +298,6 @@ class KernelLaunchCall(APICall):
     ``tb_duration_scale_fn`` multiplies the cost-model duration per block
     (``fn(tb_id) -> factor``) for workloads with intrinsic load
     imbalance.
-
-    ``dependency_override`` bypasses the static analysis for this
-    launch's graph against its same-stream predecessor: either a
-    :class:`~repro.core.dependency_graph.BipartiteGraph` with matching
-    dimensions or a callable ``(parent_summary, child_summary) ->
-    BipartiteGraph``.  This is the escape hatch for dependencies the
-    launch-time analysis cannot see (input-dependent task graphs — the
-    paper's future work) and the hook used to property-test the
-    scheduler on arbitrary graphs.  The override must itself be a sound
-    over-approximation of the true data dependencies; the runtime only
-    checks its shape.
     """
 
     kernel: Kernel = None
@@ -318,7 +307,6 @@ class KernelLaunchCall(APICall):
     intensity: float = 1.0
     tb_duration_fn: Optional[object] = None
     tb_duration_scale_fn: Optional[object] = None
-    dependency_override: Optional[object] = None
     tag: str = ""
 
     @property

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 class HostTimingModel:
     """Costs of host-side API interactions."""
 
-    #: Host time to issue any API call into the command queue.
+    #: The API-call component of a kernel launch; it only feeds
+    #: :attr:`kernel_launch_total_ns`.  The engines charge every API
+    #: call ``EngineOptions.api_call_ns`` (1 us) of host issue time.
     api_call_ns: float = 2_000.0
     #: Device-side portion of a kernel launch (after the API call);
     #: api_call_ns + kernel_launch_device_ns = the paper's 5 us.

@@ -74,23 +74,6 @@ from repro.sim.config import GPUConfig
 from repro.sim.device import Device, empty_device_slots
 from repro.sim.stats import KernelRecord, RunStats, TBTable
 
-_INF = float("inf")
-
-
-def first_bad_duration(durations):
-    """Index of the first NaN, infinite or negative duration, else None.
-
-    The engine cannot schedule a finish at such a time.  ``min``
-    misses a NaN after the first element and ``sum`` does not; a sum
-    that overflows on finite durations rescans and finds none.
-    """
-    if not durations or (min(durations) >= 0.0 and sum(durations) < _INF):
-        return None
-    for index, duration in enumerate(durations):
-        if not 0.0 <= duration < _INF:
-            return index
-    return None
-
 
 def certify_device_serial(plan, config, options):
     """Prove the plan executes device-serially under ``options``.
@@ -221,13 +204,8 @@ class ExecutionModel:
                     # declined run never needs it
                     from repro.models import fastengine
 
-                    try:
-                        fast = fastengine.run_fast(
-                            plan, self.gpu_config, options
-                        )
-                    except fastengine.TierDecline as decline:
-                        reason = decline.reason
-                if reason is not None:
+                    fast = fastengine.run_fast(plan, self.gpu_config, options)
+                else:
                     metrics.inc("engine.fallback.%s" % reason)
             if fast is not None:
                 metrics.inc("engine.tier.vectorized")
@@ -264,7 +242,7 @@ class _KernelState:
     num_tbs: int = 0
     threads_per_tb: int = 0
     graph: object = None  # the plan's effective BipartiteGraph
-    #: every TB's duration, evaluated once when the kernel turns resident
+    #: the plan's TB durations, read when the kernel turns resident
     durations: Optional[List[float]] = None
     enqueued_ns: Optional[float] = None
     launch_begin_ns: Optional[float] = None
@@ -895,7 +873,7 @@ class ExecutionEngine:
     def _launch_done(self, ki):
         self._ctx = ("launch", ki)
         ks = self.kernels[ki]
-        ks.durations = self._tb_durations(ks)
+        ks.durations = ks.plan.tb_durations_ns()
         ks.resident = True
         ks.resident_ns = self.now
         if ks.dispatched < ks.num_tbs:
@@ -903,19 +881,6 @@ class ExecutionEngine:
         self._journal_emit("kernel_resident", kernel=ki, name=ks.plan.name)
         self._refresh_ready(ki)
         self._pump()
-
-    def _tb_durations(self, ks):
-        """Every TB duration of a kernel; a bad one is an input error."""
-        durations = ks.plan.tb_durations_ns()
-        tb = first_bad_duration(durations)
-        if tb is not None:
-            raise ValueError(
-                "kernel {} ({}) TB {}: duration {!r} ns is not a finite "
-                "non-negative number".format(
-                    ks.index, ks.plan.name, tb, durations[tb]
-                )
-            )
-        return durations
 
     # ------------------------------------------------------------------
     # TB readiness
@@ -1063,7 +1028,8 @@ class ExecutionEngine:
                 records.start_ns.append(now)
                 records.finish_ns.append(finish)
                 records.sm.append(sm)
-                # durations are finite and non-negative: never in the past
+                # durations are finite and non-negative (the plan checks
+                # them): never in the past
                 heappush(heap, (finish, next(seq), ks, tb, sm))
         # only pushes since the pass began: the heap is deepest now
         if len(heap) > self.peak_pending:

@@ -60,7 +60,7 @@ from repro.host.api import (
     MemcpyD2H,
     MemcpyH2D,
 )
-from repro.models.base import _BYPASSED_BARRIERS, first_bad_duration
+from repro.models.base import _BYPASSED_BARRIERS
 from repro.sim.device import empty_device_slots
 from repro.sim.stats import KernelRecord, RunStats, TBTable
 
@@ -68,24 +68,13 @@ from repro.sim.stats import KernelRecord, RunStats, TBTable
 # ----------------------------------------------------------------------
 # the fast run
 # ----------------------------------------------------------------------
-class TierDecline(Exception):
-    """The tier discovered mid-flight it cannot replicate the reference
-    (a NaN, infinite or negative TB duration, which the reference
-    reports by kernel and TB); ``reason`` names the decline."""
-
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def run_fast(plan, config, options):
     """Run a certified device-serial ``plan`` through the vectorized tier.
 
     A forward max/plus scan over the program order.  Returns ``(stats,
     call_enqueued_ns, call_done_ns)``: the :class:`RunStats`
     (bit-identical to the scalar oracle) and each API call's enqueue
-    and done times.  Raises :class:`TierDecline` when the tier declines
-    mid-flight; the caller then runs the reference engine.
+    and done times.
     """
     timing = config.timing
     order = plan.order
@@ -172,8 +161,6 @@ def run_fast(plan, config, options):
 
             n = kp.num_tbs
             durations = kp.tb_durations_ns()
-            if first_bad_duration(durations) is not None:
-                raise TierDecline("bad_duration")
             width = empty_device_slots(config, kp.threads_per_tb)
             if n <= width:
                 # one wave: every TB starts at t0 on SM i % num_sms

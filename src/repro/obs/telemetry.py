@@ -105,12 +105,12 @@ def _dependency_costs(plan, options):
     child kernel, its parent counters and how many it allocates at
     residency.  Empty unless the run resolved fine-grain dependencies.
     """
-    from repro.core.hardware import HardwareConfig
+    from repro.core.hardware import DependencyHardware
 
     dlb_cost, pcb_child, pcb_on_resident = {}, {}, {}
     if not options.fine_grain or options.ignore_dependencies:
         return dlb_cost, pcb_child, pcb_on_resident
-    per_entry = HardwareConfig().children_per_entry
+    entries_for = DependencyHardware().dlb_entries_for
     by_index = {kp.kernel_index: kp for kp in plan.kernels}
     for kp in plan.kernels:
         child = by_index.get(kp.chain_next)
@@ -123,7 +123,7 @@ def _dependency_costs(plan, options):
             costs = {}
             for tb, children in enumerate(graph.children_of):
                 if children:
-                    costs[tb] = math.ceil(len(children) / per_entry)
+                    costs[tb] = entries_for(len(children))
             if costs:
                 dlb_cost[kp.kernel_index] = costs
         own = kp.graph

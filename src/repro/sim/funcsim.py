@@ -318,6 +318,8 @@ class FunctionalSimulator:
                     raise FunctionalError("integer division by zero")
                 result = srcs[0] // srcs[1]
         elif op is Opcode.REM:
+            if srcs[1] == 0:
+                raise FunctionalError("integer remainder by zero")
             result = srcs[0] % srcs[1]
         elif op is Opcode.NEG:
             result = -srcs[0]
@@ -327,10 +329,14 @@ class FunctionalSimulator:
             result = min(srcs)
         elif op is Opcode.MAX:
             result = max(srcs)
-        elif op is Opcode.SHL:
-            result = int(srcs[0]) << int(srcs[1])
-        elif op is Opcode.SHR:
-            result = int(srcs[0]) >> int(srcs[1])
+        elif op in (Opcode.SHL, Opcode.SHR):
+            count = int(srcs[1])
+            if not 0 <= count < 64:
+                raise FunctionalError("shift count %d outside [0, 64)" % count)
+            if op is Opcode.SHL:
+                result = int(srcs[0]) << count
+            else:
+                result = int(srcs[0]) >> count
         elif op is Opcode.AND:
             result = int(srcs[0]) & int(srcs[1])
         elif op is Opcode.OR:

@@ -17,9 +17,7 @@ workloads (``build_small``) and on ``fuzz-0..49``:
   one planned on a fresh runtime;
 * **counters** — graphs are constructed once per distinct summary pair,
   and ``sum(analysis.fastpath.*) + plan.graph_cache_hits ==
-  plan.graphs_built``;
-* **overrides** — a ``dependency_override`` is called once per plan and
-  never served from, or stored in, the memo.
+  plan.graphs_built``.
 """
 
 import json
@@ -27,14 +25,11 @@ import json
 import pytest
 
 from repro.analysis.fastpath import build_graph_fast
-from repro.core.dependency_graph import BipartiteGraph
 from repro.core.encoding import encode_graph
 from repro.core.runtime import BlockMaestroRuntime
 from repro.experiments.common import STANDARD_MODELS, _make_model
 from repro.obs import MetricsRegistry, Tracer
 from repro.workloads import all_workloads, get_workload
-
-from tests.conftest import make_chain_app
 
 #: the four distinct (reorder, window) plans of the roster
 CONFIGS = sorted({(reorder, window) for _, reorder, window in STANDARD_MODELS})
@@ -238,34 +233,3 @@ def test_memo_serves_repeated_pairs():
         for a, b in zip(first.kernels, plan.kernels):
             assert b.encoded is a.encoded
 
-
-def test_dependency_override_is_called_once_per_plan():
-    app = make_chain_app(num_pairs=3)
-    launches = app.trace.kernel_calls
-    calls = []
-
-    def override(parent, child):
-        calls.append((parent, child))
-        return BipartiteGraph.independent(parent.num_tbs, child.num_tbs)
-
-    # cons1 and cons2 are identical launches after identical producers,
-    # so both pairs share one summary pair; only cons1 is overridden
-    launches[3].dependency_override = override
-    metrics = MetricsRegistry()
-    runtime = BlockMaestroRuntime(metrics=metrics)
-    plans = _plan_all(runtime, app)
-    assert len(calls) == len(plans)
-
-    for plan in plans.values():
-        cons1, cons2 = plan.kernels[3], plan.kernels[5]
-        assert cons1.summary is cons2.summary
-        assert plan.kernels[2].summary is plan.kernels[4].summary
-        assert cons1.encoded.original.num_edges == 0
-        assert cons2.encoded.original.num_edges > 0
-
-    counters = metrics.snapshot()["counters"]
-    hits = counters.get("plan.graph_cache_hits", 0)
-    # overridden pairs are neither built by a tier nor served by the memo
-    assert _constructed(counters) + hits + len(calls) == counters[
-        "plan.graphs_built"
-    ]

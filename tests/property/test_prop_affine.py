@@ -73,11 +73,3 @@ def test_value_range_tight_at_corners(a):
     values = [a.evaluate(c) for c in corners]
     assert min(values) == lo
     assert max(values) == hi
-
-
-@given(expr_st, st.integers(-8, 8), binding_st)
-def test_substitute_matches_evaluate(a, value, env):
-    sub = a.substitute({TID("x"): value})
-    env2 = dict(env)
-    env2[TID("x")] = value
-    assert sub.evaluate(env2) == a.evaluate(env2)

@@ -1,9 +1,9 @@
 """Property tests: interval sets behave like sets of integers."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.intervals import Interval, IntervalSet, strided_intervals
+from repro.analysis.intervals import Interval, IntervalSet
 
 interval_st = st.tuples(
     st.integers(-200, 200), st.integers(0, 50)
@@ -70,23 +70,3 @@ def test_contains_agrees_with_points(a, value):
 def test_total_bytes_is_cardinality(a):
     sa = IntervalSet(a)
     assert sa.total_bytes() == len(as_points(sa))
-
-
-@given(
-    st.integers(0, 1000),
-    st.integers(1, 64),
-    st.integers(0, 40),
-    st.integers(1, 16),
-    st.integers(1, 16),
-)
-@settings(max_examples=200)
-def test_strided_intervals_sound(base, stride, count, width, budget):
-    """The lowered intervals always cover every accessed byte."""
-    ivs, exact = strided_intervals(base, stride, count, width, budget)
-    covered = as_points(IntervalSet(ivs))
-    accessed = set()
-    for k in range(count):
-        accessed.update(range(base + stride * k, base + stride * k + width))
-    assert accessed <= covered
-    if exact:
-        assert accessed == covered

@@ -1,17 +1,18 @@
 """Property tests: the scheduler honours *arbitrary* dependency graphs.
 
-Using the ``dependency_override`` hook, each kernel pair in a chain gets
-a randomized bipartite graph; the simulation must satisfy, for every
-child thread block, ``start >= max(parent finish)`` under the effective
-(post-encoding) graph — verified independently from the engine's own
-bookkeeping — plus the usual in-order completion and coverage
-invariants, under both scheduling policies.
+Each kernel pair of a planned chain gets a randomized bipartite graph,
+encoded as the runtime encodes its own; the simulation must satisfy,
+for every child thread block, ``start >= max(parent finish)`` under the
+effective (post-encoding) graph — verified independently from the
+engine's own bookkeeping — plus the usual in-order completion and
+coverage invariants, under both scheduling policies.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dependency_graph import BipartiteGraph
+from repro.core.encoding import encode_graph
 from repro.core.policy import SchedulingPolicy
 from repro.core.runtime import BlockMaestroRuntime
 from repro.models import BlockMaestroModel
@@ -41,12 +42,6 @@ def chained_graphs(draw):
     return pairs, tbs, graphs, window
 
 
-def _attach(app, graphs):
-    calls = app.trace.kernel_calls
-    for call, graph in zip(calls[1:], graphs):
-        call.dependency_override = graph
-
-
 def _parent_finish_times(stats):
     finish = {}
     for tb in stats.tb_records:
@@ -59,9 +54,11 @@ def _parent_finish_times(stats):
 def test_arbitrary_graphs_enforced(case):
     pairs, tbs, graphs, window = case
     app = make_chain_app(num_pairs=pairs, tbs=tbs, block=32, name="prop-og")
-    _attach(app, graphs)
     runtime = BlockMaestroRuntime()
     plan = runtime.plan(app, reorder=True, window=window)
+    threshold = runtime.hardware_config.degree_threshold
+    for kp, graph in zip(plan.kernels[1:], graphs):
+        kp.encoded = encode_graph(graph, degree_threshold=threshold)
     for policy in SchedulingPolicy:
         stats = BlockMaestroModel(window=window, policy=policy).run(plan)
         stats.validate_invariants()
@@ -81,45 +78,3 @@ def test_arbitrary_graphs_enforced(case):
                 needed = max(finish[(parent_ki, p)] for p in parents)
                 assert starts[(kp.kernel_index, child)] >= needed - 1e-6
 
-
-@given(chained_graphs())
-@settings(max_examples=15, deadline=None)
-def test_override_graphs_pass_through_plan(case):
-    pairs, tbs, graphs, window = case
-    app = make_chain_app(num_pairs=pairs, tbs=tbs, block=32, name="prop-og2")
-    _attach(app, graphs)
-    plan = BlockMaestroRuntime().plan(app, reorder=False, window=window)
-    for kp, graph in zip(plan.kernels[1:], graphs):
-        assert kp.encoded.original is graph
-
-
-def test_override_shape_validated():
-    import pytest
-
-    app = make_chain_app(num_pairs=1, tbs=4, block=32, name="og-bad")
-    app.trace.kernel_calls[1].dependency_override = (
-        BipartiteGraph.fully_connected(3, 4)
-    )
-    with pytest.raises(ValueError):
-        BlockMaestroRuntime().plan(app, reorder=False, window=2)
-
-
-def test_override_type_validated():
-    import pytest
-
-    app = make_chain_app(num_pairs=1, tbs=4, block=32, name="og-type")
-    app.trace.kernel_calls[1].dependency_override = object()
-    with pytest.raises(TypeError):
-        BlockMaestroRuntime().plan(app, reorder=False, window=2)
-
-
-def test_override_callable_form():
-    app = make_chain_app(num_pairs=1, tbs=4, block=32, name="og-call")
-
-    def override(parent_summary, child_summary):
-        assert parent_summary.num_tbs == child_summary.num_tbs == 4
-        return BipartiteGraph.explicit(4, 4, [[3], [2], [1], [0]])
-
-    app.trace.kernel_calls[1].dependency_override = override
-    plan = BlockMaestroRuntime().plan(app, reorder=False, window=2)
-    assert plan.kernels[1].graph.parents_of(0) == (3,)

@@ -84,19 +84,6 @@ class TestEvaluation:
         with pytest.raises(KeyError):
             e.evaluate({})
 
-    def test_substitute_partial(self):
-        e = AffineExpr(0, {TID("x"): 2, CTAID("x"): 5})
-        sub = e.substitute({CTAID("x"): 3})
-        assert sub.const == 15
-        assert sub.coefficient(TID("x")) == 2
-        assert sub.coefficient(CTAID("x")) == 0
-
-    def test_substitute_with_expression(self):
-        e = AffineExpr.symbol(LOOP(0), 4)
-        sub = e.substitute({LOOP(0): AffineExpr.symbol(TID("x")) + 1})
-        assert sub.coefficient(TID("x")) == 4
-        assert sub.const == 4
-
     def test_value_range_positive_coeff(self):
         e = AffineExpr(100, {TID("x"): 4})
         assert e.value_range({TID("x"): (0, 63)}) == (100, 100 + 4 * 63)

@@ -176,24 +176,3 @@ class TestRuntimeIntegration:
                     kp_warm.encoded.original_pattern.pattern
                     == kp_cold.encoded.original_pattern.pattern
                 )
-
-    def test_dependency_override_bypasses_graph_cache(self, tmp_cache):
-        from tests.conftest import make_chain_app
-
-        app = make_chain_app(num_pairs=1)
-        # give the second launch an explicit override
-        launches = [c for c in app.trace.calls if c.is_kernel]
-        from repro.core.dependency_graph import BipartiteGraph
-
-        override = BipartiteGraph.independent(
-            launches[0].num_tbs, launches[1].num_tbs
-        )
-        launches[1].dependency_override = override
-        metrics = MetricsRegistry()
-        runtime = BlockMaestroRuntime(
-            metrics=metrics, cache=tmp_cache.sibling(metrics)
-        )
-        runtime.plan(app, reorder=True, window=3)
-        counters = metrics.snapshot()["counters"]
-        assert "cache.graph.stores" not in counters
-        assert "cache.graph.misses" not in counters

@@ -150,3 +150,47 @@ class TestThreadExecution:
         )
         sim.run_thread_block(call, 0)
         assert sim.memory.load_u32(a.base) == 8
+
+
+def _integer_op_app(instruction):
+    """A 4-thread application whose one kernel runs ``instruction`` on
+    ``%r1 = tid.x`` and ``%r2 = 0`` and stores ``%r3``."""
+    from repro.workloads.base import AppBuilder
+
+    builder = AppBuilder("int-op")
+    out = builder.alloc("OUT", 16)
+    builder.launch(
+        ".visible .entry k (.param .u64 OUT)\n{\n"
+        " ld.param.u64 %rd1, [OUT];\n"
+        " mov.u32 %r1, %tid.x;\n"
+        " mov.u32 %r2, 0;\n"
+        " " + instruction + "\n"
+        " mul.wide.u32 %rd2, %r1, 4;\n"
+        " add.u64 %rd3, %rd1, %rd2;\n"
+        " st.global.u32 [%rd3], %r3;\n ret;\n}",
+        grid=1,
+        block=4,
+        args={"OUT": out},
+    )
+    builder.d2h(out)
+    app = builder.build()
+    return app, FunctionalSimulator(app.allocator)
+
+
+class TestIntegerErrors:
+    """Integer operations with no defined result end in
+    :class:`FunctionalError`, like ``div`` by zero."""
+
+    def test_rem_by_zero(self):
+        app, sim = _integer_op_app("rem.u32 %r3, %r1, %r2;")
+        with pytest.raises(FunctionalError, match="remainder by zero"):
+            sim.run_application(app)
+
+    @pytest.mark.parametrize("count", [-1, 64, 2_147_483_647])
+    @pytest.mark.parametrize("op", ["shl.b32", "shr.b32"])
+    def test_shift_count_outside_0_64(self, op, count):
+        app, sim = _integer_op_app(
+            "add.u32 %r2, %r2, {};\n {} %r3, %r1, %r2;".format(count, op)
+        )
+        with pytest.raises(FunctionalError, match="shift count"):
+            sim.run_application(app)

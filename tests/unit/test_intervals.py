@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.intervals import Interval, IntervalSet, strided_intervals
+from repro.analysis.intervals import Interval, IntervalSet
 
 
 class TestInterval:
@@ -118,40 +118,3 @@ class TestIntervalSet:
     def test_empty_property(self):
         assert IntervalSet().empty
         assert IntervalSet.empty_set().empty
-
-
-class TestStridedIntervals:
-    def test_dense_collapses_to_single(self):
-        ivs, exact = strided_intervals(base=0, stride=4, count=10, width=4, max_intervals=8)
-        assert exact
-        assert ivs == [Interval(0, 40)]
-
-    def test_stride_smaller_than_width_is_dense(self):
-        ivs, exact = strided_intervals(0, 2, 10, 4, 8)
-        assert exact
-        assert ivs == [Interval(0, 22)]
-
-    def test_sparse_enumerates(self):
-        ivs, exact = strided_intervals(0, 8, 3, 4, 8)
-        assert exact
-        assert ivs == [Interval(0, 4), Interval(8, 12), Interval(16, 20)]
-
-    def test_budget_exceeded_returns_bounding(self):
-        ivs, exact = strided_intervals(0, 8, 100, 4, 8)
-        assert not exact
-        assert ivs == [Interval(0, 8 * 99 + 4)]
-
-    def test_single_count(self):
-        ivs, exact = strided_intervals(16, 1000, 1, 4, 8)
-        assert exact
-        assert ivs == [Interval(16, 20)]
-
-    def test_zero_count(self):
-        ivs, exact = strided_intervals(0, 4, 0, 4, 8)
-        assert exact
-        assert ivs == []
-
-    def test_negative_stride_normalized(self):
-        ivs, exact = strided_intervals(100, -8, 3, 4, 8)
-        assert exact
-        assert ivs == [Interval(84, 88), Interval(92, 96), Interval(100, 104)]

@@ -1,5 +1,7 @@
 """Unit tests for the BlockMaestro launch-time pipeline (RuntimePlan)."""
 
+import re
+
 import pytest
 
 from repro.core.dependency_graph import GraphKind
@@ -85,6 +87,25 @@ class TestDurations:
         # same kernel body; scaled one is ~2x (modulo per-TB jitter)
         ratio = k0.tb_duration_ns(0) / k1.tb_duration_ns(0)
         assert 1.5 < ratio < 2.7
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -50.0],
+        ids=["nan", "inf", "negative"],
+    )
+    def test_bad_duration_raises_from_the_plan(self, runtime, bad):
+        """The plan kernel checks its durations itself, once, so no
+        engine tier needs to."""
+        app = make_chain_app(num_pairs=2, tbs=8, block=64, name="bad-plan")
+        app.trace.kernel_calls[1].tb_duration_fn = (
+            lambda tb: bad if tb == 3 else 1000.0
+        )
+        plan = runtime.plan(app, reorder=False)
+        (kernel,) = [kp for kp in plan.kernels if kp.name == "cons0"]
+        message = r"kernel {} \(cons0\) TB 3: duration {} ns".format(
+            kernel.kernel_index, re.escape(repr(bad))
+        )
+        with pytest.raises(ValueError, match=message):
+            kernel.tb_durations_ns()
 
     def test_jitter_factor_deterministic_and_bounded(self):
         for kernel_index in range(5):
